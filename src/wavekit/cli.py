@@ -5,8 +5,8 @@ requested tasks (validate, eigen, dispersion, wave, simulate, probe) in
 dependency order, writing one JSON summary per task plus CSV data and SVG
 quick-look plots; `wavekit validate config.json` only checks the config.
 
-Exit codes: 0 ok, 2 config/schema error, 3 numerical failure (the failing
-task's error is embedded in its summary).
+Exit codes: 0 ok, 2 config/schema error, 3 failed task (the failing task's
+error is embedded in its summary, with the traceback of an unexpected error).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import os
 import sys as _sys
 import tempfile
 import time
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -92,9 +93,13 @@ def _dump_json(path: Path, payload: dict) -> None:
 
 
 def _parse_speed(c, rational_needed: bool):
-    if isinstance(c, str):
-        return Fraction(c) if rational_needed else float(Fraction(c))
-    return c
+    """A configured speed: a number or a rational string such as "5/2"."""
+    try:
+        if rational_needed:
+            return Fraction(c) if isinstance(c, str) else c
+        return float(Fraction(c)) if isinstance(c, str) else float(c)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"config.params.c is not a speed: {c!r}") from exc
 
 
 class JobConfig:
@@ -115,6 +120,8 @@ class JobConfig:
             raise InputError("config.params must be an object")
         if "wave" in self.tasks and self.params.get("c") is None:
             raise InputError("config.params.c is required for the wave task")
+        if self.params.get("c") is not None:
+            _parse_speed(self.params["c"], False)
         self.seed = int(doc.get("seed", 0))
         self.out = Path(doc.get("out", base_dir / "out"))
 
@@ -149,24 +156,36 @@ class TaskContext:
         self.cfg = cfg
         self.sys = cfg.system
         self.tol = float(cfg.param("tol", 1e-6))
+        self.eigen_tol = min(self.tol, 1e-8)
         self.e = cfg.param("e", [0] * (cfg.system.n - 1) + [1])
         self.results: dict[str, dict] = {}
         self.curve = None
         self.persistence = None
+        self._direction_ev = None
 
     # -- shared pipeline pieces ------------------------------------------------
 
-    def direction_frame(self):
-        return static_frame(self.sys, e=self.e)
+    def direction_evaluator(self) -> EigenEvaluator:
+        """The run's one memoized lambda(mu) in the c = 0 frame of direction e."""
+        if self._direction_ev is None:
+            self._direction_ev = EigenEvaluator(static_frame(self.sys, e=self.e),
+                                                tol=self.eigen_tol)
+        return self._direction_ev
+
+    def get_persistence(self):
+        if self.persistence is None:
+            self.persistence = persistence_check(self.sys, tol=self.eigen_tol)
+        return self.persistence
 
     def get_curve(self):
         if self.curve is None:
-            self.persistence = persistence_check(self.sys, tol=min(self.tol, 1e-8))
-            if self.persistence.classification == "extinct":
+            pers = self.get_persistence()
+            if pers.classification == "extinct":
                 raise NumericalError(
-                    f"extinct: no wave pipeline (lambda_1p = {self.persistence.lambda_1p:.6g} >= 0)"
+                    f"extinct: no wave pipeline (lambda_1p = {pers.lambda_1p:.6g} >= 0)"
                 )
-            self.curve = minimal_speed(self.direction_frame(), tol=min(self.tol, 1e-8))
+            ev = self.direction_evaluator()
+            self.curve = minimal_speed(ev.fsys, tol=self.eigen_tol, evaluator=ev)
         return self.curve
 
 
@@ -182,13 +201,12 @@ def run_validate(ctx: TaskContext, outdir: Path) -> dict:
 
 def run_eigen(ctx: TaskContext, outdir: Path) -> dict:
     mu_list = [float(m) for m in ctx.cfg.param("mu_list", [0.5, 1.0, 2.0])]
-    fsys = ctx.direction_frame()
-    rows = lambda_mu_curve(fsys, mu_list, tol=min(ctx.tol, 1e-8))
+    ev = ctx.direction_evaluator()
+    rows = lambda_mu_curve(ev.fsys, mu_list, evaluator=ev)
     csv_path = outdir / "eigen_curve.csv"
     lines = ["mu,lambda,dlambda_dmu"]
     lines += [f"{float(m)!r},{float(l)!r},{float(d)!r}" for (m, l, d) in rows]
     _atomic_write(csv_path, "\n".join(lines) + "\n")
-    ev = EigenEvaluator(fsys, tol=min(ctx.tol, 1e-8))
     for idx, mu in enumerate(mu_list):
         ev.pair(mu).eigenfunction.to_csv(outdir / f"eigenfunction_mu{idx}.csv")
     return {
@@ -200,21 +218,21 @@ def run_eigen(ctx: TaskContext, outdir: Path) -> dict:
 
 
 def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
-    pers_first = persistence_check(ctx.sys, tol=min(ctx.tol, 1e-8))
+    pers = ctx.get_persistence()
     summary = {
-        "lambda_1p": pers_first.lambda_1p,
-        "classification": pers_first.classification,
+        "lambda_1p": pers.lambda_1p,
+        "classification": pers.classification,
     }
-    if pers_first.classification == "extinct":
+    if pers.classification == "extinct":
         summary.update({"c_star": None, "mu_star": None, "curve": []})
         return summary
     curve = ctx.get_curve()
     summary.update(curve.to_json())
     c_req = ctx.cfg.param("c")
     if c_req is not None:
-        c_val = float(Fraction(c_req)) if isinstance(c_req, str) else float(c_req)
-        if c_val - curve.c_star > 10.0 * min(ctx.tol, 1e-8):
-            roots = speed_roots(curve, c_val, tol=min(ctx.tol, 1e-8))
+        c_val = _parse_speed(c_req, False)
+        if c_val - curve.c_star > 10.0 * ctx.eigen_tol:
+            roots = speed_roots(curve, c_val, tol=ctx.eigen_tol)
             summary["roots"] = roots.to_json()
     mus = np.array([m for m, _ in curve.samples])
     gs = np.array([-l / m for m, l in curve.samples])
@@ -236,7 +254,8 @@ def _wave_frame(ctx: TaskContext, c):
         return transform_coefficients(sysn, frame_from_json(frame_req))
     if sysn.is_space_homogeneous():
         e = [float(v) for v in ctx.e]
-        return transform_coefficients(sysn, make_frame(e, float(c), mode="space-homogeneous"))
+        return transform_coefficients(
+            sysn, make_frame(e, _parse_speed(c, False), mode="space-homogeneous"))
     frame = make_frame(ctx.e, _parse_speed(c, True), mode="rational")
     return transform_coefficients(sysn, frame)
 
@@ -247,8 +266,8 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     if c_req is None:
         raise InputError("wave task needs params.c")
     wave_par = ctx.cfg.param("wave", {})
-    c_val = float(Fraction(c_req)) if isinstance(c_req, str) else float(c_req)
-    band = 10.0 * min(ctx.tol, 1e-8)
+    c_val = _parse_speed(c_req, False)
+    band = 10.0 * ctx.eigen_tol
     if c_val < curve.c_star - band:
         raise NumericalError(
             f"subcritical speed c = {c_val} < c* = {curve.c_star}: no wave exists"
@@ -282,12 +301,12 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
         env_info = {"M1": env.M1, "M2": env.M2, "M3": env.M3,
                     "g_gamma": env.g_gamma, "a_star": env.a_star}
     else:
-        roots = speed_roots(curve, c_val, tol=min(ctx.tol, 1e-8))
+        roots = speed_roots(curve, c_val, tol=ctx.eigen_tol)
         gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
         probe_grid = cylinder_grid(fsc, float(a_schedule[0] if a_schedule else a_single),
                                    **grid_kw)
         cell = _cell_grid_for(fsc, probe_grid)
-        ev = EigenEvaluator(fsc, grid=cell, tol=min(ctx.tol, 1e-8))
+        ev = EigenEvaluator(fsc, grid=cell, tol=ctx.eigen_tol)
         env = build_envelopes_supercritical(
             fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), cell
         )
@@ -471,7 +490,7 @@ def run_config(path, out: str | None = None, threads: int = 1,
     failed = {}
 
     def execute(task):
-        t0 = time.time()
+        t0 = time.perf_counter()
         log.info("task %s: start", task)
         try:
             summary = _RUNNERS[task](ctx, outdir)
@@ -483,10 +502,17 @@ def run_config(path, out: str | None = None, threads: int = 1,
                                            for h in exc.history[-5:]]
             status = "failed"
             failed[task] = str(exc)
+        except Exception as exc:
+            # a bug rather than a reported failure: keep the traceback, exit 3
+            log.error("task %s: unexpected %s: %s", task, type(exc).__name__, exc)
+            summary = {"error": str(exc), "error_type": type(exc).__name__,
+                       "traceback": traceback.format_exc()}
+            status = "failed"
+            failed[task] = str(exc)
         summary["task"] = task
         summary["status"] = status
         _dump_json(outdir / f"{task}.json", summary)
-        wall[task] = time.time() - t0
+        wall[task] = time.perf_counter() - t0
         log.info("task %s: %s (%.2fs)", task, status, wall[task])
         ctx.results[task] = summary
 

@@ -1,9 +1,14 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from wavekit import cli, eigen
 from wavekit.cli import emit_report, load_config, main, run_config
 from wavekit.errors import InputError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MODE = {"kt": 0, "kx": [0], "cos": 1.0, "sin": 0.0}
 
@@ -55,6 +60,12 @@ class TestConfigParsing:
         p = write_config(tmp_path, scalar_config(["wave"]))
         with pytest.raises(InputError, match="params.c"):
             load_config(p)
+
+    def test_unparsable_speed_rejected(self, tmp_path):
+        p = write_config(tmp_path, scalar_config(["dispersion"], extra_params={"c": "fast"}))
+        with pytest.raises(InputError, match="params.c"):
+            load_config(p)
+        assert run_config(p, out=tmp_path / "out") == 2
 
     def test_validate_subcommand_exit_codes(self, tmp_path):
         p = write_config(tmp_path, scalar_config(["validate"]))
@@ -146,6 +157,65 @@ class TestRunConfig:
         assert track.shape[1] == 3
         snap = np.loadtxt(out / "snapshot_0.csv", delimiter=",", skiprows=1)
         assert snap.shape[1] == 3
+
+    def test_readme_example_config(self, tmp_path):
+        # the JSON block of README.md exactly as written ("c": "5/2" included)
+        blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
+        assert len(blocks) == 1
+        p = tmp_path / "job.json"
+        p.write_text(blocks[0])
+        out = tmp_path / "out"
+        assert run_config(p, out=out) == 0
+        assert (out / "report.json").exists()
+        wave = json.loads((out / "wave.json").read_text())
+        assert wave["status"] == "ok"
+        assert wave["c"] == 2.5
+        assert wave["pipeline"] == "supercritical"
+        disp = json.loads((out / "dispersion.json").read_text())
+        assert disp["c_star"] == pytest.approx(2.0, abs=1e-8)
+        assert disp["roots"]["mu_wedge"] == pytest.approx(0.5, abs=1e-7)
+
+    def test_unexpected_error_exits_three_with_traceback(self, tmp_path, monkeypatch):
+        def broken(ctx, outdir):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(cli._RUNNERS, "dispersion", broken)
+        p = write_config(tmp_path, scalar_config(["dispersion"]))
+        out = tmp_path / "out"
+        assert run_config(p, out=out) == 3
+        doc = json.loads((out / "dispersion.json").read_text())
+        assert doc["status"] == "failed"
+        assert doc["error_type"] == "ValueError"
+        assert "ValueError: boom" in doc["traceback"]
+        assert json.loads((out / "eigen.json").read_text())["status"] == "ok"
+        assert (out / "report.json").exists()
+
+    def test_each_eigenpair_solved_once(self, tmp_path, monkeypatch):
+        solved = []
+        persistence_calls = []
+        solve = eigen.principal_eigenvalue
+        check = cli.persistence_check
+
+        def counting_solve(op, *args, **kwargs):
+            frame = op.fsys.frame
+            solved.append((frame.mode, tuple(frame.e_floats()), frame.c_float(),
+                           op.grid, op.mu, kwargs.get("normalization", "max-one")))
+            return solve(op, *args, **kwargs)
+
+        def counting_check(*args, **kwargs):
+            persistence_calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(eigen, "principal_eigenvalue", counting_solve)
+        monkeypatch.setattr(cli, "persistence_check", counting_check)
+        cfg = scalar_config(["dispersion", "wave"], extra_params={
+            "c": 2.5, "wave": {"a": 16.0, "n_z": 401, "tol": 1e-7},
+        })
+        p = write_config(tmp_path, cfg)
+        assert run_config(p, out=tmp_path / "out") == 0
+        assert len(persistence_calls) == 1
+        assert solved
+        assert len(set(solved)) == len(solved)
 
     def test_bit_reproducible_artifacts(self, tmp_path):
         cfg = scalar_config(["simulate"], extra_params={

@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import const, scalar_system, space_periodic_l, system_2x2, time_periodic_l
 from wavekit.coeffs import Mode, PeriodicField, nondimensionalize
-from wavekit.eigen import EigenEvaluator, harnack_floor, lambda_mu_curve, principal_eigenvalue
+from wavekit.eigen import (
+    EigenEvaluator,
+    _monodromy_rk4,
+    harnack_floor,
+    lambda_mu_curve,
+    principal_eigenvalue,
+)
 from wavekit.errors import InputError, NumericalError
 from wavekit.frame import make_frame, transform_coefficients
-from wavekit.pde_core import Grid, build_operator_mu
+from wavekit.pde_core import Grid, Stepper, build_operator_mu
 
 
 def frame_of(sys, c=0):
@@ -179,3 +187,75 @@ class TestInvariants:
             frame_of(system_2x2(l11=delta, l22=delta))
         )(0.8)
         assert shifted == pytest.approx(base - delta, abs=1e-9)
+
+
+def _sequential_rk4(Mfun, T, n_sub, store_every):
+    """Reference: the textbook one-step-at-a-time RK4 on Phi' = M(t) Phi."""
+    h = T / n_sub
+    Ms = Mfun(np.arange(2 * n_sub + 1) * (0.5 * h))
+    Phi = np.eye(Ms.shape[1])
+    snaps = []
+    for k in range(n_sub):
+        if k % store_every == 0:
+            snaps.append(Phi.copy())
+        M0, Mh, M1 = Ms[2 * k], Ms[2 * k + 1], Ms[2 * k + 2]
+        k1 = M0 @ Phi
+        k2 = Mh @ (Phi + 0.5 * h * k1)
+        k3 = Mh @ (Phi + 0.5 * h * k2)
+        k4 = M1 @ (Phi + h * k3)
+        Phi = Phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return Phi, np.array(snaps)
+
+
+class TestMonodromyKernel:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        N=st.sampled_from([1, 2, 3]),
+        n_sub=st.sampled_from([2048, 4096]),
+        store_every=st.sampled_from([1, 32]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scan_matches_sequential_loop(self, N, n_sub, store_every, seed):
+        # cooperative time-periodic M(t) = C + S sin(2 pi t) + K cos(2 pi t)
+        # with off-diagonal entries >= 0 at every t
+        r = np.random.default_rng(seed)
+        C = r.uniform(-2.0, 2.0, (N, N))
+        S = r.uniform(-1.0, 1.0, (N, N))
+        K = r.uniform(-1.0, 1.0, (N, N))
+        off = ~np.eye(N, dtype=bool)
+        C[off] = np.abs(S[off]) + np.abs(K[off]) + r.uniform(0.0, 1.0, off.sum())
+        T = r.uniform(0.5, 2.0)
+
+        def Mfun(ts):
+            w = 2 * np.pi * ts / T
+            return C + np.sin(w)[:, None, None] * S + np.cos(w)[:, None, None] * K
+
+        Phi, snaps = _monodromy_rk4(Mfun, T, n_sub, store_every=store_every)
+        Phi_ref, snaps_ref = _sequential_rk4(Mfun, T, n_sub, store_every)
+        assert np.all(Phi >= 0)
+        assert np.abs(Phi - Phi_ref).max() <= 1e-12 * np.abs(Phi_ref).max()
+        assert snaps.shape == snaps_ref.shape == (n_sub // store_every, N, N)
+        scale = np.abs(snaps_ref).max(axis=(1, 2))
+        assert np.all(np.abs(snaps - snaps_ref).max(axis=(1, 2)) <= 1e-12 * scale)
+
+    def test_ode_path_matches_power_iteration(self):
+        # z-independent, time-periodic 2x2 system: Crank-Nicolson power
+        # iteration on the cell period map converges to the ODE-monodromy
+        # eigenvalue at O(dt^2), so its Richardson extrapolation agrees closely
+        sys = system_2x2(l12=1.0, l21=2.0, l11_field=time_periodic_l(0.5, 1.5))
+        fs = frame_of(sys)
+        lam_pde = {}
+        for n_t in (256, 512):
+            op = build_operator_mu(fs, 0.7, Grid.periodic_cell(1.0, 1.0, n_t, 16))
+            stepper = Stepper(op, scheme="cn")
+            v = np.ones((2, 16))
+            for _ in range(40):
+                w = stepper.run_period(v)
+                rho = float(np.vdot(v, w) / np.vdot(v, v))
+                v = w / np.abs(w).max()
+            lam_pde[n_t] = -np.log(rho)
+        pair = principal_eigenvalue(op, tol=1e-10)
+        assert pair.info["path"] == "ode-monodromy"
+        assert pair.lam == pytest.approx(lam_pde[512], abs=1e-5)
+        extrapolated = lam_pde[512] + (lam_pde[512] - lam_pde[256]) / 3.0
+        assert pair.lam == pytest.approx(extrapolated, abs=1e-8)
