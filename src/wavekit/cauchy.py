@@ -1,9 +1,11 @@
 """Direct nonlinear simulation of the reaction-diffusion system on a line.
 
-IMEX time stepping: transport-diffusion implicit (sparse M-matrix solve,
-homogeneous Neumann far boundaries), reaction explicit with a time step small
-enough to preserve nonnegativity and the a-priori envelope bound u <= K 1
-coming from the logistic comparison L u - (B u) o u <= r (1^T u)(K 1 - u).
+IMEX time stepping: transport-diffusion implicit, stepped by the shared
+pde_core.Stepper on the static-frame operator of an interval grid without
+boundary data (zero-flux far ends, drift upwinded there), reaction explicit
+with a time step small enough to preserve nonnegativity and the a-priori
+envelope bound u <= K 1 coming from the logistic comparison
+L u - (B u) o u <= r (1^T u)(K 1 - u).
 Used for spreading-speed measurement, cross-checks of the dispersion minimal
 speed, and the empirical nonexistence probe at subcritical speeds.
 
@@ -13,14 +15,14 @@ speeds are therefore directly comparable with the dispersion module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .coeffs import KPPSystem, nondimensionalize, validate_assumptions
+from .dispersion import static_frame
 from .errors import InputError, NumericalError
+from .pde_core import Grid, Stepper, build_operator_mu
 
 __all__ = [
     "SimulationRun",
@@ -144,70 +146,6 @@ def front_initial(x: np.ndarray, N: int, e: float, amp: float = 0.5,
     return np.tile(prof, (N, 1))
 
 
-def _coeff_tables_1d(sys: KPPSystem, ts: np.ndarray, x: np.ndarray):
-    """Per-step coefficient samples: a at faces, q at nodes, L and B at nodes."""
-    N = sys.N
-    xh = 0.5 * (x[:-1] + x[1:])
-    a_half = np.stack([
-        np.stack([sys.A[i][0][0].eval(np.full_like(xh, t), xh[:, None]) for t in ts])
-        for i in range(N)
-    ])  # (N, n_steps, n_x-1)
-    q = np.stack([
-        np.stack([sys.q[i][0].eval(np.full_like(x, t), x[:, None]) for t in ts])
-        for i in range(N)
-    ])
-    L = np.stack([
-        np.stack([
-            np.stack([sys.L[i][j].eval(np.full_like(x, t), x[:, None]) for t in ts])
-            for j in range(N)
-        ])
-        for i in range(N)
-    ])  # (N, N, n_steps, n_x)
-    B = np.stack([
-        np.stack([
-            np.stack([sys.B[i][j].eval(np.full_like(x, t), x[:, None]) for t in ts])
-            for j in range(N)
-        ])
-        for i in range(N)
-    ])
-    return a_half, q, L, B
-
-
-def _implicit_matrix(a_half_k, q_k, dx, dt):
-    """I - dt * (flux diffusion - q d_x) with zero-flux Neumann ends.
-
-    Unknowns x-major, component-minor.  Advection is centered inside and
-    first-order upwind at the two boundary nodes to keep the M-matrix.
-    """
-    N, nx = q_k.shape
-    rows, cols, vals = [], [], []
-    for i in range(N):
-        ah = a_half_k[i]
-        qd = q_k[i]
-        jj = np.arange(1, nx - 1)
-        m = jj * N + i
-        aR, aL = ah[jj], ah[jj - 1]
-        rows += [m, m, m]
-        cols += [(jj + 1) * N + i, (jj - 1) * N + i, m]
-        vals += [aR / dx**2 - qd[jj] / (2 * dx),
-                 aL / dx**2 + qd[jj] / (2 * dx),
-                 -(aR + aL) / dx**2]
-        # Neumann closure: missing flux is zero; upwinded drift at the ends
-        m0 = np.array([0 * N + i]); mN = np.array([(nx - 1) * N + i])
-        q0, qN = qd[0], qd[-1]
-        rows += [m0, m0, mN, mN]
-        cols += [np.array([1 * N + i]), m0, np.array([(nx - 2) * N + i]), mN]
-        vals += [np.array([ah[0] / dx**2 + max(-q0, 0.0) / dx]),
-                 np.array([-ah[0] / dx**2 - abs(q0) / dx + max(q0, 0.0) / dx]),
-                 np.array([ah[-1] / dx**2 + max(qN, 0.0) / dx]),
-                 np.array([-ah[-1] / dx**2 - abs(qN) / dx + max(-qN, 0.0) / dx])]
-    S = sp.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(N * nx, N * nx),
-    )
-    return (sp.identity(N * nx, format="csc") - dt * S).tocsc()
-
-
 def simulate(sys: KPPSystem, initial: np.ndarray, t_final: float, X: float,
              n_x: int = 2048, snapshot_every: float = 1.0,
              dt_cap: float = 0.05) -> SimulationRun:
@@ -240,13 +178,10 @@ def simulate(sys: KPPSystem, initial: np.ndarray, t_final: float, X: float,
     dt = 1.0 / spp
 
     x = np.linspace(-X, X, n_x)
-    dx = x[1] - x[0]
-    ts = np.arange(spp) * dt  # coefficient samples, 1-periodic in t
-    a_half, q, L, B = _coeff_tables_1d(sys, ts, x)
-
-    time_indep = all(f.is_time_independent() for f in sys.all_fields())
-    n_mat = 1 if time_indep else spp
-    lus = [splu(_implicit_matrix(a_half[:, k], q[:, k], dx, dt)) for k in range(n_mat)]
+    op = build_operator_mu(static_frame(sys), 0.0, Grid.cylinder(1.0, X, spp, n_x))
+    # the reaction stays explicit: step transport and diffusion only
+    stepper = Stepper(replace(op, coupling=np.zeros_like(op.coupling)))
+    L, B = op.coupling, op.b_tab
 
     n_steps = int(round(t_final / dt))
     snap_stride = max(1, int(round(snapshot_every / dt)))
@@ -254,12 +189,10 @@ def simulate(sys: KPPSystem, initial: np.ndarray, t_final: float, X: float,
     times = [0.0]
     snaps = [u.copy()]
     for step in range(n_steps):
-        k = (step % spp) if not time_indep else 0
+        k = step % spp
         reaction = (np.einsum("ijx,jx->ix", L[:, :, k], u)
                     - np.einsum("ijx,jx->ix", B[:, :, k], u) * u)
-        w = u + dt * reaction
-        lu = lus[((step + 1) % spp) if not time_indep else 0]
-        u = lu.solve(np.ascontiguousarray(w.T).reshape(-1)).reshape(n_x, N).T
+        u = stepper.step(u + dt * reaction, k)
         if (step + 1) % snap_stride == 0 or step == n_steps - 1:
             if u.min() < -1e-8 or u.max() > u_max_bound + 1e-6 * (1 + u_max_bound):
                 raise NumericalError(

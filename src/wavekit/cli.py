@@ -1,9 +1,9 @@
 """Configuration-driven command line entry point.
 
-`wavekit run config.json [--out DIR] [--threads K] [--seed S]` executes the
-requested tasks (validate, eigen, dispersion, wave, simulate, probe) in
-dependency order, writing one JSON summary per task plus CSV data and SVG
-quick-look plots; `wavekit validate config.json` only checks the config.
+`wavekit run config.json [--out DIR]` executes the requested tasks
+(validate, eigen, dispersion, wave, simulate, probe) in dependency order,
+writing one JSON summary per task plus CSV data and SVG quick-look plots;
+`wavekit validate config.json` only checks the config.
 
 Exit codes: 0 ok, 2 config/schema error, 3 failed task (the failing task's
 error is embedded in its summary, with the traceback of an unexpected error).
@@ -19,7 +19,6 @@ import sys as _sys
 import tempfile
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -122,7 +121,6 @@ class JobConfig:
             raise InputError("config.params.c is required for the wave task")
         if self.params.get("c") is not None:
             _parse_speed(self.params["c"], False)
-        self.seed = int(doc.get("seed", 0))
         self.out = Path(doc.get("out", base_dir / "out"))
 
     @staticmethod
@@ -467,8 +465,7 @@ def emit_report(outdir: Path, wall_times: dict | None = None) -> dict:
     return report
 
 
-def run_config(path, out: str | None = None, threads: int = 1,
-               seed: int | None = None) -> int:
+def run_config(path, out: str | None = None) -> int:
     """Execute a config; returns the process exit code."""
     try:
         cfg = load_config(path)
@@ -477,9 +474,6 @@ def run_config(path, out: str | None = None, threads: int = 1,
         return 2
     if out is not None:
         cfg.out = Path(out)
-    if seed is not None:
-        cfg.seed = seed
-    np.random.seed(cfg.seed)
     outdir = cfg.out
     outdir.mkdir(parents=True, exist_ok=True)
     if not cfg.tasks:
@@ -516,33 +510,17 @@ def run_config(path, out: str | None = None, threads: int = 1,
         log.info("task %s: %s (%.2fs)", task, status, wall[task])
         ctx.results[task] = summary
 
-    done = set()
-    remaining = list(cfg.tasks)
-    while remaining:
-        ready = [t for t in remaining if all(p in done for p in _PREREQS[t] if p in cfg.tasks)]
-        if not ready:
-            ready = remaining[:1]
-        if threads > 1 and len(ready) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(execute, ready))
+    # cfg.tasks is in chain order, so every prerequisite has run before it
+    for task in cfg.tasks:
+        bad = [p for p in _PREREQS[task] if p in failed]
+        if bad:
+            _dump_json(outdir / f"{task}.json", {
+                "task": task, "status": "skipped",
+                "error": f"prerequisite failed: {', '.join(bad)}",
+            })
+            ctx.results[task] = {"status": "skipped"}
         else:
-            for t in ready:
-                execute(t)
-        for t in ready:
-            done.add(t)
-            remaining.remove(t)
-        # abort dependents of a failed prerequisite
-        if failed:
-            for t in list(remaining):
-                bad = [p for p in _PREREQS[t] if p in failed]
-                if bad:
-                    _dump_json(outdir / f"{t}.json", {
-                        "task": t, "status": "skipped",
-                        "error": f"prerequisite failed: {', '.join(bad)}",
-                    })
-                    ctx.results[t] = {"status": "skipped"}
-                    done.add(t)
-                    remaining.remove(t)
+            execute(task)
 
     emit_report(outdir, wall_times=wall)
     return 3 if failed else 0
@@ -554,8 +532,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run the tasks of a config file")
     p_run.add_argument("config")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--threads", type=int, default=1)
-    p_run.add_argument("--seed", type=int, default=None)
     p_val = sub.add_parser("validate", help="check a config file without running")
     p_val.add_argument("config")
     args = parser.parse_args(argv)
@@ -573,7 +549,7 @@ def main(argv=None) -> int:
             return 2
         print(f"ok: {len(cfg.tasks)} task(s): {', '.join(cfg.tasks)}")
         return 0
-    return run_config(args.config, out=args.out, threads=args.threads, seed=args.seed)
+    return run_config(args.config, out=args.out)
 
 
 if __name__ == "__main__":

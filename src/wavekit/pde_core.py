@@ -8,17 +8,25 @@ positivity preserving for cooperative couplings: the step matrix is an
 M-matrix at moderate mesh Peclet numbers), with a Crank-Nicolson option used
 by the eigensolver where second-order time accuracy matters.
 
-Time-periodic boundary-value problems are solved by relaxation of the
-parabolic flow; a positive periodic-Dirichlet principal eigenvalue makes the
-period map a contraction, so the flow converges geometrically to the unique
-time-periodic solution.  When nothing depends on time the periodic problem
-degenerates to a steady one and a single sparse solve is used instead.
+Boundary treatments of the step solver: periodic on a cell; Dirichlet on an
+interval when boundary data is given (the wave and eigen layers); zero flux on
+an interval without boundary data (the Cauchy layer), with the drift upwinded
+at the two end nodes so the step matrix stays an M-matrix.
+
+Time-periodic boundary-value problems, linear or with a diagonal quadratic
+term, are solved by one driver: relaxation of the parabolic flow; a positive
+periodic-Dirichlet principal eigenvalue makes the period map a contraction, so
+the flow converges geometrically to the unique time-periodic solution.  When
+nothing depends on time the periodic problem degenerates to a steady one: a
+single sparse solve when linear, pseudo-transient continuation when
+semilinear.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -130,17 +138,17 @@ class GridField:
 
     def to_csv(self, path) -> None:
         g = self.grid
-        z = g.z
+        z_cells = [f"{v!r}," for v in g.z.tolist()]
         with open(path, "w") as fh:
             fh.write(
                 f"# grid kind={g.kind} n_t={g.n_t} n_z={g.n_z} "
                 f"t_period={g.t_period!r} z0={g.z0!r} z1={g.z1!r}\n"
             )
             fh.write("component,t_index,z,value\n")
-            for i in range(self.N):
-                for k in range(g.n_t):
-                    for j in range(g.n_z):
-                        fh.write(f"{i},{k},{float(z[j])!r},{float(self.values[i, k, j])!r}\n")
+            # one row of n_z lines per (component, time index)
+            for r, row in enumerate(self.values.reshape(-1, g.n_z).tolist()):
+                head = "{},{},".format(*divmod(r, g.n_t))
+                fh.writelines(map("{}{}{!r}\n".format, repeat(head), z_cells, row))
 
     @classmethod
     def from_csv(cls, path) -> "GridField":
@@ -317,9 +325,10 @@ class Stepper:
     """Cached sparse step solver for the parabolic flow d_t v = S(t) v.
 
     S is the spatial part of -(op + diag(extra_diag)); unknowns are ordered
-    z-major, component-minor (index j * N + i).  Dirichlet rows of S are left
-    empty, so the implicit step matrix has identity rows there and boundary
-    data is injected through the right-hand side.
+    z-major, component-minor (index j * N + i).  On an interval grid with
+    boundary data bc, the Dirichlet rows of S are left empty, so the implicit
+    step matrix has identity rows there and boundary data is injected through
+    the right-hand side; without bc the two ends carry no flux.
     """
 
     def __init__(self, op: OperatorSpec, scheme: str = "be",
@@ -328,8 +337,8 @@ class Stepper:
         if scheme not in ("be", "cn"):
             raise InputError(f"unknown scheme {scheme!r}")
         g = op.grid
-        if (bc is not None) != (g.kind == "interval"):
-            raise InputError("boundary data is required exactly for interval grids")
+        if bc is not None and g.kind != "interval":
+            raise InputError("boundary data needs an interval grid")
         self.op = op
         self.grid = g
         self.scheme = scheme
@@ -353,10 +362,9 @@ class Stepper:
         if scheme == "cn":
             self._rhs_mat = [(eye + (0.5 * dt) * S).tocsr() for S in self._S]
             # Dirichlet rows must carry pure boundary data, not a half-step
-            if g.kind == "interval":
-                for m in self._rhs_mat:
-                    for row in self._dirichlet_rows():
-                        m.data[m.indptr[row]:m.indptr[row + 1]] = 0.0
+            for m in self._rhs_mat:
+                for row in self._dirichlet_rows():
+                    m.data[m.indptr[row]:m.indptr[row + 1]] = 0.0
 
     def _check_peclet(self):
         a = self.op.a_node
@@ -371,7 +379,7 @@ class Stepper:
                 )
 
     def _dirichlet_rows(self):
-        if self.grid.kind != "interval":
+        if self.bc is None:
             return []
         nz, N = self.grid.n_z, self.N
         return [i for i in range(N)] + [(nz - 1) * N + i for i in range(N)]
@@ -380,10 +388,12 @@ class Stepper:
         op, g = self.op, self.grid
         N, nz, dz = self.N, g.n_z, g.dz
         periodic = g.kind == "periodic"
+        zero_flux = not periodic and self.bc is None
         jj = np.arange(nz) if periodic else np.arange(1, nz - 1)
         jp = (jj + 1) % nz
         jm = (jj - 1) % nz
-        extra = None
+        jr = np.arange(nz) if zero_flux else jj  # rows carrying the coupling
+        extra = np.zeros((N, nz))
         if self.extra_diag is not None:
             kk = k if self.extra_diag.shape[1] > 1 else 0
             extra = self.extra_diag[:, kk, :]
@@ -399,12 +409,25 @@ class Stepper:
             cols += [jp * N + i, jm * N + i, m]
             vals += [aR / dz**2 - dr / (2 * dz),
                      aL / dz**2 + dr / (2 * dz),
-                     -(aR + aL) / dz**2 - op.pot0[i, k, jj]
-                     - (extra[i, jj] if extra is not None else 0.0)]
+                     -(aR + aL) / dz**2 - op.pot0[i, k, jj] - extra[i, jj]]
+            if zero_flux:
+                # the missing end flux is zero; drift upwinded at the end nodes
+                q0, qN = op.drift[i, k, 0], op.drift[i, k, -1]
+                m0, mN = i, (nz - 1) * N + i
+                rows.append(np.array([m0, m0, mN, mN]))
+                cols.append(np.array([N + i, m0, (nz - 2) * N + i, mN]))
+                vals.append(np.array([
+                    ah[0] / dz**2 + max(-q0, 0.0) / dz,
+                    -ah[0] / dz**2 - abs(q0) / dz + max(q0, 0.0) / dz
+                    - op.pot0[i, k, 0] - extra[i, 0],
+                    ah[-1] / dz**2 + max(qN, 0.0) / dz,
+                    -ah[-1] / dz**2 - abs(qN) / dz + max(-qN, 0.0) / dz
+                    - op.pot0[i, k, -1] - extra[i, -1],
+                ]))
             for j2 in range(N):
-                rows.append(m)
-                cols.append(jj * N + j2)
-                vals.append(op.coupling[i, j2, k, jj])
+                rows.append(jr * N + i)
+                cols.append(jr * N + j2)
+                vals.append(op.coupling[i, j2, k, jr])
         return sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(self.size, self.size),
@@ -416,19 +439,24 @@ class Stepper:
     def _unflat(self, w):
         return w.reshape(self.grid.n_z, self.N).T
 
-    def step(self, v: np.ndarray, k: int) -> np.ndarray:
-        """Advance from t_k to t_{k+1}; v is (N, n_z)."""
-        g = self.grid
-        idx_new = ((k + 1) % g.n_t) % self.n_distinct
-        idx_old = (k % g.n_t) % self.n_distinct
-        w = self._flat(v)
-        rhs = w.copy() if self.scheme == "be" else self._rhs_mat[idx_old] @ w
-        if g.kind == "interval":
+    def _bc_into(self, rhs: np.ndarray, k: int) -> int:
+        """Write the Dirichlet data of t_{k+1} into rhs; index of its step matrix."""
+        kk = (k + 1) % self.grid.n_t
+        if self.bc is not None:
             left, right = self.bc
-            kk = (k + 1) % g.n_t
             rhs[: self.N] = left[:, kk]
             rhs[-self.N:] = right[:, kk]
-        return self._unflat(self._lhs_lu[idx_new].solve(rhs))
+        return kk % self.n_distinct
+
+    def step(self, v: np.ndarray, k: int) -> np.ndarray:
+        """Advance from t_k to t_{k+1}; v is (N, n_z)."""
+        w = self._flat(v)
+        if self.scheme == "be":
+            rhs = w.copy()
+        else:
+            rhs = self._rhs_mat[(k % self.grid.n_t) % self.n_distinct] @ w
+        idx = self._bc_into(rhs, k)
+        return self._unflat(self._lhs_lu[idx].solve(rhs))
 
     def step_implicit_quadratic(self, v: np.ndarray, k: int, b_k: np.ndarray,
                                 inner_tol: float = 1e-13, max_inner: int = 60) -> np.ndarray:
@@ -440,20 +468,13 @@ class Stepper:
         bias.  b_k is the (N, n_z) diagonal quadratic coefficient at t_{k+1};
         it is ignored on Dirichlet rows, which carry pure boundary data.
         """
-        g = self.grid
-        dt = g.dt
-        idx_new = ((k + 1) % g.n_t) % self.n_distinct
+        dt = self.grid.dt
         b = self._flat(b_k).copy()
-        rhs0 = self._flat(v)
-        if g.kind == "interval":
+        if self.bc is not None:
             b[: self.N] = 0.0
             b[-self.N:] = 0.0
-            left, right = self.bc
-            kk = (k + 1) % g.n_t
-            rhs0 = rhs0.copy()
-            rhs0[: self.N] = left[:, kk]
-            rhs0[-self.N:] = right[:, kk]
-        lu = self._lhs_lu[idx_new]
+        rhs0 = self._flat(v).copy()
+        lu = self._lhs_lu[self._bc_into(rhs0, k)]
         w = lu.solve(rhs0)
         for _ in range(max_inner):
             w_new = lu.solve(rhs0 - dt * b * w * w)
@@ -463,31 +484,26 @@ class Stepper:
             w = w_new
         return self._unflat(w)
 
-    def run_period(self, v0: np.ndarray, store_orbit: bool = False):
+    def run_period(self, v0: np.ndarray, store_orbit: bool = False,
+                   quadratic: np.ndarray | None = None):
+        """One period of steps from v0, optionally with the orbit at t_0..t_{n_t-1}.
+
+        With quadratic (N, n_t, n_z), steps d_t v = S v - quadratic v^2 through
+        step_implicit_quadratic.
+        """
         v = np.array(v0, dtype=float)
-        orbit = np.empty((self.grid.n_t, self.N, self.grid.n_z)) if store_orbit else None
-        for k in range(self.grid.n_t):
+        n_t = self.grid.n_t
+        orbit = np.empty((n_t, self.N, self.grid.n_z)) if store_orbit else None
+        for k in range(n_t):
             if store_orbit:
                 orbit[k] = v
-            v = self.step(v, k)
+            if quadratic is None:
+                v = self.step(v, k)
+            else:
+                v = self.step_implicit_quadratic(v, k, quadratic[:, (k + 1) % n_t])
         if store_orbit:
             return v, np.transpose(orbit, (1, 0, 2))
         return v
-
-    def propagate_matrix(self, V: np.ndarray) -> np.ndarray:
-        """One period applied to a matrix of column states (size, m)."""
-        W = np.array(V, dtype=float)
-        g = self.grid
-        for k in range(g.n_t):
-            idx_new = ((k + 1) % g.n_t) % self.n_distinct
-            idx_old = (k % g.n_t) % self.n_distinct
-            rhs = W if self.scheme == "be" else self._rhs_mat[idx_old] @ W
-            if g.kind == "interval":
-                rhs = rhs.copy()
-                rhs[: self.N] = 0.0
-                rhs[-self.N:] = 0.0
-            W = self._lhs_lu[idx_new].solve(rhs)
-        return W
 
     def steady_matrix(self) -> sp.csc_matrix:
         """-S with identity rows at the Dirichlet ends; solves op u = 0."""
@@ -515,13 +531,18 @@ def evolve_period(op: OperatorSpec, v0: np.ndarray, scheme: str = "be",
 
 def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
                        extra_diag=None, max_periods: int = 20000,
-                       scheme: str = "be", force_relaxation: bool = False):
-    """Time-periodic solution of (op + diag(extra_diag)) u = 0 with Dirichlet data.
+                       scheme: str = "be", force_relaxation: bool = False,
+                       quadratic: np.ndarray | None = None):
+    """Time-periodic solution of (op + diag(extra_diag)) u + quadratic u^2 = 0.
 
-    boundary = (left, right), each of shape (N, n_t), sampled at grid times.
+    boundary = (left, right) Dirichlet data, each of shape (N, n_t), sampled
+    at grid times; quadratic, if given, is the (N, n_t, n_z) diagonal
+    coefficient of a semilinear term, kept implicit in every step.
     Relaxation of the parabolic flow from init converges geometrically when
-    the periodic-Dirichlet principal eigenvalue of the operator is positive;
-    a fully time-independent problem is solved in one steady sparse solve.
+    the periodic-Dirichlet principal eigenvalue of the linearization is
+    positive.  A fully time-independent problem is solved directly instead:
+    one sparse solve when linear, pseudo-transient continuation from init
+    when semilinear (falling back to relaxation if continuation stalls).
     Returns (GridField, info dict).
     """
     g = op.grid
@@ -535,22 +556,26 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     steady = (
         not force_relaxation
         and not stepper.time_dependent
+        and (quadratic is None or _const_along(quadratic, 1))
         and np.all(left == left[:, :1])
         and np.all(right == right[:, :1])
     )
     if steady:
-        K = stepper.steady_matrix()
-        rhs = np.zeros(stepper.size)
-        rhs[: op.N] = left[:, 0]
-        rhs[-op.N:] = right[:, 0]
-        u = splu(K).solve(rhs)
-        vals = np.repeat(stepper._unflat(u)[:, None, :], g.n_t, axis=1)
-        return GridField(vals, g), {"mode": "steady", "periods": 0, "changes": []}
+        if quadratic is None:
+            rhs = np.zeros(stepper.size)
+            rhs[: op.N] = left[:, 0]
+            rhs[-op.N:] = right[:, 0]
+            u = stepper._unflat(splu(stepper.steady_matrix()).solve(rhs))
+        else:
+            u = _ptc_steady(stepper, quadratic, left, right, init.values, tol)
+        if u is not None:
+            vals = np.repeat(u[:, None, :], g.n_t, axis=1)
+            return GridField(vals, g), {"mode": "steady", "periods": 0, "changes": []}
 
     v = init.values[:, 0, :].copy()
     changes = []
     for _ in range(max_periods):
-        v_new = stepper.run_period(v)
+        v_new = stepper.run_period(v, quadratic=quadratic)
         change = float(np.abs(v_new - v).max())
         changes.append(change)
         v = v_new
@@ -567,5 +592,70 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
             "may be nonpositive or the grid too coarse",
             history=changes,
         )
-    _, orbit = stepper.run_period(v, store_orbit=True)
+    _, orbit = stepper.run_period(v, store_orbit=True, quadratic=quadratic)
     return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes), "changes": changes}
+
+
+def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, left, right,
+                u0: np.ndarray, tol: float, max_steps: int = 400):
+    """Pseudo-transient continuation for -S u + b u^2 = 0 with Dirichlet rows.
+
+    Backward-Euler pseudo-time steps, each step equation solved by Newton
+    (its Jacobian I/dt + J stays well conditioned for any dt because the
+    operator's Dirichlet eigenvalue is positive along the descent from the
+    supersolution), with dt doubling after every accepted step.  Plain Newton
+    on the steady system jumps branches through the nearly singular
+    downstream zero state; following the stable parabolic flow avoids that
+    while reaching the steady state in ~log(1/lambda_min) steps.  Returns
+    None if continuation stalls.
+    """
+    K = stepper.steady_matrix()
+    N = stepper.N
+    nz = stepper.grid.n_z
+    b = np.ascontiguousarray(bdiag[:, 0, :].T).reshape(-1).copy()
+    b[:N] = 0.0
+    b[-N:] = 0.0
+    data = np.zeros(N * nz)
+    data[:N] = left[:, 0]
+    data[-N:] = right[:, 0]
+    u = np.ascontiguousarray((u0[:, 0, :] if u0.ndim == 3 else u0).T).reshape(-1).copy()
+    u[:N] = left[:, 0]
+    u[-N:] = right[:, 0]
+
+    def steady_res(v):
+        F = K @ v + b * v * v
+        F[:N] = v[:N] - data[:N]
+        F[-N:] = v[-N:] - data[-N:]
+        return F
+
+    dt = 1.0
+    scale = 1.0 + float(np.abs(u).max())
+    for _ in range(max_steps):
+        F = steady_res(u)
+        if float(np.abs(F).max()) < tol:
+            return stepper._unflat(u)
+        # implicit Euler step: G(w) = (w - u)/dt + steady_res(w) = 0
+        w = u.copy()
+        ok = False
+        for _ in range(12):
+            G = (w - u) / dt + steady_res(w)
+            if not np.all(np.isfinite(G)):
+                break
+            gnorm = float(np.abs(G).max())
+            if gnorm < 1e-11 * scale / min(dt, 1.0):
+                ok = True
+                break
+            J = (K + sp.diags(2.0 * b * w + 1.0 / dt)).tocsc()
+            w = w - splu(J).solve(G)
+        if ok:
+            # project onto the invariant cone: the quadratic sink makes the
+            # zero state one-sidedly unstable, and roundoff-scale negative
+            # tails downstream would otherwise grow along the pseudo-flow
+            u = np.maximum(w, 0.0)
+            dt = min(dt * 2.0, 1e9)
+            scale = max(scale, 1.0 + float(np.abs(u).max()))
+        else:
+            dt *= 0.25
+            if dt < 1e-8:
+                return None
+    return None

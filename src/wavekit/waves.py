@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .eigen import EigenEvaluator, PrincipalEigenpair, default_cell_grid
 from .errors import InputError, NumericalError, WavekitError
@@ -37,7 +35,6 @@ from .pde_core import (
     Grid,
     GridField,
     OperatorSpec,
-    Stepper,
     apply_operator,
     build_operator_mu,
     solve_periodic_bvp,
@@ -327,16 +324,38 @@ def fixed_point_truncated(fsys: FrameSystem, env: SupercriticalEnvelopes, a: flo
     rsub = apply_operator(op0, ulow_f, extra_diag=Bub).values[:, :, 1:-1]
     sub_viol = float(np.maximum(rsub, 0.0).max() / ubar.max())
 
+    def inner(r, u_prev):
+        Br = np.einsum("ijtz,jtz->itz", op0.b_tab, r)
+        return solve_periodic_bvp(
+            op0, (left, right), init, tol * 0.1, extra_diag=Br,
+            force_relaxation=force_relaxation,
+        )[0]
+
+    return _damped_fixed_point(
+        fsys, op0, env.c, a, ubar, usub, inner, theta, tol, max_outer,
+        record_iterates, "wave fixed point",
+        {"mu_wedge": env.mu_wedge, "pipeline": "supercritical",
+         "supersolution_residual": super_resid,
+         "subsolution_violation": sub_viol},
+    )
+
+
+def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float,
+                        ubar: np.ndarray, usub: np.ndarray, inner, theta: float,
+                        tol: float, max_outer: int, record_iterates: bool,
+                        what: str, info: dict) -> WaveProfile:
+    """Outer loop r <- theta u_r + (1 - theta) r from r = ubar, and the profile.
+
+    inner(r, u_prev) returns u_r as a GridField; u_prev is the previous sweep's
+    result (None on the first).  The converged u is checked against the
+    trapping pair (usub, ubar) and the semilinear PDE op0 u + (B' u) o u = 0.
+    """
     r = ubar.copy()
     iterate_bounds = []
     deltas = []
     u_field = None
     for it in range(max_outer):
-        Br = np.einsum("ijtz,jtz->itz", op0.b_tab, r)
-        u_field, _ = solve_periodic_bvp(
-            op0, (left, right), init, tol * 0.1, extra_diag=Br,
-            force_relaxation=force_relaxation,
-        )
+        u_field = inner(r, u_field)
         uv = u_field.values
         if record_iterates:
             iterate_bounds.append(
@@ -349,7 +368,7 @@ def fixed_point_truncated(fsys: FrameSystem, env: SupercriticalEnvelopes, a: flo
         if delta < tol:
             break
     else:
-        raise NumericalError("wave fixed point stalled", history=deltas)
+        raise NumericalError(f"{what} stalled", history=deltas)
 
     uv = u_field.values
     trapping = max(0.0, float((usub - uv).max()), float((uv - ubar).max()))
@@ -358,13 +377,10 @@ def fixed_point_truncated(fsys: FrameSystem, env: SupercriticalEnvelopes, a: flo
     pde_residual = float(np.abs(res[:, :, 1:-1]).max() / max(np.abs(uv).max(), 1e-300))
     decay, floor = _decay_and_floor(u_field)
     return WaveProfile(
-        e=tuple(fsys.frame.e_floats()), c=env.c, a=float(a), u=u_field,
+        e=tuple(fsys.frame.e_floats()), c=c, a=float(a), u=u_field,
         trapping_violation=trapping, pde_residual=pde_residual,
         downstream_decay_rate=decay, upstream_floor=floor, iterations=it + 1,
-        info={"deltas": deltas, "iterate_bounds": iterate_bounds,
-              "mu_wedge": env.mu_wedge, "pipeline": "supercritical",
-              "supersolution_residual": super_resid,
-              "subsolution_violation": sub_viol},
+        info={"deltas": deltas, "iterate_bounds": iterate_bounds, **info},
     )
 
 
@@ -757,8 +773,9 @@ def critical_fixed_point(fsys: FrameSystem, env: CriticalEnvelopes, a: float,
     The inner problem replaces the linear cooperative operator by the
     semilinear monotone one u -> R u + diag(b'_ii) u^2
     + diag((B' - diag(b'_ii)) r) u, which preserves the comparison structure;
-    it is solved by Newton on the steady system (time-independent frames) or
-    by split relaxation, the pointwise quadratic solved exactly each substep.
+    solve_periodic_bvp solves it with the quadratic term kept implicit:
+    pseudo-transient Newton continuation on the steady system
+    (time-independent frames) or relaxation of the parabolic flow.
     """
     if grid is None:
         grid = cylinder_grid(fsys, a, **grid_kw)
@@ -774,43 +791,21 @@ def critical_fixed_point(fsys: FrameSystem, env: CriticalEnvelopes, a: float,
     left = usub[:, :, 0].copy()
     right = usub[:, :, -1].copy()
 
-    r = ubar.copy()
-    deltas = []
-    iterate_bounds = []
-    u_field = None
-    for it in range(max_outer):
+    def inner(r, u_prev):
         lin_extra = np.einsum("ijtz,jtz->itz", b_off, r)
         # Newton warm start from the supersolution on the first sweep: for the
         # concave quadratic nonlinearity it descends monotonically onto the
         # maximal trapped solution instead of stalling near the unstable zero
-        warm = u_field.values if u_field is not None else ubar
-        u_field = _semilinear_bvp(op0, bdiag, lin_extra, (left, right),
-                                  init=usub, tol=tol * 0.1, warm=warm,
-                                  force_relaxation=force_relaxation)
-        uv = u_field.values
-        if record_iterates:
-            iterate_bounds.append((float((uv - usub).min()), float((ubar - uv).min())))
-        r_new = theta * uv + (1.0 - theta) * r
-        delta = float(np.abs(r_new - r).max())
-        deltas.append(delta)
-        r = r_new
-        if delta < tol:
-            break
-    else:
-        raise NumericalError("critical fixed point stalled", history=deltas)
+        warm = u_prev if u_prev is not None else ubar_f
+        return solve_periodic_bvp(
+            op0, (left, right), warm, tol * 0.1, extra_diag=lin_extra,
+            force_relaxation=force_relaxation, quadratic=bdiag,
+        )[0]
 
-    uv = u_field.values
-    trapping = max(0.0, float((usub - uv).max()), float((uv - ubar).max()))
-    Bu = np.einsum("ijtz,jtz->itz", op0.b_tab, uv)
-    res = apply_operator(op0, u_field).values + Bu * uv
-    pde_residual = float(np.abs(res[:, :, 1:-1]).max() / max(np.abs(uv).max(), 1e-300))
-    decay, floor = _decay_and_floor(u_field)
-    return WaveProfile(
-        e=tuple(fsys.frame.e_floats()), c=env.c_star, a=float(a), u=u_field,
-        trapping_violation=trapping, pde_residual=pde_residual,
-        downstream_decay_rate=decay, upstream_floor=floor, iterations=it + 1,
-        info={"deltas": deltas, "iterate_bounds": iterate_bounds,
-              "mu_star": env.mu_star, "pipeline": "critical"},
+    return _damped_fixed_point(
+        fsys, op0, env.c_star, a, ubar, usub, inner, theta, tol, max_outer,
+        record_iterates, "critical fixed point",
+        {"mu_star": env.mu_star, "pipeline": "critical"},
     )
 
 
@@ -820,127 +815,3 @@ def _diag_embed(d: np.ndarray) -> np.ndarray:
     for i in range(N):
         out[i, i] = d[i]
     return out
-
-
-def _semilinear_bvp(op: OperatorSpec, bdiag: np.ndarray, lin_extra: np.ndarray,
-                    boundary, init: np.ndarray, tol: float,
-                    warm: np.ndarray | None = None,
-                    force_relaxation: bool = False,
-                    max_periods: int = 20000) -> GridField:
-    """Periodic-Dirichlet solve of op u + diag(bdiag) u^2 + diag(lin_extra) u = 0."""
-    g = op.grid
-    left, right = boundary
-    stepper = Stepper(op, scheme="be", extra_diag=lin_extra, bc=(left, right))
-    steady = (
-        not force_relaxation
-        and not stepper.time_dependent
-        and _const_time(bdiag)
-        and np.all(left == left[:, :1]) and np.all(right == right[:, :1])
-    )
-    if steady:
-        u = _ptc_steady(stepper, bdiag, left, right,
-                        warm if warm is not None else init, tol)
-        if u is not None:
-            vals = np.repeat(u[:, None, :], g.n_t, axis=1)
-            return GridField(vals, g)
-        # pseudo-transient continuation stalled; fall through to relaxation
-
-    v = (warm if warm is not None else init)[:, 0, :].copy()
-    changes = []
-    n_t = g.n_t
-
-    def b_at(k):
-        return bdiag[:, (k + 1) % bdiag.shape[1] if bdiag.shape[1] > 1 else 0, :]
-
-    def sweep(v):
-        for k in range(n_t):
-            v = stepper.step_implicit_quadratic(v, k, b_at(k))
-        return v
-
-    for _ in range(max_periods):
-        v_new = sweep(v)
-        change = float(np.abs(v_new - v).max())
-        changes.append(change)
-        v = v_new
-        if change == 0.0 or change < tol * 1e-2:
-            break
-        if len(changes) >= 2 and changes[-2] > 0:
-            q = changes[-1] / changes[-2]
-            if q < 1.0 and change * q / (1.0 - q) < tol:
-                break
-    else:
-        raise NumericalError("semilinear relaxation did not converge", history=changes)
-    orbit = np.empty((op.N, n_t, g.n_z))
-    for k in range(n_t):
-        orbit[:, k, :] = v
-        v = stepper.step_implicit_quadratic(v, k, b_at(k))
-    return GridField(orbit, g)
-
-
-def _const_time(arr: np.ndarray) -> bool:
-    return bool(np.all(arr == arr[:, :1, :]))
-
-
-def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, left, right,
-                u0: np.ndarray, tol: float, max_steps: int = 400):
-    """Pseudo-transient continuation for -S u + b u^2 = 0 with Dirichlet rows.
-
-    Backward-Euler pseudo-time steps, each step equation solved by Newton
-    (its Jacobian I/dt + J stays well conditioned for any dt because the
-    operator's Dirichlet eigenvalue is positive along the descent from the
-    supersolution), with dt doubling after every accepted step.  Plain Newton
-    on the steady system jumps branches through the nearly singular
-    downstream zero state; following the stable parabolic flow avoids that
-    while reaching the steady state in ~log(1/lambda_min) steps.  Returns
-    None if continuation stalls.
-    """
-    K = stepper.steady_matrix()
-    N = stepper.N
-    nz = stepper.grid.n_z
-    b = np.ascontiguousarray(bdiag[:, 0, :].T).reshape(-1).copy()
-    b[:N] = 0.0
-    b[-N:] = 0.0
-    data = np.zeros(N * nz)
-    data[:N] = left[:, 0]
-    data[-N:] = right[:, 0]
-    u = np.ascontiguousarray((u0[:, 0, :] if u0.ndim == 3 else u0).T).reshape(-1).copy()
-    u[:N] = left[:, 0]
-    u[-N:] = right[:, 0]
-
-    def steady_res(v):
-        F = K @ v + b * v * v
-        F[:N] = v[:N] - data[:N]
-        F[-N:] = v[-N:] - data[-N:]
-        return F
-
-    dt = 1.0
-    scale = 1.0 + float(np.abs(u).max())
-    for _ in range(max_steps):
-        F = steady_res(u)
-        if float(np.abs(F).max()) < tol:
-            return stepper._unflat(u)
-        # implicit Euler step: G(w) = (w - u)/dt + steady_res(w) = 0
-        w = u.copy()
-        ok = False
-        for _ in range(12):
-            G = (w - u) / dt + steady_res(w)
-            if not np.all(np.isfinite(G)):
-                break
-            gnorm = float(np.abs(G).max())
-            if gnorm < 1e-11 * scale / min(dt, 1.0):
-                ok = True
-                break
-            J = (K + sp.diags(2.0 * b * w + 1.0 / dt)).tocsc()
-            w = w - splu(J).solve(G)
-        if ok:
-            # project onto the invariant cone: the quadratic sink makes the
-            # zero state one-sidedly unstable, and roundoff-scale negative
-            # tails downstream would otherwise grow along the pseudo-flow
-            u = np.maximum(w, 0.0)
-            dt = min(dt * 2.0, 1e9)
-            scale = max(scale, 1.0 + float(np.abs(u).max()))
-        else:
-            dt *= 0.25
-            if dt < 1e-8:
-                return None
-    return None

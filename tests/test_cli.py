@@ -143,13 +143,13 @@ class TestRunConfig:
         assert doc["probe_status"] in ("no_wave_signature", "inconclusive")
         assert doc["c"] == pytest.approx(doc["c_star"] / 2, rel=1e-6)
 
-    def test_threads_run_independent_tasks(self, tmp_path):
+    def test_dispersion_and_simulate_run(self, tmp_path):
         cfg = scalar_config(["dispersion", "simulate"], extra_params={
             "simulate": {"X": 40.0, "n_x": 512, "t_final": 8.0},
         })
         p = write_config(tmp_path, cfg)
-        out = tmp_path / "out_threads"
-        assert run_config(p, out=out, threads=2) == 0
+        out = tmp_path / "out"
+        assert run_config(p, out=out) == 0
         assert json.loads((out / "simulate.json").read_text())["status"] == "ok"
         assert json.loads((out / "dispersion.json").read_text())["status"] == "ok"
         import numpy as np

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import const, scalar_system, system_2x2
-from wavekit.coeffs import KPPSystem, nondimensionalize
+from wavekit.coeffs import KPPSystem, Mode, PeriodicField, nondimensionalize
 from wavekit.errors import InputError
 from wavekit.frame import make_frame, transform_coefficients
 from wavekit.pde_core import (
@@ -10,6 +10,7 @@ from wavekit.pde_core import (
     GridField,
     apply_operator,
     build_operator_mu,
+    Stepper,
     evolve_period,
     solve_periodic_bvp,
 )
@@ -163,10 +164,23 @@ class TestPeriodicBVP:
         assert info["mode"] == "relaxation"
         assert np.abs(u_direct.values - u_relax.values).max() < 1e-8
 
+    def test_semilinear_relaxation_matches_ptc(self):
+        # -u'' - u + u^2 = 0 with u(+-a) = 1/2: the pseudo-transient steady
+        # branch and the relaxation branch of one driver agree
+        op, g = self.cylinder_setup(a=2.0, n_z=65, l=1.0)
+        half = 0.5 * np.ones((1, g.n_t))
+        init = GridField(np.ones((1, g.n_t, g.n_z)), g)
+        quad = np.ones((1, g.n_t, g.n_z))
+        u_ptc, info_ptc = solve_periodic_bvp(op, (half, half), init, 1e-12, quadratic=quad)
+        u_relax, info_relax = solve_periodic_bvp(op, (half, half), init, 1e-12,
+                                                 quadratic=quad, force_relaxation=True)
+        assert info_ptc["mode"] == "steady" and info_ptc["periods"] == 0
+        assert info_relax["mode"] == "relaxation" and info_relax["periods"] > 1
+        assert u_ptc.values.min() >= 0.5
+        assert np.abs(u_ptc.values - u_relax.values).max() < 1e-8
+
     def test_monotone_ordering_of_iterates(self):
         # ordered initial states stay ordered period after period
-        from wavekit.pde_core import Stepper
-
         op, g = self.cylinder_setup(a=4.0, n_z=129, l=0.5)
         data = 0.2 * np.ones((1, g.n_t))
         st = Stepper(op, bc=(data, data))
@@ -178,6 +192,36 @@ class TestPeriodicBVP:
             assert (v2 - v1).min() >= -1e-13
 
 
+class TestZeroFluxStepper:
+    # an interval grid without boundary data: the closure the Cauchy layer uses.
+    # The drift 0.1 + 0.3 sin(2 pi z) points out of [-1.25, 1.25] at both
+    # ends (-0.2 and 0.4), so both upwinded end rows are exercised.
+    def stepper(self, q_mean=0.1, q_amp=0.3, n_t=8, n_z=81):
+        a_field = PeriodicField(1.0, (1.0,), (Mode(0, (0,), 1.0, 0.0), Mode(0, (1,), 0.3, 0.0)))
+        q_field = PeriodicField(1.0, (1.0,), (Mode(0, (0,), q_mean, 0.0), Mode(0, (1,), 0.0, q_amp)))
+        fs = frame_of(scalar_system(a_field=a_field, q_field=q_field, l=0.0))
+        op = build_operator_mu(fs, 0.0, Grid.cylinder(1.0, 1.25, n_t, n_z))
+        return Stepper(op)
+
+    def test_constant_is_fixed_point(self):
+        st = self.stepper()
+        v = np.full((1, st.grid.n_z), 0.7)
+        for k in range(st.grid.n_t):
+            assert np.abs(st.step(v, k) - 0.7).max() < 1e-14
+
+    def test_pure_diffusion_conserves_mass(self, rng):
+        st = self.stepper(q_mean=0.0, q_amp=0.0)
+        v0 = np.abs(rng.normal(size=(1, st.grid.n_z)))
+        v = st.run_period(v0)
+        assert abs(v.sum() - v0.sum()) < 1e-12 * v0.sum()
+
+    def test_positivity_preservation(self, rng):
+        st = self.stepper()
+        for _ in range(5):
+            v = st.run_period(np.abs(rng.normal(size=(1, st.grid.n_z))))
+            assert v.min() >= 0.0
+
+
 class TestGridFieldIO:
     def test_csv_round_trip(self, tmp_path, rng):
         g = Grid.cylinder(1.0, 2.0, 4, 17)
@@ -187,6 +231,17 @@ class TestGridFieldIO:
         back = GridField.from_csv(p)
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
+
+    def test_csv_text_matches_row_loop(self, tmp_path, rng):
+        g = Grid.cylinder(1.0, 2.0, 3, 17)
+        f = GridField(rng.normal(size=(2, 3, 17)) * 10.0 ** rng.integers(-300, 300, size=(2, 3, 17)), g)
+        p = tmp_path / "field.csv"
+        f.to_csv(p)
+        body = "".join(
+            f"{i},{k},{float(g.z[j])!r},{float(f.values[i, k, j])!r}\n"
+            for i in range(2) for k in range(3) for j in range(17)
+        )
+        assert p.read_text().split("\n", 2)[2] == body
 
     def test_binary_round_trip(self, tmp_path, rng):
         g = Grid.periodic_cell(2.0, 1.0, 4, 16)
