@@ -20,6 +20,7 @@ import tempfile
 import time
 import traceback
 from fractions import Fraction
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -360,17 +361,15 @@ def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
     theta = theta_frac * K
     meas = measure_spreading_speed(run, theta)
     left, right = run.front_positions(theta)
-    lines = ["t,x_theta_left,x_theta_right"]
-    lines += [f"{float(t)!r},{float(l)!r},{float(r)!r}"
-              for t, l, r in zip(run.times, left, right)]
-    _atomic_write(outdir / "front_track.csv", "\n".join(lines) + "\n")
+    rows = map("{!r},{!r},{!r}\n".format, run.times.tolist(), left.tolist(), right.tolist())
+    _atomic_write(outdir / "front_track.csv", "t,x_theta_left,x_theta_right\n" + "".join(rows))
     keep = np.linspace(0, len(run.times) - 1, min(9, len(run.times))).astype(int)
+    x_cells = [f"{x!r}," for x in run.x.tolist()]
     for j, k in enumerate(keep):
-        lines = ["component,x,value"]
-        for i in range(run.N):
-            lines += [f"{i},{float(xx)!r},{float(vv)!r}"
-                      for xx, vv in zip(run.x, run.snapshots[k, i])]
-        _atomic_write(outdir / f"snapshot_{j}.csv", "\n".join(lines) + "\n")
+        lines = ["component,x,value\n"]
+        for i, snap in enumerate(run.snapshots[k].tolist()):
+            lines += map("{}{}{!r}\n".format, repeat(f"{i},"), x_cells, snap)
+        _atomic_write(outdir / f"snapshot_{j}.csv", "".join(lines))
     svgplot.line_plot(
         outdir / "front_track.svg",
         [("left", run.times, left), ("right", run.times, right)],

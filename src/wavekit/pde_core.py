@@ -11,7 +11,10 @@ by the eigensolver where second-order time accuracy matters.
 Boundary treatments of the step solver: periodic on a cell; Dirichlet on an
 interval when boundary data is given (the wave and eigen layers); zero flux on
 an interval without boundary data (the Cauchy layer), with the drift upwinded
-at the two end nodes so the step matrix stays an M-matrix.
+at the two end nodes so the step matrix stays an M-matrix.  A step solver
+assembles its spatial operator once, for all time slices, on one sparse
+pattern; the step, Crank-Nicolson, steady and Newton matrices are all
+d I + s S on it, and the Dirichlet rows are a boolean mask.
 
 Time-periodic boundary-value problems, linear or with a diagonal quadratic
 term, are solved by one driver: relaxation of the parabolic flow; a positive
@@ -325,10 +328,13 @@ class Stepper:
     """Cached sparse step solver for the parabolic flow d_t v = S(t) v.
 
     S is the spatial part of -(op + diag(extra_diag)); unknowns are ordered
-    z-major, component-minor (index j * N + i).  On an interval grid with
-    boundary data bc, the Dirichlet rows of S are left empty, so the implicit
-    step matrix has identity rows there and boundary data is injected through
-    the right-hand side; without bc the two ends carry no flux.
+    z-major, component-minor (index j * N + i).  One CSC pattern, built once,
+    serves every time slice and every matrix derived from S (d I + s S_k): it
+    holds every diagonal entry, the three-point stencil and the N x N coupling
+    block.  On an interval grid with boundary data bc, the Dirichlet rows (the
+    mask _dirichlet) hold only a zero diagonal, so the implicit step matrix
+    has identity rows there and boundary data is injected through the
+    right-hand side; without bc the two ends carry no flux.
     """
 
     def __init__(self, op: OperatorSpec, scheme: str = "be",
@@ -353,18 +359,17 @@ class Stepper:
             time_dep = time_dep or not _const_along(extra_diag, 1)
         self.time_dependent = time_dep
         self.n_distinct = g.n_t if time_dep else 1
+        self._dirichlet = np.zeros(self.size, dtype=bool)
+        if bc is not None:
+            self._dirichlet[: self.N] = self._dirichlet[-self.N:] = True
+        self._assemble_S()
 
-        dt = g.dt
-        eye = sp.identity(self.size, format="csc")
         w = 1.0 if scheme == "be" else 0.5
-        self._S = [self._assemble_S(k) for k in range(self.n_distinct)]
-        self._lhs_lu = [splu((eye - (w * dt) * S).tocsc()) for S in self._S]
+        self._lhs_lu = [splu(self._matrix(1.0, -w * g.dt, k)) for k in range(self.n_distinct)]
         if scheme == "cn":
-            self._rhs_mat = [(eye + (0.5 * dt) * S).tocsr() for S in self._S]
-            # Dirichlet rows must carry pure boundary data, not a half-step
-            for m in self._rhs_mat:
-                for row in self._dirichlet_rows():
-                    m.data[m.indptr[row]:m.indptr[row + 1]] = 0.0
+            # the Dirichlet rows of the product are overwritten by _bc_into
+            self._rhs_mat = [self._matrix(1.0, 0.5 * g.dt, k).tocsr()
+                             for k in range(self.n_distinct)]
 
     def _check_peclet(self):
         a = self.op.a_node
@@ -378,85 +383,95 @@ class Stepper:
                     "break the M-matrix property; refine dz"
                 )
 
-    def _dirichlet_rows(self):
-        if self.bc is None:
-            return []
-        nz, N = self.grid.n_z, self.N
-        return [i for i in range(N)] + [(nz - 1) * N + i for i in range(N)]
+    def _assemble_S(self) -> None:
+        """The CSC pattern of S and its values on all distinct slices at once.
 
-    def _assemble_S(self, k: int) -> sp.csc_matrix:
+        Sets _indices and _indptr (the pattern), _S_data (n_distinct, nnz)
+        and _diag_pos, the position of each diagonal entry in the data.
+        """
         op, g = self.op, self.grid
-        N, nz, dz = self.N, g.n_z, g.dz
+        N, dz, nd, size = self.N, g.dz, self.n_distinct, self.size
         periodic = g.kind == "periodic"
-        zero_flux = not periodic and self.bc is None
-        jj = np.arange(nz) if periodic else np.arange(1, nz - 1)
-        jp = (jj + 1) % nz
-        jm = (jj - 1) % nz
-        jr = np.arange(nz) if zero_flux else jj  # rows carrying the coupling
-        extra = np.zeros((N, nz))
-        if self.extra_diag is not None:
-            kk = k if self.extra_diag.shape[1] > 1 else 0
-            extra = self.extra_diag[:, kk, :]
+        a_h, q = op.a_half[:, :nd], op.drift[:, :nd]
+        if periodic:
+            aR, aL, qj = a_h, np.roll(a_h, 1, axis=2), q
+        else:
+            aR, aL, qj = a_h[..., 1:], a_h[..., :-1], q[..., 1:-1]
+        up = aR / dz**2 - qj / (2 * dz)
+        lo = aL / dz**2 + qj / (2 * dz)
+        dg = -(aR + aL) / dz**2
+        if not periodic:
+            # zero-flux end rows with the drift upwinded; unused on Dirichlet rows
+            a0, aN, q0, qN = a_h[..., :1], a_h[..., -1:], q[..., :1], q[..., -1:]
+            pad = np.zeros_like(a0)  # no neighbour beyond an end node
+            up = np.concatenate([a0 / dz**2 + np.maximum(-q0, 0.0) / dz, up, pad], axis=2)
+            lo = np.concatenate([pad, lo, aN / dz**2 + np.maximum(qN, 0.0) / dz], axis=2)
+            dg = np.concatenate([
+                -a0 / dz**2 - np.abs(q0) / dz + np.maximum(q0, 0.0) / dz, dg,
+                -aN / dz**2 - np.abs(qN) / dz + np.maximum(-qN, 0.0) / dz,
+            ], axis=2)
+        L = op.coupling[:, :, :nd]
+        extra = 0.0 if self.extra_diag is None else self.extra_diag[:, :nd]
+        dg = dg - op.pot0[:, :nd] - extra + np.einsum("iikz->ikz", L)
 
-        rows, cols, vals = [], [], []
-        for i in range(N):
-            ah = op.a_half[i, k]
-            dr = op.drift[i, k, jj]
-            aR = ah[jj]
-            aL = ah[jm] if periodic else ah[jj - 1]
-            m = jj * N + i
-            rows += [m, m, m]
-            cols += [jp * N + i, jm * N + i, m]
-            vals += [aR / dz**2 - dr / (2 * dz),
-                     aL / dz**2 + dr / (2 * dz),
-                     -(aR + aL) / dz**2 - op.pot0[i, k, jj] - extra[i, jj]]
-            if zero_flux:
-                # the missing end flux is zero; drift upwinded at the end nodes
-                q0, qN = op.drift[i, k, 0], op.drift[i, k, -1]
-                m0, mN = i, (nz - 1) * N + i
-                rows.append(np.array([m0, m0, mN, mN]))
-                cols.append(np.array([N + i, m0, (nz - 2) * N + i, mN]))
-                vals.append(np.array([
-                    ah[0] / dz**2 + max(-q0, 0.0) / dz,
-                    -ah[0] / dz**2 - abs(q0) / dz + max(q0, 0.0) / dz
-                    - op.pot0[i, k, 0] - extra[i, 0],
-                    ah[-1] / dz**2 + max(qN, 0.0) / dz,
-                    -ah[-1] / dz**2 - abs(qN) / dz + max(-qN, 0.0) / dz
-                    - op.pot0[i, k, -1] - extra[i, -1],
-                ]))
-            for j2 in range(N):
-                rows.append(jr * N + i)
-                cols.append(jr * N + j2)
-                vals.append(op.coupling[i, j2, k, jr])
-        return sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.size, self.size),
-        )
+        def flat(x):  # (N, nd, n_z) -> (nd, size), z-major
+            return x.transpose(1, 2, 0).reshape(nd, size)
+
+        m = np.arange(size)
+        inner = ~self._dirichlet
+        has_up = inner & (periodic | (m < size - N))
+        has_lo = inner & (periodic | (m >= N))
+        e = np.arange(size * N)  # coupling block: row e // N, component e % N
+        r = e // N
+        c = r - r % N + e % N
+        off = inner[r] & (c != r)
+        rows = np.concatenate([m, m[has_up], m[has_lo], r[off]])
+        cols = np.concatenate([m, (m[has_up] + N) % size, (m[has_lo] - N) % size, c[off]])
+        vals = np.concatenate([
+            np.where(self._dirichlet, 0.0, flat(dg)), flat(up)[:, has_up], flat(lo)[:, has_lo],
+            L.transpose(2, 3, 0, 1).reshape(nd, size * N)[:, off],
+        ], axis=1)
+        order = np.lexsort((rows, cols))
+        self._indices = rows[order]
+        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))])
+        self._S_data = vals[:, order]
+        self._diag_pos = np.argsort(order)[:size]
+
+    def _matrix(self, d, s: float, k: int = 0) -> sp.csc_matrix:
+        """d I + s S_k on the shared pattern; d is a scalar or a flat diagonal.
+
+        Entries that vanish on this slice (a coupling coefficient with a zero)
+        are dropped, so they cost no fill in a factorization.
+        """
+        data = s * self._S_data[k]
+        data[self._diag_pos] += d
+        m = sp.csc_matrix((data, self._indices, self._indptr), shape=(self.size, self.size),
+                          copy=True)
+        m.eliminate_zeros()
+        return m
 
     def _flat(self, v):
-        return np.ascontiguousarray(v.T).reshape(-1)
+        return v.T.flatten()
 
     def _unflat(self, w):
         return w.reshape(self.grid.n_z, self.N).T
 
-    def _bc_into(self, rhs: np.ndarray, k: int) -> int:
-        """Write the Dirichlet data of t_{k+1} into rhs; index of its step matrix."""
-        kk = (k + 1) % self.grid.n_t
+    def _bc_into(self, w: np.ndarray, kk: int) -> np.ndarray:
+        """Write the Dirichlet data of t_kk into the flat vector w; returns w."""
         if self.bc is not None:
             left, right = self.bc
-            rhs[: self.N] = left[:, kk]
-            rhs[-self.N:] = right[:, kk]
-        return kk % self.n_distinct
+            w[: self.N] = left[:, kk]
+            w[-self.N:] = right[:, kk]
+        return w
 
     def step(self, v: np.ndarray, k: int) -> np.ndarray:
         """Advance from t_k to t_{k+1}; v is (N, n_z)."""
-        w = self._flat(v)
-        if self.scheme == "be":
-            rhs = w.copy()
-        else:
-            rhs = self._rhs_mat[(k % self.grid.n_t) % self.n_distinct] @ w
-        idx = self._bc_into(rhs, k)
-        return self._unflat(self._lhs_lu[idx].solve(rhs))
+        n_t = self.grid.n_t
+        kk = (k + 1) % n_t
+        rhs = self._flat(v)
+        if self.scheme == "cn":
+            rhs = self._rhs_mat[k % n_t % self.n_distinct] @ rhs
+        return self._unflat(self._lhs_lu[kk % self.n_distinct].solve(self._bc_into(rhs, kk)))
 
     def step_implicit_quadratic(self, v: np.ndarray, k: int, b_k: np.ndarray,
                                 inner_tol: float = 1e-13, max_inner: int = 60) -> np.ndarray:
@@ -466,15 +481,17 @@ class Stepper:
         iterations reusing the cached factorization; the steady state of this
         map is therefore the exact discrete steady state, with no splitting
         bias.  b_k is the (N, n_z) diagonal quadratic coefficient at t_{k+1};
-        it is ignored on Dirichlet rows, which carry pure boundary data.
+        it is ignored on Dirichlet rows, which carry pure boundary data.  A
+        Crank-Nicolson Stepper is refused: its cached matrix I - dt/2 S would
+        halve S in the steady state.
         """
+        if self.scheme != "be":
+            raise InputError("the implicit quadratic step needs a backward-Euler Stepper")
         dt = self.grid.dt
-        b = self._flat(b_k).copy()
-        if self.bc is not None:
-            b[: self.N] = 0.0
-            b[-self.N:] = 0.0
-        rhs0 = self._flat(v).copy()
-        lu = self._lhs_lu[self._bc_into(rhs0, k)]
+        kk = (k + 1) % self.grid.n_t
+        b = np.where(self._dirichlet, 0.0, self._flat(b_k))
+        rhs0 = self._bc_into(self._flat(v), kk)
+        lu = self._lhs_lu[kk % self.n_distinct]
         w = lu.solve(rhs0)
         for _ in range(max_inner):
             w_new = lu.solve(rhs0 - dt * b * w * w)
@@ -507,11 +524,7 @@ class Stepper:
 
     def steady_matrix(self) -> sp.csc_matrix:
         """-S with identity rows at the Dirichlet ends; solves op u = 0."""
-        m = (-self._S[0]).tolil()
-        for row in self._dirichlet_rows():
-            m.rows[row] = [row]
-            m.data[row] = [1.0]
-        return m.tocsc()
+        return self._matrix(self._dirichlet, -1.0)
 
 
 def evolve_period(op: OperatorSpec, v0: np.ndarray, scheme: str = "be",
@@ -531,7 +544,7 @@ def evolve_period(op: OperatorSpec, v0: np.ndarray, scheme: str = "be",
 
 def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
                        extra_diag=None, max_periods: int = 20000,
-                       scheme: str = "be", force_relaxation: bool = False,
+                       force_relaxation: bool = False,
                        quadratic: np.ndarray | None = None):
     """Time-periodic solution of (op + diag(extra_diag)) u + quadratic u^2 = 0.
 
@@ -551,7 +564,7 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     left, right = (np.asarray(b, dtype=float) for b in boundary)
     if left.shape != (op.N, g.n_t) or right.shape != (op.N, g.n_t):
         raise InputError("boundary data must have shape (N, n_t)")
-    stepper = Stepper(op, scheme=scheme, extra_diag=extra_diag, bc=(left, right))
+    stepper = Stepper(op, extra_diag=extra_diag, bc=(left, right))
 
     steady = (
         not force_relaxation
@@ -562,12 +575,10 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     )
     if steady:
         if quadratic is None:
-            rhs = np.zeros(stepper.size)
-            rhs[: op.N] = left[:, 0]
-            rhs[-op.N:] = right[:, 0]
+            rhs = stepper._bc_into(np.zeros(stepper.size), 0)
             u = stepper._unflat(splu(stepper.steady_matrix()).solve(rhs))
         else:
-            u = _ptc_steady(stepper, quadratic, left, right, init.values, tol)
+            u = _ptc_steady(stepper, quadratic, init.values[:, 0, :], tol)
         if u is not None:
             vals = np.repeat(u[:, None, :], g.n_t, axis=1)
             return GridField(vals, g), {"mode": "steady", "periods": 0, "changes": []}
@@ -596,8 +607,8 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes), "changes": changes}
 
 
-def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, left, right,
-                u0: np.ndarray, tol: float, max_steps: int = 400):
+def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, u0: np.ndarray, tol: float,
+                max_steps: int = 400):
     """Pseudo-transient continuation for -S u + b u^2 = 0 with Dirichlet rows.
 
     Backward-Euler pseudo-time steps, each step equation solved by Newton
@@ -610,23 +621,14 @@ def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, left, right,
     None if continuation stalls.
     """
     K = stepper.steady_matrix()
-    N = stepper.N
-    nz = stepper.grid.n_z
-    b = np.ascontiguousarray(bdiag[:, 0, :].T).reshape(-1).copy()
-    b[:N] = 0.0
-    b[-N:] = 0.0
-    data = np.zeros(N * nz)
-    data[:N] = left[:, 0]
-    data[-N:] = right[:, 0]
-    u = np.ascontiguousarray((u0[:, 0, :] if u0.ndim == 3 else u0).T).reshape(-1).copy()
-    u[:N] = left[:, 0]
-    u[-N:] = right[:, 0]
+    dirichlet = stepper._dirichlet
+    b = np.where(dirichlet, 0.0, stepper._flat(bdiag[:, 0, :]))
+    data = stepper._bc_into(np.zeros(stepper.size), 0)
+    u = stepper._bc_into(stepper._flat(u0), 0)
 
     def steady_res(v):
-        F = K @ v + b * v * v
-        F[:N] = v[:N] - data[:N]
-        F[-N:] = v[-N:] - data[-N:]
-        return F
+        # K has identity Dirichlet rows and b vanishes there: v - data
+        return K @ v + b * v * v - data
 
     dt = 1.0
     scale = 1.0 + float(np.abs(u).max())
@@ -645,7 +647,7 @@ def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, left, right,
             if gnorm < 1e-11 * scale / min(dt, 1.0):
                 ok = True
                 break
-            J = (K + sp.diags(2.0 * b * w + 1.0 / dt)).tocsc()
+            J = stepper._matrix(dirichlet + 2.0 * b * w + 1.0 / dt, -1.0)
             w = w - splu(J).solve(G)
         if ok:
             # project onto the invariant cone: the quadratic sink makes the

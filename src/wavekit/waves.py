@@ -576,29 +576,22 @@ def _clamp_supersolution(theta_dot: np.ndarray, M1: float, M2: float):
     plateau.  Raises if the crossing is missing or the branch is not positive
     up to it.
     """
-    N, n_t, n_z = theta_dot.shape
     v = -M1 * theta_dot
-    w = 1.0 - v
-    out = np.empty_like(v)
-    kinks = np.empty((N, n_t), dtype=int)
-    for i in range(N):
-        for k in range(n_t):
-            neg = np.nonzero(w[i, k] <= 0.0)[0]
-            if neg.size == 0 or neg[0] == 0:
-                raise NumericalError(
-                    "clamp level never reached: grow M1 "
-                    f"(component {i}, time index {k})"
-                )
-            j0 = int(neg[0])
-            if np.any(v[i, k, :j0] <= 0.0):
-                raise NumericalError(
-                    "supersolution branch loses positivity before its clamp: "
-                    f"grow M1 (component {i}, time index {k})"
-                )
-            out[i, k, :j0] = M2 * v[i, k, :j0]
-            out[i, k, j0:] = M2
-            kinks[i, k] = j0
-    return out, kinks
+    kinks = (1.0 - v <= 0.0).argmax(axis=2)  # first crossing; 0 when there is none
+    branch = np.arange(v.shape[2]) < kinks[..., None]
+    bad = (kinks == 0) | (branch & (v <= 0.0)).any(axis=2)
+    if bad.any():
+        i, k = np.unravel_index(bad.argmax(), bad.shape)  # first in C order
+        if kinks[i, k] == 0:
+            raise NumericalError(
+                "clamp level never reached: grow M1 "
+                f"(component {i}, time index {k})"
+            )
+        raise NumericalError(
+            "supersolution branch loses positivity before its clamp: "
+            f"grow M1 (component {i}, time index {k})"
+        )
+    return np.where(branch, M2 * v, M2), kinks
 
 
 def _positive_part_from_left(core: np.ndarray, z: np.ndarray):
@@ -608,30 +601,25 @@ def _positive_part_from_left(core: np.ndarray, z: np.ndarray):
     its first sign change on; the root must occur at z <= 0 so the result
     vanishes on the upstream half-line.  Returns (clamped array, root indices).
     """
-    N, n_t, n_z = core.shape
-    out = np.zeros_like(core)
-    roots = np.empty((N, n_t), dtype=int)
-    for i in range(N):
-        for k in range(n_t):
-            row = core[i, k]
-            if row[0] <= 0.0:
-                raise NumericalError(
-                    "critical subsolution not positive at the downstream end; "
-                    "increase a (support truncated)"
-                )
-            neg = np.nonzero(row <= 0.0)[0]
-            if neg.size == 0:
-                raise NumericalError(
-                    "critical subsolution has no sign change: grow M3"
-                )
-            j0 = int(neg[0])
-            if z[j0] > 1e-9:
-                raise NumericalError(
-                    "critical subsolution must vanish on z >= 0: grow M3"
-                )
-            out[i, k, :j0] = row[:j0]
-            roots[i, k] = j0
-    return out, roots
+    nonpos = core <= 0.0
+    roots = nonpos.argmax(axis=2)  # first sign change; 0 when there is none
+    missing = ~nonpos.any(axis=2)
+    bad = nonpos[..., 0] | missing | (z[roots] > 1e-9)
+    if bad.any():
+        i, k = np.unravel_index(bad.argmax(), bad.shape)  # first in C order
+        if nonpos[i, k, 0]:
+            raise NumericalError(
+                "critical subsolution not positive at the downstream end; "
+                "increase a (support truncated)"
+            )
+        if missing[i, k]:
+            raise NumericalError(
+                "critical subsolution has no sign change: grow M3"
+            )
+        raise NumericalError(
+            "critical subsolution must vanish on z >= 0: grow M3"
+        )
+    return np.where(np.arange(core.shape[2]) < roots[..., None], core, 0.0), roots
 
 
 def build_envelopes_critical(fsys: FrameSystem, mu_star: float, c_star: float,
@@ -749,13 +737,7 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, c_star: float,
 
 def _kink_mask(kinks: np.ndarray, n_z: int) -> np.ndarray:
     """True away from the clamp kink (one-sided derivatives there)."""
-    N, n_t = kinks.shape
-    mask = np.ones((N, n_t, n_z), dtype=bool)
-    jj = np.arange(n_z)
-    for i in range(N):
-        for k in range(n_t):
-            mask[i, k] = np.abs(jj - kinks[i, k]) > 2
-    return mask
+    return np.abs(np.arange(n_z) - kinks[..., None]) > 2
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +769,7 @@ def critical_fixed_point(fsys: FrameSystem, env: CriticalEnvelopes, a: float,
 
     op0 = build_operator_mu(fsys, 0.0, grid)
     bdiag = np.einsum("iitz->itz", op0.b_tab)
-    b_off = op0.b_tab - _diag_embed(bdiag)
+    b_off = op0.b_tab * (1.0 - np.eye(op0.N))[:, :, None, None]  # B' off its diagonal
     left = usub[:, :, 0].copy()
     right = usub[:, :, -1].copy()
 
@@ -807,11 +789,3 @@ def critical_fixed_point(fsys: FrameSystem, env: CriticalEnvelopes, a: float,
         record_iterates, "critical fixed point",
         {"mu_star": env.mu_star, "pipeline": "critical"},
     )
-
-
-def _diag_embed(d: np.ndarray) -> np.ndarray:
-    N = d.shape[0]
-    out = np.zeros((N,) + d.shape)
-    for i in range(N):
-        out[i, i] = d[i]
-    return out

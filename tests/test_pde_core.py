@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
-from conftest import const, scalar_system, system_2x2
+from conftest import const, scalar_system, space_periodic_l, system_2x2, time_periodic_l
 from wavekit.coeffs import KPPSystem, Mode, PeriodicField, nondimensionalize
 from wavekit.errors import InputError
 from wavekit.frame import make_frame, transform_coefficients
@@ -179,6 +181,28 @@ class TestPeriodicBVP:
         assert u_ptc.values.min() >= 0.5
         assert np.abs(u_ptc.values - u_relax.values).max() < 1e-8
 
+    def test_quadratic_step_needs_backward_euler(self):
+        # on a Crank-Nicolson Stepper the cached matrix is I - dt/2 S, and the
+        # implicit quadratic step would converge to -S/2 u + b u^2 = 0: the
+        # KPP cylinder's mid-domain value would be about 0.5 instead of 0.99
+        op, g = self.cylinder_setup(a=6.0, n_z=121, l=1.0)
+        zero = np.zeros((1, g.n_t))
+        st = Stepper(op, scheme="cn", bc=(zero, zero))
+        with pytest.raises(InputError):
+            st.step_implicit_quadratic(np.ones((1, g.n_z)), 0, np.ones((1, g.n_z)))
+        init = GridField(np.ones((1, g.n_t, g.n_z)), g)
+        quad = np.ones((1, g.n_t, g.n_z))
+        with pytest.raises(TypeError):
+            solve_periodic_bvp(op, (zero, zero), init, 1e-10, quadratic=quad, scheme="cn")
+        mid = []
+        for relax in (False, True):
+            u, info = solve_periodic_bvp(op, (zero, zero), init, 1e-10, quadratic=quad,
+                                         force_relaxation=relax)
+            assert info["mode"] == ("relaxation" if relax else "steady")
+            mid.append(u.values[0, 0, g.n_z // 2])
+        assert 0.95 < mid[0] < 1.0
+        assert mid[1] == pytest.approx(mid[0], abs=1e-8)
+
     def test_monotone_ordering_of_iterates(self):
         # ordered initial states stay ordered period after period
         op, g = self.cylinder_setup(a=4.0, n_z=129, l=0.5)
@@ -220,6 +244,135 @@ class TestZeroFluxStepper:
         for _ in range(5):
             v = st.run_period(np.abs(rng.normal(size=(1, st.grid.n_z))))
             assert v.min() >= 0.0
+
+
+def _reference_S(st, k):
+    """S on slice k from per-component COO lists: the assembly before the shared pattern."""
+    op, g = st.op, st.grid
+    N, nz, dz = st.N, g.n_z, g.dz
+    periodic = g.kind == "periodic"
+    zero_flux = not periodic and st.bc is None
+    jj = np.arange(nz) if periodic else np.arange(1, nz - 1)
+    jp = (jj + 1) % nz
+    jm = (jj - 1) % nz
+    jr = np.arange(nz) if zero_flux else jj
+    extra = np.zeros((N, nz))
+    if st.extra_diag is not None:
+        extra = st.extra_diag[:, k if st.extra_diag.shape[1] > 1 else 0, :]
+    rows, cols, vals = [], [], []
+    for i in range(N):
+        ah = op.a_half[i, k]
+        dr = op.drift[i, k, jj]
+        aR = ah[jj]
+        aL = ah[jm] if periodic else ah[jj - 1]
+        m = jj * N + i
+        rows += [m, m, m]
+        cols += [jp * N + i, jm * N + i, m]
+        vals += [aR / dz**2 - dr / (2 * dz),
+                 aL / dz**2 + dr / (2 * dz),
+                 -(aR + aL) / dz**2 - op.pot0[i, k, jj] - extra[i, jj]]
+        if zero_flux:
+            q0, qN = op.drift[i, k, 0], op.drift[i, k, -1]
+            m0, mN = i, (nz - 1) * N + i
+            rows.append(np.array([m0, m0, mN, mN]))
+            cols.append(np.array([N + i, m0, (nz - 2) * N + i, mN]))
+            vals.append(np.array([
+                ah[0] / dz**2 + max(-q0, 0.0) / dz,
+                -ah[0] / dz**2 - abs(q0) / dz + max(q0, 0.0) / dz
+                - op.pot0[i, k, 0] - extra[i, 0],
+                ah[-1] / dz**2 + max(qN, 0.0) / dz,
+                -ah[-1] / dz**2 - abs(qN) / dz + max(-qN, 0.0) / dz
+                - op.pot0[i, k, -1] - extra[i, -1],
+            ]))
+        for j2 in range(N):
+            rows.append(jr * N + i)
+            cols.append(jr * N + j2)
+            vals.append(op.coupling[i, j2, k, jr])
+    return sp.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(st.size, st.size),
+    )
+
+
+def _reference_dirichlet_rows(st):
+    if st.bc is None:
+        return []
+    N, nz = st.N, st.grid.n_z
+    return list(range(N)) + list(range((nz - 1) * N, nz * N))
+
+
+def _reference_steady(st):
+    m = (-_reference_S(st, 0)).tolil()
+    for row in _reference_dirichlet_rows(st):
+        m.rows[row] = [row]
+        m.data[row] = [1.0]
+    return m.tocsc()
+
+
+def _pattern_system(N, time_dep):
+    """Variable a, and a drift pointing out of [-1.25, 1.25] at both ends at mu = 0.3."""
+    a = PeriodicField(1.0, (1.0,), (Mode(0, (0,), 1.0, 0.0), Mode(0, (1,), 0.3, 0.0)))
+    q = PeriodicField(1.0, (1.0,), (Mode(0, (0,), 0.1, 0.0), Mode(0, (1,), 0.0, 0.9)))
+    l = time_periodic_l() if time_dep else space_periodic_l()
+    if N == 1:
+        return scalar_system(a_field=a, q_field=q, l_field=l)
+    # the zero off-diagonal coupling is an explicit zero of the pattern
+    return KPPSystem(
+        2, 1, (((a,),), ((const(0.8),),)), ((q,), (const(0.0),)),
+        ((l, const(0.0)), (const(0.5), const(-0.3))),
+        ((const(1.0), const(1.0)), (const(1.0), const(1.0))),
+    )
+
+
+class TestSharedPattern:
+    # every (grid closure, N, time dependence, extra_diag shape, scheme)
+    @pytest.mark.parametrize("scheme", ["be", "cn"])
+    @pytest.mark.parametrize("extra", [None, "static", "time"])
+    @pytest.mark.parametrize("time_dep", [False, True])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("closure", ["periodic", "dirichlet", "zero_flux"])
+    def test_matches_per_slice_assembly(self, closure, N, time_dep, extra, scheme, rng):
+        fs = frame_of(_pattern_system(N, time_dep))
+        if closure == "periodic":
+            g = Grid.periodic_cell(1.0, 1.0, 8, 32)
+        else:
+            g = Grid.cylinder(1.0, 1.25, 8, 41)
+        op = build_operator_mu(fs, 0.3, g)
+        extra_diag = None
+        if extra is not None:
+            extra_diag = rng.normal(size=(N, 1 if extra == "static" else g.n_t, g.n_z))
+        bc = None
+        if closure == "dirichlet":
+            bc = (rng.uniform(0.5, 1.0, (N, g.n_t)), rng.uniform(0.0, 0.5, (N, g.n_t)))
+        st = Stepper(op, scheme=scheme, extra_diag=extra_diag, bc=bc)
+        assert st.n_distinct == (g.n_t if time_dep or extra == "time" else 1)
+
+        w = 1.0 if scheme == "be" else 0.5
+        dt = g.dt
+        eye = sp.identity(st.size, format="csc")
+        lhs_ref, rhs_ref = [], []
+        for k in range(st.n_distinct):
+            S_ref = _reference_S(st, k)
+            lhs_ref.append(eye - (w * dt) * S_ref)
+            rhs_ref.append(eye + (0.5 * dt) * S_ref)
+            assert np.array_equal(st._matrix(0.0, 1.0, k).toarray(), S_ref.toarray())
+            assert np.array_equal(st._matrix(1.0, -w * dt, k).toarray(), lhs_ref[k].toarray())
+            assert np.array_equal(st._matrix(1.0, 0.5 * dt, k).toarray(), rhs_ref[k].toarray())
+        assert np.array_equal(st.steady_matrix().toarray(), _reference_steady(st).toarray())
+
+        v = rng.uniform(0.0, 1.0, (N, g.n_z))
+        for k in range(g.n_t):
+            kk = (k + 1) % g.n_t
+            rhs = np.ascontiguousarray(v.T).reshape(-1).copy()
+            if scheme == "cn":
+                rhs = rhs_ref[k % st.n_distinct] @ rhs
+            rows = _reference_dirichlet_rows(st)
+            if rows:
+                rhs[rows] = np.concatenate([bc[0][:, kk], bc[1][:, kk]])
+            expect = splu(lhs_ref[kk % st.n_distinct].tocsc()).solve(rhs).reshape(g.n_z, N).T
+            got = st.step(v, k)
+            assert np.array_equal(got, expect)
+            v = got
 
 
 class TestGridFieldIO:

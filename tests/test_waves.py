@@ -18,6 +18,9 @@ from wavekit.waves import (
     fixed_point_truncated,
     verify_wave,
     _cell_grid_for,
+    _clamp_supersolution,
+    _kink_mask,
+    _positive_part_from_left,
 )
 
 
@@ -210,6 +213,129 @@ class TestCriticalPipeline:
         assert ver.shape_pass and abs(ver.shape_slope - 1.0) <= 0.2
         for lo, hi in profile.info["iterate_bounds"]:
             assert lo >= -1e-9 and hi >= -1e-9
+
+
+# Per-(component, time) loops: the envelope helpers before vectorisation.
+
+def _reference_clamp(theta_dot, M1, M2):
+    N, n_t, n_z = theta_dot.shape
+    v = -M1 * theta_dot
+    w = 1.0 - v
+    out = np.empty_like(v)
+    kinks = np.empty((N, n_t), dtype=int)
+    for i in range(N):
+        for k in range(n_t):
+            neg = np.nonzero(w[i, k] <= 0.0)[0]
+            if neg.size == 0 or neg[0] == 0:
+                raise NumericalError(
+                    f"clamp level never reached: grow M1 (component {i}, time index {k})"
+                )
+            j0 = int(neg[0])
+            if np.any(v[i, k, :j0] <= 0.0):
+                raise NumericalError(
+                    "supersolution branch loses positivity before its clamp: "
+                    f"grow M1 (component {i}, time index {k})"
+                )
+            out[i, k, :j0] = M2 * v[i, k, :j0]
+            out[i, k, j0:] = M2
+            kinks[i, k] = j0
+    return out, kinks
+
+
+def _reference_positive_part(core, z):
+    N, n_t, n_z = core.shape
+    out = np.zeros_like(core)
+    roots = np.empty((N, n_t), dtype=int)
+    for i in range(N):
+        for k in range(n_t):
+            row = core[i, k]
+            if row[0] <= 0.0:
+                raise NumericalError(
+                    "critical subsolution not positive at the downstream end; "
+                    "increase a (support truncated)"
+                )
+            neg = np.nonzero(row <= 0.0)[0]
+            if neg.size == 0:
+                raise NumericalError("critical subsolution has no sign change: grow M3")
+            j0 = int(neg[0])
+            if z[j0] > 1e-9:
+                raise NumericalError("critical subsolution must vanish on z >= 0: grow M3")
+            out[i, k, :j0] = row[:j0]
+            roots[i, k] = j0
+    return out, roots
+
+
+def _reference_kink_mask(kinks, n_z):
+    N, n_t = kinks.shape
+    mask = np.ones((N, n_t, n_z), dtype=bool)
+    for i in range(N):
+        for k in range(n_t):
+            mask[i, k] = np.abs(np.arange(n_z) - kinks[i, k]) > 2
+    return mask
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NumericalError as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(got, expect):
+    if isinstance(expect, str) or isinstance(got, str):
+        assert got == expect
+    else:
+        for g, e in zip(got, expect):
+            assert g.dtype.kind == e.dtype.kind and np.array_equal(g, e)
+
+
+class TestEnvelopeHelpers:
+    # each trial plants defects at random (component, time) cells, so the
+    # first defective cell in C order decides which error is raised
+    z = np.linspace(-3.0, 3.0, 41)
+
+    def test_clamp_matches_loop(self, rng):
+        messages = set()
+        for _ in range(60):
+            N = int(rng.integers(1, 3))
+            v = 0.5 * np.exp(self.z + rng.uniform(-1.0, 1.0, (N, 3, 1)))
+            for _ in range(int(rng.integers(0, 3))):
+                i, k = rng.integers(N), rng.integers(3)
+                kind = rng.integers(3)
+                if kind == 0:
+                    v[i, k] = 0.1            # never reaches the level
+                elif kind == 1:
+                    v[i, k, 0] = 2.0         # reaches it at the downstream end
+                else:
+                    v[i, k, rng.integers(1, 8)] = -0.1  # not positive before it
+            theta_dot = -v / 2.0
+            expect = _outcome(_reference_clamp, theta_dot, 2.0, 1.5)
+            _assert_same_outcome(_outcome(_clamp_supersolution, theta_dot, 2.0, 1.5), expect)
+            messages.add(expect.split(":")[0] if isinstance(expect, str) else "ok")
+        assert len(messages) == 3
+
+    def test_positive_part_matches_loop(self, rng):
+        messages = set()
+        for _ in range(60):
+            N = int(rng.integers(1, 3))
+            core = -(self.z - rng.uniform(-2.5, -0.1, (N, 3, 1)))
+            for _ in range(int(rng.integers(0, 3))):
+                i, k = rng.integers(N), rng.integers(3)
+                kind = rng.integers(3)
+                if kind == 0:
+                    core[i, k, 0] = -1.0     # truncated support
+                elif kind == 1:
+                    core[i, k] = 1.0         # no sign change
+                else:
+                    core[i, k] = 1.0 - self.z  # root upstream of z = 0
+            expect = _outcome(_reference_positive_part, core, self.z)
+            _assert_same_outcome(_outcome(_positive_part_from_left, core, self.z), expect)
+            messages.add(expect.split(";")[0].split(":")[0] if isinstance(expect, str) else "ok")
+        assert len(messages) == 4
+
+    def test_kink_mask_matches_loop(self, rng):
+        kinks = rng.integers(0, 41, size=(2, 5))
+        assert np.array_equal(_kink_mask(kinks, 41), _reference_kink_mask(kinks, 41))
 
 
 class TestGridConvergence:
