@@ -113,9 +113,6 @@ class PeriodicField:
     def n(self) -> int:
         return len(self.spatial_periods)
 
-    def is_constant(self) -> bool:
-        return all(m.kt == 0 and all(k == 0 for k in m.kx) for m in self.modes)
-
     def is_time_independent(self) -> bool:
         return all(m.kt == 0 for m in self.modes)
 
@@ -245,19 +242,6 @@ def _sample_field(f, nt, nx):
     tt = mesh[0]
     xx = np.stack(mesh[1:], axis=-1) if f.n else tt[..., None]
     return f.eval(tt, xx)
-
-
-def _matrix_field(entries, N, n, what):
-    rows = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            e = entries[i][j]
-            if not isinstance(e, PeriodicField):
-                raise InputError(f"{what}[{i}][{j}] is not a PeriodicField")
-            row.append(e)
-        rows.append(tuple(row))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)

@@ -527,18 +527,18 @@ class Stepper:
         return self._matrix(self._dirichlet, -1.0)
 
 
-def evolve_period(op: OperatorSpec, v0: np.ndarray, scheme: str = "be",
-                  bc=None, extra_diag=None, store_orbit: bool = False):
+def evolve_period(op: OperatorSpec, v0: np.ndarray, bc=None, extra_diag=None,
+                  store_orbit: bool = False):
     """Advance d_t v = (spatial part of -op) v over one time period.
 
-    v0 has shape (N, n_z).  Linear, and positivity preserving for the default
-    implicit Euler scheme with cooperative coupling at moderate mesh Peclet
-    number (the step matrix is then an M-matrix).
+    v0 has shape (N, n_z).  Implicit Euler: linear, and positivity preserving
+    with cooperative coupling at moderate mesh Peclet number (the step matrix
+    is then an M-matrix).
     """
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (op.N, op.grid.n_z):
         raise InputError(f"v0 shape {v0.shape} != {(op.N, op.grid.n_z)}")
-    stepper = Stepper(op, scheme=scheme, extra_diag=extra_diag, bc=bc)
+    stepper = Stepper(op, extra_diag=extra_diag, bc=bc)
     return stepper.run_period(v0, store_orbit=store_orbit)
 
 

@@ -55,6 +55,8 @@ __all__ = [
 ]
 
 _EXP_ARG_CAP = 600.0  # exp overflow guard for envelope materialization
+_THETA = 0.5  # outer damping; theta = 1 stalls in a 2-cycle as r -> u_r reverses order
+_MAX_OUTER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +290,17 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, eig_wedge: Principal
 
 def fixed_point_truncated(fsys: FrameSystem, env: SupercriticalEnvelopes, a: float,
                           tol: float = 1e-7, grid: Grid | None = None,
-                          theta: float = 0.5, max_outer: int = 200,
                           force_relaxation: bool = False,
                           record_iterates: bool = False,
                           **grid_kw) -> WaveProfile:
     """Damped fixed-point iteration for the truncated-cylinder profile.
 
-    Starting from r = ubar, each sweep solves the linear periodic-Dirichlet
-    problem (R + diag(B' r)) u = 0 with boundary data (ulow v 0)(+-a) from the
-    subsolution initial state, then relaxes r towards u.  Iterates stay inside
-    the envelope pair; the converged u solves the discrete semilinear system.
+    Each sweep solves the linear periodic-Dirichlet problem (R + diag(B' r)) u = 0
+    with boundary data (ulow v 0)(+-a), relaxing from the previous sweep's u
+    (the subsolution on the first) to max(tol/10, |u_prev - r|/100), and to
+    tol/10 on the first and the terminating sweep.  The warm start lies in
+    [usub, ubar] and the backward-Euler flow keeps order, so every iterate
+    stays trapped; the converged u solves the discrete semilinear system.
     """
     if a < env.a_star - 1e-9:
         raise WavekitError(
@@ -313,9 +316,7 @@ def fixed_point_truncated(fsys: FrameSystem, env: SupercriticalEnvelopes, a: flo
         raise NumericalError("subsolution must be nonpositive at the upstream end")
 
     op0 = build_operator_mu(fsys, 0.0, grid)
-    left = usub[:, :, 0].copy()
-    right = usub[:, :, -1].copy()
-    init = GridField(usub.copy(), grid)
+    bc = (usub[:, :, 0], usub[:, :, -1])
 
     # discrete envelope checks: R ubar = 0 and (R + diag(B' ubar)) ulow <= 0
     rsup = apply_operator(op0, ubar_f).values[:, :, 1:-1]
@@ -326,14 +327,18 @@ def fixed_point_truncated(fsys: FrameSystem, env: SupercriticalEnvelopes, a: flo
 
     def inner(r, u_prev):
         Br = np.einsum("ijtz,jtz->itz", op0.b_tab, r)
-        return solve_periodic_bvp(
-            op0, (left, right), init, tol * 0.1, extra_diag=Br,
-            force_relaxation=force_relaxation,
-        )[0]
+        # the tolerance follows the outer step, like inexact Newton's forcing term
+        inner_tol = tol * 0.1
+        if u_prev is not None:
+            inner_tol = max(inner_tol, 0.01 * float(np.abs(u_prev.values - r).max()))
+        u, bvp = solve_periodic_bvp(
+            op0, bc, GridField(usub, grid) if u_prev is None else u_prev, inner_tol,
+            extra_diag=Br, force_relaxation=force_relaxation,
+        )
+        return u, bvp["periods"], inner_tol <= tol * 0.1
 
     return _damped_fixed_point(
-        fsys, op0, env.c, a, ubar, usub, inner, theta, tol, max_outer,
-        record_iterates, "wave fixed point",
+        fsys, op0, env.c, a, ubar, usub, inner, tol, record_iterates,
         {"mu_wedge": env.mu_wedge, "pipeline": "supercritical",
          "supersolution_residual": super_resid,
          "subsolution_violation": sub_viol},
@@ -341,36 +346,41 @@ def fixed_point_truncated(fsys: FrameSystem, env: SupercriticalEnvelopes, a: flo
 
 
 def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float,
-                        ubar: np.ndarray, usub: np.ndarray, inner, theta: float,
-                        tol: float, max_outer: int, record_iterates: bool,
-                        what: str, info: dict) -> WaveProfile:
-    """Outer loop r <- theta u_r + (1 - theta) r from r = ubar, and the profile.
+                        ubar: np.ndarray, usub: np.ndarray, inner, tol: float,
+                        record_iterates: bool, info: dict) -> WaveProfile:
+    """Outer loop r <- theta u_r + (1 - theta) r, and the profile.
 
-    inner(r, u_prev) returns u_r as a GridField; u_prev is the previous sweep's
-    result (None on the first).  The converged u is checked against the
-    trapping pair (usub, ubar) and the semilinear PDE op0 u + (B' u) o u = 0.
+    r starts at clip(min(ubar, K), usub, ubar), K the logistic bound: ubar is
+    a supersolution for every r >= 0 and usub a subsolution while r <= ubar,
+    so any start in [usub, ubar] keeps the trap.  inner(r, u_prev) returns
+    (u_r as a GridField, relaxation periods, exact), u_prev being the previous
+    sweep's u (None on the first); only an exact sweep (solved to tol/10) may
+    end the loop.  The converged u is checked against the trapping pair
+    (usub, ubar) and the semilinear PDE op0 u + (B' u) o u = 0.
     """
-    r = ubar.copy()
+    _, K = _frame_logistic_bound(fsys)
+    r = np.clip(np.minimum(ubar, K), usub, ubar)
     iterate_bounds = []
     deltas = []
+    periods = []
     u_field = None
-    for it in range(max_outer):
-        u_field = inner(r, u_field)
+    for it in range(_MAX_OUTER):
+        u_field, n_periods, exact = inner(r, u_field)
+        periods.append(n_periods)
         uv = u_field.values
         if record_iterates:
             iterate_bounds.append(
                 (float((uv - usub).min()), float((ubar - uv).min()))
             )
-        r_new = theta * uv + (1.0 - theta) * r
+        r_new = _THETA * uv + (1.0 - _THETA) * r
         delta = float(np.abs(r_new - r).max())
         deltas.append(delta)
         r = r_new
-        if delta < tol:
+        if delta < tol and exact:
             break
     else:
-        raise NumericalError(f"{what} stalled", history=deltas)
+        raise NumericalError(f"{info['pipeline']} fixed point stalled", history=deltas)
 
-    uv = u_field.values
     trapping = max(0.0, float((usub - uv).max()), float((uv - ubar).max()))
     Bu = np.einsum("ijtz,jtz->itz", op0.b_tab, uv)
     res = apply_operator(op0, u_field).values + Bu * uv
@@ -380,7 +390,8 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float
         e=tuple(fsys.frame.e_floats()), c=c, a=float(a), u=u_field,
         trapping_violation=trapping, pde_residual=pde_residual,
         downstream_decay_rate=decay, upstream_floor=floor, iterations=it + 1,
-        info={"deltas": deltas, "iterate_bounds": iterate_bounds, **info},
+        info={"deltas": deltas, "iterate_bounds": iterate_bounds,
+              "inner_periods": periods, "relax_periods": sum(periods), **info},
     )
 
 
@@ -670,7 +681,6 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, c_star: float,
                 raise NumericalError(f"envelope tuning failed: {what} cap reached")
         lo, hi = val / 2.0, val
         if pred(lo):
-            lo = 0.0  # the start itself passes; no bracket below
             return val
         for _ in range(8):
             mid = 0.5 * (lo + hi)
@@ -746,7 +756,6 @@ def _kink_mask(kinks: np.ndarray, n_z: int) -> np.ndarray:
 
 def critical_fixed_point(fsys: FrameSystem, env: CriticalEnvelopes, a: float,
                          tol: float = 1e-7, grid: Grid | None = None,
-                         theta: float = 0.5, max_outer: int = 200,
                          force_relaxation: bool = False,
                          record_iterates: bool = False,
                          **grid_kw) -> WaveProfile:
@@ -770,22 +779,21 @@ def critical_fixed_point(fsys: FrameSystem, env: CriticalEnvelopes, a: float,
     op0 = build_operator_mu(fsys, 0.0, grid)
     bdiag = np.einsum("iitz->itz", op0.b_tab)
     b_off = op0.b_tab * (1.0 - np.eye(op0.N))[:, :, None, None]  # B' off its diagonal
-    left = usub[:, :, 0].copy()
-    right = usub[:, :, -1].copy()
+    bc = (usub[:, :, 0], usub[:, :, -1])
 
     def inner(r, u_prev):
         lin_extra = np.einsum("ijtz,jtz->itz", b_off, r)
         # Newton warm start from the supersolution on the first sweep: for the
         # concave quadratic nonlinearity it descends monotonically onto the
         # maximal trapped solution instead of stalling near the unstable zero
-        warm = u_prev if u_prev is not None else ubar_f
-        return solve_periodic_bvp(
-            op0, (left, right), warm, tol * 0.1, extra_diag=lin_extra,
+        # every sweep at tol/10: a loose first one nearly doubles the outer sweeps
+        u, bvp = solve_periodic_bvp(
+            op0, bc, ubar_f if u_prev is None else u_prev, tol * 0.1, extra_diag=lin_extra,
             force_relaxation=force_relaxation, quadratic=bdiag,
-        )[0]
+        )
+        return u, bvp["periods"], True
 
     return _damped_fixed_point(
-        fsys, op0, env.c_star, a, ubar, usub, inner, theta, tol, max_outer,
-        record_iterates, "critical fixed point",
+        fsys, op0, env.c_star, a, ubar, usub, inner, tol, record_iterates,
         {"mu_star": env.mu_star, "pipeline": "critical"},
     )

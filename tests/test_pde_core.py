@@ -123,7 +123,7 @@ class TestEvolvePeriod:
         op = build_operator_mu(fs, 0.8, g)
         for _ in range(5):
             v0 = np.abs(rng.normal(size=(2, 48)))
-            v = evolve_period(op, v0, scheme="be")
+            v = evolve_period(op, v0)
             assert v.min() >= 0.0
 
     def test_peclet_guard(self):

@@ -1,13 +1,18 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import scalar_system, system_2x2, time_periodic_l
+from wavekit import waves
 from wavekit.coeffs import nondimensionalize
 from wavekit.dispersion import minimal_speed, speed_roots, static_frame
 from wavekit.eigen import EigenEvaluator
 from wavekit.errors import NumericalError, WavekitError
 from wavekit.frame import make_frame, transform_coefficients
-from wavekit.pde_core import GridField
+from wavekit.pde_core import GridField, build_operator_mu, solve_periodic_bvp
 from wavekit.waves import (
     WaveProfile,
     build_envelopes_critical,
@@ -19,6 +24,7 @@ from wavekit.waves import (
     verify_wave,
     _cell_grid_for,
     _clamp_supersolution,
+    _frame_logistic_bound,
     _kink_mask,
     _positive_part_from_left,
 )
@@ -435,24 +441,101 @@ class TestSpacePeriodicWave:
         assert profile.upstream_floor > 0.3
 
 
+@pytest.fixture(scope="module")
+def time_periodic_setup():
+    # l(t) = 1 + 0.5 sin(2 pi t): c* = 2 by time averaging; wave at c = 2.5
+    sys = scalar_system(l_field=time_periodic_l(1.0, 0.5))
+    curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
+    roots = speed_roots(curve, 2.5, tol=1e-10)
+    fsc = wave_frame(sys, 2.5)
+    grid = cylinder_grid(fsc, 16.0, n_t=64, n_z=401)
+    cell = _cell_grid_for(fsc, grid)
+    ev = EigenEvaluator(fsc, grid=cell)
+    gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
+    env = build_envelopes_supercritical(
+        fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), cell
+    )
+    return curve, fsc, grid, env
+
+
+def _reference_cold_loop(fsys, env, grid, tol):
+    """The outer loop before the K-box start and the warm, inexact inner solves.
+
+    r starts at ubar, and every sweep relaxes from the subsolution to tol/10.
+    Returns (profile values, total relaxation periods).
+    """
+    ubar_f, ulow_f = env.materialize(grid)
+    usub = np.maximum(ulow_f.values, 0.0)
+    op0 = build_operator_mu(fsys, 0.0, grid)
+    bc = (usub[:, :, 0].copy(), usub[:, :, -1].copy())
+    init = GridField(usub.copy(), grid)
+    r = ubar_f.values.copy()
+    periods = 0
+    for _ in range(200):
+        Br = np.einsum("ijtz,jtz->itz", op0.b_tab, r)
+        u, info = solve_periodic_bvp(op0, bc, init, 0.1 * tol, extra_diag=Br)
+        periods += info["periods"]
+        r_new = 0.5 * u.values + 0.5 * r
+        delta = np.abs(r_new - r).max()
+        r = r_new
+        if delta < tol:
+            return u.values, periods
+    raise AssertionError("reference loop stalled")
+
+
 class TestTimePeriodicWave:
-    def test_supercritical_time_periodic(self):
-        # l(t) = 1 + 0.5 sin(2 pi t): c* = 2 by time averaging; wave at c = 2.5
-        sys = scalar_system(l_field=time_periodic_l(1.0, 0.5))
-        curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
+    def test_supercritical_time_periodic(self, time_periodic_setup):
+        curve, fsc, grid, env = time_periodic_setup
         assert curve.c_star == pytest.approx(2.0, abs=1e-6)
-        roots = speed_roots(curve, 2.5, tol=1e-10)
-        fsc = wave_frame(sys, 2.5)
-        grid = cylinder_grid(fsc, 16.0, n_t=64, n_z=401)
-        cell = _cell_grid_for(fsc, grid)
-        ev = EigenEvaluator(fsc, grid=cell)
-        gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
-        env = build_envelopes_supercritical(
-            fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), cell
-        )
         profile = fixed_point_truncated(fsc, env, 16.0, tol=1e-6, grid=grid)
         # backward-Euler relaxation: trapping is exact, the centered-difference
         # residual carries the O(dt) time-discretization mismatch
         assert profile.trapping_violation < 1e-8
         assert abs(profile.downstream_decay_rate - 0.5) / 0.5 < 0.1
         assert profile.upstream_floor > 0.5
+
+    def test_matches_cold_start_loop(self, time_periodic_setup):
+        # the K-box start, warm starts and loose early inner solves reach the
+        # same profile with a fraction of the relaxation periods
+        _, fsc, grid, env = time_periodic_setup
+        ref, ref_periods = _reference_cold_loop(fsc, env, grid, 1e-6)
+        profile = fixed_point_truncated(fsc, env, 16.0, tol=1e-6, grid=grid,
+                                        record_iterates=True)
+        assert np.abs(profile.u.values - ref).max() <= 1e-6
+        for lo, hi in profile.info["iterate_bounds"]:
+            assert lo >= -1e-9 and hi >= -1e-9
+        assert profile.info["relax_periods"] == sum(profile.info["inner_periods"])
+        assert len(profile.info["inner_periods"]) == profile.iterations
+        assert profile.info["relax_periods"] <= ref_periods / 4
+        assert profile.diagnostics()["relax_periods"] == profile.info["relax_periods"]
+
+
+class TestTrappedIterates:
+    @settings(max_examples=12, deadline=None)
+    @given(a=st.floats(0.5, 2.0), l=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0),
+           c_ratio=st.floats(1.1, 1.6))
+    def test_random_kpp_iterates_trapped(self, a, l, b, c_ratio):
+        # usub <= u <= ubar after every sweep, and the loop starts under K
+        sys = scalar_system(a=a, l=l, b=b)
+        curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
+        c = c_ratio * curve.c_star
+        roots = speed_roots(curve, c, tol=1e-10)
+        fsc = wave_frame(sys, c)
+        ev = EigenEvaluator(fsc)
+        gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
+        env = build_envelopes_supercritical(
+            fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), ev.grid
+        )
+        half = env.a_star + 4.0
+        grid = cylinder_grid(fsc, half, n_z=401)
+        with mock.patch.object(waves, "solve_periodic_bvp",
+                               wraps=solve_periodic_bvp) as spy:
+            profile = fixed_point_truncated(fsc, env, half, tol=1e-7, grid=grid,
+                                            record_iterates=True)
+        for lo, hi in profile.info["iterate_bounds"]:
+            assert lo >= -1e-9 and hi >= -1e-9
+        _, K = _frame_logistic_bound(fsc)
+        b_tab = build_operator_mu(fsc, 0.0, grid).b_tab[0, 0]
+        r0 = spy.call_args_list[0].kwargs["extra_diag"][0] / b_tab
+        assert r0.max() <= K * (1 + 1e-12)
+        assert np.all(r0 >= env.ulow.values[0] - 1e-12)
