@@ -19,6 +19,7 @@ from .frame import (
     MovingFrame,
     RationalDirection,
     compute_periods,
+    frame_for,
     make_frame,
     rational_basis,
     transform_coefficients,
@@ -29,7 +30,6 @@ from .pde_core import (
     OperatorSpec,
     apply_operator,
     build_operator_mu,
-    evolve_period,
     solve_periodic_bvp,
 )
 from .eigen import (

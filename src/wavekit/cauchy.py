@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coeffs import KPPSystem, nondimensionalize, validate_assumptions
+from .coeffs import KPPSystem, logistic_envelope, nondimensionalize, validate_assumptions
 from .dispersion import static_frame
 from .errors import InputError, NumericalError
 from .pde_core import Grid, Stepper, build_operator_mu
@@ -36,23 +36,8 @@ __all__ = [
     "front_initial",
 ]
 
-
-def logistic_envelope(sys: KPPSystem, sampling_factor: int = 8) -> tuple[float, float]:
-    """Constants (r, K) with L u - (B u) o u <= r (1^T u)(K 1 - u) for u >= 0.
-
-    r is the smallest competition coefficient anywhere, K the largest positive
-    row sum of the entrywise-max coupling divided by r; both come from grid
-    extrema of the coefficient fields.
-    """
-    rep = validate_assumptions(sys, sampling_factor)
-    r = float(rep.underline_B.min())
-    if r <= 0:
-        raise InputError("logistic envelope needs (A4): positive competition floor")
-    K = float(np.clip(rep.overline_L, 0.0, None).sum(axis=1).max()) / r
-    if K <= 0:
-        # coupling nowhere positive; any positive constant bounds the dynamics
-        K = 1.0
-    return r, K
+_DT_CAP = 0.05  # absolute cap on the Cauchy time step
+_PROBE_TOL = 1e-6  # the probe needs c below c* by more than this
 
 
 @dataclass
@@ -147,8 +132,7 @@ def front_initial(x: np.ndarray, N: int, e: float, amp: float = 0.5,
 
 
 def simulate(sys: KPPSystem, initial: np.ndarray, t_final: float, X: float,
-             n_x: int = 2048, snapshot_every: float = 1.0,
-             dt_cap: float = 0.05) -> SimulationRun:
+             n_x: int = 2048, snapshot_every: float = 1.0) -> SimulationRun:
     """Integrate the full nonlinear system from nonnegative bounded data.
 
     The time step honors dt <= 0.1/(r N K) (keeps the explicit reaction step
@@ -173,7 +157,7 @@ def simulate(sys: KPPSystem, initial: np.ndarray, t_final: float, X: float,
     l_diag_min = float(np.diag(rep.underline_L).min())
     # explicit-step positivity: 1 + dt (l_ii - (B u)_i) >= 0 for u in the bound
     pos_bound = 0.5 / max(abs(l_diag_min) + N * b_bar * u_max_bound, 1e-9)
-    dt = min(dt_cap, 0.1 / (r * N * K), pos_bound)
+    dt = min(_DT_CAP, 0.1 / (r * N * K), pos_bound)
     spp = int(np.ceil(1.0 / dt))
     dt = 1.0 / spp
 
@@ -242,8 +226,8 @@ def measure_spreading_speed(run: SimulationRun, theta: float,
 
 
 def nonexistence_probe(sys: KPPSystem, e: float, c: float, c_star: float,
-                       t_final: float = 30.0, X: float = 90.0, n_x: int = 2048,
-                       tol: float = 1e-6, amp: float | None = None) -> ProbeReport:
+                       t_final: float = 30.0, X: float = 90.0,
+                       n_x: int = 2048) -> ProbeReport:
     """Empirical signature excluding waves at subcritical speed c < c*.
 
     Simulates from front-like data (smooth step in direction -e) and watches
@@ -256,14 +240,12 @@ def nonexistence_probe(sys: KPPSystem, e: float, c: float, c_star: float,
     e = float(e)
     if abs(abs(e) - 1.0) > 1e-12:
         raise InputError("probe direction must be a unit scalar (n = 1)")
-    if not c < c_star - tol:
+    if not c < c_star - _PROBE_TOL:
         raise InputError(f"probe precondition c < c* - tol violated: c={c}, c*={c_star}")
     sysn = nondimensionalize(sys)
     _, K = logistic_envelope(sysn)
-    if amp is None:
-        amp = 0.5 * min(1.0, K)
     x = np.linspace(-X, X, n_x)
-    init = front_initial(x, sysn.N, e, amp=amp)
+    init = front_initial(x, sysn.N, e, amp=0.5 * min(1.0, K))
     run = simulate(sysn, init, t_final, X, n_x=n_x)
 
     v_obs = (c + c_star) / 2.0

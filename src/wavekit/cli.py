@@ -38,7 +38,7 @@ from .coeffs import nondimensionalize, system_from_json, validate_assumptions
 from .dispersion import minimal_speed, persistence_check, speed_roots, static_frame
 from .eigen import EigenEvaluator, lambda_mu_curve
 from .errors import InputError, NumericalError, WavekitError
-from .frame import frame_from_json, make_frame, transform_coefficients
+from .frame import frame_for, frame_from_json, transform_coefficients
 from .waves import (
     build_envelopes_critical,
     build_envelopes_supercritical,
@@ -92,14 +92,12 @@ def _dump_json(path: Path, payload: dict) -> None:
                                    default=_json_default) + "\n")
 
 
-def _parse_speed(c, rational_needed: bool):
+def _parse_speed(c) -> float:
     """A configured speed: a number or a rational string such as "5/2"."""
     try:
-        if rational_needed:
-            return Fraction(c) if isinstance(c, str) else c
         return float(Fraction(c)) if isinstance(c, str) else float(c)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"config.params.c is not a speed: {c!r}") from exc
+        raise InputError(f"not a speed: {c!r}") from exc
 
 
 class JobConfig:
@@ -120,8 +118,15 @@ class JobConfig:
             raise InputError("config.params must be an object")
         if "wave" in self.tasks and self.params.get("c") is None:
             raise InputError("config.params.c is required for the wave task")
-        if self.params.get("c") is not None:
-            _parse_speed(self.params["c"], False)
+        probe = self.params.get("probe", {})
+        speeds = {"c": self.params.get("c"),
+                  "probe.c": probe.get("c") if isinstance(probe, dict) else None}
+        for key, c in speeds.items():
+            if c is not None:
+                try:
+                    _parse_speed(c)
+                except InputError as exc:
+                    raise InputError(f"config.params.{key} is {exc}") from exc
         self.out = Path(doc.get("out", base_dir / "out"))
 
     @staticmethod
@@ -157,7 +162,6 @@ class TaskContext:
         self.tol = float(cfg.param("tol", 1e-6))
         self.eigen_tol = min(self.tol, 1e-8)
         self.e = cfg.param("e", [0] * (cfg.system.n - 1) + [1])
-        self.results: dict[str, dict] = {}
         self.curve = None
         self.persistence = None
         self._direction_ev = None
@@ -229,7 +233,7 @@ def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
     summary.update(curve.to_json())
     c_req = ctx.cfg.param("c")
     if c_req is not None:
-        c_val = _parse_speed(c_req, False)
+        c_val = _parse_speed(c_req)
         if c_val - curve.c_star > 10.0 * ctx.eigen_tol:
             roots = speed_roots(curve, c_val, tol=ctx.eigen_tol)
             summary["roots"] = roots.to_json()
@@ -247,16 +251,10 @@ def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
 
 
 def _wave_frame(ctx: TaskContext, c):
-    sysn = nondimensionalize(ctx.sys)
     frame_req = ctx.cfg.param("frame")
     if frame_req is not None:
-        return transform_coefficients(sysn, frame_from_json(frame_req))
-    if sysn.is_space_homogeneous():
-        e = [float(v) for v in ctx.e]
-        return transform_coefficients(
-            sysn, make_frame(e, _parse_speed(c, False), mode="space-homogeneous"))
-    frame = make_frame(ctx.e, _parse_speed(c, True), mode="rational")
-    return transform_coefficients(sysn, frame)
+        return transform_coefficients(nondimensionalize(ctx.sys), frame_from_json(frame_req))
+    return frame_for(ctx.sys, ctx.e, c)
 
 
 def run_wave(ctx: TaskContext, outdir: Path) -> dict:
@@ -265,13 +263,18 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     if c_req is None:
         raise InputError("wave task needs params.c")
     wave_par = ctx.cfg.param("wave", {})
-    c_val = _parse_speed(c_req, False)
+    c_val = _parse_speed(c_req)
     band = 10.0 * ctx.eigen_tol
     if c_val < curve.c_star - band:
         raise NumericalError(
             f"subcritical speed c = {c_val} < c* = {curve.c_star}: no wave exists"
         )
     critical = abs(c_val - curve.c_star) <= band
+    if critical and ctx.cfg.param("frame") is None and not ctx.sys.is_space_homogeneous():
+        raise InputError(
+            "critical waves are built only for space-homogeneous coefficients: "
+            f"c* = {curve.c_star!r} has no exact rational frame"
+        )
 
     grid_kw = {
         k: wave_par[k]
@@ -391,7 +394,7 @@ def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
 def run_probe(ctx: TaskContext, outdir: Path) -> dict:
     curve = ctx.get_curve()
     par = ctx.cfg.param("probe", {})
-    c = float(par.get("c", curve.c_star / 2.0))
+    c = curve.c_star / 2.0 if par.get("c") is None else _parse_speed(par["c"])
     e_scalar = float(par.get("e", ctx.e[-1] if hasattr(ctx.e, "__len__") else ctx.e))
     rep = nonexistence_probe(
         ctx.sys, e_scalar, c, curve.c_star,
@@ -507,7 +510,6 @@ def run_config(path, out: str | None = None) -> int:
         _dump_json(outdir / f"{task}.json", summary)
         wall[task] = time.perf_counter() - t0
         log.info("task %s: %s (%.2fs)", task, status, wall[task])
-        ctx.results[task] = summary
 
     # cfg.tasks is in chain order, so every prerequisite has run before it
     for task in cfg.tasks:
@@ -517,7 +519,6 @@ def run_config(path, out: str | None = None) -> int:
                 "task": task, "status": "skipped",
                 "error": f"prerequisite failed: {', '.join(bad)}",
             })
-            ctx.results[task] = {"status": "skipped"}
         else:
             execute(task)
 

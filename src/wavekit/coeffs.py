@@ -30,6 +30,7 @@ __all__ = [
     "KPPSystem",
     "AssumptionReport",
     "field_eval",
+    "logistic_envelope",
     "validate_assumptions",
     "nondimensionalize",
     "system_from_json",
@@ -150,7 +151,7 @@ class PeriodicField:
                 out = out + m.sin * np.sin(phase)
         return out
 
-    def eval_grid(self, t_vals, z_vals, axis: int = -1):
+    def eval_grid(self, t_vals, z_vals):
         """Tensor evaluation on a (t, z) grid for n == 1 fields: shape (n_t, n_z)."""
         if self.n != 1:
             raise InputError("eval_grid supports 1-D fields only")
@@ -201,10 +202,10 @@ class PeriodicField:
             value, self.n, self.temporal_period, self.spatial_periods
         )
 
-    def bounds(self, sampling_factor: int = 8) -> tuple[float, float]:
-        """Grid (min, max) at sampling_factor x (highest frequency + 1) per axis."""
-        lo, hi = _field_extrema(self, sampling_factor)
-        return lo, hi
+    def bounds(self) -> tuple[float, float]:
+        """Grid (min, max) at 8 x (highest frequency + 1) samples per axis."""
+        vals = _sample_field(self, *_sample_axes([self], 8))
+        return float(vals.min()), float(vals.max())
 
 
 def field_eval(f: PeriodicField, t: float, x) -> float:
@@ -227,12 +228,6 @@ def _sample_axes(fields, sampling_factor):
     nt = sampling_factor * (kt + 1)
     nx = [sampling_factor * (k + 1) for k in kx]
     return nt, nx
-
-
-def _field_extrema(f, sampling_factor):
-    nt, nx = _sample_axes([f], sampling_factor)
-    vals = _sample_field(f, nt, nx)
-    return float(vals.min()), float(vals.max())
 
 
 def _sample_field(f, nt, nx):
@@ -437,6 +432,23 @@ def validate_assumptions(sys: KPPSystem, sampling_factor: int = 8) -> Assumption
     pos = oL[oL > 0]
     sigma = float(pos.min()) if pos.size else None
     return AssumptionReport(ell, uL, oL, uB, oB, flags, sigma)
+
+
+def logistic_envelope(sys) -> tuple[float, float]:
+    """Constants (r, K) with L u - (B u) o u <= r (1^T u)(K 1 - u) for u >= 0.
+
+    r is the smallest competition coefficient anywhere, K the largest positive
+    row sum of the entrywise-max coupling divided by r; both come from the
+    sampled extrema (PeriodicField.bounds) of the fields sys.L and sys.B.  The
+    frame map leaves the range of every field unchanged, so sys may be a
+    KPPSystem or a FrameSystem alike.
+    """
+    r = min(f.bounds()[0] for row in sys.B for f in row)
+    if r <= 0:
+        raise InputError("logistic envelope needs (A4): positive competition floor")
+    K = max(sum(max(f.bounds()[1], 0.0) for f in row) for row in sys.L) / r
+    # K <= 0: coupling nowhere positive; any positive constant bounds the dynamics
+    return r, (K if K > 0 else 1.0)
 
 
 def nondimensionalize(sys: KPPSystem) -> KPPSystem:

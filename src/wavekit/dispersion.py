@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeffs import KPPSystem, nondimensionalize
+from .coeffs import KPPSystem
 from .eigen import EigenEvaluator
 from .errors import InputError, NumericalError
-from .frame import FrameSystem, make_frame, transform_coefficients
+from .frame import FrameSystem, frame_for
 from .pde_core import Grid
 
 __all__ = [
@@ -53,9 +53,6 @@ class DispersionCurve:
     bracket: tuple[float, float]
     evaluator: EigenEvaluator = field(repr=False)
 
-    def g(self, mu: float) -> float:
-        return -self.evaluator(mu) / mu
-
     def to_json(self) -> dict:
         return {
             "e": list(self.e),
@@ -78,13 +75,7 @@ class RootPair:
 
 def static_frame(sys: KPPSystem, e=None) -> FrameSystem:
     """c = 0 frame for direction e (defaults to the last coordinate axis)."""
-    sys = nondimensionalize(sys)
-    if sys.is_space_homogeneous():
-        ev = e if e is not None else tuple(0.0 for _ in range(sys.n - 1)) + (1.0,)
-        return transform_coefficients(sys, make_frame(ev, 0.0, mode="space-homogeneous"))
-    if e is None:
-        e = tuple(0 for _ in range(sys.n - 1)) + (1,)
-    return transform_coefficients(sys, make_frame(e, 0, mode="rational"))
+    return frame_for(sys, (0,) * (sys.n - 1) + (1,) if e is None else e, 0)
 
 
 def persistence_check(sys: KPPSystem, tol: float = 1e-8, grid: Grid | None = None) -> PersistenceReport:
@@ -101,7 +92,6 @@ def persistence_check(sys: KPPSystem, tol: float = 1e-8, grid: Grid | None = Non
 
 
 def minimal_speed(fsys: FrameSystem, tol: float = 1e-6, grid: Grid | None = None,
-                  mu_limits: tuple[float, float] = MU_BRACKET,
                   evaluator: EigenEvaluator | None = None) -> DispersionCurve:
     """Minimal wave speed c* = min_{mu>0} -lambda_{1,mu e}/mu on a c = 0 frame.
 
@@ -110,7 +100,7 @@ def minimal_speed(fsys: FrameSystem, tol: float = 1e-6, grid: Grid | None = None
     exactly what makes g blow up at 0+ and guarantees an interior minimum.
     """
     ev = evaluator if evaluator is not None else EigenEvaluator(fsys, grid=grid, tol=min(tol, 1e-8))
-    lo_lim, hi_lim = mu_limits
+    lo_lim, hi_lim = MU_BRACKET
 
     def g(mu):
         return -ev(mu) / mu
@@ -131,7 +121,7 @@ def minimal_speed(fsys: FrameSystem, tol: float = 1e-6, grid: Grid | None = None
             gr = g(2.0 ** (k + 1))
         if not (lo_lim <= 2.0 ** k <= hi_lim):
             raise NumericalError(
-                f"failed to bracket the dispersion minimum inside {mu_limits}; "
+                f"failed to bracket the dispersion minimum inside {MU_BRACKET}; "
                 "degenerate inputs (is the system persistent?)",
                 history=ev.samples,
             )

@@ -58,7 +58,7 @@ class PrincipalEigenpair:
     info: dict = field(default_factory=dict)
 
 
-def default_cell_grid(fsys: FrameSystem, n_t: int | None = None, n_z: int | None = None) -> Grid:
+def default_cell_grid(fsys: FrameSystem) -> Grid:
     """Periodic cell grid sized for the frame coefficients."""
     kz = 0
     kt = 0
@@ -66,10 +66,8 @@ def default_cell_grid(fsys: FrameSystem, n_t: int | None = None, n_z: int | None
         fkt, fkx = f.max_frequencies()
         kt = max(kt, fkt)
         kz = max(kz, fkx[-1])
-    if n_t is None:
-        n_t = 4096 if kt > 0 else 64
-    if n_z is None:
-        n_z = max(64, 16 * kz) if kz > 0 else 16
+    n_t = 4096 if kt > 0 else 64
+    n_z = max(64, 16 * kz) if kz > 0 else 16
     L_z = fsys.L_z if fsys.L_z is not None else 1.0
     return Grid.periodic_cell(fsys.T_frame, L_z, n_t, n_z)
 

@@ -7,7 +7,7 @@ minimal periods are an integer-lattice question, so everything here runs on
 exact fractions; floating point enters only when the transformed coefficient
 fields are assembled.
 
-Two modes:
+Two modes, picked from the coefficients by frame_for:
   * "rational": e in S^{n-1} with rational coordinates, c rational; coefficient
     fields may depend on space and time.
   * "space-homogeneous": coefficients independent of space; e is an arbitrary
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .coeffs import KPPSystem, Mode, PeriodicField
+from .coeffs import KPPSystem, Mode, PeriodicField, nondimensionalize
 from .errors import InputError
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "compute_periods",
     "make_frame",
     "frame_from_json",
+    "frame_for",
     "transform_coefficients",
 ]
 
@@ -249,8 +250,9 @@ class MovingFrame:
         return float(self.c)
 
 
-def make_frame(e, c, mode: str = "rational", n: int | None = None) -> MovingFrame:
-    """Build a MovingFrame from direction/speed in either mode."""
+def make_frame(e, c, mode: str = "rational") -> MovingFrame:
+    """Build a MovingFrame from direction/speed in either mode; c may be a
+    string such as "3/2", and the rational mode needs it exact."""
     if mode == "rational":
         if not isinstance(e, RationalDirection):
             e = RationalDirection.from_ints(e)
@@ -269,7 +271,8 @@ def make_frame(e, c, mode: str = "rational", n: int | None = None) -> MovingFram
             P = np.eye(nn) - 2.0 * np.outer(w, w) / np.dot(w, w)
             if nn >= 2:
                 P[:, 0] = -P[:, 0]
-        return MovingFrame("space-homogeneous", tuple(ev), float(c), P, 1, None)
+        cf = float(Fraction(c)) if isinstance(c, str) else float(c)
+        return MovingFrame("space-homogeneous", tuple(ev), cf, P, 1, None)
     raise InputError(f"unknown frame mode {mode!r}")
 
 
@@ -405,45 +408,18 @@ def transform_coefficients(sys: KPPSystem, frame: MovingFrame) -> FrameSystem:
                 "space-homogeneous frame requested but coefficients depend on x; "
                 "use a rational direction instead"
             )
-        P = frame.P_floats()
-        ev = frame.e_floats()
-        cval = frame.c_float()
-        tpl = sys.L[0][0]
 
-        def comb(fields, weights, extra=0.0):
-            f = _lincomb(fields, weights, tpl)
-            return f.plus_constant(extra) if extra else f
+        # x-independent fields do not change under x = P x' - c t e
+        def t_of(f):
+            return f
+    else:
+        tf = {}  # transformed scalar fields, memoized by identity
 
-        A = tuple(
-            tuple(
-                tuple(
-                    comb([sys.A[i][g][d] for g in range(n) for d in range(n)],
-                         [P[g, a] * P[d, b] for g in range(n) for d in range(n)])
-                    for b in range(n)
-                )
-                for a in range(n)
-            )
-            for i in range(N)
-        )
-        q = tuple(
-            tuple(
-                comb([sys.q[i][g] for g in range(n)],
-                     [P[g, a] for g in range(n)],
-                     extra=cval * float(np.dot(P[:, a], ev)))
-                for a in range(n)
-            )
-            for i in range(N)
-        )
-        return FrameSystem(frame, N, n, A, q, sys.L, sys.B)
-
-    # rational mode
-    tf = {}  # transformed scalar fields, memoized by identity
-
-    def t_of(f):
-        key = id(f)
-        if key not in tf:
-            tf[key] = _transform_field_rational(f, frame)
-        return tf[key]
+        def t_of(f):
+            key = id(f)
+            if key not in tf:
+                tf[key] = _transform_field_rational(f, frame)
+            return tf[key]
 
     P = frame.P
     tpl = t_of(sys.L[0][0])
@@ -477,3 +453,15 @@ def transform_coefficients(sys: KPPSystem, frame: MovingFrame) -> FrameSystem:
     L = tuple(tuple(t_of(sys.L[i][j]) for j in range(N)) for i in range(N))
     B = tuple(tuple(t_of(sys.B[i][j]) for j in range(N)) for i in range(N))
     return FrameSystem(frame, N, n, A, q, L, B)
+
+
+def frame_for(sys: KPPSystem, e, c) -> FrameSystem:
+    """The frame system of sys in direction e at speed c, in the mode sys allows.
+
+    Nondimensionalizes sys first.  Space-homogeneous coefficients take any
+    real unit e and real c; otherwise e must be a rational direction and c an
+    exact rational (see make_frame).
+    """
+    sys = nondimensionalize(sys)
+    mode = "space-homogeneous" if sys.is_space_homogeneous() else "rational"
+    return transform_coefficients(sys, make_frame(e, c, mode=mode))

@@ -27,7 +27,6 @@ semilinear.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -44,13 +43,14 @@ __all__ = [
     "OperatorSpec",
     "build_operator_mu",
     "apply_operator",
-    "evolve_period",
     "solve_periodic_bvp",
     "Stepper",
 ]
 
-_BIN_MAGIC = b"WKGF\x01"
-_BIN_HEADER = "<5sBIII3d"
+_QUAD_TOL = 1e-13  # relative tolerance of the implicit quadratic step
+_QUAD_MAX_INNER = 60
+_MAX_PERIODS = 20000  # relaxation periods before solve_periodic_bvp gives up
+_PTC_MAX_STEPS = 400  # pseudo-time steps before continuation gives up
 
 
 @dataclass(frozen=True)
@@ -173,30 +173,6 @@ class GridField:
         values[rows[:, 0].astype(int), rows[:, 1].astype(int),
                np.round((rows[:, 2] - grid.z0) / grid.dz).astype(int)] = rows[:, 3]
         return cls(values, grid)
-
-    # -- binary (explicit little-endian float64) --------------------------------
-
-    def to_binary(self, path) -> None:
-        g = self.grid
-        kind = 0 if g.kind == "periodic" else 1
-        header = struct.pack(
-            _BIN_HEADER, _BIN_MAGIC, kind, self.N, g.n_t, g.n_z,
-            g.t_period, g.z0, g.z1,
-        )
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-    @classmethod
-    def from_binary(cls, path) -> "GridField":
-        with open(path, "rb") as fh:
-            raw = fh.read(struct.calcsize(_BIN_HEADER))
-            magic, kind, N, n_t, n_z, t_period, z0, z1 = struct.unpack(_BIN_HEADER, raw)
-            if magic != _BIN_MAGIC:
-                raise InputError("not a wavekit GridField binary file")
-            grid = Grid(n_t, n_z, t_period, "periodic" if kind == 0 else "interval", z0, z1)
-            data = np.frombuffer(fh.read(), dtype="<f8").reshape(N, n_t, n_z)
-        return cls(np.array(data, dtype=float), grid)
 
 
 @dataclass(frozen=True)
@@ -473,11 +449,10 @@ class Stepper:
             rhs = self._rhs_mat[k % n_t % self.n_distinct] @ rhs
         return self._unflat(self._lhs_lu[kk % self.n_distinct].solve(self._bc_into(rhs, kk)))
 
-    def step_implicit_quadratic(self, v: np.ndarray, k: int, b_k: np.ndarray,
-                                inner_tol: float = 1e-13, max_inner: int = 60) -> np.ndarray:
+    def step_implicit_quadratic(self, v: np.ndarray, k: int, b_k: np.ndarray) -> np.ndarray:
         """Backward-Euler step of d_t v = S v - b v^2, quadratic kept implicit.
 
-        Solves (I - dt S) w + dt b w^2 = v exactly (to inner_tol) by fixed-point
+        Solves (I - dt S) w + dt b w^2 = v exactly (to _QUAD_TOL) by fixed-point
         iterations reusing the cached factorization; the steady state of this
         map is therefore the exact discrete steady state, with no splitting
         bias.  b_k is the (N, n_z) diagonal quadratic coefficient at t_{k+1};
@@ -493,9 +468,9 @@ class Stepper:
         rhs0 = self._bc_into(self._flat(v), kk)
         lu = self._lhs_lu[kk % self.n_distinct]
         w = lu.solve(rhs0)
-        for _ in range(max_inner):
+        for _ in range(_QUAD_MAX_INNER):
             w_new = lu.solve(rhs0 - dt * b * w * w)
-            if np.abs(w_new - w).max() <= inner_tol * (1.0 + np.abs(w_new).max()):
+            if np.abs(w_new - w).max() <= _QUAD_TOL * (1.0 + np.abs(w_new).max()):
                 w = w_new
                 break
             w = w_new
@@ -503,12 +478,15 @@ class Stepper:
 
     def run_period(self, v0: np.ndarray, store_orbit: bool = False,
                    quadratic: np.ndarray | None = None):
-        """One period of steps from v0, optionally with the orbit at t_0..t_{n_t-1}.
+        """One period of steps from v0 of shape (N, n_z), optionally with the
+        orbit at t_0..t_{n_t-1}.
 
         With quadratic (N, n_t, n_z), steps d_t v = S v - quadratic v^2 through
         step_implicit_quadratic.
         """
         v = np.array(v0, dtype=float)
+        if v.shape != (self.N, self.grid.n_z):
+            raise InputError(f"v0 shape {v.shape} != {(self.N, self.grid.n_z)}")
         n_t = self.grid.n_t
         orbit = np.empty((n_t, self.N, self.grid.n_z)) if store_orbit else None
         for k in range(n_t):
@@ -527,24 +505,8 @@ class Stepper:
         return self._matrix(self._dirichlet, -1.0)
 
 
-def evolve_period(op: OperatorSpec, v0: np.ndarray, bc=None, extra_diag=None,
-                  store_orbit: bool = False):
-    """Advance d_t v = (spatial part of -op) v over one time period.
-
-    v0 has shape (N, n_z).  Implicit Euler: linear, and positivity preserving
-    with cooperative coupling at moderate mesh Peclet number (the step matrix
-    is then an M-matrix).
-    """
-    v0 = np.asarray(v0, dtype=float)
-    if v0.shape != (op.N, op.grid.n_z):
-        raise InputError(f"v0 shape {v0.shape} != {(op.N, op.grid.n_z)}")
-    stepper = Stepper(op, extra_diag=extra_diag, bc=bc)
-    return stepper.run_period(v0, store_orbit=store_orbit)
-
-
 def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
-                       extra_diag=None, max_periods: int = 20000,
-                       force_relaxation: bool = False,
+                       extra_diag=None, force_relaxation: bool = False,
                        quadratic: np.ndarray | None = None):
     """Time-periodic solution of (op + diag(extra_diag)) u + quadratic u^2 = 0.
 
@@ -585,7 +547,7 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
 
     v = init.values[:, 0, :].copy()
     changes = []
-    for _ in range(max_periods):
+    for _ in range(_MAX_PERIODS):
         v_new = stepper.run_period(v, quadratic=quadratic)
         change = float(np.abs(v_new - v).max())
         changes.append(change)
@@ -607,8 +569,7 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes), "changes": changes}
 
 
-def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, u0: np.ndarray, tol: float,
-                max_steps: int = 400):
+def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, u0: np.ndarray, tol: float):
     """Pseudo-transient continuation for -S u + b u^2 = 0 with Dirichlet rows.
 
     Backward-Euler pseudo-time steps, each step equation solved by Newton
@@ -632,7 +593,7 @@ def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, u0: np.ndarray, tol: float,
 
     dt = 1.0
     scale = 1.0 + float(np.abs(u).max())
-    for _ in range(max_steps):
+    for _ in range(_PTC_MAX_STEPS):
         F = steady_res(u)
         if float(np.abs(F).max()) < tol:
             return stepper._unflat(u)

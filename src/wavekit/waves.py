@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coeffs import logistic_envelope
 from .eigen import EigenEvaluator, PrincipalEigenpair, default_cell_grid
 from .errors import InputError, NumericalError, WavekitError
 from .frame import FrameSystem
@@ -57,6 +58,12 @@ __all__ = [
 _EXP_ARG_CAP = 600.0  # exp overflow guard for envelope materialization
 _THETA = 0.5  # outer damping; theta = 1 stalls in a 2-cycle as r -> u_r reverses order
 _MAX_OUTER = 200
+_A_MARGIN = 1e-8  # floor of the subsolution's boundary values at -a*
+_TUNE_CAP = 1e8  # largest critical envelope constant tried
+_H_REL = 1e-3  # step of the centered mu-difference, relative to mu*
+_EPS_DOWN = 1e-3  # downstream smallness required on the left tenth
+_SHAPE_RTOL = 0.20  # tolerance of the critical |z| e^{mu* z} shape slope
+_BOUNDARY_MARGIN = 5.0  # floor window stops this far short of +a
 
 
 # ---------------------------------------------------------------------------
@@ -121,22 +128,6 @@ def _exp_profile(rate: float, z: np.ndarray) -> np.ndarray:
     if arg.max() > _EXP_ARG_CAP:
         raise NumericalError(f"exponential envelope overflows: mu*a = {arg.max():.1f}")
     return np.exp(arg)
-
-
-def _frame_b_max(fsys: FrameSystem) -> float:
-    return max(f.bounds()[1] for row in fsys.B for f in row)
-
-
-def _frame_logistic_bound(fsys: FrameSystem) -> tuple[float, float]:
-    """(r, K) of the logistic envelope, from frame coefficient extrema."""
-    r = min(f.bounds()[0] for row in fsys.B for f in row)
-    if r <= 0:
-        raise InputError("competition floor must be positive (A4)")
-    rowsum = [
-        sum(max(f.bounds()[1], 0.0) for f in row) for row in fsys.L
-    ]
-    K = max(rowsum) / r
-    return r, (K if K > 0 else 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +227,7 @@ class SupercriticalEnvelopes:
 
 def build_envelopes_supercritical(fsys: FrameSystem, roots, eig_wedge: PrincipalEigenpair,
                                   eig_gamma: PrincipalEigenpair,
-                                  cell: Grid, margin: float = 1e-8) -> SupercriticalEnvelopes:
+                                  cell: Grid) -> SupercriticalEnvelopes:
     """Assemble the supersolution/subsolution pair at speed c > c*.
 
     eig_wedge and eig_gamma are the max-one normalized principal eigenpairs of
@@ -258,10 +249,10 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, eig_wedge: Principal
             "this contradicts mu_wedge < mu_wedge + gamma < mu_vee (upstream failure)"
         )
     kappa = eig_gamma.kappa
-    b_bar = _frame_b_max(fsys)
+    b_bar = max(f.bounds()[1] for row in fsys.B for f in row)
     N = fsys.N
     M = max(1.0 / kappa, N * b_bar / (chi * kappa))
-    _, K = _frame_logistic_bound(fsys)
+    _, K = logistic_envelope(fsys)
 
     env = SupercriticalEnvelopes(fsys, c, mu_w, mu_v, gamma, M, chi, np.inf,
                                  eig_wedge, eig_gamma, cell,
@@ -274,11 +265,11 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, eig_wedge: Principal
     a_min_K = max(0.0, -np.log(K) / mu_w)
     a = max(4.0, a_min_K)
     a = step * np.ceil(a / step)
-    while env.boundary_values(a).min() <= margin:
+    while env.boundary_values(a).min() <= _A_MARGIN:
         a *= 2.0
         if a > 1e6:
             raise NumericalError("no admissible truncation half-length below 1e6")
-    while a - step >= max(4.0, a_min_K) and env.boundary_values(a - step).min() > margin:
+    while a - step >= max(4.0, a_min_K) and env.boundary_values(a - step).min() > _A_MARGIN:
         a -= step
     env.a_star = float(a)
     return env
@@ -358,7 +349,7 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float
     end the loop.  The converged u is checked against the trapping pair
     (usub, ubar) and the semilinear PDE op0 u + (B' u) o u = 0.
     """
-    _, K = _frame_logistic_bound(fsys)
+    _, K = logistic_envelope(fsys)
     r = np.clip(np.minimum(ubar, K), usub, ubar)
     iterate_bounds = []
     deltas = []
@@ -407,7 +398,7 @@ def extend_to_entire(fsys: FrameSystem, env, a_schedule, window: float,
     a_schedule = [float(a) for a in a_schedule]
     if sorted(a_schedule) != a_schedule or len(a_schedule) < 2:
         raise InputError("a_schedule must be increasing with at least two entries")
-    _, K = _frame_logistic_bound(fsys)
+    _, K = logistic_envelope(fsys)
     solver = critical_fixed_point if critical else fixed_point_truncated
     prev = None
     gaps = []
@@ -453,7 +444,7 @@ def _window_gap(u1: GridField, u2: GridField, window: float) -> float:
 # verification
 
 
-def _decay_and_floor(u: GridField, boundary_margin: float = 5.0):
+def _decay_and_floor(u: GridField):
     """(downstream log-slope, upstream floor) of a profile."""
     g = u.grid
     z = g.z
@@ -464,7 +455,7 @@ def _decay_and_floor(u: GridField, boundary_margin: float = 5.0):
         slope = float(np.polyfit(z[fit_sel], np.log(prof[fit_sel]), 1)[0])
     else:
         slope = float("nan")
-    m = min(boundary_margin, 0.25 * a)
+    m = min(_BOUNDARY_MARGIN, 0.25 * a)
     floor_sel = (z >= a / 3.0) & (z <= a - m)
     floor = float(u.values[:, :, floor_sel].min()) if floor_sel.any() else float("nan")
     return slope, floor
@@ -472,14 +463,15 @@ def _decay_and_floor(u: GridField, boundary_margin: float = 5.0):
 
 def verify_wave(profile: WaveProfile, decay_expected: float,
                 critical: bool = False, mu_star: float | None = None,
-                eps_down: float = 1e-3, decay_rtol: float = 0.10,
-                shape_rtol: float = 0.20, floor_required: float = 0.0,
-                boundary_margin: float = 5.0) -> WaveVerification:
+                decay_rtol: float = 0.10, floor_required: float = 0.0) -> WaveVerification:
     """Check the defining wave limits on a constructed profile.
 
-    Downstream: the profile must be uniformly small on the left tenth of the
-    cylinder and decay at the expected exponential rate on the downstream
-    third (at criticality, additionally match the |z| e^{mu* z} shape).
+    Downstream: the profile must be uniformly small (below _EPS_DOWN) on the
+    left tenth of the cylinder and decay at the expected exponential rate on
+    the downstream third (at criticality, additionally match the |z| e^{mu* z}
+    shape).  A profile decaying like e^{mu_wedge z} has downstream_sup about
+    e^{-0.8 mu_wedge a}, so downstream_pass needs a > ln(1/_EPS_DOWN) /
+    (0.8 mu_wedge) ~ 8.63 / mu_wedge, whatever the accuracy of the profile.
     Upstream: a positive floor away from the artificial Dirichlet end, where
     the truncated problem pins the profile to (ulow v 0)(a) = 0 by
     construction; the floor window therefore stops short of +a.
@@ -490,9 +482,9 @@ def verify_wave(profile: WaveProfile, decay_expected: float,
     vals = profile.u.values
     left_sel = z <= -0.8 * a
     downstream_sup = float(vals[:, :, left_sel].max(initial=0.0))
-    downstream_pass = downstream_sup < eps_down
+    downstream_pass = downstream_sup < _EPS_DOWN
 
-    slope, floor = _decay_and_floor(profile.u, boundary_margin)
+    slope, floor = _decay_and_floor(profile.u)
     decay_pass = (
         np.isfinite(slope) and abs(slope - decay_expected) <= decay_rtol * abs(decay_expected)
     )
@@ -510,7 +502,7 @@ def verify_wave(profile: WaveProfile, decay_expected: float,
         if sel.sum() >= 4:
             y = np.log(prof[sel]) - mu_star * z[sel]
             shape_slope = float(np.polyfit(np.log(-z[sel]), y, 1)[0])
-            shape_pass = abs(shape_slope - 1.0) <= shape_rtol
+            shape_pass = abs(shape_slope - 1.0) <= _SHAPE_RTOL
         else:
             shape_slope = float("nan")
             shape_pass = False
@@ -546,7 +538,6 @@ class CriticalEnvelopes:
     cell: Grid
     ubar: GridField | None = None
     ulow: GridField | None = None
-    kinks: np.ndarray | None = None  # (N, n_t) clamp indices of the supersolution
     info: dict = field(default_factory=dict)
 
     # -- materialization -----------------------------------------------------
@@ -565,13 +556,12 @@ class CriticalEnvelopes:
 
     def materialize(self, grid: Grid) -> tuple[GridField, GridField]:
         theta, theta_dot, theta_g = self._pieces(grid)
-        ubar, kinks = _clamp_supersolution(theta_dot, self.M1, self.M2)
+        ubar, _ = _clamp_supersolution(theta_dot, self.M1, self.M2)
         core = -theta_dot - self.M3 * theta + theta_g
         pos, roots = _positive_part_from_left(core, grid.z)
         ulow = self.M1 * self.M2 * pos
         self.ubar = GridField(ubar, grid)
         self.ulow = GridField(ulow, grid)
-        self.kinks = kinks
         # smallest admissible half-length: the subsolution support (-inf, z0)
         # must reach past -a, so a* sits one node beyond the deepest root
         self.a_star = float(-grid.z[roots.min()] + grid.dz)
@@ -634,15 +624,14 @@ def _positive_part_from_left(core: np.ndarray, z: np.ndarray):
 
 
 def build_envelopes_critical(fsys: FrameSystem, mu_star: float, c_star: float,
-                             grid: Grid, tol: float = 1e-7,
-                             cap: float = 1e8, h_rel: float = 1e-3) -> CriticalEnvelopes:
+                             grid: Grid, tol: float = 1e-7) -> CriticalEnvelopes:
     """Tune (M1, M2, M3) so the critical envelope pair works on the given grid.
 
     The frame must move at c*, so eigensolves return lambda_{1,mu} + c* mu:
     that value vanishes to solver tolerance at mu* and must be strictly
     negative at mu* + gamma (strict concavity of the dispersion eigenvalue).
     Mean-one normalization keeps mu -> u'_mu differentiable; the derivative is
-    a centered difference with step h_rel * mu*.
+    a centered difference with step _H_REL * mu*.
     """
     gamma = 0.5 * mu_star
     cell = _cell_grid_for(fsys, grid)
@@ -655,7 +644,7 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, c_star: float,
             f"lambda + c* mu = {g_gamma:.3e} >= 0 at mu* + gamma; dispersion "
             "concavity violated upstream"
         )
-    h = h_rel * mu_star
+    h = _H_REL * mu_star
     du = (ev.pair(mu_star + h).eigenfunction.values
           - ev.pair(mu_star - h).eigenfunction.values) / (2.0 * h)
 
@@ -677,7 +666,7 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, c_star: float,
         val = start
         while not pred(val):
             val *= 2.0
-            if val > cap:
+            if val > _TUNE_CAP:
                 raise NumericalError(f"envelope tuning failed: {what} cap reached")
         lo, hi = val / 2.0, val
         if pred(lo):

@@ -143,6 +143,43 @@ class TestRunConfig:
         assert doc["probe_status"] in ("no_wave_signature", "inconclusive")
         assert doc["c"] == pytest.approx(doc["c_star"] / 2, rel=1e-6)
 
+    def test_probe_rational_speed(self, tmp_path):
+        cfg = scalar_config(["probe"], extra_params={
+            "probe": {"c": "1/2", "t_final": 20.0, "X": 60.0, "n_x": 1024},
+        })
+        out = tmp_path / "out_probe"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+        doc = json.loads((out / "probe.json").read_text())
+        assert doc["status"] == "ok"
+        assert doc["c"] == 0.5
+
+    def test_probe_unparsable_speed_exits_two(self, tmp_path):
+        cfg = scalar_config(["probe"], extra_params={"probe": {"c": "abc"}})
+        p = write_config(tmp_path, cfg)
+        with pytest.raises(InputError, match="params.probe.c"):
+            load_config(p)
+        assert run_config(p, out=tmp_path / "out") == 2
+
+    def test_critical_wave_needs_space_homogeneous_coefficients(self, tmp_path):
+        # the cell_periodic benchmark system: l(z) = 1 + 0.5 cos(2 pi z)
+        cfg = scalar_config(["dispersion"])
+        cfg["system"]["fields"]["L"] = [[[
+            {"kt": 0, "kx": [0], "cos": 1.0, "sin": 0.0},
+            {"kt": 0, "kx": [1], "cos": 0.5, "sin": 0.0},
+        ]]]
+        out = tmp_path / "out_disp"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+        c_star = json.loads((out / "dispersion.json").read_text())["c_star"]
+        cfg["tasks"] = ["wave"]
+        cfg["params"].update({"c": c_star, "wave": {"a": 20.0, "n_t": 64}})
+        out = tmp_path / "out_wave"
+        assert run_config(write_config(tmp_path, cfg, "wave.json"), out=out) == 3
+        doc = json.loads((out / "wave.json").read_text())
+        assert doc["status"] == "failed"
+        assert doc["error_type"] == "InputError"
+        assert "critical waves are built only for space-homogeneous" in doc["error"]
+        assert "traceback" not in doc
+
     def test_dispersion_and_simulate_run(self, tmp_path):
         cfg = scalar_config(["dispersion", "simulate"], extra_params={
             "simulate": {"X": 40.0, "n_x": 512, "t_final": 8.0},

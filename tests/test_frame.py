@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,9 @@ from wavekit.coeffs import KPPSystem, Mode, PeriodicField, field_eval, nondimens
 from wavekit.errors import InputError
 from wavekit.frame import (
     RationalDirection,
+    _lincomb,
     compute_periods,
+    frame_for,
     make_frame,
     rational_basis,
     transform_coefficients,
@@ -230,6 +233,101 @@ class TestTransformCoefficients:
                         ((const(1.0, T=2.0),),), ((const(1.0, T=2.0),),))
         with pytest.raises(InputError):
             transform_coefficients(sys, make_frame([1], 0))
+
+
+def float_branch_reference(sys, frame):
+    """The former float-only space-homogeneous branch of transform_coefficients."""
+    N, n = sys.N, sys.n
+    P = frame.P_floats()
+    ev = frame.e_floats()
+    cval = frame.c_float()
+    tpl = sys.L[0][0]
+
+    def comb(fields, weights, extra=0.0):
+        f = _lincomb(fields, weights, tpl)
+        return f.plus_constant(extra) if extra else f
+
+    A = tuple(
+        tuple(
+            tuple(
+                comb([sys.A[i][g][d] for g in range(n) for d in range(n)],
+                     [P[g, a] * P[d, b] for g in range(n) for d in range(n)])
+                for b in range(n)
+            )
+            for a in range(n)
+        )
+        for i in range(N)
+    )
+    q = tuple(
+        tuple(
+            comb([sys.q[i][g] for g in range(n)],
+                 [P[g, a] for g in range(n)],
+                 extra=cval * float(np.dot(P[:, a], ev)))
+            for a in range(n)
+        )
+        for i in range(N)
+    )
+    return A, q, sys.L, sys.B
+
+
+def random_homogeneous_system(rng, N, n):
+    """Random x-independent fields with time modes k_t = 0, 1, 2."""
+    def fld():
+        modes = [Mode(kt, (0,) * n, *rng.normal(size=2)) for kt in range(3)]
+        return PeriodicField(1.0, (1.0,) * n, tuple(modes))
+
+    return KPPSystem(
+        N, n,
+        tuple(tuple(tuple(fld() for _ in range(n)) for _ in range(n)) for _ in range(N)),
+        tuple(tuple(fld() for _ in range(n)) for _ in range(N)),
+        tuple(tuple(fld() for _ in range(N)) for _ in range(N)),
+        tuple(tuple(fld() for _ in range(N)) for _ in range(N)),
+    )
+
+
+def flat_fields(tab):
+    if isinstance(tab, PeriodicField):
+        return [tab]
+    return [f for entry in tab for f in flat_fields(entry)]
+
+
+class TestFrameFor:
+    def test_space_homogeneous_matches_float_reference(self, rng):
+        for N, n, _ in itertools.product((1, 2), (1, 2, 3), range(4)):
+            sys = random_homogeneous_system(rng, N, n)
+            e = rng.normal(size=n)
+            e /= np.linalg.norm(e)
+            fs = frame_for(sys, e, float(rng.uniform(-3, 3)))
+            want = flat_fields(float_branch_reference(sys, fs.frame))
+            got = flat_fields((fs.A, fs.q, fs.L, fs.B))
+            assert len(want) == len(got) == N * n * n + N * n + 2 * N * N
+            for fw, fg in zip(want, got):
+                for _ in range(5):
+                    t, x = rng.uniform(-2, 2), rng.uniform(-2, 2, size=n)
+                    assert abs(field_eval(fg, t, x) - field_eval(fw, t, x)) <= 1e-13
+
+    def test_mode_follows_coefficients(self):
+        fs = frame_for(scalar_system(), [1], "5/2")
+        assert fs.mode == "space-homogeneous"
+        assert fs.frame.T_frame == 1 and fs.frame.L_frame is None
+        assert fs.c == 2.5
+        fs = frame_for(scalar_system(l_field=space_periodic_l()), [1], "3/2")
+        assert fs.mode == "rational"
+        assert fs.frame.c == Fraction(3, 2)
+        assert fs.frame.T_frame == 2 and fs.frame.L_frame == (1,)
+
+    def test_nondimensionalizes(self):
+        sys = KPPSystem(1, 1, (((const(1.0, T=2.0, L=(3.0,)),),),),
+                        ((const(0.0, T=2.0, L=(3.0,)),),),
+                        ((const(1.0, T=2.0, L=(3.0,)),),), ((const(1.0, T=2.0, L=(3.0,)),),))
+        fs = frame_for(sys, [1], 0)
+        assert field_eval(fs.A[0][0][0], 0.0, [0.0]) == pytest.approx(2.0 / 9.0, abs=1e-15)
+
+    def test_x_dependent_needs_exact_speed(self):
+        sys = scalar_system(l_field=space_periodic_l())
+        with pytest.raises(InputError, match="non-integer float"):
+            frame_for(sys, [1], 0.7)
+        assert frame_for(sys, [1], 3.0).frame.c == 3
 
 
 class TestOperatorAssembly:

@@ -13,7 +13,6 @@ from wavekit.pde_core import (
     apply_operator,
     build_operator_mu,
     Stepper,
-    evolve_period,
     solve_periodic_bvp,
 )
 
@@ -80,14 +79,14 @@ class TestEvolvePeriod:
         for n_t in (16, 64):
             g = Grid.periodic_cell(1.0, 1.0, n_t, 16)
             op = build_operator_mu(fs, 0.0, g)
-            v = evolve_period(op, np.full((1, 16), 2.0))
+            v = Stepper(op).run_period(np.full((1, 16), 2.0))
             assert v == pytest.approx(2.0 * (1 + 1 / n_t) ** (-n_t), rel=1e-12)
 
     def test_constant_preserved_by_pure_diffusion(self):
         fs = plain_diffusion_frame(l=0.0)
         g = Grid.periodic_cell(1.0, 1.0, 16, 32)
         op = build_operator_mu(fs, 0.0, g)
-        v = evolve_period(op, np.full((1, 32), 0.7))
+        v = Stepper(op).run_period(np.full((1, 32), 0.7))
         assert np.abs(v - 0.7).max() < 1e-12
 
     def test_heat_decay_rate_within_2pct(self):
@@ -100,7 +99,7 @@ class TestEvolvePeriod:
         g = Grid.periodic_cell(1.0, 1.0, 4096, 64)
         op = build_operator_mu(fs, 0.0, g)
         mode = np.sin(2 * np.pi * g.z)
-        v1 = evolve_period(op, mode[None, :])
+        v1 = Stepper(op).run_period(mode[None, :])
         factor = float(v1[0] @ mode) / float(mode @ mode)
         rate = -np.log(factor)
         assert abs(rate - 4 * np.pi**2) / (4 * np.pi**2) < 0.02
@@ -112,8 +111,8 @@ class TestEvolvePeriod:
         v1 = rng.normal(size=(2, 32))
         v2 = rng.normal(size=(2, 32))
         a, b = 1.7, -0.4
-        lhs = evolve_period(op, a * v1 + b * v2)
-        rhs = a * evolve_period(op, v1) + b * evolve_period(op, v2)
+        lhs = Stepper(op).run_period(a * v1 + b * v2)
+        rhs = a * Stepper(op).run_period(v1) + b * Stepper(op).run_period(v2)
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_positivity_preservation(self, rng):
@@ -123,15 +122,22 @@ class TestEvolvePeriod:
         op = build_operator_mu(fs, 0.8, g)
         for _ in range(5):
             v0 = np.abs(rng.normal(size=(2, 48)))
-            v = evolve_period(op, v0)
+            v = Stepper(op).run_period(v0)
             assert v.min() >= 0.0
+
+    def test_run_period_rejects_misshaped_v0(self):
+        g = Grid.periodic_cell(1.0, 1.0, 8, 16)
+        st = Stepper(build_operator_mu(frame_of(system_2x2()), 0.0, g))
+        for shape in ((1, 16), (2, 15), (16, 2), (2, 1, 16)):
+            with pytest.raises(InputError, match="v0 shape"):
+                st.run_period(np.ones(shape))
 
     def test_peclet_guard(self):
         fs = frame_of(scalar_system(q=50.0))
         g = Grid.periodic_cell(1.0, 1.0, 8, 16)
         op = build_operator_mu(fs, 0.0, g)
         with pytest.raises(InputError):
-            evolve_period(op, np.ones((1, 16)))
+            Stepper(op).run_period(np.ones((1, 16)))
 
 
 class TestPeriodicBVP:
@@ -395,15 +401,6 @@ class TestGridFieldIO:
             for i in range(2) for k in range(3) for j in range(17)
         )
         assert p.read_text().split("\n", 2)[2] == body
-
-    def test_binary_round_trip(self, tmp_path, rng):
-        g = Grid.periodic_cell(2.0, 1.0, 4, 16)
-        f = GridField(rng.normal(size=(1, 4, 16)), g)
-        p = tmp_path / "field.bin"
-        f.to_binary(p)
-        back = GridField.from_binary(p)
-        assert back.grid == g
-        assert np.array_equal(back.values, f.values)
 
     def test_grid_invariants(self):
         with pytest.raises(InputError):

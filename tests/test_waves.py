@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import scalar_system, system_2x2, time_periodic_l
 from wavekit import waves
-from wavekit.coeffs import nondimensionalize
+from wavekit.coeffs import logistic_envelope, nondimensionalize
 from wavekit.dispersion import minimal_speed, speed_roots, static_frame
 from wavekit.eigen import EigenEvaluator
 from wavekit.errors import NumericalError, WavekitError
@@ -24,7 +24,6 @@ from wavekit.waves import (
     verify_wave,
     _cell_grid_for,
     _clamp_supersolution,
-    _frame_logistic_bound,
     _kink_mask,
     _positive_part_from_left,
 )
@@ -534,7 +533,7 @@ class TestTrappedIterates:
                                             record_iterates=True)
         for lo, hi in profile.info["iterate_bounds"]:
             assert lo >= -1e-9 and hi >= -1e-9
-        _, K = _frame_logistic_bound(fsc)
+        _, K = logistic_envelope(fsc)
         b_tab = build_operator_mu(fsc, 0.0, grid).b_tab[0, 0]
         r0 = spy.call_args_list[0].kwargs["extra_diag"][0] / b_tab
         assert r0.max() <= K * (1 + 1e-12)
