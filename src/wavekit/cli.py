@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys as _sys
 import tempfile
@@ -42,12 +43,9 @@ from .frame import frame_for, frame_from_json, transform_coefficients
 from .waves import (
     build_envelopes_critical,
     build_envelopes_supercritical,
-    critical_fixed_point,
     cylinder_grid,
     extend_to_entire,
-    fixed_point_truncated,
     verify_wave,
-    _cell_grid_for,
 )
 
 log = logging.getLogger("wavekit")
@@ -100,6 +98,67 @@ def _parse_speed(c) -> float:
         raise InputError(f"not a speed: {c!r}") from exc
 
 
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _speed(v) -> bool:
+    """None (the task's default) or a speed _parse_speed accepts."""
+    if v is None:
+        return True
+    try:
+        _parse_speed(v)
+    except InputError:
+        return False
+    return True
+
+
+def _increasing(v) -> bool:
+    return isinstance(v, list) and all(_number(x) and x > 0 for x in v) and sorted(v) == v
+
+
+# every params entry a task reads, as (check, what it must be, dotted keys)
+_PARAM_RULES = (
+    (_speed, 'a number or a rational string such as "5/2"', "c frame.c probe.c"),
+    (lambda v: isinstance(v, list) and all(map(_number, v)) and any(v),
+     "a nonzero list of numbers", "e frame.e"),
+    (lambda v: _number(v) and v > 0, "a positive number",
+     "tol wave.a wave.window wave.gap_tol wave.tol wave.dz simulate.X simulate.t_final "
+     "simulate.snapshot_every simulate.initial.amp simulate.initial.width probe.t_final probe.X"),
+    (lambda v: _integer(v) and v > 0, "a positive integer",
+     "wave.n_t wave.n_z wave.points_per_cell simulate.n_x probe.n_x"),
+    (lambda v: _integer(v) and v >= 4, "an integer >= 4", "sampling_factor"),
+    (_number, "a number", "simulate.initial.e probe.e"),
+    (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)", "simulate.theta"),
+    (_increasing, "an increasing list of positive numbers", "mu_list"),
+    (lambda v: _increasing(v) and len(v) >= 2,
+     "an increasing list of at least two positive numbers", "wave.a_schedule"),
+    (lambda v: v in ("rational", "space-homogeneous"), '"rational" or "space-homogeneous"',
+     "frame.mode"),
+    (lambda v: v in ("bump", "front"), '"bump" or "front"', "simulate.initial.kind"),
+)
+
+
+def _check_params(params) -> None:
+    if not isinstance(params, dict):
+        raise InputError("config.params must be an object")
+    for check, what, keys in _PARAM_RULES:
+        for key in keys.split():
+            *sections, name = key.split(".")
+            section = params
+            for depth, part in enumerate(sections, 1):
+                section = section.get(part, {})
+                if not isinstance(section, dict):
+                    where = ".".join(sections[:depth])
+                    raise InputError(f"config.params.{where} must be an object")
+            if name in section and not check(section[name]):
+                raise InputError(f"config.params.{key} must be {what}, not {section[name]!r}")
+
+
 class JobConfig:
     """Validated job configuration: system + ordered tasks + parameters."""
 
@@ -114,19 +173,9 @@ class JobConfig:
             raise InputError(f"config.tasks must be a subset of {TASKS}")
         self.tasks = self._close_tasks(tasks)
         self.params = doc.get("params", {})
-        if not isinstance(self.params, dict):
-            raise InputError("config.params must be an object")
+        _check_params(self.params)
         if "wave" in self.tasks and self.params.get("c") is None:
             raise InputError("config.params.c is required for the wave task")
-        probe = self.params.get("probe", {})
-        speeds = {"c": self.params.get("c"),
-                  "probe.c": probe.get("c") if isinstance(probe, dict) else None}
-        for key, c in speeds.items():
-            if c is not None:
-                try:
-                    _parse_speed(c)
-                except InputError as exc:
-                    raise InputError(f"config.params.{key} is {exc}") from exc
         self.out = Path(doc.get("out", base_dir / "out"))
 
     @staticmethod
@@ -134,9 +183,8 @@ class JobConfig:
         want = set(tasks)
         for t in tasks:
             want.update(_PREREQS[t])
-        ordered = [t for t in TASKS if t in want]
         # keep the chain order; simulate/probe already sit after their prereqs
-        return ordered
+        return [t for t in TASKS if t in want]
 
     def param(self, key, default=None):
         return self.params.get(key, default)
@@ -159,8 +207,7 @@ class TaskContext:
     def __init__(self, cfg: JobConfig):
         self.cfg = cfg
         self.sys = cfg.system
-        self.tol = float(cfg.param("tol", 1e-6))
-        self.eigen_tol = min(self.tol, 1e-8)
+        self.eigen_tol = min(float(cfg.param("tol", 1e-6)), 1e-8)
         self.e = cfg.param("e", [0] * (cfg.system.n - 1) + [1])
         self.curve = None
         self.persistence = None
@@ -250,19 +297,10 @@ def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
     return summary
 
 
-def _wave_frame(ctx: TaskContext, c):
-    frame_req = ctx.cfg.param("frame")
-    if frame_req is not None:
-        return transform_coefficients(nondimensionalize(ctx.sys), frame_from_json(frame_req))
-    return frame_for(ctx.sys, ctx.e, c)
-
-
 def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     curve = ctx.get_curve()
-    c_req = ctx.cfg.param("c")
-    if c_req is None:
-        raise InputError("wave task needs params.c")
     wave_par = ctx.cfg.param("wave", {})
+    c_req = ctx.cfg.param("c")
     c_val = _parse_speed(c_req)
     band = 10.0 * ctx.eigen_tol
     if c_val < curve.c_star - band:
@@ -270,7 +308,8 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
             f"subcritical speed c = {c_val} < c* = {curve.c_star}: no wave exists"
         )
     critical = abs(c_val - curve.c_star) <= band
-    if critical and ctx.cfg.param("frame") is None and not ctx.sys.is_space_homogeneous():
+    frame_req = ctx.cfg.param("frame")
+    if critical and frame_req is None and not ctx.sys.is_space_homogeneous():
         raise InputError(
             "critical waves are built only for space-homogeneous coefficients: "
             f"c* = {curve.c_star!r} has no exact rational frame"
@@ -282,45 +321,28 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
         if k in wave_par
     }
     a_schedule = wave_par.get("a_schedule")
-    a_single = wave_par.get("a", 40.0)
-    window = float(wave_par.get("window", 10.0))
-    gap_tol = float(wave_par.get("gap_tol", 1e-3))
+    a0 = float(a_schedule[0] if a_schedule else wave_par.get("a", 40.0))
     profile_tol = float(wave_par.get("tol", 1e-7))
 
-    fsc = _wave_frame(ctx, c_req if not critical else curve.c_star)
+    if frame_req is not None:
+        fsc = transform_coefficients(nondimensionalize(ctx.sys), frame_from_json(frame_req))
+    else:
+        fsc = frame_for(ctx.sys, ctx.e, curve.c_star if critical else c_req)
+    grid0 = cylinder_grid(fsc, a0, **grid_kw)
     if critical:
-        a0 = float(a_schedule[0] if a_schedule else a_single)
-        grid0 = cylinder_grid(fsc, a0, **grid_kw)
-        env = build_envelopes_critical(fsc, curve.mu_star, curve.c_star, grid0,
-                                       tol=profile_tol)
-        if a_schedule:
-            profile = extend_to_entire(fsc, env, a_schedule, window, tol=gap_tol,
-                                       profile_tol=profile_tol, critical=True, **grid_kw)
-        else:
-            profile = critical_fixed_point(fsc, env, a0, tol=profile_tol, grid=grid0)
-        ver = verify_wave(profile, decay_expected=curve.mu_star, critical=True,
-                          mu_star=curve.mu_star)
-        env_info = {"M1": env.M1, "M2": env.M2, "M3": env.M3,
-                    "g_gamma": env.g_gamma, "a_star": env.a_star}
+        env = build_envelopes_critical(fsc, curve.mu_star, grid0, tol=profile_tol)
     else:
         roots = speed_roots(curve, c_val, tol=ctx.eigen_tol)
-        gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
-        probe_grid = cylinder_grid(fsc, float(a_schedule[0] if a_schedule else a_single),
-                                   **grid_kw)
-        cell = _cell_grid_for(fsc, probe_grid)
-        ev = EigenEvaluator(fsc, grid=cell, tol=ctx.eigen_tol)
-        env = build_envelopes_supercritical(
-            fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), cell
-        )
-        if a_schedule:
-            profile = extend_to_entire(fsc, env, a_schedule, window, tol=gap_tol,
-                                       profile_tol=profile_tol, **grid_kw)
-        else:
-            profile = fixed_point_truncated(fsc, env, float(a_single),
-                                            tol=profile_tol, grid=probe_grid)
-        ver = verify_wave(profile, decay_expected=roots.mu_wedge)
-        env_info = {"mu_wedge": roots.mu_wedge, "mu_vee": roots.mu_vee,
-                    "gamma": gamma, "M": env.M, "chi": env.chi, "a_star": env.a_star}
+        env = build_envelopes_supercritical(fsc, roots, grid0, tol=ctx.eigen_tol)
+    if a_schedule:
+        profile = extend_to_entire(env, a_schedule, float(wave_par.get("window", 10.0)),
+                                   tol=float(wave_par.get("gap_tol", 1e-3)),
+                                   profile_tol=profile_tol, **grid_kw)
+    else:
+        profile = env.fixed_point(a0, tol=profile_tol, grid=grid0)
+    ver = verify_wave(profile)
+    # read after the solve: critical materialize updates a_star
+    env_info = {k: getattr(env, k) for k in env.reported}
 
     profile.u.to_csv(outdir / "wave_profile.csv")
     g = profile.u.grid
@@ -334,7 +356,7 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
                       title=f"wave profile c={c_val:g}", xlabel="z", ylabel="u")
     return {
         "c": c_val,
-        "pipeline": "critical" if critical else "supercritical",
+        "pipeline": profile.info["pipeline"],
         "envelopes": env_info,
         "diagnostics": profile.diagnostics(),
         "verification": ver.to_json(),
@@ -395,7 +417,7 @@ def run_probe(ctx: TaskContext, outdir: Path) -> dict:
     curve = ctx.get_curve()
     par = ctx.cfg.param("probe", {})
     c = curve.c_star / 2.0 if par.get("c") is None else _parse_speed(par["c"])
-    e_scalar = float(par.get("e", ctx.e[-1] if hasattr(ctx.e, "__len__") else ctx.e))
+    e_scalar = float(par.get("e", ctx.e[-1]))
     rep = nonexistence_probe(
         ctx.sys, e_scalar, c, curve.c_star,
         t_final=float(par.get("t_final", 30.0)),

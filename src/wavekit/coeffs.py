@@ -155,18 +155,7 @@ class PeriodicField:
         """Tensor evaluation on a (t, z) grid for n == 1 fields: shape (n_t, n_z)."""
         if self.n != 1:
             raise InputError("eval_grid supports 1-D fields only")
-        tt = np.asarray(t_vals, dtype=float)[:, None]
-        zz = np.asarray(z_vals, dtype=float)[None, :]
-        out = np.zeros((tt.shape[0], zz.shape[1]))
-        for m in self.modes:
-            phase = 2.0 * np.pi * (
-                m.kt * tt / self.temporal_period + m.kx[0] * zz / self.spatial_periods[0]
-            )
-            if m.cos:
-                out += m.cos * np.cos(phase)
-            if m.sin:
-                out += m.sin * np.sin(phase)
-        return out
+        return self.eval(np.asarray(t_vals)[:, None], np.asarray(z_vals)[None, :])
 
     # -- calculus / algebra (exact on the mode representation) -----------------
 
@@ -280,6 +269,7 @@ class KPPSystem:
         object.__setattr__(self, "A", tuple(sym))
 
     def all_fields(self):
+        """Every coefficient field: A and q of each component, then L and B."""
         for i in range(self.N):
             for a in range(self.n):
                 for b in range(self.n):

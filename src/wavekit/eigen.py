@@ -62,7 +62,7 @@ def default_cell_grid(fsys: FrameSystem) -> Grid:
     """Periodic cell grid sized for the frame coefficients."""
     kz = 0
     kt = 0
-    for f in _scalar_fields(fsys):
+    for f in fsys.all_fields():
         fkt, fkx = f.max_frequencies()
         kt = max(kt, fkt)
         kz = max(kz, fkx[-1])
@@ -70,18 +70,6 @@ def default_cell_grid(fsys: FrameSystem) -> Grid:
     n_z = max(64, 16 * kz) if kz > 0 else 16
     L_z = fsys.L_z if fsys.L_z is not None else 1.0
     return Grid.periodic_cell(fsys.T_frame, L_z, n_t, n_z)
-
-
-def _scalar_fields(fsys):
-    for i in range(fsys.N):
-        for a in range(fsys.n):
-            for b in range(fsys.n):
-                yield fsys.A[i][a][b]
-            yield fsys.q[i][a]
-    for i in range(fsys.N):
-        for j in range(fsys.N):
-            yield fsys.L[i][j]
-            yield fsys.B[i][j]
 
 
 def _perron(mat: np.ndarray):

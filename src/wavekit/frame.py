@@ -346,12 +346,10 @@ class FrameSystem:
         Bm = tuple(tuple(self._z_only(self.B[i][j]) for j in range(self.N)) for i in range(self.N))
         return a, dza, adv, Lm, Bm
 
+    all_fields = KPPSystem.all_fields
+
     def is_time_independent(self) -> bool:
-        fields = [self.A[i][a][b] for i in range(self.N) for a in range(self.n) for b in range(self.n)]
-        fields += [self.q[i][a] for i in range(self.N) for a in range(self.n)]
-        fields += [self.L[i][j] for i in range(self.N) for j in range(self.N)]
-        fields += [self.B[i][j] for i in range(self.N) for j in range(self.N)]
-        return all(f.is_time_independent() for f in fields)
+        return all(f.is_time_independent() for f in self.all_fields())
 
 
 def _transform_field_rational(f: PeriodicField, frame: MovingFrame) -> PeriodicField:

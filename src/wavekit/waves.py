@@ -185,6 +185,7 @@ class WaveVerification:
 class SupercriticalEnvelopes:
     """Trapping pair for a supercritical speed, plus its tuning constants."""
 
+    reported = ("mu_wedge", "mu_vee", "gamma", "M", "chi", "a_star")  # in a run's summary
     fsys: FrameSystem
     c: float
     mu_wedge: float
@@ -210,6 +211,9 @@ class SupercriticalEnvelopes:
         self.ulow = GridField(ulow, grid)
         return self.ubar, self.ulow
 
+    def fixed_point(self, a: float, **kw) -> WaveProfile:
+        return fixed_point_truncated(self, a, **kw)
+
     def boundary_values(self, a: float) -> np.ndarray:
         """min over components/time of u_low(t, -a) / e^{-mu_wedge a}."""
         Uw = self.eig_wedge.eigenfunction.values
@@ -225,23 +229,22 @@ class SupercriticalEnvelopes:
         return Uw[:, :, j] - self.M * np.exp(-self.gamma * a) * Ug[:, :, j]
 
 
-def build_envelopes_supercritical(fsys: FrameSystem, roots, eig_wedge: PrincipalEigenpair,
-                                  eig_gamma: PrincipalEigenpair,
-                                  cell: Grid) -> SupercriticalEnvelopes:
+def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid,
+                                  tol: float = 1e-8) -> SupercriticalEnvelopes:
     """Assemble the supersolution/subsolution pair at speed c > c*.
 
-    eig_wedge and eig_gamma are the max-one normalized principal eigenpairs of
-    the c-frame operators at mu_wedge and mu_wedge + gamma; in that frame the
-    eigenvalues are lambda_{1,mu} + c mu, so eig_wedge.lam must vanish and
-    chi = eig_gamma.lam must be positive.
+    fsys is the frame moving at c = roots.c and grid the cylinder grid the
+    envelopes will be materialized on.  The max-one normalized principal
+    eigenpairs at mu_wedge and mu_wedge + gamma, gamma =
+    min(mu_wedge, mu_vee - mu_wedge)/2, are solved to tol on the matching
+    periodic cell; in that frame the eigenvalues are lambda_{1,mu} + c mu, so
+    the first must vanish and chi, the second, must be positive.
     """
     mu_w, mu_v = roots.mu_wedge, roots.mu_vee
-    c = roots.c
     gamma = 0.5 * min(mu_w, mu_v - mu_w)
-    if abs(eig_wedge.mu - mu_w) > 1e-9 or abs(eig_gamma.mu - (mu_w + gamma)) > 1e-9:
-        raise InputError("eigenpairs do not match the decay roots")
-    if eig_wedge.normalization != "max-one" or eig_gamma.normalization != "max-one":
-        raise InputError("envelope eigenpairs must be max-one normalized")
+    cell = _cell_grid_for(fsys, grid)
+    ev = EigenEvaluator(fsys, grid=cell, tol=tol)
+    eig_wedge, eig_gamma = ev.pair(mu_w), ev.pair(mu_w + gamma)
     chi = eig_gamma.lam
     if chi <= 0:
         raise NumericalError(
@@ -254,7 +257,7 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, eig_wedge: Principal
     M = max(1.0 / kappa, N * b_bar / (chi * kappa))
     _, K = logistic_envelope(fsys)
 
-    env = SupercriticalEnvelopes(fsys, c, mu_w, mu_v, gamma, M, chi, np.inf,
+    env = SupercriticalEnvelopes(fsys, roots.c, mu_w, mu_v, gamma, M, chi, np.inf,
                                  eig_wedge, eig_gamma, cell,
                                  info={"lam_wedge_residual": eig_wedge.lam,
                                        "b_bar": b_bar, "kappa_gamma": kappa, "K": K})
@@ -279,7 +282,7 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, eig_wedge: Principal
 # the supercritical fixed point
 
 
-def fixed_point_truncated(fsys: FrameSystem, env: SupercriticalEnvelopes, a: float,
+def fixed_point_truncated(env: SupercriticalEnvelopes, a: float,
                           tol: float = 1e-7, grid: Grid | None = None,
                           force_relaxation: bool = False,
                           record_iterates: bool = False,
@@ -293,21 +296,10 @@ def fixed_point_truncated(fsys: FrameSystem, env: SupercriticalEnvelopes, a: flo
     [usub, ubar] and the backward-Euler flow keeps order, so every iterate
     stays trapped; the converged u solves the discrete semilinear system.
     """
-    if a < env.a_star - 1e-9:
-        raise WavekitError(
-            f"domain too short: a = {a} < a* = {env.a_star} "
-            "(subsolution boundary values lose positivity)"
-        )
-    if grid is None:
-        grid = cylinder_grid(fsys, a, **grid_kw)
-    ubar_f, ulow_f = env.materialize(grid)
+    ubar_f, ulow_f, usub, op0, bc = _truncated_problem(env, a, grid, grid_kw)
     ubar = ubar_f.values
-    usub = np.maximum(ulow_f.values, 0.0)
     if usub[:, :, -1].max() > 0:
         raise NumericalError("subsolution must be nonpositive at the upstream end")
-
-    op0 = build_operator_mu(fsys, 0.0, grid)
-    bc = (usub[:, :, 0], usub[:, :, -1])
 
     # discrete envelope checks: R ubar = 0 and (R + diag(B' ubar)) ulow <= 0
     rsup = apply_operator(op0, ubar_f).values[:, :, 1:-1]
@@ -323,17 +315,30 @@ def fixed_point_truncated(fsys: FrameSystem, env: SupercriticalEnvelopes, a: flo
         if u_prev is not None:
             inner_tol = max(inner_tol, 0.01 * float(np.abs(u_prev.values - r).max()))
         u, bvp = solve_periodic_bvp(
-            op0, bc, GridField(usub, grid) if u_prev is None else u_prev, inner_tol,
+            op0, bc, GridField(usub, op0.grid) if u_prev is None else u_prev, inner_tol,
             extra_diag=Br, force_relaxation=force_relaxation,
         )
         return u, bvp["periods"], inner_tol <= tol * 0.1
 
     return _damped_fixed_point(
-        fsys, op0, env.c, a, ubar, usub, inner, tol, record_iterates,
+        env.fsys, op0, env.c, a, ubar, usub, inner, tol, record_iterates,
         {"mu_wedge": env.mu_wedge, "pipeline": "supercritical",
          "supersolution_residual": super_resid,
          "subsolution_violation": sub_viol},
     )
+
+
+def _truncated_problem(env, a: float, grid: Grid | None, grid_kw: dict):
+    """env materialized on the cylinder of half-length a (grid, or one built
+    from grid_kw): (ubar, ulow, usub = ulow v 0, operator at mu = 0, boundary data)."""
+    if grid is None:
+        grid = cylinder_grid(env.fsys, a, **grid_kw)
+    ubar_f, ulow_f = env.materialize(grid)  # may move a_star (critical envelopes)
+    if not np.isfinite(env.a_star) or a < env.a_star - 1e-9:
+        raise WavekitError(f"domain too short: a = {a} < a* = {env.a_star}")
+    usub = np.maximum(ulow_f.values, 0.0)
+    op0 = build_operator_mu(env.fsys, 0.0, grid)
+    return ubar_f, ulow_f, usub, op0, (usub[:, :, 0], usub[:, :, -1])
 
 
 def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float,
@@ -386,25 +391,23 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float
     )
 
 
-def extend_to_entire(fsys: FrameSystem, env, a_schedule, window: float,
-                     tol: float = 1e-4, profile_tol: float = 1e-7,
-                     critical: bool = False, **kw) -> WaveProfile:
+def extend_to_entire(env, a_schedule, window: float, tol: float = 1e-4,
+                     profile_tol: float = 1e-7, **kw) -> WaveProfile:
     """Continuation in the half-length a until the center window stabilizes.
 
-    Runs the truncated fixed point along the increasing schedule and stops
-    when two successive profiles differ by less than tol on [-window, window];
-    the K-envelope bound 0 <= u <= K 1 is checked at every step.
+    Runs the truncated fixed point of env's pipeline along the increasing
+    schedule and stops when two successive profiles differ by less than tol
+    on [-window, window]; the K-envelope bound 0 <= u <= K 1 is checked at
+    every step.
     """
     a_schedule = [float(a) for a in a_schedule]
     if sorted(a_schedule) != a_schedule or len(a_schedule) < 2:
         raise InputError("a_schedule must be increasing with at least two entries")
-    _, K = logistic_envelope(fsys)
-    solver = critical_fixed_point if critical else fixed_point_truncated
+    _, K = logistic_envelope(env.fsys)
     prev = None
     gaps = []
-    profile = None
     for a in a_schedule:
-        profile = solver(fsys, env, a, tol=profile_tol, **kw)
+        profile = env.fixed_point(a, tol=profile_tol, **kw)
         over_k = float(profile.u.values.max()) - K
         profile.info["k_bound_violation"] = max(0.0, over_k)
         if over_k > 1e-6 * (1 + K):
@@ -461,21 +464,27 @@ def _decay_and_floor(u: GridField):
     return slope, floor
 
 
-def verify_wave(profile: WaveProfile, decay_expected: float,
-                critical: bool = False, mu_star: float | None = None,
-                decay_rtol: float = 0.10, floor_required: float = 0.0) -> WaveVerification:
+def verify_wave(profile: WaveProfile, decay_rtol: float = 0.10,
+                floor_required: float = 0.0) -> WaveVerification:
     """Check the defining wave limits on a constructed profile.
 
     Downstream: the profile must be uniformly small (below _EPS_DOWN) on the
     left tenth of the cylinder and decay at the expected exponential rate on
-    the downstream third (at criticality, additionally match the |z| e^{mu* z}
-    shape).  A profile decaying like e^{mu_wedge z} has downstream_sup about
-    e^{-0.8 mu_wedge a}, so downstream_pass needs a > ln(1/_EPS_DOWN) /
-    (0.8 mu_wedge) ~ 8.63 / mu_wedge, whatever the accuracy of the profile.
+    the downstream third: mu_wedge, or mu* at criticality, where it must also
+    match the |z| e^{mu* z} shape.  The pipeline and the rate are read from
+    profile.info, as the fixed points record them.  A profile decaying like
+    e^{mu_wedge z} has downstream_sup about e^{-0.8 mu_wedge a}, so
+    downstream_pass needs a > ln(1/_EPS_DOWN) / (0.8 mu_wedge) ~ 8.63 / mu_wedge,
+    whatever the accuracy of the profile.
     Upstream: a positive floor away from the artificial Dirichlet end, where
     the truncated problem pins the profile to (ulow v 0)(a) = 0 by
     construction; the floor window therefore stops short of +a.
     """
+    pipeline = profile.info.get("pipeline")
+    rate_key = {"supercritical": "mu_wedge", "critical": "mu_star"}.get(pipeline)
+    if rate_key not in profile.info:
+        raise InputError("verify_wave needs profile.info to name its pipeline and decay rate")
+    decay_expected = profile.info[rate_key]
     g = profile.u.grid
     z = g.z
     a = g.z1
@@ -491,16 +500,14 @@ def verify_wave(profile: WaveProfile, decay_expected: float,
 
     shape_slope = None
     shape_pass = None
-    if critical:
-        if mu_star is None:
-            raise InputError("critical verification needs mu_star")
+    if pipeline == "critical":
         prof = vals.max(axis=(0, 1))
         # the double characteristic root at criticality heals the Dirichlet
         # data shape only algebraically, so keep the fit window well clear of
         # the downstream end as well as of the front
         sel = (z >= -0.6 * a) & (z <= -max(a / 4.0, 10.0)) & (prof > 1e-280)
         if sel.sum() >= 4:
-            y = np.log(prof[sel]) - mu_star * z[sel]
+            y = np.log(prof[sel]) - decay_expected * z[sel]
             shape_slope = float(np.polyfit(np.log(-z[sel]), y, 1)[0])
             shape_pass = abs(shape_slope - 1.0) <= _SHAPE_RTOL
         else:
@@ -523,8 +530,8 @@ def verify_wave(profile: WaveProfile, decay_expected: float,
 class CriticalEnvelopes:
     """Envelope pair at the critical speed, built from Theta and its derivative."""
 
+    reported = ("M1", "M2", "M3", "g_gamma", "a_star")  # in a run's summary
     fsys: FrameSystem
-    c_star: float
     mu_star: float
     gamma: float
     M1: float
@@ -566,6 +573,9 @@ class CriticalEnvelopes:
         # must reach past -a, so a* sits one node beyond the deepest root
         self.a_star = float(-grid.z[roots.min()] + grid.dz)
         return self.ubar, self.ulow
+
+    def fixed_point(self, a: float, **kw) -> WaveProfile:
+        return critical_fixed_point(self, a, **kw)
 
 
 def _clamp_supersolution(theta_dot: np.ndarray, M1: float, M2: float):
@@ -623,11 +633,11 @@ def _positive_part_from_left(core: np.ndarray, z: np.ndarray):
     return np.where(np.arange(core.shape[2]) < roots[..., None], core, 0.0), roots
 
 
-def build_envelopes_critical(fsys: FrameSystem, mu_star: float, c_star: float,
-                             grid: Grid, tol: float = 1e-7) -> CriticalEnvelopes:
+def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
+                             tol: float = 1e-7) -> CriticalEnvelopes:
     """Tune (M1, M2, M3) so the critical envelope pair works on the given grid.
 
-    The frame must move at c*, so eigensolves return lambda_{1,mu} + c* mu:
+    The frame must move at c* (fsys.c), so eigensolves return lambda_{1,mu} + c* mu:
     that value vanishes to solver tolerance at mu* and must be strictly
     negative at mu* + gamma (strict concavity of the dispersion eigenvalue).
     Mean-one normalization keeps mu -> u'_mu differentiable; the derivative is
@@ -649,7 +659,7 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, c_star: float,
           - ev.pair(mu_star - h).eigenfunction.values) / (2.0 * h)
 
     env = CriticalEnvelopes(
-        fsys, c_star, mu_star, gamma, 1.0, 1.0, 1.0, g_gamma, np.inf,
+        fsys, mu_star, gamma, 1.0, 1.0, 1.0, g_gamma, np.inf,
         pair_star, pair_g, du, cell,
         info={"lam_star_residual": pair_star.lam},
     )
@@ -743,7 +753,7 @@ def _kink_mask(kinks: np.ndarray, n_z: int) -> np.ndarray:
 # the critical fixed point (semilinear monotone inner problem)
 
 
-def critical_fixed_point(fsys: FrameSystem, env: CriticalEnvelopes, a: float,
+def critical_fixed_point(env: CriticalEnvelopes, a: float,
                          tol: float = 1e-7, grid: Grid | None = None,
                          force_relaxation: bool = False,
                          record_iterates: bool = False,
@@ -757,18 +767,9 @@ def critical_fixed_point(fsys: FrameSystem, env: CriticalEnvelopes, a: float,
     pseudo-transient Newton continuation on the steady system
     (time-independent frames) or relaxation of the parabolic flow.
     """
-    if grid is None:
-        grid = cylinder_grid(fsys, a, **grid_kw)
-    ubar_f, ulow_f = env.materialize(grid)
-    if not np.isfinite(env.a_star) or a < env.a_star - 1e-9:
-        raise WavekitError(f"domain too short: a = {a} < critical a* = {env.a_star}")
-    ubar = ubar_f.values
-    usub = np.maximum(ulow_f.values, 0.0)
-
-    op0 = build_operator_mu(fsys, 0.0, grid)
+    ubar_f, _, usub, op0, bc = _truncated_problem(env, a, grid, grid_kw)
     bdiag = np.einsum("iitz->itz", op0.b_tab)
     b_off = op0.b_tab * (1.0 - np.eye(op0.N))[:, :, None, None]  # B' off its diagonal
-    bc = (usub[:, :, 0], usub[:, :, -1])
 
     def inner(r, u_prev):
         lin_extra = np.einsum("ijtz,jtz->itz", b_off, r)
@@ -783,6 +784,6 @@ def critical_fixed_point(fsys: FrameSystem, env: CriticalEnvelopes, a: float,
         return u, bvp["periods"], True
 
     return _damped_fixed_point(
-        fsys, op0, env.c_star, a, ubar, usub, inner, tol, record_iterates,
+        env.fsys, op0, env.fsys.c, a, ubar_f.values, usub, inner, tol, record_iterates,
         {"mu_star": env.mu_star, "pipeline": "critical"},
     )

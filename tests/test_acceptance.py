@@ -21,7 +21,6 @@ from wavekit.cauchy import (
 )
 from wavekit.coeffs import KPPSystem, Mode, PeriodicField, nondimensionalize, validate_assumptions
 from wavekit.dispersion import minimal_speed, persistence_check, speed_roots, static_frame
-from wavekit.eigen import EigenEvaluator
 from wavekit.errors import InputError
 from wavekit.frame import (
     RationalDirection,
@@ -74,13 +73,10 @@ def scalar_wave(systems, curves):
     curve = curves["scalar"]
     roots = speed_roots(curve, 2.5, tol=1e-10)
     fsc = wave_frame(systems["scalar"], 2.5)
-    ev = EigenEvaluator(fsc)
-    gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
-    env = build_envelopes_supercritical(
-        fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), ev.grid
-    )
-    profile = fixed_point_truncated(fsc, env, 40.0, tol=1e-8, n_z=2048)
-    return roots, env, profile, ev
+    grid = cylinder_grid(fsc, 40.0, n_z=2048)
+    env = build_envelopes_supercritical(fsc, roots, grid)
+    profile = fixed_point_truncated(env, 40.0, tol=1e-8, grid=grid)
+    return roots, env, profile
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +84,8 @@ def critical_wave(systems, curves):
     curve = curves["scalar"]
     fsc = wave_frame(systems["scalar"], curve.c_star)
     grid = cylinder_grid(fsc, 60.0, n_z=6001)
-    env = build_envelopes_critical(fsc, curve.mu_star, curve.c_star, grid)
-    profile = critical_fixed_point(fsc, env, 60.0, tol=1e-8, grid=grid)
+    env = build_envelopes_critical(fsc, curve.mu_star, grid)
+    profile = critical_fixed_point(env, 60.0, tol=1e-8, grid=grid)
     return env, profile
 
 
@@ -98,13 +94,10 @@ def system_wave(systems, curves):
     curve = curves["2x2"]
     roots = speed_roots(curve, 3.0, tol=1e-10)
     fsc = wave_frame(systems["2x2"], 3.0)
-    ev = EigenEvaluator(fsc)
-    gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
-    env = build_envelopes_supercritical(
-        fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), ev.grid
-    )
-    profile = fixed_point_truncated(fsc, env, 40.0, tol=1e-8, n_z=2048)
-    return roots, env, profile, ev
+    grid = cylinder_grid(fsc, 40.0, n_z=2048)
+    env = build_envelopes_supercritical(fsc, roots, grid)
+    profile = fixed_point_truncated(env, 40.0, tol=1e-8, grid=grid)
+    return roots, env, profile
 
 
 def test_criterion_1_scalar_minimal_speed(systems):
@@ -159,7 +152,6 @@ def test_criterion_5_eigen_residuals(curves, scalar_wave, critical_wave, system_
         pairs.extend(curve.evaluator._cache.values())
     for fix in (scalar_wave, system_wave):
         pairs.extend([fix[1].eig_wedge, fix[1].eig_gamma])
-        pairs.extend(fix[3]._cache.values())
     pairs.extend([critical_wave[0].eig_star, critical_wave[0].eig_gamma])
     worst = max(p.residual for p in pairs)
     report(5, worst < 1e-5, f"max eigen residual = {worst:.2e} over {len(pairs)} eigenpairs")
@@ -202,8 +194,8 @@ def test_criterion_6_oracle_equivalence(curves):
 
 
 def test_criterion_7_scalar_wave(scalar_wave):
-    roots, env, profile, _ = scalar_wave
-    ver = verify_wave(profile, decay_expected=roots.mu_wedge, floor_required=0.9)
+    roots, env, profile = scalar_wave
+    ver = verify_wave(profile, floor_required=0.9)
     ok = (
         profile.trapping_violation < 1e-6
         and profile.pde_residual < 1e-5
@@ -216,10 +208,9 @@ def test_criterion_7_scalar_wave(scalar_wave):
     ))
 
 
-def test_criterion_8_critical_wave(critical_wave, curves):
+def test_criterion_8_critical_wave(critical_wave):
     env, profile = critical_wave
-    mu_star = curves["scalar"].mu_star
-    ver = verify_wave(profile, decay_expected=mu_star, critical=True, mu_star=mu_star)
+    ver = verify_wave(profile)
     ok = profile.trapping_violation < 1e-5 and abs(ver.shape_slope - 1.0) <= 0.2
     report(8, ok, (
         f"trapping={profile.trapping_violation:.2e} shape slope={ver.shape_slope:.4f} "
@@ -228,8 +219,8 @@ def test_criterion_8_critical_wave(critical_wave, curves):
 
 
 def test_criterion_9_system_wave(system_wave):
-    roots, env, profile, _ = system_wave
-    ver = verify_wave(profile, decay_expected=1.0, decay_rtol=0.05)
+    roots, env, profile = system_wave
+    ver = verify_wave(profile, decay_rtol=0.05)
     ok = (
         profile.trapping_violation < 1e-5
         and abs(ver.decay_rate - 1.0) <= 0.05

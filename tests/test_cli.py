@@ -67,6 +67,25 @@ class TestConfigParsing:
             load_config(p)
         assert run_config(p, out=tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("params", [
+        {"tol": "abc"},
+        {"tol": -1},
+        {"e": [0]},
+        {"frame": {"e": [1], "c": "abc"}},
+        {"mu_list": "abc"},
+        {"sampling_factor": "x"},
+        {"wave": {"a": "x"}},
+        {"wave": [1]},
+        {"probe": [1]},
+        {"simulate": "x"},
+    ])
+    def test_malformed_params_exit_two(self, tmp_path, capsys, params):
+        cfg = scalar_config(["wave", "simulate", "probe"], extra_params={"c": 2.5, **params})
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/*.json"))
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         p = write_config(tmp_path, scalar_config(["validate"]))
         assert main(["validate", str(p)]) == 0
@@ -131,6 +150,17 @@ class TestRunConfig:
         doc = json.loads((out / "wave.json").read_text())
         assert doc["pipeline"] == "critical"
         assert doc["diagnostics"]["trapping_violation"] < 1e-5
+
+    @pytest.mark.parametrize("c, pipeline", [(2.5, "supercritical"), (2.0, "critical")])
+    def test_wave_a_schedule(self, tmp_path, c, pipeline):
+        wave = {"a_schedule": [8.0, 16.0, 24.0, 32.0, 40.0], "window": 4.0, "dz": 0.05}
+        cfg = scalar_config(["wave"], extra_params={"c": c, "wave": wave})
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+        doc = json.loads((out / "wave.json").read_text())
+        assert doc["status"] == "ok"
+        assert doc["pipeline"] == pipeline
+        assert doc["diagnostics"]["stabilization_gap"] < 1e-3  # the default gap_tol
 
     def test_probe_task(self, tmp_path):
         cfg = scalar_config(["probe"], extra_params={
@@ -211,6 +241,16 @@ class TestRunConfig:
         disp = json.loads((out / "dispersion.json").read_text())
         assert disp["c_star"] == pytest.approx(2.0, abs=1e-8)
         assert disp["roots"]["mu_wedge"] == pytest.approx(0.5, abs=1e-7)
+
+    def test_readme_quick_start(self, capsys):
+        # the Python block of README.md exactly as written
+        blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], str(README), "exec"), {})
+        printed = capsys.readouterr().out
+        assert printed.startswith("WaveVerification(")
+        for check in ("downstream_pass", "decay_pass", "upstream_pass"):
+            assert f"{check}=True" in printed
 
     def test_unexpected_error_exits_three_with_traceback(self, tmp_path, monkeypatch):
         def broken(ctx, outdir):

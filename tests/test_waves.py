@@ -9,7 +9,6 @@ from conftest import scalar_system, system_2x2, time_periodic_l
 from wavekit import waves
 from wavekit.coeffs import logistic_envelope, nondimensionalize
 from wavekit.dispersion import minimal_speed, speed_roots, static_frame
-from wavekit.eigen import EigenEvaluator
 from wavekit.errors import NumericalError, WavekitError
 from wavekit.frame import make_frame, transform_coefficients
 from wavekit.pde_core import GridField, build_operator_mu, solve_periodic_bvp
@@ -22,7 +21,6 @@ from wavekit.waves import (
     extend_to_entire,
     fixed_point_truncated,
     verify_wave,
-    _cell_grid_for,
     _clamp_supersolution,
     _kink_mask,
     _positive_part_from_left,
@@ -41,19 +39,14 @@ def scalar_setup():
     curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
     roots = speed_roots(curve, 2.5, tol=1e-10)
     fsc = wave_frame(sys, 2.5)
-    ev = EigenEvaluator(fsc)
-    gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
-    env = build_envelopes_supercritical(
-        fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), ev.grid
-    )
+    env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 24.0, n_z=1201))
     return sys, curve, roots, fsc, env
 
 
 @pytest.fixture(scope="module")
 def scalar_profile(scalar_setup):
-    _, _, _, fsc, env = scalar_setup
-    return fixed_point_truncated(fsc, env, 24.0, tol=1e-8, n_z=1201,
-                                 record_iterates=True)
+    env = scalar_setup[-1]
+    return fixed_point_truncated(env, 24.0, tol=1e-8, n_z=1201, record_iterates=True)
 
 
 class TestSupercriticalEnvelopes:
@@ -89,11 +82,7 @@ class TestSupercriticalEnvelopes:
         curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
         roots = speed_roots(curve, 3.0, tol=1e-10)
         fsc = wave_frame(sys, 3.0)
-        ev = EigenEvaluator(fsc)
-        gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
-        env = build_envelopes_supercritical(
-            fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), ev.grid
-        )
+        env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 24.0, n_z=1201))
         assert roots.mu_wedge == pytest.approx(1.0, abs=1e-7)
         assert env.chi == pytest.approx(0.25, abs=1e-6)
         assert env.M == pytest.approx(8.0, abs=1e-4)  # N b / (chi kappa) = 2/0.25
@@ -110,44 +99,41 @@ class TestFixedPointTruncated:
             assert hi >= -1e-9
 
     def test_domain_too_short(self, scalar_setup):
-        _, _, _, fsc, env = scalar_setup
+        env = scalar_setup[-1]
         with pytest.raises(WavekitError, match="domain too short"):
-            fixed_point_truncated(fsc, env, env.a_star / 2, n_z=257)
+            fixed_point_truncated(env, env.a_star / 2, n_z=257)
 
     def test_relaxation_agrees_with_steady(self, scalar_setup):
-        _, _, _, fsc, env = scalar_setup
-        p_direct = fixed_point_truncated(fsc, env, 12.0, tol=1e-8, n_z=601)
-        p_relax = fixed_point_truncated(fsc, env, 12.0, tol=1e-8, n_z=601,
-                                        force_relaxation=True)
+        env = scalar_setup[-1]
+        p_direct = fixed_point_truncated(env, 12.0, tol=1e-8, n_z=601)
+        p_relax = fixed_point_truncated(env, 12.0, tol=1e-8, n_z=601, force_relaxation=True)
         assert np.abs(p_direct.u.values - p_relax.u.values).max() < 1e-5
 
 
 class TestExtendToEntire:
     def test_stabilization_gap(self, scalar_setup):
         # at dz = 0.02 the window gap between a=40 and a=60 drops below 1e-4
-        _, _, _, fsc, env = scalar_setup
-        profile = extend_to_entire(fsc, env, [40.0, 60.0], window=10.0,
-                                   tol=1e-4, dz=0.02)
+        env = scalar_setup[-1]
+        profile = extend_to_entire(env, [40.0, 60.0], window=10.0, tol=1e-4, dz=0.02)
         assert profile.info["stabilization_gap"] < 1e-4
         assert profile.a == 60.0
 
     def test_k_bound(self, scalar_setup):
         # logistic envelope for l = b = 1 forces max u <= K = 1
-        _, _, _, fsc, env = scalar_setup
-        profile = extend_to_entire(fsc, env, [40.0, 60.0], window=10.0,
-                                   tol=1e-4, dz=0.02)
+        env = scalar_setup[-1]
+        profile = extend_to_entire(env, [40.0, 60.0], window=10.0, tol=1e-4, dz=0.02)
         assert profile.u.values.max() <= 1.0 + 1e-6
         assert profile.info["k_bound_violation"] == 0.0
 
     def test_no_stabilization_raises(self, scalar_setup):
-        _, _, _, fsc, env = scalar_setup
+        env = scalar_setup[-1]
         with pytest.raises(NumericalError):
-            extend_to_entire(fsc, env, [12.0, 16.0], window=4.0, tol=1e-12, dz=0.04)
+            extend_to_entire(env, [12.0, 16.0], window=4.0, tol=1e-12, dz=0.04)
 
 
 class TestVerifyWave:
     def test_scalar_wave_checks(self, scalar_profile):
-        ver = verify_wave(scalar_profile, decay_expected=0.5, floor_required=0.9)
+        ver = verify_wave(scalar_profile, floor_required=0.9)
         assert ver.downstream_pass and ver.downstream_sup < 1e-3
         assert abs(ver.decay_rate - 0.5) <= 0.05
         assert ver.upstream_pass and ver.upstream_floor >= 0.9
@@ -158,8 +144,9 @@ class TestVerifyWave:
             e=(1.0,), c=2.5, a=g.z1, u=GridField(np.zeros((1, g.n_t, g.n_z)), g),
             trapping_violation=0.0, pde_residual=0.0,
             downstream_decay_rate=float("nan"), upstream_floor=0.0, iterations=0,
+            info={"pipeline": "supercritical", "mu_wedge": 0.5},
         )
-        ver = verify_wave(zero, decay_expected=0.5, floor_required=0.1)
+        ver = verify_wave(zero, floor_required=0.1)
         assert ver.downstream_pass
         assert not ver.upstream_pass
 
@@ -173,7 +160,7 @@ def critical_setup():
     curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
     fsc = wave_frame(sys, curve.c_star)
     grid = cylinder_grid(fsc, 60.0, n_z=6001)
-    env = build_envelopes_critical(fsc, curve.mu_star, curve.c_star, grid)
+    env = build_envelopes_critical(fsc, curve.mu_star, grid)
     return curve, fsc, grid, env
 
 
@@ -200,21 +187,18 @@ class TestCriticalPipeline:
         # and the pseudo-transient steady solver agree on a short cylinder
         curve, fsc, _, _ = critical_setup
         grid8 = cylinder_grid(fsc, 8.0, n_z=401)
-        env8 = build_envelopes_critical(fsc, curve.mu_star, curve.c_star, grid8)
-        p_direct = critical_fixed_point(fsc, env8, 8.0, tol=1e-8, grid=grid8)
-        p_relax = critical_fixed_point(fsc, env8, 8.0, tol=1e-8, grid=grid8,
-                                       force_relaxation=True)
+        env8 = build_envelopes_critical(fsc, curve.mu_star, grid8)
+        p_direct = critical_fixed_point(env8, 8.0, tol=1e-8, grid=grid8)
+        p_relax = critical_fixed_point(env8, 8.0, tol=1e-8, grid=grid8, force_relaxation=True)
         assert np.abs(p_direct.u.values - p_relax.u.values).max() < 1e-5
         assert p_relax.trapping_violation < 1e-8
 
     def test_critical_wave(self, critical_setup):
-        curve, fsc, grid, env = critical_setup
-        profile = critical_fixed_point(fsc, env, 60.0, tol=1e-8, grid=grid,
-                                       record_iterates=True)
+        _, _, grid, env = critical_setup
+        profile = critical_fixed_point(env, 60.0, tol=1e-8, grid=grid, record_iterates=True)
         assert profile.trapping_violation < 1e-5
         assert profile.pde_residual < 1e-6
-        ver = verify_wave(profile, decay_expected=curve.mu_star, critical=True,
-                          mu_star=curve.mu_star, decay_rtol=0.2)
+        ver = verify_wave(profile, decay_rtol=0.2)
         assert ver.shape_pass and abs(ver.shape_slope - 1.0) <= 0.2
         for lo, hi in profile.info["iterate_bounds"]:
             assert lo >= -1e-9 and hi >= -1e-9
@@ -346,9 +330,9 @@ class TestEnvelopeHelpers:
 class TestGridConvergence:
     def test_profile_invariant_under_dz_refinement(self, scalar_setup):
         # second-order discretization: halving dz moves the profile by O(dz^2)
-        _, _, _, fsc, env = scalar_setup
-        p1 = fixed_point_truncated(fsc, env, 12.0, tol=1e-9, n_z=601)
-        p2 = fixed_point_truncated(fsc, env, 12.0, tol=1e-9, n_z=1201)
+        env = scalar_setup[-1]
+        p1 = fixed_point_truncated(env, 12.0, tol=1e-9, n_z=601)
+        p2 = fixed_point_truncated(env, 12.0, tol=1e-9, n_z=1201)
         assert np.abs(p2.u.values[:, :, ::2] - p1.u.values).max() < 5e-4
 
     def test_profile_invariant_under_dt_refinement(self):
@@ -361,16 +345,11 @@ class TestGridConvergence:
         roots = speed_roots(curve, 2.5, tol=1e-10)
         fsc = transform_coefficients(nondimensionalize(sys),
                                      make_frame([1.0], 2.5, mode="space-homogeneous"))
-        gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
         profs = {}
         for n_t in (32, 64):
             grid = cylinder_grid(fsc, 12.0, n_t=n_t, n_z=601)
-            cell = _cell_grid_for(fsc, grid)
-            ev = EigenEvaluator(fsc, grid=cell)
-            env = build_envelopes_supercritical(
-                fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), cell
-            )
-            profs[n_t] = fixed_point_truncated(fsc, env, 12.0, tol=1e-8, grid=grid)
+            env = build_envelopes_supercritical(fsc, roots, grid)
+            profs[n_t] = fixed_point_truncated(env, 12.0, tol=1e-8, grid=grid)
         diff = np.abs(profs[64].u.values[:, ::2, :] - profs[32].u.values).max()
         assert diff < 1e-2  # backward Euler relaxation: O(dt)
 
@@ -400,12 +379,8 @@ class TestSpaceHomogeneousHigherDimension:
         assert roots.mu_wedge == pytest.approx(mu_oracle, abs=1e-8)
         fsc = transform_coefficients(nondimensionalize(sys),
                                      make_frame(e, 4.0, mode="space-homogeneous"))
-        ev = EigenEvaluator(fsc)
-        gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
-        env = build_envelopes_supercritical(
-            fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), ev.grid
-        )
-        profile = fixed_point_truncated(fsc, env, 24.0, tol=1e-8, n_z=1201)
+        env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 24.0, n_z=1201))
+        profile = fixed_point_truncated(env, 24.0, tol=1e-8, n_z=1201)
         assert profile.trapping_violation < 1e-8
         assert abs(profile.downstream_decay_rate - mu_oracle) / mu_oracle < 0.05
 
@@ -428,13 +403,8 @@ class TestSpacePeriodicWave:
         fsc = transform_coefficients(nondimensionalize(sys), make_frame([1], 3))
         assert not fsc.is_time_independent()  # drift mixes x into t
         grid = cylinder_grid(fsc, 8.0, n_t=64, points_per_cell=64)
-        cell = _cell_grid_for(fsc, grid)
-        ev = EigenEvaluator(fsc, grid=cell)
-        gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
-        env = build_envelopes_supercritical(
-            fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), cell
-        )
-        profile = fixed_point_truncated(fsc, env, 8.0, tol=1e-6, grid=grid)
+        env = build_envelopes_supercritical(fsc, roots, grid)
+        profile = fixed_point_truncated(env, 8.0, tol=1e-6, grid=grid)
         assert profile.trapping_violation < 1e-8
         assert abs(profile.downstream_decay_rate - roots.mu_wedge) / roots.mu_wedge < 0.15
         assert profile.upstream_floor > 0.3
@@ -448,12 +418,7 @@ def time_periodic_setup():
     roots = speed_roots(curve, 2.5, tol=1e-10)
     fsc = wave_frame(sys, 2.5)
     grid = cylinder_grid(fsc, 16.0, n_t=64, n_z=401)
-    cell = _cell_grid_for(fsc, grid)
-    ev = EigenEvaluator(fsc, grid=cell)
-    gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
-    env = build_envelopes_supercritical(
-        fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), cell
-    )
+    env = build_envelopes_supercritical(fsc, roots, grid)
     return curve, fsc, grid, env
 
 
@@ -484,9 +449,9 @@ def _reference_cold_loop(fsys, env, grid, tol):
 
 class TestTimePeriodicWave:
     def test_supercritical_time_periodic(self, time_periodic_setup):
-        curve, fsc, grid, env = time_periodic_setup
+        curve, _, grid, env = time_periodic_setup
         assert curve.c_star == pytest.approx(2.0, abs=1e-6)
-        profile = fixed_point_truncated(fsc, env, 16.0, tol=1e-6, grid=grid)
+        profile = fixed_point_truncated(env, 16.0, tol=1e-6, grid=grid)
         # backward-Euler relaxation: trapping is exact, the centered-difference
         # residual carries the O(dt) time-discretization mismatch
         assert profile.trapping_violation < 1e-8
@@ -498,8 +463,7 @@ class TestTimePeriodicWave:
         # same profile with a fraction of the relaxation periods
         _, fsc, grid, env = time_periodic_setup
         ref, ref_periods = _reference_cold_loop(fsc, env, grid, 1e-6)
-        profile = fixed_point_truncated(fsc, env, 16.0, tol=1e-6, grid=grid,
-                                        record_iterates=True)
+        profile = fixed_point_truncated(env, 16.0, tol=1e-6, grid=grid, record_iterates=True)
         assert np.abs(profile.u.values - ref).max() <= 1e-6
         for lo, hi in profile.info["iterate_bounds"]:
             assert lo >= -1e-9 and hi >= -1e-9
@@ -520,16 +484,13 @@ class TestTrappedIterates:
         c = c_ratio * curve.c_star
         roots = speed_roots(curve, c, tol=1e-10)
         fsc = wave_frame(sys, c)
-        ev = EigenEvaluator(fsc)
-        gamma = 0.5 * min(roots.mu_wedge, roots.mu_vee - roots.mu_wedge)
-        env = build_envelopes_supercritical(
-            fsc, roots, ev.pair(roots.mu_wedge), ev.pair(roots.mu_wedge + gamma), ev.grid
-        )
+        # a time-independent frame's eigen cell does not depend on the cylinder
+        env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 4.0, n_z=401))
         half = env.a_star + 4.0
         grid = cylinder_grid(fsc, half, n_z=401)
         with mock.patch.object(waves, "solve_periodic_bvp",
                                wraps=solve_periodic_bvp) as spy:
-            profile = fixed_point_truncated(fsc, env, half, tol=1e-7, grid=grid,
+            profile = fixed_point_truncated(env, half, tol=1e-7, grid=grid,
                                             record_iterates=True)
         for lo, hi in profile.info["iterate_bounds"]:
             assert lo >= -1e-9 and hi >= -1e-9
