@@ -174,6 +174,12 @@ class JobConfig:
         self.tasks = self._close_tasks(tasks)
         self.params = doc.get("params", {})
         _check_params(self.params)
+        # x-dependent coefficients take a rational direction (frame.make_frame)
+        frame_e = self.params.get("frame", {}).get("e")
+        for key, e in (("e", self.params.get("e")), ("frame.e", frame_e)):
+            if e and not self.system.is_space_homogeneous() and any(x != int(x) for x in e):
+                raise InputError(f"config.params.{key} must be integers when the coefficients "
+                                 f"depend on x, not {e!r}")
         if "wave" in self.tasks and self.params.get("c") is None:
             raise InputError("config.params.c is required for the wave task")
         self.out = Path(doc.get("out", base_dir / "out"))

@@ -67,7 +67,10 @@ class RationalDirection:
 
     @classmethod
     def from_ints(cls, v) -> "RationalDirection":
-        return cls(tuple(int(x) for x in v), 1)
+        nums = tuple(int(x) for x in v)  # integral floats such as 1.0 pass
+        if nums != tuple(v):
+            raise InputError(f"direction entries must be integers, not {list(v)}")
+        return cls(nums, 1)
 
     @property
     def n(self) -> int:

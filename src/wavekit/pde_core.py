@@ -2,19 +2,20 @@
 
 Grids live on one period in time and either a periodic cell [0, L_z) or a
 truncated interval [-a, a] in the profile coordinate z.  The linearized
-operators are second-order finite differences in conservative (flux) form;
-time stepping is implicit Euler by default (unconditionally stable and
-positivity preserving for cooperative couplings: the step matrix is an
-M-matrix at moderate mesh Peclet numbers), with a Crank-Nicolson option used
-by the eigensolver where second-order time accuracy matters.
+operators have one discretization, `stencil`: second-order finite differences
+in conservative (flux) form.  Time stepping is implicit Euler by default
+(unconditionally stable and positivity preserving for cooperative couplings:
+the step matrix is an M-matrix at moderate mesh Peclet numbers), with a
+Crank-Nicolson option used by the eigensolver where it matters.
 
 Boundary treatments of the step solver: periodic on a cell; Dirichlet on an
 interval when boundary data is given (the wave and eigen layers); zero flux on
 an interval without boundary data (the Cauchy layer), with the drift upwinded
 at the two end nodes so the step matrix stays an M-matrix.  A step solver
-assembles its spatial operator once, for all time slices, on one sparse
+assembles its spatial operator S once, for all time slices, on one sparse
 pattern; the step, Crank-Nicolson, steady and Newton matrices are all
-d I + s S on it, and the Dirichlet rows are a boolean mask.
+d I + s S on it, and the Dirichlet rows are a boolean mask.  The residual
+`apply_operator` is that of the backward-Euler scheme on the same S.
 
 Time-periodic boundary-value problems, linear or with a diagonal quadratic
 term, are solved by one driver: relaxation of the parabolic flow; a positive
@@ -28,6 +29,7 @@ semilinear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 
 import numpy as np
@@ -42,6 +44,8 @@ __all__ = [
     "GridField",
     "OperatorSpec",
     "build_operator_mu",
+    "stencil",
+    "apply_S",
     "apply_operator",
     "solve_periodic_bvp",
     "Stepper",
@@ -131,9 +135,6 @@ class GridField:
     def N(self) -> int:
         return self.values.shape[0]
 
-    def copy(self) -> "GridField":
-        return GridField(self.values.copy(), self.grid)
-
     def sup(self) -> float:
         return float(np.abs(self.values).max())
 
@@ -183,7 +184,8 @@ class OperatorSpec:
         (op u)_i = d_t u_i - d_z(a_i d_z u_i) + drift_i d_z u_i
                    - sum_j coupling_ij u_j + pot0_i u_i,
     with drift_i = q_z,i - 2 mu a_i and pot0_i = -(mu^2 a_i + mu d_z a_i
-    - mu q_z,i); mu = 0 recovers the plain frame operator.
+    - mu q_z,i); mu = 0 recovers the plain frame operator.  `stencil` is the
+    one reader that turns the tables into finite differences.
     """
 
     fsys: FrameSystem
@@ -191,7 +193,6 @@ class OperatorSpec:
     grid: Grid
     a_node: np.ndarray     # (N, n_t, n_z)
     a_half: np.ndarray     # (N, n_t, n_faces)
-    dza: np.ndarray        # (N, n_t, n_z): exact d_z a_i
     drift: np.ndarray      # (N, n_t, n_z)
     pot0: np.ndarray       # (N, n_t, n_z)
     coupling: np.ndarray   # (N, N, n_t, n_z): L'
@@ -251,51 +252,61 @@ def build_operator_mu(fsys: FrameSystem, mu: float, grid: Grid) -> OperatorSpec:
 
     drift = qz - 2.0 * mu * a_node
     pot0 = -(mu * mu * a_node + mu * dza - mu * qz)
-    return OperatorSpec(fsys, float(mu), grid, a_node, a_half, dza, drift, pot0, coupling, b_tab)
+    return OperatorSpec(fsys, float(mu), grid, a_node, a_half, drift, pot0, coupling, b_tab)
 
 
-# -- discrete residual ----------------------------------------------------------
+# -- the one stencil ------------------------------------------------------------
+
+def stencil(op: OperatorSpec, extra_diag: np.ndarray | None, nd: int):
+    """(lo, dg, up, off) of S, the spatial part of -(op + diag(extra_diag)),
+    on the first nd time slices:
+        (S v)_ij = lo_ij v_i,j-1 + dg_ij v_ij + up_ij v_i,j+1 + sum_l off_il,j v_lj,
+    off being the coupling off its diagonal.  Neighbours wrap on a periodic
+    cell; an interval's end rows are zero flux with the drift upwinded.
+    """
+    dz = op.grid.dz
+    periodic = op.grid.kind == "periodic"
+    a_h, q = op.a_half[:, :nd], op.drift[:, :nd]
+    if periodic:
+        aR, aL, qj = a_h, np.roll(a_h, 1, axis=2), q
+    else:
+        aR, aL, qj = a_h[..., 1:], a_h[..., :-1], q[..., 1:-1]
+    up = aR / dz**2 - qj / (2 * dz)
+    lo = aL / dz**2 + qj / (2 * dz)
+    dg = -(aR + aL) / dz**2
+    if not periodic:
+        a0, aN, q0, qN = a_h[..., :1], a_h[..., -1:], q[..., :1], q[..., -1:]
+        pad = np.zeros_like(a0)  # no neighbour beyond an end node
+        up = np.concatenate([a0 / dz**2 + np.maximum(-q0, 0.0) / dz, up, pad], axis=2)
+        lo = np.concatenate([pad, lo, aN / dz**2 + np.maximum(qN, 0.0) / dz], axis=2)
+        dg = np.concatenate([
+            -a0 / dz**2 - np.abs(q0) / dz + np.maximum(q0, 0.0) / dz, dg,
+            -aN / dz**2 - np.abs(qN) / dz + np.maximum(-qN, 0.0) / dz,
+        ], axis=2)
+    L = op.coupling[:, :, :nd]
+    extra = 0.0 if extra_diag is None else extra_diag[:, :nd]
+    dg = dg - op.pot0[:, :nd] - extra + np.einsum("iikz->ikz", L)
+    off = L * (1.0 - np.eye(op.N))[:, :, None, None]
+    return lo, dg, up, off
+
+
+def apply_S(op: OperatorSpec, v: np.ndarray, extra_diag: np.ndarray | None) -> np.ndarray:
+    """S v on every time slice, v of shape (N, n_t, n_z)."""
+    lo, dg, up, off = stencil(op, extra_diag, op.grid.n_t)
+    # on an interval lo[..., 0] = up[..., -1] = 0: the rolls' wrap adds nothing
+    return (lo * np.roll(v, 1, axis=2) + dg * v + up * np.roll(v, -1, axis=2)
+            + np.einsum("ijtz,jtz->itz", off, v))
+
 
 def apply_operator(op: OperatorSpec, u: GridField, extra_diag: np.ndarray | None = None) -> GridField:
-    """Evaluate (op u) on the grid.
-
-    Centered differences over the periodic time axis, flux-form diffusion and
-    centered first derivatives inside; one-sided second-order stencils close
-    the Dirichlet ends of interval grids.
+    """(u_k - u_{k-1})/dt - S_k u_k over the periodic time axis, S as in `stencil`:
+    the residual of the backward-Euler scheme Stepper solves.  An interval's
+    end rows are the zero-flux rows; no caller reads them.
     """
     if u.grid != op.grid:
         raise InputError("grid mismatch between operator and field")
-    g = op.grid
     v = u.values
-    dt, dz = g.dt, g.dz
-
-    dudt = (np.roll(v, -1, axis=1) - np.roll(v, 1, axis=1)) / (2.0 * dt)
-
-    if g.kind == "periodic":
-        vp = np.roll(v, -1, axis=2)
-        vm = np.roll(v, 1, axis=2)
-        flux_r = op.a_half * (vp - v) / dz
-        div = (flux_r - np.roll(flux_r, 1, axis=2)) / dz
-        dudz = (vp - vm) / (2.0 * dz)
-    else:
-        div = np.zeros_like(v)
-        fr = op.a_half * (v[:, :, 1:] - v[:, :, :-1]) / dz
-        div[:, :, 1:-1] = (fr[:, :, 1:] - fr[:, :, :-1]) / dz
-        dudz = np.zeros_like(v)
-        dudz[:, :, 1:-1] = (v[:, :, 2:] - v[:, :, :-2]) / (2.0 * dz)
-        dudz[:, :, 0] = (-3 * v[:, :, 0] + 4 * v[:, :, 1] - v[:, :, 2]) / (2 * dz)
-        dudz[:, :, -1] = (3 * v[:, :, -1] - 4 * v[:, :, -2] + v[:, :, -3]) / (2 * dz)
-        # expanded a u'' + (d_z a) u' at the two boundary planes
-        d2_l = (2 * v[:, :, 0] - 5 * v[:, :, 1] + 4 * v[:, :, 2] - v[:, :, 3]) / dz**2
-        d2_r = (2 * v[:, :, -1] - 5 * v[:, :, -2] + 4 * v[:, :, -3] - v[:, :, -4]) / dz**2
-        div[:, :, 0] = op.a_node[:, :, 0] * d2_l + op.dza[:, :, 0] * dudz[:, :, 0]
-        div[:, :, -1] = op.a_node[:, :, -1] * d2_r + op.dza[:, :, -1] * dudz[:, :, -1]
-
-    cu = np.einsum("ijtz,jtz->itz", op.coupling, v)
-    res = dudt - div + op.drift * dudz - cu + op.pot0 * v
-    if extra_diag is not None:
-        res = res + extra_diag * v
-    return GridField(res, g)
+    return GridField((v - np.roll(v, 1, axis=1)) / op.grid.dt - apply_S(op, v, extra_diag), op.grid)
 
 
 # -- time stepping ---------------------------------------------------------------
@@ -340,12 +351,14 @@ class Stepper:
             self._dirichlet[: self.N] = self._dirichlet[-self.N:] = True
         self._assemble_S()
 
-        w = 1.0 if scheme == "be" else 0.5
-        self._lhs_lu = [splu(self._matrix(1.0, -w * g.dt, k)) for k in range(self.n_distinct)]
-        if scheme == "cn":
-            # the Dirichlet rows of the product are overwritten by _bc_into
-            self._rhs_mat = [self._matrix(1.0, 0.5 * g.dt, k).tocsr()
-                             for k in range(self.n_distinct)]
+    @cached_property  # on first use: steady and continuation solves never step
+    def _lhs_lu(self) -> list:
+        w = 1.0 if self.scheme == "be" else 0.5
+        return [splu(self._matrix(1.0, -w * self.grid.dt, k)) for k in range(self.n_distinct)]
+
+    @cached_property  # Crank-Nicolson; _bc_into overwrites the Dirichlet rows
+    def _rhs_mat(self) -> list:
+        return [self._matrix(1.0, 0.5 * self.grid.dt, k).tocsr() for k in range(self.n_distinct)]
 
     def _check_peclet(self):
         a = self.op.a_node
@@ -365,30 +378,9 @@ class Stepper:
         Sets _indices and _indptr (the pattern), _S_data (n_distinct, nnz)
         and _diag_pos, the position of each diagonal entry in the data.
         """
-        op, g = self.op, self.grid
-        N, dz, nd, size = self.N, g.dz, self.n_distinct, self.size
-        periodic = g.kind == "periodic"
-        a_h, q = op.a_half[:, :nd], op.drift[:, :nd]
-        if periodic:
-            aR, aL, qj = a_h, np.roll(a_h, 1, axis=2), q
-        else:
-            aR, aL, qj = a_h[..., 1:], a_h[..., :-1], q[..., 1:-1]
-        up = aR / dz**2 - qj / (2 * dz)
-        lo = aL / dz**2 + qj / (2 * dz)
-        dg = -(aR + aL) / dz**2
-        if not periodic:
-            # zero-flux end rows with the drift upwinded; unused on Dirichlet rows
-            a0, aN, q0, qN = a_h[..., :1], a_h[..., -1:], q[..., :1], q[..., -1:]
-            pad = np.zeros_like(a0)  # no neighbour beyond an end node
-            up = np.concatenate([a0 / dz**2 + np.maximum(-q0, 0.0) / dz, up, pad], axis=2)
-            lo = np.concatenate([pad, lo, aN / dz**2 + np.maximum(qN, 0.0) / dz], axis=2)
-            dg = np.concatenate([
-                -a0 / dz**2 - np.abs(q0) / dz + np.maximum(q0, 0.0) / dz, dg,
-                -aN / dz**2 - np.abs(qN) / dz + np.maximum(-qN, 0.0) / dz,
-            ], axis=2)
-        L = op.coupling[:, :, :nd]
-        extra = 0.0 if self.extra_diag is None else self.extra_diag[:, :nd]
-        dg = dg - op.pot0[:, :nd] - extra + np.einsum("iikz->ikz", L)
+        N, nd, size = self.N, self.n_distinct, self.size
+        periodic = self.grid.kind == "periodic"
+        lo, dg, up, coupling = stencil(self.op, self.extra_diag, nd)
 
         def flat(x):  # (N, nd, n_z) -> (nd, size), z-major
             return x.transpose(1, 2, 0).reshape(nd, size)
@@ -405,7 +397,7 @@ class Stepper:
         cols = np.concatenate([m, (m[has_up] + N) % size, (m[has_lo] - N) % size, c[off]])
         vals = np.concatenate([
             np.where(self._dirichlet, 0.0, flat(dg)), flat(up)[:, has_up], flat(lo)[:, has_lo],
-            L.transpose(2, 3, 0, 1).reshape(nd, size * N)[:, off],
+            coupling.transpose(2, 3, 0, 1).reshape(nd, size * N)[:, off],
         ], axis=1)
         order = np.lexsort((rows, cols))
         self._indices = rows[order]

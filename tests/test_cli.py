@@ -86,6 +86,18 @@ class TestConfigParsing:
         assert "config error:" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*.json"))
 
+    @pytest.mark.parametrize("params", [{"e": [1.5]}, {"frame": {"e": [0.5], "c": 3}}])
+    def test_fractional_direction_exit_two(self, tmp_path, capsys, params):
+        # x-dependent coefficients need an integer direction; 1.0 is one
+        cfg = scalar_config(["validate"], extra_params=params)
+        cfg["system"]["fields"]["L"] = [[[MODE, {"kt": 0, "kx": [1], "cos": 0.5, "sin": 0.0}]]]
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 2
+        assert "must be integers" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/*.json"))
+        cfg["params"] = {"e": [1.0], "frame": {"e": [1.0], "c": 3}}
+        assert load_config(write_config(tmp_path, cfg)).param("e") == [1.0]
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         p = write_config(tmp_path, scalar_config(["validate"]))
         assert main(["validate", str(p)]) == 0

@@ -106,6 +106,12 @@ class TestRationalBasis:
         with pytest.raises(InputError):
             RationalDirection.from_ints((1, 1))
 
+    def test_fractional_entries_rejected(self):
+        # int() would truncate (3.7, 4.2) to the direction (3, 4)/5
+        with pytest.raises(InputError, match="integers"):
+            make_frame([3.7, 4.2], 1)
+        assert RationalDirection.from_ints((3.0, 4.0)).numerators == (3, 4)
+
 
 class TestComputePeriods:
     def test_integer_speed(self):

@@ -209,6 +209,20 @@ class TestPeriodicBVP:
         assert 0.95 < mid[0] < 1.0
         assert mid[1] == pytest.approx(mid[0], abs=1e-8)
 
+    def test_orbit_has_zero_backward_euler_residual(self, rng):
+        # a time-periodic operator with extra_diag and Dirichlet data: the
+        # relaxed orbit solves the scheme apply_operator measures
+        fs = frame_of(_pattern_system(2, time_dep=True))
+        g = Grid.cylinder(1.0, 1.25, 16, 41)
+        op = build_operator_mu(fs, 0.3, g)
+        extra = rng.uniform(0.5, 1.0, (2, g.n_t, g.n_z))
+        bc = (rng.uniform(0.5, 1.0, (2, g.n_t)), rng.uniform(0.0, 0.5, (2, g.n_t)))
+        init = GridField(np.zeros((2, g.n_t, g.n_z)), g)
+        u, info = solve_periodic_bvp(op, bc, init, 1e-12, extra_diag=extra)
+        assert info["mode"] == "relaxation"
+        res = apply_operator(op, u, extra_diag=extra).values[:, :, 1:-1]
+        assert np.abs(res).max() <= 1e-7 * np.abs(u.values).max()
+
     def test_monotone_ordering_of_iterates(self):
         # ordered initial states stay ordered period after period
         op, g = self.cylinder_setup(a=4.0, n_z=129, l=0.5)
@@ -365,6 +379,16 @@ class TestSharedPattern:
             assert np.array_equal(st._matrix(1.0, -w * dt, k).toarray(), lhs_ref[k].toarray())
             assert np.array_equal(st._matrix(1.0, 0.5 * dt, k).toarray(), rhs_ref[k].toarray())
         assert np.array_equal(st.steady_matrix().toarray(), _reference_steady(st).toarray())
+
+        # apply_operator: the backward difference against the same S, on every
+        # row the reference assembles
+        u = rng.uniform(0.0, 1.0, (N, g.n_t, g.n_z))
+        res = apply_operator(op, GridField(u, g), extra_diag=extra_diag).values
+        rows = slice(None) if bc is None else slice(1, -1)
+        for k in range(g.n_t):
+            Su = (_reference_S(st, k % st.n_distinct) @ u[:, k].T.reshape(-1)).reshape(g.n_z, N).T
+            expect = (u[:, k] - u[:, k - 1]) / dt - Su
+            assert np.allclose(res[:, k, rows], expect[:, rows], rtol=1e-12, atol=1e-9)
 
         v = rng.uniform(0.0, 1.0, (N, g.n_z))
         for k in range(g.n_t):

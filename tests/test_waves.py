@@ -452,9 +452,8 @@ class TestTimePeriodicWave:
         curve, _, grid, env = time_periodic_setup
         assert curve.c_star == pytest.approx(2.0, abs=1e-6)
         profile = fixed_point_truncated(env, 16.0, tol=1e-6, grid=grid)
-        # backward-Euler relaxation: trapping is exact, the centered-difference
-        # residual carries the O(dt) time-discretization mismatch
         assert profile.trapping_violation < 1e-8
+        assert profile.pde_residual < 1e-5
         assert abs(profile.downstream_decay_rate - 0.5) / 0.5 < 0.1
         assert profile.upstream_floor > 0.5
 
