@@ -35,7 +35,6 @@ from .pde_core import (
 from .eigen import (
     EigenEvaluator,
     PrincipalEigenpair,
-    harnack_floor,
     lambda_mu_curve,
     principal_eigenvalue,
 )

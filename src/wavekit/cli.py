@@ -20,7 +20,6 @@ import sys as _sys
 import tempfile
 import time
 import traceback
-from fractions import Fraction
 from itertools import repeat
 from pathlib import Path
 
@@ -39,7 +38,7 @@ from .coeffs import nondimensionalize, system_from_json, validate_assumptions
 from .dispersion import minimal_speed, persistence_check, speed_roots, static_frame
 from .eigen import EigenEvaluator, lambda_mu_curve
 from .errors import InputError, NumericalError, WavekitError
-from .frame import frame_for, frame_from_json, transform_coefficients
+from .frame import frame_for, frame_from_json, parse_speed, transform_coefficients
 from .waves import (
     build_envelopes_critical,
     build_envelopes_supercritical,
@@ -90,14 +89,6 @@ def _dump_json(path: Path, payload: dict) -> None:
                                    default=_json_default) + "\n")
 
 
-def _parse_speed(c) -> float:
-    """A configured speed: a number or a rational string such as "5/2"."""
-    try:
-        return float(Fraction(c)) if isinstance(c, str) else float(c)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"not a speed: {c!r}") from exc
-
-
 def _integer(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
@@ -107,11 +98,11 @@ def _number(v) -> bool:
 
 
 def _speed(v) -> bool:
-    """None (the task's default) or a speed _parse_speed accepts."""
+    """None (the task's default) or a speed parse_speed accepts."""
     if v is None:
         return True
     try:
-        _parse_speed(v)
+        parse_speed(v)
     except InputError:
         return False
     return True
@@ -286,7 +277,7 @@ def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
     summary.update(curve.to_json())
     c_req = ctx.cfg.param("c")
     if c_req is not None:
-        c_val = _parse_speed(c_req)
+        c_val = parse_speed(c_req)
         if c_val - curve.c_star > 10.0 * ctx.eigen_tol:
             roots = speed_roots(curve, c_val, tol=ctx.eigen_tol)
             summary["roots"] = roots.to_json()
@@ -307,7 +298,7 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     curve = ctx.get_curve()
     wave_par = ctx.cfg.param("wave", {})
     c_req = ctx.cfg.param("c")
-    c_val = _parse_speed(c_req)
+    c_val = parse_speed(c_req)
     band = 10.0 * ctx.eigen_tol
     if c_val < curve.c_star - band:
         raise NumericalError(
@@ -422,7 +413,7 @@ def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
 def run_probe(ctx: TaskContext, outdir: Path) -> dict:
     curve = ctx.get_curve()
     par = ctx.cfg.param("probe", {})
-    c = curve.c_star / 2.0 if par.get("c") is None else _parse_speed(par["c"])
+    c = curve.c_star / 2.0 if par.get("c") is None else parse_speed(par["c"])
     e_scalar = float(par.get("e", ctx.e[-1]))
     rep = nonexistence_probe(
         ctx.sys, e_scalar, c, curve.c_star,

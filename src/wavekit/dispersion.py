@@ -19,7 +19,6 @@ from .coeffs import KPPSystem
 from .eigen import EigenEvaluator
 from .errors import InputError, NumericalError
 from .frame import FrameSystem, frame_for
-from .pde_core import Grid
 
 __all__ = [
     "DispersionCurve",
@@ -78,20 +77,20 @@ def static_frame(sys: KPPSystem, e=None) -> FrameSystem:
     return frame_for(sys, (0,) * (sys.n - 1) + (1,) if e is None else e, 0)
 
 
-def persistence_check(sys: KPPSystem, tol: float = 1e-8, grid: Grid | None = None) -> PersistenceReport:
+def persistence_check(sys: KPPSystem, tol: float = 1e-8) -> PersistenceReport:
     """Sign of the periodic principal eigenvalue at mu = 0 in the static frame.
 
     A nonnegative value means every solution of the Cauchy problem goes
     extinct uniformly in space, and the wave pipeline refuses to run.
     """
     fsys = static_frame(sys)
-    ev = EigenEvaluator(fsys, grid=grid, tol=tol)
+    ev = EigenEvaluator(fsys, tol=tol)
     pair = ev.pair(0.0)
     cls = "persistent" if pair.lam < 0 else "extinct"
     return PersistenceReport(pair.lam, cls, pair.residual)
 
 
-def minimal_speed(fsys: FrameSystem, tol: float = 1e-6, grid: Grid | None = None,
+def minimal_speed(fsys: FrameSystem, tol: float = 1e-6,
                   evaluator: EigenEvaluator | None = None) -> DispersionCurve:
     """Minimal wave speed c* = min_{mu>0} -lambda_{1,mu e}/mu on a c = 0 frame.
 
@@ -99,7 +98,7 @@ def minimal_speed(fsys: FrameSystem, tol: float = 1e-6, grid: Grid | None = None
     golden-section search down to tol.  Requires a persistent system, which is
     exactly what makes g blow up at 0+ and guarantees an interior minimum.
     """
-    ev = evaluator if evaluator is not None else EigenEvaluator(fsys, grid=grid, tol=min(tol, 1e-8))
+    ev = evaluator if evaluator is not None else EigenEvaluator(fsys, tol=min(tol, 1e-8))
     lo_lim, hi_lim = MU_BRACKET
 
     def g(mu):

@@ -35,7 +35,6 @@ __all__ = [
     "PrincipalEigenpair",
     "principal_eigenvalue",
     "lambda_mu_curve",
-    "harnack_floor",
     "default_cell_grid",
     "EigenEvaluator",
 ]
@@ -249,9 +248,8 @@ class EigenEvaluator:
     def __call__(self, mu: float) -> float:
         return self.pair(mu).lam
 
-    def derivative(self, mu: float, h: float | None = None) -> float:
-        if h is None:
-            h = max(1e-4, np.sqrt(self.tol))
+    def derivative(self, mu: float) -> float:
+        h = max(1e-4, np.sqrt(self.tol))
         h = min(h, 0.5 * mu) if mu > 0 else h
         return (self(mu + h) - self(mu - h)) / (2.0 * h)
 
@@ -261,7 +259,6 @@ class EigenEvaluator:
 
 
 def lambda_mu_curve(fsys: FrameSystem, mu_list, tol: float = 1e-8,
-                    grid: Grid | None = None,
                     evaluator: EigenEvaluator | None = None):
     """Sampled dispersion data [(mu, lambda, dlambda/dmu)] for positive mu.
 
@@ -270,7 +267,7 @@ def lambda_mu_curve(fsys: FrameSystem, mu_list, tol: float = 1e-8,
     mus = [float(m) for m in mu_list]
     if any(m <= 0 for m in mus) or sorted(mus) != mus:
         raise InputError("mu_list must be sorted and positive")
-    ev = evaluator if evaluator is not None else EigenEvaluator(fsys, grid=grid, tol=tol)
+    ev = evaluator if evaluator is not None else EigenEvaluator(fsys, tol=tol)
     out = []
     for mu in mus:
         lam = ev(mu)
@@ -278,12 +275,3 @@ def lambda_mu_curve(fsys: FrameSystem, mu_list, tol: float = 1e-8,
         out.append((mu, lam, dlam))
     return out
 
-
-def harnack_floor(pair: PrincipalEigenpair) -> float:
-    """Uniform positive floor of the max-one normalized eigenfunction."""
-    if pair.normalization != "max-one":
-        raise InputError("harnack_floor expects a max-one normalized eigenpair")
-    m = float(pair.eigenfunction.values.min())
-    if m <= 0:
-        raise NumericalError("eigenfunction positivity violated; solver failure")
-    return m

@@ -33,6 +33,7 @@ __all__ = [
     "rational_basis",
     "compute_periods",
     "make_frame",
+    "parse_speed",
     "frame_from_json",
     "frame_for",
     "transform_coefficients",
@@ -136,6 +137,14 @@ def _as_fraction(c) -> Fraction:
             'rational (pass a string like "3/2" or a Fraction)'
         )
     raise InputError(f"cannot interpret speed {c!r} as a rational number")
+
+
+def parse_speed(c) -> float:
+    """A speed as a float: a number or a rational string such as "5/2"."""
+    try:
+        return float(Fraction(c)) if isinstance(c, str) else float(c)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"not a speed: {c!r}") from exc
 
 
 def _frac_lcm(values):
@@ -274,8 +283,7 @@ def make_frame(e, c, mode: str = "rational") -> MovingFrame:
             P = np.eye(nn) - 2.0 * np.outer(w, w) / np.dot(w, w)
             if nn >= 2:
                 P[:, 0] = -P[:, 0]
-        cf = float(Fraction(c)) if isinstance(c, str) else float(c)
-        return MovingFrame("space-homogeneous", tuple(ev), cf, P, 1, None)
+        return MovingFrame("space-homogeneous", tuple(ev), parse_speed(c), P, 1, None)
     raise InputError(f"unknown frame mode {mode!r}")
 
 

@@ -450,7 +450,8 @@ class Stepper:
         bias.  b_k is the (N, n_z) diagonal quadratic coefficient at t_{k+1};
         it is ignored on Dirichlet rows, which carry pure boundary data.  A
         Crank-Nicolson Stepper is refused: its cached matrix I - dt/2 S would
-        halve S in the steady state.
+        halve S in the steady state.  The iteration diverges when dt b w is
+        large; running out of iterations or leaving the finite numbers raises.
         """
         if self.scheme != "be":
             raise InputError("the implicit quadratic step needs a backward-Euler Stepper")
@@ -460,13 +461,18 @@ class Stepper:
         rhs0 = self._bc_into(self._flat(v), kk)
         lu = self._lhs_lu[kk % self.n_distinct]
         w = lu.solve(rhs0)
-        for _ in range(_QUAD_MAX_INNER):
-            w_new = lu.solve(rhs0 - dt * b * w * w)
-            if np.abs(w_new - w).max() <= _QUAD_TOL * (1.0 + np.abs(w_new).max()):
+        changes = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(_QUAD_MAX_INNER):
+                w_new = lu.solve(rhs0 - dt * b * w * w)
+                changes.append(float(np.abs(w_new - w).max()))
                 w = w_new
-                break
-            w = w_new
-        return self._unflat(w)
+                if not np.isfinite(changes[-1]):
+                    break
+                if changes[-1] <= _QUAD_TOL * (1.0 + np.abs(w).max()):
+                    return self._unflat(w)
+        raise NumericalError("implicit quadratic step did not converge (dt b u too large?)",
+                             history=changes)
 
     def run_period(self, v0: np.ndarray, store_orbit: bool = False,
                    quadratic: np.ndarray | None = None):

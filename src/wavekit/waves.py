@@ -199,7 +199,6 @@ class SupercriticalEnvelopes:
     cell: Grid
     ubar: GridField | None = None   # last materialization
     ulow: GridField | None = None
-    info: dict = field(default_factory=dict)
 
     def materialize(self, grid: Grid) -> tuple[GridField, GridField]:
         Uw = _extend_to_cylinder(self.eig_wedge.eigenfunction.values, self.cell, grid)
@@ -214,20 +213,6 @@ class SupercriticalEnvelopes:
     def fixed_point(self, a: float, **kw) -> WaveProfile:
         return fixed_point_truncated(self, a, **kw)
 
-    def boundary_values(self, a: float) -> np.ndarray:
-        """min over components/time of u_low(t, -a) / e^{-mu_wedge a}."""
-        Uw = self.eig_wedge.eigenfunction.values
-        Ug = self.eig_gamma.eigenfunction.values
-        cell = self.cell
-        if np.all(Uw == Uw[..., :1]) and np.all(Ug == Ug[..., :1]):
-            j = 0
-        else:
-            frac = (-a - cell.z0) / cell.dz
-            j = int(round(frac)) % cell.n_z
-            if abs(frac - round(frac)) > 1e-6:
-                raise InputError("a must align with the coefficient cell")
-        return Uw[:, :, j] - self.M * np.exp(-self.gamma * a) * Ug[:, :, j]
-
 
 def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid,
                                   tol: float = 1e-8) -> SupercriticalEnvelopes:
@@ -239,6 +224,13 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid,
     min(mu_wedge, mu_vee - mu_wedge)/2, are solved to tol on the matching
     periodic cell; in that frame the eigenvalues are lambda_{1,mu} + c mu, so
     the first must vanish and chi, the second, must be positive.
+
+    The smallest admissible half-length a_star is a multiple of step, the cell
+    length (1 without a cell), so -a is cell node 0, where e^{mu_wedge a}
+    u_low(-a) = U0_wedge - M e^{-gamma a} U0_gamma (max-one eigenfunctions):
+    a_star = step ceil(max(4, -ln K / mu_wedge,
+                           max ln(M U0_gamma / (U0_wedge - _A_MARGIN)) / gamma) / step),
+    the inner max over components and times.
     """
     mu_w, mu_v = roots.mu_wedge, roots.mu_vee
     gamma = 0.5 * min(mu_w, mu_v - mu_w)
@@ -257,25 +249,17 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid,
     M = max(1.0 / kappa, N * b_bar / (chi * kappa))
     _, K = logistic_envelope(fsys)
 
-    env = SupercriticalEnvelopes(fsys, roots.c, mu_w, mu_v, gamma, M, chi, np.inf,
-                                 eig_wedge, eig_gamma, cell,
-                                 info={"lam_wedge_residual": eig_wedge.lam,
-                                       "b_bar": b_bar, "kappa_gamma": kappa, "K": K})
-
-    # smallest admissible half-length: u_low(-a) >> 0 with a relative margin,
-    # and e^{-mu_wedge a} <= K so the boundary data sits under the K-envelope
     step = fsys.L_z if fsys.L_z is not None else 1.0
-    a_min_K = max(0.0, -np.log(K) / mu_w)
-    a = max(4.0, a_min_K)
-    a = step * np.ceil(a / step)
-    while env.boundary_values(a).min() <= _A_MARGIN:
-        a *= 2.0
-        if a > 1e6:
-            raise NumericalError("no admissible truncation half-length below 1e6")
-    while a - step >= max(4.0, a_min_K) and env.boundary_values(a - step).min() > _A_MARGIN:
-        a -= step
-    env.a_star = float(a)
-    return env
+    room = eig_wedge.eigenfunction.values[:, :, 0] - _A_MARGIN
+    if room.min() > 0:
+        a_sub = float(np.log((M * eig_gamma.eigenfunction.values[:, :, 0] / room).max())) / gamma
+    else:
+        a_sub = np.inf
+    a = max(4.0, -np.log(K) / mu_w, a_sub)
+    if not a <= 1e6:
+        raise NumericalError("no admissible truncation half-length below 1e6")
+    return SupercriticalEnvelopes(fsys, roots.c, mu_w, mu_v, gamma, M, chi,
+                                  float(step * np.ceil(a / step)), eig_wedge, eig_gamma, cell)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +529,6 @@ class CriticalEnvelopes:
     cell: Grid
     ubar: GridField | None = None
     ulow: GridField | None = None
-    info: dict = field(default_factory=dict)
 
     # -- materialization -----------------------------------------------------
 
@@ -642,6 +625,12 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
     negative at mu* + gamma (strict concavity of the dispersion eigenvalue).
     Mean-one normalization keeps mu -> u'_mu differentiable; the derivative is
     a centered difference with step _H_REL * mu*.
+
+    M3 has an upper end: the core -Theta_dot - M3 Theta + Theta_gamma is
+    positive at the downstream node only for M3 < min (Theta_gamma -
+    Theta_dot) / Theta there.  Its search bisects up to that end instead of
+    doubling past it, keeps its 2% margin at most halfway to the end, and
+    raises "increase a" only if no value below the end passes.
     """
     gamma = 0.5 * mu_star
     cell = _cell_grid_for(fsys, grid)
@@ -661,7 +650,6 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
     env = CriticalEnvelopes(
         fsys, mu_star, gamma, 1.0, 1.0, 1.0, g_gamma, np.inf,
         pair_star, pair_g, du, cell,
-        info={"lam_star_residual": pair_star.lam},
     )
     theta, theta_dot, theta_g = env._pieces(grid)
     op0 = build_operator_mu(fsys, 0.0, grid)
@@ -672,22 +660,26 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
     # oversized constants are admissible but push the subsolution support far
     # downstream and dilute the profile's |z| e^{mu* z} shape on finite grids
 
-    def tune(start, pred, what):
-        val = start
-        while not pred(val):
-            val *= 2.0
-            if val > _TUNE_CAP:
+    def tune(start, pred, what, end):
+        lo, hi = start / 2.0, start
+        while not pred(hi):
+            if 2.0 * hi >= end:  # pred fails at end: bisect up to it instead
+                lo, hi = hi, end
+                break
+            lo, hi = hi, 2.0 * hi
+            if hi > _TUNE_CAP:
                 raise NumericalError(f"envelope tuning failed: {what} cap reached")
-        lo, hi = val / 2.0, val
-        if pred(lo):
-            return val
+        if hi < end and pred(lo):
+            return hi
         for _ in range(8):
             mid = 0.5 * (lo + hi)
             if pred(mid):
                 hi = mid
             else:
                 lo = mid
-        return 1.02 * hi
+        if hi == end:
+            raise NumericalError(f"no {what} below its upper end {end:.6g} passes: increase a")
+        return min(1.02 * hi, 0.5 * (hi + end))
 
     def m1_ok(m1):
         try:
@@ -696,7 +688,7 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
         except NumericalError:
             return False
 
-    env.M1 = tune(1.0, m1_ok, "M1")
+    env.M1 = tune(1.0, m1_ok, "M1", np.inf)
 
     # M2: dominate the uncoupled quadratic on the plateau and on the grid
     lsum = op0.coupling.sum(axis=1)                      # (N, n_t, n_z)
@@ -715,20 +707,19 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
         viol = np.where(mask, -ineq / scale, -np.inf)[:, :, 2:-2].max()
         return viol <= tol_rel
 
-    env.M2 = tune(m2_floor, m2_ok, "M2")
+    env.M2 = tune(m2_floor, m2_ok, "M2", np.inf)
 
     # M3: order the pair, vanish upstream, and satisfy the reduced
     # subsolution inequality chi Theta_gamma + (B' ubar) o core <= 0
     ubar, _ = _clamp_supersolution(theta_dot, env.M1, env.M2)
     Bubar = np.einsum("ijtz,jtz->itz", op0.b_tab, ubar)
+    m3_end = float(((theta_g - theta_dot) / theta)[:, :, 0].min())
 
     def m3_ok(m3):
         core = -theta_dot - m3 * theta + theta_g
         try:
             ulow = env.M1 * env.M2 * _positive_part_from_left(core, grid.z)[0]
-        except NumericalError as exc:
-            if "increase a" in str(exc):
-                raise
+        except NumericalError:
             return False
         support = ulow > 0
         ineq = g_gamma * theta_g + Bubar * core
@@ -737,10 +728,9 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
         order_viol = float((ulow - ubar).max())
         return viol_sub <= tol_rel and order_viol <= tol * (1 + np.abs(ubar).max())
 
-    env.M3 = tune(1.0, m3_ok, "M3")
+    env.M3 = tune(1.0, m3_ok, "M3", m3_end)
 
     env.materialize(grid)
-    env.info.update({"tol_rel": tol_rel})
     return env
 
 

@@ -8,7 +8,6 @@ from wavekit.coeffs import Mode, PeriodicField, nondimensionalize
 from wavekit.eigen import (
     EigenEvaluator,
     _monodromy_rk4,
-    harnack_floor,
     lambda_mu_curve,
     principal_eigenvalue,
 )
@@ -137,21 +136,16 @@ class TestCurveAndDerivative:
 class TestHarnackFloor:
     def test_constant_eigenfunction(self):
         pair = EigenEvaluator(frame_of(scalar_system())).pair(0.5)
-        assert harnack_floor(pair) == pytest.approx(1.0, abs=1e-9)
+        assert pair.kappa == pytest.approx(1.0, abs=1e-9)
 
     def test_asymmetric_coupling(self):
         # L = [[0,4],[1,0]]: Perron vector (2,1), max-one floor 0.5
         pair = EigenEvaluator(frame_of(system_2x2(l12=4.0, l21=1.0))).pair(0.0)
-        assert harnack_floor(pair) == pytest.approx(0.5, abs=1e-9)
+        assert pair.kappa == pytest.approx(0.5, abs=1e-9)
 
     def test_time_periodic_floor(self):
         pair = EigenEvaluator(frame_of(scalar_system(l_field=time_periodic_l()))).pair(0.0)
-        assert harnack_floor(pair) == pytest.approx(np.exp(-1 / np.pi), abs=1e-9)
-
-    def test_mean_one_rejected(self):
-        ev = EigenEvaluator(frame_of(scalar_system()), normalization="mean-one")
-        with pytest.raises(InputError):
-            harnack_floor(ev.pair(0.5))
+        assert pair.kappa == pytest.approx(np.exp(-1 / np.pi), abs=1e-9)
 
 
 class TestInvariants:

@@ -156,6 +156,9 @@ class TestFrameFromJson:
         fr = frame_from_json({"e": [0.6, 0.8], "c": 1.7, "mode": "space-homogeneous"})
         assert fr.mode == "space-homogeneous"
         assert np.allclose(fr.P_floats()[:, -1], [0.6, 0.8])
+        assert frame_from_json({"e": [1], "c": "5/2", "mode": "space-homogeneous"}).c == 2.5
+        with pytest.raises(InputError, match="not a speed"):
+            frame_from_json({"e": [1], "c": "fast", "mode": "space-homogeneous"})
 
     def test_missing_fields(self):
         from wavekit.frame import frame_from_json

@@ -33,6 +33,33 @@ def wave_frame(sys, c):
     )
 
 
+def a_star_reference(env):
+    """The search for a_star before its closed form.
+
+    Doubles a from the smallest cell multiple above max(4, -ln K / mu_wedge)
+    until min u_low(-a) e^{mu_wedge a} clears waves._A_MARGIN, then steps back
+    down one cell at a time while it still does.
+    """
+    _, K = logistic_envelope(env.fsys)
+    Uw = env.eig_wedge.eigenfunction.values
+    Ug = env.eig_gamma.eigenfunction.values
+
+    def boundary_min(a):
+        j = 0
+        if not (np.all(Uw == Uw[..., :1]) and np.all(Ug == Ug[..., :1])):
+            j = int(round((-a - env.cell.z0) / env.cell.dz)) % env.cell.n_z
+        return (Uw[:, :, j] - env.M * np.exp(-env.gamma * a) * Ug[:, :, j]).min()
+
+    step = env.fsys.L_z if env.fsys.L_z is not None else 1.0
+    a_min = max(4.0, -np.log(K) / env.mu_wedge)
+    a = step * np.ceil(a_min / step)
+    while boundary_min(a) <= waves._A_MARGIN:
+        a *= 2.0
+    while a - step >= a_min and boundary_min(a - step) > waves._A_MARGIN:
+        a -= step
+    return float(a)
+
+
 @pytest.fixture(scope="module")
 def scalar_setup():
     sys = scalar_system()
@@ -59,6 +86,7 @@ class TestSupercriticalEnvelopes:
         _, _, _, _, env = scalar_setup
         assert env.chi == pytest.approx(0.3125, abs=1e-6)
         assert env.M == pytest.approx(3.2, abs=1e-5)
+        assert env.a_star == a_star_reference(env)
 
     def test_supersolution_residual_small(self, scalar_setup, scalar_profile):
         # R ubar = 0 in the continuum; discrete residual is O(dz^2)
@@ -86,6 +114,7 @@ class TestSupercriticalEnvelopes:
         assert roots.mu_wedge == pytest.approx(1.0, abs=1e-7)
         assert env.chi == pytest.approx(0.25, abs=1e-6)
         assert env.M == pytest.approx(8.0, abs=1e-4)  # N b / (chi kappa) = 2/0.25
+        assert env.a_star == a_star_reference(env)
 
 
 class TestFixedPointTruncated:
@@ -192,6 +221,29 @@ class TestCriticalPipeline:
         p_relax = critical_fixed_point(env8, 8.0, tol=1e-8, grid=grid8, force_relaxation=True)
         assert np.abs(p_direct.u.values - p_relax.u.values).max() < 1e-5
         assert p_relax.trapping_violation < 1e-8
+
+    def test_one_slice_relaxation_raises(self, critical_setup):
+        # with n_t = 1 the step is dt = T, and the implicit quadratic
+        # iteration diverges instead of returning an unconverged iterate
+        curve, fsc, _, _ = critical_setup
+        grid = cylinder_grid(fsc, 8.0, n_t=1, n_z=401)
+        env = build_envelopes_critical(fsc, curve.mu_star, grid)
+        with pytest.raises(NumericalError, match="implicit quadratic step"):
+            critical_fixed_point(env, 8.0, tol=1e-8, grid=grid, force_relaxation=True)
+
+    @pytest.mark.parametrize("a, m3", [(8.0, 7.4906250000000005), (9.0, None), (10.0, None),
+                                       (12.0, None), (16.0, 8.98875)])
+    def test_every_half_length(self, critical_setup, a, m3):
+        # M3's admissible range ends near a; doubling past that end used to
+        # raise "increase a" at a = 9..12, between half-lengths that built
+        curve, fsc, _, _ = critical_setup
+        grid = cylinder_grid(fsc, a, dz=0.05)
+        env = build_envelopes_critical(fsc, curve.mu_star, grid)
+        if m3 is not None:
+            assert env.M3 == m3
+        profile = env.fixed_point(a, tol=1e-7, grid=grid)
+        assert profile.trapping_violation <= 1e-8
+        assert profile.pde_residual <= 1e-8
 
     def test_critical_wave(self, critical_setup):
         _, _, grid, env = critical_setup
@@ -404,6 +456,7 @@ class TestSpacePeriodicWave:
         assert not fsc.is_time_independent()  # drift mixes x into t
         grid = cylinder_grid(fsc, 8.0, n_t=64, points_per_cell=64)
         env = build_envelopes_supercritical(fsc, roots, grid)
+        assert env.a_star == a_star_reference(env)
         profile = fixed_point_truncated(env, 8.0, tol=1e-6, grid=grid)
         assert profile.trapping_violation < 1e-8
         assert abs(profile.downstream_decay_rate - roots.mu_wedge) / roots.mu_wedge < 0.15
@@ -451,6 +504,7 @@ class TestTimePeriodicWave:
     def test_supercritical_time_periodic(self, time_periodic_setup):
         curve, _, grid, env = time_periodic_setup
         assert curve.c_star == pytest.approx(2.0, abs=1e-6)
+        assert env.a_star == a_star_reference(env)
         profile = fixed_point_truncated(env, 16.0, tol=1e-6, grid=grid)
         assert profile.trapping_violation < 1e-8
         assert profile.pde_residual < 1e-5
@@ -485,6 +539,7 @@ class TestTrappedIterates:
         fsc = wave_frame(sys, c)
         # a time-independent frame's eigen cell does not depend on the cylinder
         env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 4.0, n_z=401))
+        assert env.a_star == a_star_reference(env)
         half = env.a_star + 4.0
         grid = cylinder_grid(fsc, half, n_z=401)
         with mock.patch.object(waves, "solve_periodic_bvp",
