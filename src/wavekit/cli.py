@@ -173,6 +173,9 @@ class JobConfig:
                                  f"depend on x, not {e!r}")
         if "wave" in self.tasks and self.params.get("c") is None:
             raise InputError("config.params.c is required for the wave task")
+        if {"n_z", "a_schedule"} <= set(self.params.get("wave", {})):
+            raise InputError("config.params.wave.n_z gives each a_schedule cylinder its own dz: "
+                             "use wave.dz (or wave.points_per_cell) instead")
         self.out = Path(doc.get("out", base_dir / "out"))
 
     @staticmethod
@@ -336,9 +339,8 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
                                    tol=float(wave_par.get("gap_tol", 1e-3)),
                                    profile_tol=profile_tol, **grid_kw)
     else:
-        profile = env.fixed_point(a0, tol=profile_tol, grid=grid0)
+        profile = env.fixed_point(grid0, tol=profile_tol)
     ver = verify_wave(profile)
-    # read after the solve: critical materialize updates a_star
     env_info = {k: getattr(env, k) for k in env.reported}
 
     profile.u.to_csv(outdir / "wave_profile.csv")
@@ -442,30 +444,19 @@ _RUNNERS = {
 }
 
 
-def emit_report(outdir: Path, wall_times: dict | None = None) -> dict:
-    """Merge per-task summaries into report.json plus an index SVG.
+def emit_report(outdir: Path, sections: dict, wall_times: dict | None = None) -> dict:
+    """Write report.json and index.svg for one run's task summaries.
 
-    Duplicate task outputs (e.g. task.json and task_2.json) are resolved by
-    file modification time, newest wins, with a warning recorded.
+    sections maps each task of the run, skipped ones included, to its
+    summary; index.svg lists each task with its status.  Other files in
+    outdir, such as an earlier run's task JSON, are not read.
     """
-    outdir = Path(outdir)
-    sections = {}
-    warnings = []
-    for task in TASKS:
-        candidates = sorted(outdir.glob(f"{task}*.json"), key=lambda p: p.stat().st_mtime)
-        candidates = [p for p in candidates if p.name != "report.json"]
-        if not candidates:
-            continue
-        if len(candidates) > 1:
-            warnings.append(
-                f"duplicate outputs for {task}: kept {candidates[-1].name} (latest mtime)"
-            )
-        sections[task] = json.loads(candidates[-1].read_text())
     if not sections:
-        raise InputError("emit_report needs at least one task artifact")
+        raise InputError("emit_report needs at least one task summary")
     from . import __version__
 
-    report = {"wavekit_version": __version__, "sections": sections, "warnings": warnings}
+    outdir = Path(outdir)
+    report = {"wavekit_version": __version__, "sections": sections}
     disp = sections.get("dispersion", {})
     sim = sections.get("simulate", {})
     if disp.get("c_star") and sim.get("speed_right") is not None:
@@ -478,8 +469,7 @@ def emit_report(outdir: Path, wall_times: dict | None = None) -> dict:
     if wall_times:
         report["wall_times_s"] = wall_times
     _dump_json(outdir / "report.json", report)
-    lines = [f"{name}: ok" for name in sections]
-    lines += warnings
+    lines = [f"{name}: {section['status']}" for name, section in sections.items()]
     if "speed_cross_check" in report:
         lines.append(f"speed ratio sim/c* = {report['speed_cross_check']['ratio']:.4f}")
     svgplot.text_panel(outdir / "index.svg", "wavekit report", lines)
@@ -503,6 +493,7 @@ def run_config(path, out: str | None = None) -> int:
     ctx = TaskContext(cfg)
     wall = {}
     failed = {}
+    sections = {}
 
     def execute(task):
         t0 = time.perf_counter()
@@ -527,6 +518,7 @@ def run_config(path, out: str | None = None) -> int:
         summary["task"] = task
         summary["status"] = status
         _dump_json(outdir / f"{task}.json", summary)
+        sections[task] = summary
         wall[task] = time.perf_counter() - t0
         log.info("task %s: %s (%.2fs)", task, status, wall[task])
 
@@ -534,14 +526,13 @@ def run_config(path, out: str | None = None) -> int:
     for task in cfg.tasks:
         bad = [p for p in _PREREQS[task] if p in failed]
         if bad:
-            _dump_json(outdir / f"{task}.json", {
-                "task": task, "status": "skipped",
-                "error": f"prerequisite failed: {', '.join(bad)}",
-            })
+            sections[task] = {"task": task, "status": "skipped",
+                              "error": f"prerequisite failed: {', '.join(bad)}"}
+            _dump_json(outdir / f"{task}.json", sections[task])
         else:
             execute(task)
 
-    emit_report(outdir, wall_times=wall)
+    emit_report(outdir, sections, wall_times=wall)
     return 3 if failed else 0
 
 

@@ -24,7 +24,7 @@ upstream positivity floor and the discrete PDE residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -98,29 +98,19 @@ def cylinder_grid(fsys: FrameSystem, a: float, n_t: int | None = None,
 
 
 def _cell_grid_for(fsys: FrameSystem, grid: Grid) -> Grid:
-    cell = default_cell_grid(fsys)
-    n_t = cell.n_t if fsys.is_time_independent() else grid.n_t
-    return Grid.periodic_cell(fsys.T_frame, cell.z1, n_t, cell.n_z)
+    """fsys's eigen cell on the time nodes of the cylinder grid."""
+    return replace(default_cell_grid(fsys), n_t=grid.n_t)
 
 
 def _extend_to_cylinder(values: np.ndarray, cell: Grid, grid: Grid) -> np.ndarray:
-    """Map cell-periodic eigenfunction samples onto cylinder nodes, exactly."""
-    cv = values
-    if np.all(cv == cv[..., :1]):
-        jmap = np.zeros(grid.n_z, dtype=int)
-    else:
-        frac = (grid.z - cell.z0) / cell.dz
-        jmap = np.round(frac).astype(int)
-        if np.abs(frac - jmap).max() > 1e-6:
-            raise InputError("cylinder nodes do not align with the eigenfunction cell")
-        jmap %= cell.n_z
-    if np.all(cv == cv[:, :1, :]):
-        kmap = np.zeros(grid.n_t, dtype=int)
-    else:
-        if cell.n_t != grid.n_t or abs(cell.t_period - grid.t_period) > 1e-12:
-            raise InputError("eigenfunction time grid incompatible with the wave grid")
-        kmap = np.arange(grid.n_t)
-    return cv[:, kmap[:, None], jmap[None, :]]
+    """Map samples on the cylinder's eigen cell onto its z nodes, exactly."""
+    if np.all(values == values[..., :1]):
+        return values[:, :, np.zeros(grid.n_z, dtype=int)]
+    frac = (grid.z - cell.z0) / cell.dz
+    jmap = np.round(frac).astype(int)
+    if np.abs(frac - jmap).max() > 1e-6:
+        raise InputError("cylinder nodes do not align with the eigenfunction cell")
+    return values[:, :, jmap % cell.n_z]
 
 
 def _exp_profile(rate: float, z: np.ndarray) -> np.ndarray:
@@ -197,21 +187,18 @@ class SupercriticalEnvelopes:
     eig_wedge: PrincipalEigenpair
     eig_gamma: PrincipalEigenpair
     cell: Grid
-    ubar: GridField | None = None   # last materialization
-    ulow: GridField | None = None
 
     def materialize(self, grid: Grid) -> tuple[GridField, GridField]:
+        """(ubar, ulow) on the cylinder grid, whose eigen cell is self.cell."""
         Uw = _extend_to_cylinder(self.eig_wedge.eigenfunction.values, self.cell, grid)
         Ug = _extend_to_cylinder(self.eig_gamma.eigenfunction.values, self.cell, grid)
         z = grid.z
         ubar = _exp_profile(self.mu_wedge, z)[None, None, :] * Uw
         ulow = ubar - self.M * _exp_profile(self.mu_wedge + self.gamma, z)[None, None, :] * Ug
-        self.ubar = GridField(ubar, grid)
-        self.ulow = GridField(ulow, grid)
-        return self.ubar, self.ulow
+        return GridField(ubar, grid), GridField(ulow, grid)
 
-    def fixed_point(self, a: float, **kw) -> WaveProfile:
-        return fixed_point_truncated(self, a, **kw)
+    def fixed_point(self, grid: Grid, **kw) -> WaveProfile:
+        return fixed_point_truncated(self, grid, **kw)
 
 
 def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid,
@@ -266,21 +253,19 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid,
 # the supercritical fixed point
 
 
-def fixed_point_truncated(env: SupercriticalEnvelopes, a: float,
-                          tol: float = 1e-7, grid: Grid | None = None,
-                          force_relaxation: bool = False,
-                          record_iterates: bool = False,
-                          **grid_kw) -> WaveProfile:
-    """Damped fixed-point iteration for the truncated-cylinder profile.
+def fixed_point_truncated(env: SupercriticalEnvelopes, grid: Grid, tol: float = 1e-7,
+                          force_relaxation: bool = False) -> WaveProfile:
+    """Damped fixed-point iteration for the profile on the cylinder grid.
 
-    Each sweep solves the linear periodic-Dirichlet problem (R + diag(B' r)) u = 0
-    with boundary data (ulow v 0)(+-a), relaxing from the previous sweep's u
+    The half-length a is grid.z1, at least env.a_star.  Each sweep solves the
+    linear periodic-Dirichlet problem (R + diag(B' r)) u = 0 with boundary
+    data (ulow v 0)(+-a), relaxing from the previous sweep's u
     (the subsolution on the first) to max(tol/10, |u_prev - r|/100), and to
     tol/10 on the first and the terminating sweep.  The warm start lies in
     [usub, ubar] and the backward-Euler flow keeps order, so every iterate
     stays trapped; the converged u solves the discrete semilinear system.
     """
-    ubar_f, ulow_f, usub, op0, bc = _truncated_problem(env, a, grid, grid_kw)
+    ubar_f, ulow_f, usub, op0, bc = _truncated_problem(env, grid)
     ubar = ubar_f.values
     if usub[:, :, -1].max() > 0:
         raise NumericalError("subsolution must be nonpositive at the upstream end")
@@ -305,29 +290,27 @@ def fixed_point_truncated(env: SupercriticalEnvelopes, a: float,
         return u, bvp["periods"], inner_tol <= tol * 0.1
 
     return _damped_fixed_point(
-        env.fsys, op0, env.c, a, ubar, usub, inner, tol, record_iterates,
+        env.fsys, op0, env.c, ubar, usub, inner, tol,
         {"mu_wedge": env.mu_wedge, "pipeline": "supercritical",
          "supersolution_residual": super_resid,
          "subsolution_violation": sub_viol},
     )
 
 
-def _truncated_problem(env, a: float, grid: Grid | None, grid_kw: dict):
-    """env materialized on the cylinder of half-length a (grid, or one built
-    from grid_kw): (ubar, ulow, usub = ulow v 0, operator at mu = 0, boundary data)."""
-    if grid is None:
-        grid = cylinder_grid(env.fsys, a, **grid_kw)
-    ubar_f, ulow_f = env.materialize(grid)  # may move a_star (critical envelopes)
-    if not np.isfinite(env.a_star) or a < env.a_star - 1e-9:
-        raise WavekitError(f"domain too short: a = {a} < a* = {env.a_star}")
+def _truncated_problem(env, grid: Grid):
+    """env materialized on the cylinder grid: (ubar, ulow, usub = ulow v 0,
+    operator at mu = 0, boundary data)."""
+    if not np.isfinite(env.a_star) or grid.z1 < env.a_star - 1e-9:
+        raise WavekitError(f"domain too short: a = {grid.z1} < a* = {env.a_star}")
+    ubar_f, ulow_f = env.materialize(grid)
     usub = np.maximum(ulow_f.values, 0.0)
     op0 = build_operator_mu(env.fsys, 0.0, grid)
     return ubar_f, ulow_f, usub, op0, (usub[:, :, 0], usub[:, :, -1])
 
 
-def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float,
+def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float,
                         ubar: np.ndarray, usub: np.ndarray, inner, tol: float,
-                        record_iterates: bool, info: dict) -> WaveProfile:
+                        info: dict) -> WaveProfile:
     """Outer loop r <- theta u_r + (1 - theta) r, and the profile.
 
     r starts at clip(min(ubar, K), usub, ubar), K the logistic bound: ubar is
@@ -336,7 +319,8 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float
     (u_r as a GridField, relaxation periods, exact), u_prev being the previous
     sweep's u (None on the first); only an exact sweep (solved to tol/10) may
     end the loop.  The converged u is checked against the trapping pair
-    (usub, ubar) and the semilinear PDE op0 u + (B' u) o u = 0.
+    (usub, ubar) and the semilinear PDE op0 u + (B' u) o u = 0; every sweep
+    records (min(u - usub), min(ubar - u)) in info["iterate_bounds"].
     """
     _, K = logistic_envelope(fsys)
     r = np.clip(np.minimum(ubar, K), usub, ubar)
@@ -348,10 +332,7 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float
         u_field, n_periods, exact = inner(r, u_field)
         periods.append(n_periods)
         uv = u_field.values
-        if record_iterates:
-            iterate_bounds.append(
-                (float((uv - usub).min()), float((ubar - uv).min()))
-            )
+        iterate_bounds.append((float((uv - usub).min()), float((ubar - uv).min())))
         r_new = _THETA * uv + (1.0 - _THETA) * r
         delta = float(np.abs(r_new - r).max())
         deltas.append(delta)
@@ -367,7 +348,7 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float
     pde_residual = float(np.abs(res[:, :, 1:-1]).max() / max(np.abs(uv).max(), 1e-300))
     decay, floor = _decay_and_floor(u_field)
     return WaveProfile(
-        e=tuple(fsys.frame.e_floats()), c=c, a=float(a), u=u_field,
+        e=tuple(fsys.frame.e_floats()), c=c, a=float(op0.grid.z1), u=u_field,
         trapping_violation=trapping, pde_residual=pde_residual,
         downstream_decay_rate=decay, upstream_floor=floor, iterations=it + 1,
         info={"deltas": deltas, "iterate_bounds": iterate_bounds,
@@ -376,22 +357,32 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float, a: float
 
 
 def extend_to_entire(env, a_schedule, window: float, tol: float = 1e-4,
-                     profile_tol: float = 1e-7, **kw) -> WaveProfile:
+                     profile_tol: float = 1e-7, **grid_kw) -> WaveProfile:
     """Continuation in the half-length a until the center window stabilizes.
 
-    Runs the truncated fixed point of env's pipeline along the increasing
-    schedule and stops when two successive profiles differ by less than tol
-    on [-window, window]; the K-envelope bound 0 <= u <= K 1 is checked at
+    Builds every cylinder cylinder_grid(env.fsys, a, **grid_kw) of the
+    increasing schedule first, and raises InputError unless their z nodes lie
+    on one lattice: the same dz (pass dz or points_per_cell, not n_z), and
+    half-lengths that differ by multiples of dz.  Then runs env's fixed point
+    on each and stops when two successive profiles differ by less than tol on
+    [-window, window]; the K-envelope bound 0 <= u <= K 1 is checked at
     every step.
     """
     a_schedule = [float(a) for a in a_schedule]
     if sorted(a_schedule) != a_schedule or len(a_schedule) < 2:
         raise InputError("a_schedule must be increasing with at least two entries")
+    grids = [cylinder_grid(env.fsys, a, **grid_kw) for a in a_schedule]
+    dz = grids[0].dz
+    for g in grids:
+        shift = (g.z1 - grids[0].z1) / dz
+        if abs(g.dz - dz) > 1e-9 * dz or abs(shift - round(shift)) > 1e-6:
+            raise InputError("the a_schedule cylinders must share their z nodes: give dz or "
+                             "points_per_cell, and half-lengths that differ by multiples of dz")
     _, K = logistic_envelope(env.fsys)
     prev = None
     gaps = []
-    for a in a_schedule:
-        profile = env.fixed_point(a, tol=profile_tol, **kw)
+    for grid in grids:
+        profile = env.fixed_point(grid, tol=profile_tol)
         over_k = float(profile.u.values.max()) - K
         profile.info["k_bound_violation"] = max(0.0, over_k)
         if over_k > 1e-6 * (1 + K):
@@ -411,19 +402,8 @@ def extend_to_entire(env, a_schedule, window: float, tol: float = 1e-4,
 
 
 def _window_gap(u1: GridField, u2: GridField, window: float) -> float:
-    """Sup difference of two profiles on the common centered window."""
-    z1, z2 = u1.grid.z, u2.grid.z
-    dz = u1.grid.dz
-    if abs(dz - u2.grid.dz) > 1e-9 * dz:
-        raise InputError("window comparison needs matching dz")
-    sel1 = np.abs(z1) <= window + 1e-9
-    sel2 = np.abs(z2) <= window + 1e-9
-    if sel1.sum() != sel2.sum():
-        raise InputError("window nodes do not align across profiles")
-    v1 = u1.values[:, :, sel1]
-    v2 = u2.values[:, :, sel2]
-    if v1.shape[1] != v2.shape[1]:
-        raise InputError("time grids differ across profiles")
+    """Sup difference of two profiles on [-window, window], whose nodes they share."""
+    v1, v2 = (u.values[:, :, np.abs(u.grid.z) <= window + 1e-9] for u in (u1, u2))
     return float(np.abs(v1 - v2).max())
 
 
@@ -477,7 +457,7 @@ def verify_wave(profile: WaveProfile, decay_rtol: float = 0.10,
     downstream_sup = float(vals[:, :, left_sel].max(initial=0.0))
     downstream_pass = downstream_sup < _EPS_DOWN
 
-    slope, floor = _decay_and_floor(profile.u)
+    slope, floor = profile.downstream_decay_rate, profile.upstream_floor
     decay_pass = (
         np.isfinite(slope) and abs(slope - decay_expected) <= decay_rtol * abs(decay_expected)
     )
@@ -527,8 +507,6 @@ class CriticalEnvelopes:
     eig_gamma: PrincipalEigenpair   # mean-one, at mu* + gamma
     du_dmu: np.ndarray              # cell values of d u'_mu / d mu at mu*
     cell: Grid
-    ubar: GridField | None = None
-    ulow: GridField | None = None
 
     # -- materialization -----------------------------------------------------
 
@@ -545,20 +523,15 @@ class CriticalEnvelopes:
         return theta, theta_dot, theta_g
 
     def materialize(self, grid: Grid) -> tuple[GridField, GridField]:
+        """(ubar, ulow) on the cylinder grid, whose eigen cell is self.cell."""
         theta, theta_dot, theta_g = self._pieces(grid)
         ubar, _ = _clamp_supersolution(theta_dot, self.M1, self.M2)
         core = -theta_dot - self.M3 * theta + theta_g
-        pos, roots = _positive_part_from_left(core, grid.z)
-        ulow = self.M1 * self.M2 * pos
-        self.ubar = GridField(ubar, grid)
-        self.ulow = GridField(ulow, grid)
-        # smallest admissible half-length: the subsolution support (-inf, z0)
-        # must reach past -a, so a* sits one node beyond the deepest root
-        self.a_star = float(-grid.z[roots.min()] + grid.dz)
-        return self.ubar, self.ulow
+        ulow = self.M1 * self.M2 * _positive_part_from_left(core, grid.z)[0]
+        return GridField(ubar, grid), GridField(ulow, grid)
 
-    def fixed_point(self, a: float, **kw) -> WaveProfile:
-        return critical_fixed_point(self, a, **kw)
+    def fixed_point(self, grid: Grid, **kw) -> WaveProfile:
+        return critical_fixed_point(self, grid, **kw)
 
 
 def _clamp_supersolution(theta_dot: np.ndarray, M1: float, M2: float):
@@ -730,7 +703,10 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
 
     env.M3 = tune(1.0, m3_ok, "M3", m3_end)
 
-    env.materialize(grid)
+    # smallest admissible half-length: the subsolution support (-inf, z0)
+    # must reach past -a, so a* sits one node beyond the deepest root
+    roots = _positive_part_from_left(-theta_dot - env.M3 * theta + theta_g, grid.z)[1]
+    env.a_star = float(-grid.z[roots.min()] + grid.dz)
     return env
 
 
@@ -743,21 +719,19 @@ def _kink_mask(kinks: np.ndarray, n_z: int) -> np.ndarray:
 # the critical fixed point (semilinear monotone inner problem)
 
 
-def critical_fixed_point(env: CriticalEnvelopes, a: float,
-                         tol: float = 1e-7, grid: Grid | None = None,
-                         force_relaxation: bool = False,
-                         record_iterates: bool = False,
-                         **grid_kw) -> WaveProfile:
-    """Fixed point at c = c* with the diagonal quadratic term kept implicit.
+def critical_fixed_point(env: CriticalEnvelopes, grid: Grid, tol: float = 1e-7,
+                         force_relaxation: bool = False) -> WaveProfile:
+    """Fixed point at c = c* on the cylinder grid, quadratic term kept implicit.
 
-    The inner problem replaces the linear cooperative operator by the
-    semilinear monotone one u -> R u + diag(b'_ii) u^2
-    + diag((B' - diag(b'_ii)) r) u, which preserves the comparison structure;
-    solve_periodic_bvp solves it with the quadratic term kept implicit:
-    pseudo-transient Newton continuation on the steady system
-    (time-independent frames) or relaxation of the parabolic flow.
+    The half-length is grid.z1, at least env.a_star.  The inner problem
+    replaces the linear cooperative operator by the semilinear monotone one
+    u -> R u + diag(b'_ii) u^2 + diag((B' - diag(b'_ii)) r) u, which
+    preserves the comparison structure; solve_periodic_bvp solves it with the
+    quadratic term kept implicit: pseudo-transient Newton continuation on the
+    steady system (time-independent frames) or relaxation of the parabolic
+    flow.
     """
-    ubar_f, _, usub, op0, bc = _truncated_problem(env, a, grid, grid_kw)
+    ubar_f, _, usub, op0, bc = _truncated_problem(env, grid)
     bdiag = np.einsum("iitz->itz", op0.b_tab)
     b_off = op0.b_tab * (1.0 - np.eye(op0.N))[:, :, None, None]  # B' off its diagonal
 
@@ -774,6 +748,6 @@ def critical_fixed_point(env: CriticalEnvelopes, a: float,
         return u, bvp["periods"], True
 
     return _damped_fixed_point(
-        env.fsys, op0, env.fsys.c, a, ubar_f.values, usub, inner, tol, record_iterates,
+        env.fsys, op0, env.fsys.c, ubar_f.values, usub, inner, tol,
         {"mu_star": env.mu_star, "pipeline": "critical"},
     )

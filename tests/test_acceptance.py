@@ -75,7 +75,7 @@ def scalar_wave(systems, curves):
     fsc = wave_frame(systems["scalar"], 2.5)
     grid = cylinder_grid(fsc, 40.0, n_z=2048)
     env = build_envelopes_supercritical(fsc, roots, grid)
-    profile = fixed_point_truncated(env, 40.0, tol=1e-8, grid=grid)
+    profile = fixed_point_truncated(env, grid, tol=1e-8)
     return roots, env, profile
 
 
@@ -85,7 +85,7 @@ def critical_wave(systems, curves):
     fsc = wave_frame(systems["scalar"], curve.c_star)
     grid = cylinder_grid(fsc, 60.0, n_z=6001)
     env = build_envelopes_critical(fsc, curve.mu_star, grid)
-    profile = critical_fixed_point(env, 60.0, tol=1e-8, grid=grid)
+    profile = critical_fixed_point(env, grid, tol=1e-8)
     return env, profile
 
 
@@ -96,7 +96,7 @@ def system_wave(systems, curves):
     fsc = wave_frame(systems["2x2"], 3.0)
     grid = cylinder_grid(fsc, 40.0, n_z=2048)
     env = build_envelopes_supercritical(fsc, roots, grid)
-    profile = fixed_point_truncated(env, 40.0, tol=1e-8, grid=grid)
+    profile = fixed_point_truncated(env, grid, tol=1e-8)
     return roots, env, profile
 
 

@@ -98,6 +98,16 @@ class TestConfigParsing:
         cfg["params"] = {"e": [1.0], "frame": {"e": [1.0], "c": 3}}
         assert load_config(write_config(tmp_path, cfg)).param("e") == [1.0]
 
+    def test_n_z_with_a_schedule_exit_two(self, tmp_path, capsys):
+        # n_z fixes the node count, so each half-length would get its own dz
+        cfg = scalar_config(["wave"], extra_params={
+            "c": 2.5, "wave": {"a_schedule": [8.0, 16.0], "n_z": 401},
+        })
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 2
+        assert "wave.dz" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/*.json"))
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         p = write_config(tmp_path, scalar_config(["validate"]))
         assert main(["validate", str(p)]) == 0
@@ -132,6 +142,16 @@ class TestRunConfig:
         doc = json.loads((out / "wave.json").read_text())
         assert doc["status"] == "failed"
         assert "extinct" in doc["error"]
+        index = (out / "index.svg").read_text()
+        assert "wave: failed" in index and "wave: ok" not in index
+
+    def test_report_covers_this_run_only(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, scalar_config(["dispersion"])), out=out) == 0
+        assert run_config(write_config(tmp_path, scalar_config(["validate"])), out=out) == 0
+        assert (out / "dispersion.json").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert list(report["sections"]) == ["validate"]
 
     def test_missing_config_exit_two(self, tmp_path):
         assert run_config(tmp_path / "nope.json") == 2
@@ -328,34 +348,18 @@ class TestRunConfig:
 
 class TestEmitReport:
     def test_single_section(self, tmp_path):
-        (tmp_path / "validate.json").write_text(json.dumps({"task": "validate", "status": "ok"}))
-        report = emit_report(tmp_path)
+        report = emit_report(tmp_path, {"validate": {"task": "validate", "status": "ok"}})
         assert list(report["sections"]) == ["validate"]
         assert (tmp_path / "index.svg").exists()
 
-    def test_duplicate_latest_mtime_wins(self, tmp_path):
-        import os
-        import time
-
-        a = tmp_path / "validate.json"
-        b = tmp_path / "validate_2.json"
-        a.write_text(json.dumps({"task": "validate", "status": "ok", "v": 1}))
-        b.write_text(json.dumps({"task": "validate", "status": "ok", "v": 2}))
-        now = time.time()
-        os.utime(a, (now - 100, now - 100))
-        os.utime(b, (now, now))
-        report = emit_report(tmp_path)
-        assert report["sections"]["validate"]["v"] == 2
-        assert any("duplicate" in w for w in report["warnings"])
-
     def test_cross_reference_speed_ratio(self, tmp_path):
-        (tmp_path / "dispersion.json").write_text(json.dumps(
-            {"task": "dispersion", "status": "ok", "c_star": 2.0}))
-        (tmp_path / "simulate.json").write_text(json.dumps(
-            {"task": "simulate", "status": "ok", "speed_left": 1.9, "speed_right": 1.95}))
-        report = emit_report(tmp_path)
+        report = emit_report(tmp_path, {
+            "dispersion": {"task": "dispersion", "status": "ok", "c_star": 2.0},
+            "simulate": {"task": "simulate", "status": "ok",
+                         "speed_left": 1.9, "speed_right": 1.95},
+        })
         assert report["speed_cross_check"]["ratio"] == pytest.approx(0.975)
 
     def test_no_artifacts_raises(self, tmp_path):
         with pytest.raises(InputError):
-            emit_report(tmp_path)
+            emit_report(tmp_path, {})

@@ -9,7 +9,7 @@ from conftest import scalar_system, system_2x2, time_periodic_l
 from wavekit import waves
 from wavekit.coeffs import logistic_envelope, nondimensionalize
 from wavekit.dispersion import minimal_speed, speed_roots, static_frame
-from wavekit.errors import NumericalError, WavekitError
+from wavekit.errors import InputError, NumericalError, WavekitError
 from wavekit.frame import make_frame, transform_coefficients
 from wavekit.pde_core import GridField, build_operator_mu, solve_periodic_bvp
 from wavekit.waves import (
@@ -73,7 +73,7 @@ def scalar_setup():
 @pytest.fixture(scope="module")
 def scalar_profile(scalar_setup):
     env = scalar_setup[-1]
-    return fixed_point_truncated(env, 24.0, tol=1e-8, n_z=1201, record_iterates=True)
+    return fixed_point_truncated(env, cylinder_grid(env.fsys, 24.0, n_z=1201), tol=1e-8)
 
 
 class TestSupercriticalEnvelopes:
@@ -105,6 +105,13 @@ class TestSupercriticalEnvelopes:
         sel = grid.z >= 0
         assert ulow.values[:, :, sel].max() <= 0
 
+    def test_materialize_leaves_envelope_unchanged(self, scalar_setup):
+        _, _, _, fsc, env = scalar_setup
+        before = dict(vars(env))
+        env.materialize(cylinder_grid(fsc, 12.0, n_z=601))
+        assert vars(env).keys() == before.keys()
+        assert all(vars(env)[k] is v for k, v in before.items())
+
     def test_2x2_envelope_constants(self):
         sys = system_2x2()
         curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
@@ -130,12 +137,13 @@ class TestFixedPointTruncated:
     def test_domain_too_short(self, scalar_setup):
         env = scalar_setup[-1]
         with pytest.raises(WavekitError, match="domain too short"):
-            fixed_point_truncated(env, env.a_star / 2, n_z=257)
+            fixed_point_truncated(env, cylinder_grid(env.fsys, env.a_star / 2, n_z=257))
 
     def test_relaxation_agrees_with_steady(self, scalar_setup):
         env = scalar_setup[-1]
-        p_direct = fixed_point_truncated(env, 12.0, tol=1e-8, n_z=601)
-        p_relax = fixed_point_truncated(env, 12.0, tol=1e-8, n_z=601, force_relaxation=True)
+        grid = cylinder_grid(env.fsys, 12.0, n_z=601)
+        p_direct = fixed_point_truncated(env, grid, tol=1e-8)
+        p_relax = fixed_point_truncated(env, grid, tol=1e-8, force_relaxation=True)
         assert np.abs(p_direct.u.values - p_relax.u.values).max() < 1e-5
 
 
@@ -153,6 +161,18 @@ class TestExtendToEntire:
         profile = extend_to_entire(env, [40.0, 60.0], window=10.0, tol=1e-4, dz=0.02)
         assert profile.u.values.max() <= 1.0 + 1e-6
         assert profile.info["k_bound_violation"] == 0.0
+
+    @pytest.mark.parametrize("a_schedule, grid_kw", [
+        ([8.0, 16.0], {"n_z": 401}),   # a fixed n_z gives each half-length its own dz
+        ([8.0, 8.025], {"dz": 0.05}),  # same dz, nodes halfway between those of a = 8
+    ])
+    def test_unshared_nodes_raise_before_solving(self, scalar_setup, a_schedule, grid_kw):
+        env = scalar_setup[-1]
+        with mock.patch.object(waves, "solve_periodic_bvp",
+                               wraps=solve_periodic_bvp) as spy:
+            with pytest.raises(InputError, match="z nodes"):
+                extend_to_entire(env, a_schedule, window=4.0, **grid_kw)
+        assert spy.call_count == 0
 
     def test_no_stabilization_raises(self, scalar_setup):
         env = scalar_setup[-1]
@@ -205,11 +225,20 @@ class TestCriticalPipeline:
         assert dlam == pytest.approx(-curve.c_star, abs=1e-4)
 
     def test_supersolution_positive(self, critical_setup):
-        _, _, _, env = critical_setup
-        assert env.ubar.values.min() >= 0
-        assert (env.ubar.values - env.ulow.values).min() >= -1e-12
-        sel = env.ubar.grid.z >= 0
-        assert env.ulow.values[:, :, sel].max() == 0.0
+        _, _, grid, env = critical_setup
+        ubar, ulow = env.materialize(grid)
+        assert ubar.values.min() >= 0
+        assert (ubar.values - ulow.values).min() >= -1e-12
+        sel = grid.z >= 0
+        assert ulow.values[:, :, sel].max() == 0.0
+
+    def test_materialize_leaves_envelope_unchanged(self, critical_setup):
+        # a_star is set once, from the build grid
+        _, fsc, _, env = critical_setup
+        before = dict(vars(env))
+        env.materialize(cylinder_grid(fsc, 40.0, n_z=4001))
+        assert vars(env).keys() == before.keys()
+        assert all(vars(env)[k] is v for k, v in before.items())
 
     def test_relaxation_inner_matches_ptc(self, critical_setup):
         # the parabolic-flow inner solver (quadratic term implicit per point)
@@ -217,8 +246,8 @@ class TestCriticalPipeline:
         curve, fsc, _, _ = critical_setup
         grid8 = cylinder_grid(fsc, 8.0, n_z=401)
         env8 = build_envelopes_critical(fsc, curve.mu_star, grid8)
-        p_direct = critical_fixed_point(env8, 8.0, tol=1e-8, grid=grid8)
-        p_relax = critical_fixed_point(env8, 8.0, tol=1e-8, grid=grid8, force_relaxation=True)
+        p_direct = critical_fixed_point(env8, grid8, tol=1e-8)
+        p_relax = critical_fixed_point(env8, grid8, tol=1e-8, force_relaxation=True)
         assert np.abs(p_direct.u.values - p_relax.u.values).max() < 1e-5
         assert p_relax.trapping_violation < 1e-8
 
@@ -229,7 +258,7 @@ class TestCriticalPipeline:
         grid = cylinder_grid(fsc, 8.0, n_t=1, n_z=401)
         env = build_envelopes_critical(fsc, curve.mu_star, grid)
         with pytest.raises(NumericalError, match="implicit quadratic step"):
-            critical_fixed_point(env, 8.0, tol=1e-8, grid=grid, force_relaxation=True)
+            critical_fixed_point(env, grid, tol=1e-8, force_relaxation=True)
 
     @pytest.mark.parametrize("a, m3", [(8.0, 7.4906250000000005), (9.0, None), (10.0, None),
                                        (12.0, None), (16.0, 8.98875)])
@@ -241,13 +270,13 @@ class TestCriticalPipeline:
         env = build_envelopes_critical(fsc, curve.mu_star, grid)
         if m3 is not None:
             assert env.M3 == m3
-        profile = env.fixed_point(a, tol=1e-7, grid=grid)
+        profile = env.fixed_point(grid, tol=1e-7)
         assert profile.trapping_violation <= 1e-8
         assert profile.pde_residual <= 1e-8
 
     def test_critical_wave(self, critical_setup):
         _, _, grid, env = critical_setup
-        profile = critical_fixed_point(env, 60.0, tol=1e-8, grid=grid, record_iterates=True)
+        profile = critical_fixed_point(env, grid, tol=1e-8)
         assert profile.trapping_violation < 1e-5
         assert profile.pde_residual < 1e-6
         ver = verify_wave(profile, decay_rtol=0.2)
@@ -383,8 +412,8 @@ class TestGridConvergence:
     def test_profile_invariant_under_dz_refinement(self, scalar_setup):
         # second-order discretization: halving dz moves the profile by O(dz^2)
         env = scalar_setup[-1]
-        p1 = fixed_point_truncated(env, 12.0, tol=1e-9, n_z=601)
-        p2 = fixed_point_truncated(env, 12.0, tol=1e-9, n_z=1201)
+        p1 = fixed_point_truncated(env, cylinder_grid(env.fsys, 12.0, n_z=601), tol=1e-9)
+        p2 = fixed_point_truncated(env, cylinder_grid(env.fsys, 12.0, n_z=1201), tol=1e-9)
         assert np.abs(p2.u.values[:, :, ::2] - p1.u.values).max() < 5e-4
 
     def test_profile_invariant_under_dt_refinement(self):
@@ -401,7 +430,7 @@ class TestGridConvergence:
         for n_t in (32, 64):
             grid = cylinder_grid(fsc, 12.0, n_t=n_t, n_z=601)
             env = build_envelopes_supercritical(fsc, roots, grid)
-            profs[n_t] = fixed_point_truncated(env, 12.0, tol=1e-8, grid=grid)
+            profs[n_t] = fixed_point_truncated(env, grid, tol=1e-8)
         diff = np.abs(profs[64].u.values[:, ::2, :] - profs[32].u.values).max()
         assert diff < 1e-2  # backward Euler relaxation: O(dt)
 
@@ -431,8 +460,9 @@ class TestSpaceHomogeneousHigherDimension:
         assert roots.mu_wedge == pytest.approx(mu_oracle, abs=1e-8)
         fsc = transform_coefficients(nondimensionalize(sys),
                                      make_frame(e, 4.0, mode="space-homogeneous"))
-        env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 24.0, n_z=1201))
-        profile = fixed_point_truncated(env, 24.0, tol=1e-8, n_z=1201)
+        grid = cylinder_grid(fsc, 24.0, n_z=1201)
+        env = build_envelopes_supercritical(fsc, roots, grid)
+        profile = fixed_point_truncated(env, grid, tol=1e-8)
         assert profile.trapping_violation < 1e-8
         assert abs(profile.downstream_decay_rate - mu_oracle) / mu_oracle < 0.05
 
@@ -457,7 +487,7 @@ class TestSpacePeriodicWave:
         grid = cylinder_grid(fsc, 8.0, n_t=64, points_per_cell=64)
         env = build_envelopes_supercritical(fsc, roots, grid)
         assert env.a_star == a_star_reference(env)
-        profile = fixed_point_truncated(env, 8.0, tol=1e-6, grid=grid)
+        profile = fixed_point_truncated(env, grid, tol=1e-6)
         assert profile.trapping_violation < 1e-8
         assert abs(profile.downstream_decay_rate - roots.mu_wedge) / roots.mu_wedge < 0.15
         assert profile.upstream_floor > 0.3
@@ -505,7 +535,7 @@ class TestTimePeriodicWave:
         curve, _, grid, env = time_periodic_setup
         assert curve.c_star == pytest.approx(2.0, abs=1e-6)
         assert env.a_star == a_star_reference(env)
-        profile = fixed_point_truncated(env, 16.0, tol=1e-6, grid=grid)
+        profile = fixed_point_truncated(env, grid, tol=1e-6)
         assert profile.trapping_violation < 1e-8
         assert profile.pde_residual < 1e-5
         assert abs(profile.downstream_decay_rate - 0.5) / 0.5 < 0.1
@@ -516,7 +546,7 @@ class TestTimePeriodicWave:
         # same profile with a fraction of the relaxation periods
         _, fsc, grid, env = time_periodic_setup
         ref, ref_periods = _reference_cold_loop(fsc, env, grid, 1e-6)
-        profile = fixed_point_truncated(env, 16.0, tol=1e-6, grid=grid, record_iterates=True)
+        profile = fixed_point_truncated(env, grid, tol=1e-6)
         assert np.abs(profile.u.values - ref).max() <= 1e-6
         for lo, hi in profile.info["iterate_bounds"]:
             assert lo >= -1e-9 and hi >= -1e-9
@@ -544,12 +574,11 @@ class TestTrappedIterates:
         grid = cylinder_grid(fsc, half, n_z=401)
         with mock.patch.object(waves, "solve_periodic_bvp",
                                wraps=solve_periodic_bvp) as spy:
-            profile = fixed_point_truncated(env, half, tol=1e-7, grid=grid,
-                                            record_iterates=True)
+            profile = fixed_point_truncated(env, grid, tol=1e-7)
         for lo, hi in profile.info["iterate_bounds"]:
             assert lo >= -1e-9 and hi >= -1e-9
         _, K = logistic_envelope(fsc)
         b_tab = build_operator_mu(fsc, 0.0, grid).b_tab[0, 0]
         r0 = spy.call_args_list[0].kwargs["extra_diag"][0] / b_tab
         assert r0.max() <= K * (1 + 1e-12)
-        assert np.all(r0 >= env.ulow.values[0] - 1e-12)
+        assert np.all(r0 >= env.materialize(grid)[1].values[0] - 1e-12)
