@@ -176,6 +176,8 @@ class JobConfig:
         if {"n_z", "a_schedule"} <= set(self.params.get("wave", {})):
             raise InputError("config.params.wave.n_z gives each a_schedule cylinder its own dz: "
                              "use wave.dz (or wave.points_per_cell) instead")
+        if {"a", "a_schedule"} <= set(self.params.get("wave", {})):
+            raise InputError("config.params.wave.a is ignored next to wave.a_schedule: give one")
         self.out = Path(doc.get("out", base_dir / "out"))
 
     @staticmethod

@@ -23,7 +23,7 @@ mean-one is the mu-differentiable choice used by the critical-wave pipeline).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -175,7 +175,11 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
         vals = np.repeat(u[:, :, None], grid.n_z, axis=2)
         info = {"path": "ode-monodromy", "rho": rho, "n_sub": n_sub}
     else:
-        stepper = Stepper(op, scheme="cn")
+        # a time-independent operator steps on at least the default cell's slices
+        n_run = default_cell_grid(op.fsys).n_t
+        run = (op if grid.n_t >= n_run or not op.is_time_independent()
+               else build_operator_mu(op.fsys, op.mu, replace(grid, n_t=n_run)))
+        stepper = Stepper(run, scheme="cn")
         v = np.ones((op.N, grid.n_z))
         rho = 1.0
         history = []
@@ -201,7 +205,7 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
             raise NumericalError(f"nonpositive period-map spectral radius {rho!r}")
         lam = -np.log(rho) / T
         _, orbit = stepper.run_period(v, store_orbit=True)
-        vals = orbit * np.exp(lam * grid.t)[None, :, None]
+        vals = orbit * np.exp(lam * run.grid.t)[None, :, None]
         info = {"path": "power-iteration", "rho": rho, "iterations": it + 1}
 
     if vals.min() <= 0:

@@ -341,11 +341,9 @@ class Stepper:
         self.extra_diag = extra_diag
         self._check_peclet()
 
-        time_dep = not op.is_time_independent()
-        if extra_diag is not None and extra_diag.shape[1] > 1:
-            time_dep = time_dep or not _const_along(extra_diag, 1)
-        self.time_dependent = time_dep
-        self.n_distinct = g.n_t if time_dep else 1
+        self.time_dependent = not op.is_time_independent() or (
+            extra_diag is not None and not _const_along(extra_diag, 1))
+        self.n_distinct = g.n_t if self.time_dependent else 1
         self._dirichlet = np.zeros(self.size, dtype=bool)
         if bc is not None:
             self._dirichlet[: self.N] = self._dirichlet[-self.N:] = True
@@ -450,8 +448,11 @@ class Stepper:
         bias.  b_k is the (N, n_z) diagonal quadratic coefficient at t_{k+1};
         it is ignored on Dirichlet rows, which carry pure boundary data.  A
         Crank-Nicolson Stepper is refused: its cached matrix I - dt/2 S would
-        halve S in the steady state.  The iteration diverges when dt b w is
-        large; running out of iterations or leaving the finite numbers raises.
+        halve S in the steady state.  The iteration contracts only while dt b w
+        is small; once a change is not finite or not below half the last, Newton
+        restarts from v (Dirichlet data written in) on the Jacobian I - dt S +
+        2 dt diag(b w), an M-matrix for w >= 0.  Running out of iterations, or
+        Newton leaving the finite numbers, raises.
         """
         if self.scheme != "be":
             raise InputError("the implicit quadratic step needs a backward-Euler Stepper")
@@ -461,16 +462,22 @@ class Stepper:
         rhs0 = self._bc_into(self._flat(v), kk)
         lu = self._lhs_lu[kk % self.n_distinct]
         w = lu.solve(rhs0)
-        changes = []
+        changes, picard = [], True
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(_QUAD_MAX_INNER):
-                w_new = lu.solve(rhs0 - dt * b * w * w)
+                if picard:
+                    w_new = lu.solve(rhs0 - dt * b * w * w)
+                else:  # w - J^-1 F(w) with F(w) = J w - dt b w^2 - rhs0
+                    jac = self._matrix(1.0 + 2.0 * dt * b * w, -dt, kk % self.n_distinct)
+                    w_new = splu(jac).solve(rhs0 + dt * b * w * w)
                 changes.append(float(np.abs(w_new - w).max()))
                 w = w_new
-                if not np.isfinite(changes[-1]):
-                    break
                 if changes[-1] <= _QUAD_TOL * (1.0 + np.abs(w).max()):
                     return self._unflat(w)
+                if not changes[-1] < (0.5 * changes[-2] if picard and len(changes) > 1 else np.inf):
+                    if not picard:
+                        break
+                    picard, w = False, rhs0
         raise NumericalError("implicit quadratic step did not converge (dt b u too large?)",
                              history=changes)
 
@@ -515,8 +522,9 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     the periodic-Dirichlet principal eigenvalue of the linearization is
     positive.  A fully time-independent problem is solved directly instead:
     one sparse solve when linear, pseudo-transient continuation from init
-    when semilinear (falling back to relaxation if continuation stalls).
-    Returns (GridField, info dict).
+    when semilinear (falling back to relaxation if continuation stalls); its
+    one slice is repeated over the grid's n_t.  On n_t = 1 relaxation steps
+    with dt = T.  Returns (GridField, info dict).
     """
     g = op.grid
     if g.kind != "interval":
@@ -577,7 +585,7 @@ def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, u0: np.ndarray, tol: float)
     on the steady system jumps branches through the nearly singular
     downstream zero state; following the stable parabolic flow avoids that
     while reaching the steady state in ~log(1/lambda_min) steps.  Returns
-    None if continuation stalls.
+    None if continuation stalls; the caller then relaxes (dt = T on one slice).
     """
     K = stepper.steady_matrix()
     dirichlet = stepper._dirichlet

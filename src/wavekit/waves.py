@@ -75,8 +75,9 @@ def cylinder_grid(fsys: FrameSystem, a: float, n_t: int | None = None,
                   dz: float | None = None) -> Grid:
     """Truncated-cylinder grid [-a, a]; z nodes align with the periodic cell.
 
-    Continuation across several half-lengths should fix dz (or
-    points_per_cell), so that profiles share node positions exactly.
+    n_t defaults to 1 for a time-independent frame, whose wave is steady, and
+    to 256 otherwise.  Continuation across several half-lengths should fix dz
+    (or points_per_cell), so that profiles share node positions exactly.
     """
     if fsys.L_z is not None:
         k = round(a / fsys.L_z)
@@ -93,7 +94,7 @@ def cylinder_grid(fsys: FrameSystem, a: float, n_t: int | None = None,
         step = dz if dz is not None else 0.04
         n_z_eff = max(17, int(round(2 * a / step)) + 1)
     if n_t is None:
-        n_t = 16 if fsys.is_time_independent() else 256
+        n_t = 1 if fsys.is_time_independent() else 256
     return Grid.cylinder(fsys.T_frame, a, n_t, n_z_eff)
 
 

@@ -108,6 +108,17 @@ class TestConfigParsing:
         assert "wave.dz" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*.json"))
 
+    def test_a_with_a_schedule_exit_two(self, tmp_path, capsys):
+        # a_schedule gives every half-length, so wave.a would be ignored
+        cfg = scalar_config(["wave"], extra_params={
+            "c": 2.5, "wave": {"a": 1000.0, "a_schedule": [8.0, 16.0], "dz": 0.05},
+        })
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and "wave.a" in err
+        assert not list(tmp_path.glob("out/*.json"))
+
     def test_validate_subcommand_exit_codes(self, tmp_path):
         p = write_config(tmp_path, scalar_config(["validate"]))
         assert main(["validate", str(p)]) == 0

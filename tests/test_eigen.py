@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from conftest import const, scalar_system, space_periodic_l, system_2x2, time_pe
 from wavekit.coeffs import Mode, PeriodicField, nondimensionalize
 from wavekit.eigen import (
     EigenEvaluator,
+    default_cell_grid,
     _monodromy_rk4,
     lambda_mu_curve,
     principal_eigenvalue,
@@ -97,6 +100,18 @@ class TestPrincipalEigenvalue:
             D[j, j] += -2 / dz**2 + 0.4 * np.cos(2 * np.pi * z[j])
         lam_oracle = -1.0 - np.max(np.linalg.eigvals(D).real)
         assert pair.lam == pytest.approx(lam_oracle, abs=2e-5)
+
+    def test_one_slice_static_cell_matches_default(self):
+        # a time-independent, z-dependent frame takes power iteration; one
+        # Crank-Nicolson step of dt = T per period read lambda(0.5) = -1.4714
+        fs = frame_of(scalar_system(l_field=space_periodic_l()))
+        cell = default_cell_grid(fs)
+        one, full = (principal_eigenvalue(build_operator_mu(fs, 0.5, replace(cell, n_t=n)))
+                     for n in (1, cell.n_t))
+        assert one.info["path"] == "power-iteration" and cell.n_t == 64
+        assert one.lam == full.lam == pytest.approx(-1.2531305, abs=1e-7)
+        assert one.eigenfunction.grid == replace(cell, n_t=1)
+        assert np.array_equal(one.eigenfunction.values[:, 0], full.eigenfunction.values[:, 0])
 
     def test_positivity_required(self):
         ev = EigenEvaluator(frame_of(scalar_system()))

@@ -5,7 +5,7 @@ from scipy.sparse.linalg import splu
 
 from conftest import const, scalar_system, space_periodic_l, system_2x2, time_periodic_l
 from wavekit.coeffs import KPPSystem, Mode, PeriodicField, nondimensionalize
-from wavekit.errors import InputError
+from wavekit.errors import InputError, NumericalError
 from wavekit.frame import make_frame, transform_coefficients
 from wavekit.pde_core import (
     Grid,
@@ -234,6 +234,59 @@ class TestPeriodicBVP:
             v1 = st.run_period(v1)
             v2 = st.run_period(v2)
             assert (v2 - v1).min() >= -1e-13
+
+
+def picard_quadratic_step(st, v, k, b_k):
+    """The implicit quadratic step as fixed-point iterations alone: the
+    backward-Euler step before Newton could take over."""
+    dt = st.grid.dt
+    kk = (k + 1) % st.grid.n_t
+    b = np.where(st._dirichlet, 0.0, st._flat(b_k))
+    rhs0 = st._bc_into(st._flat(v), kk)
+    lu = st._lhs_lu[kk % st.n_distinct]
+    w = lu.solve(rhs0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(60):
+            w_new = lu.solve(rhs0 - dt * b * w * w)
+            change = float(np.abs(w_new - w).max())
+            w = w_new
+            if not np.isfinite(change):
+                break
+            if change <= 1e-13 * (1.0 + np.abs(w).max()):
+                return st._unflat(w)
+    raise NumericalError("Picard iteration did not converge")
+
+
+class TestImplicitQuadraticStep:
+    def test_picard_convergent_steps_unchanged(self, rng):
+        # a time-periodic 2 x 2 step solver with Dirichlet data: where the
+        # fixed-point iteration contracts, the step is bit-equal to it
+        fs = frame_of(_pattern_system(2, time_dep=True))
+        g = Grid.cylinder(1.0, 1.25, 16, 41)
+        bc = (rng.uniform(0.5, 1.0, (2, g.n_t)), rng.uniform(0.0, 0.5, (2, g.n_t)))
+        st = Stepper(build_operator_mu(fs, 0.3, g), bc=bc)
+        assert st.time_dependent
+        for k in range(g.n_t):
+            v = rng.uniform(0.0, 1.0, (2, g.n_z))
+            b_k = rng.uniform(0.5, 2.0, (2, g.n_z))
+            assert np.array_equal(st.step_implicit_quadratic(v, k, b_k),
+                                  picard_quadratic_step(st, v, k, b_k))
+
+    def test_one_slice_step_solved_by_newton(self):
+        # dt = T: the fixed-point iteration diverges, Newton solves
+        # (I - dt S) w + dt b w^2 = v to roundoff
+        fs = frame_of(scalar_system(l=1.0))
+        g = Grid.cylinder(1.0, 6.0, 1, 121)
+        zero = np.zeros((1, g.n_t))
+        st = Stepper(build_operator_mu(fs, 0.0, g), bc=(zero, zero))
+        v, b_k = 4.0 * np.ones((1, g.n_z)), 3.0 * np.ones((1, g.n_z))
+        with pytest.raises(NumericalError):
+            picard_quadratic_step(st, v, 0, b_k)
+        w = st._flat(st.step_implicit_quadratic(v, 0, b_k))
+        b = np.where(st._dirichlet, 0.0, st._flat(b_k))
+        res = st._matrix(1.0, -g.dt) @ w + g.dt * b * w * w - st._bc_into(st._flat(v), 0)
+        assert np.abs(res).max() <= 1e-12 * np.abs(w).max()
+        assert w.min() >= 0.0
 
 
 class TestZeroFluxStepper:

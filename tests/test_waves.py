@@ -213,6 +213,29 @@ def critical_setup():
     return curve, fsc, grid, env
 
 
+class TestOneSliceCylinder:
+    # a time-independent frame defaults to one time slice; its steady solve
+    # repeats that slice on a cylinder with more
+    @pytest.mark.parametrize("pipeline", ["supercritical", "critical"])
+    def test_default_is_first_slice_of_sixteen(self, scalar_setup, critical_setup, pipeline):
+        if pipeline == "supercritical":
+            fsc, a, n_z = scalar_setup[3], 24.0, 1201
+            build = lambda grid: build_envelopes_supercritical(fsc, scalar_setup[2], grid)
+        else:
+            curve, fsc, _, _ = critical_setup
+            a, n_z = 8.0, 401
+            build = lambda grid: build_envelopes_critical(fsc, curve.mu_star, grid)
+        profiles = []
+        for n_t in (None, 16):
+            grid = cylinder_grid(fsc, a, n_t=n_t, n_z=n_z)
+            profiles.append(build(grid).fixed_point(grid, tol=1e-8))
+        one, sixteen = profiles
+        assert one.u.grid.n_t == 1 and sixteen.u.grid.n_t == 16
+        assert one.info["pipeline"] == pipeline
+        assert np.abs(one.u.values[:, 0] - sixteen.u.values[:, 0]).max() <= 1e-12
+        assert one.iterations == sixteen.iterations
+
+
 class TestCriticalPipeline:
     def test_g_gamma_strictly_negative(self, critical_setup):
         # lambda_{1.5} + 2 * 1.5 = -3.25 + 3 = -0.25
@@ -251,14 +274,18 @@ class TestCriticalPipeline:
         assert np.abs(p_direct.u.values - p_relax.u.values).max() < 1e-5
         assert p_relax.trapping_violation < 1e-8
 
-    def test_one_slice_relaxation_raises(self, critical_setup):
-        # with n_t = 1 the step is dt = T, and the implicit quadratic
-        # iteration diverges instead of returning an unconverged iterate
+    def test_one_slice_relaxation_converges(self, critical_setup):
+        # with n_t = 1 the step is dt = T: the implicit quadratic step's
+        # fixed-point iteration diverges there, and Newton finishes it
         curve, fsc, _, _ = critical_setup
-        grid = cylinder_grid(fsc, 8.0, n_t=1, n_z=401)
+        grid = cylinder_grid(fsc, 8.0, n_z=401)
+        assert grid.n_t == 1
         env = build_envelopes_critical(fsc, curve.mu_star, grid)
-        with pytest.raises(NumericalError, match="implicit quadratic step"):
-            critical_fixed_point(env, grid, tol=1e-8, force_relaxation=True)
+        ptc = critical_fixed_point(env, grid, tol=1e-8)
+        relaxed = critical_fixed_point(env, grid, tol=1e-8, force_relaxation=True)
+        assert relaxed.info["relax_periods"] > 0
+        assert np.abs(relaxed.u.values - ptc.u.values).max() <= 1e-8
+        assert relaxed.trapping_violation <= 1e-8
 
     @pytest.mark.parametrize("a, m3", [(8.0, 7.4906250000000005), (9.0, None), (10.0, None),
                                        (12.0, None), (16.0, 8.98875)])
