@@ -123,7 +123,8 @@ _PARAM_RULES = (
     (lambda v: _integer(v) and v > 0, "a positive integer",
      "wave.n_t wave.n_z wave.points_per_cell simulate.n_x probe.n_x"),
     (lambda v: _integer(v) and v >= 4, "an integer >= 4", "sampling_factor"),
-    (_number, "a number", "simulate.initial.e probe.e"),
+    (lambda v: _number(v) and v != 0, "a nonzero number", "simulate.initial.e"),
+    (_number, "a number", "probe.e"),
     (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)", "simulate.theta"),
     (_increasing, "an increasing list of positive numbers", "mu_list"),
     (lambda v: _increasing(v) and len(v) >= 2,
@@ -178,6 +179,12 @@ class JobConfig:
                              "use wave.dz (or wave.points_per_cell) instead")
         if {"a", "a_schedule"} <= set(self.params.get("wave", {})):
             raise InputError("config.params.wave.a is ignored next to wave.a_schedule: give one")
+        # the eigen layer reduces every frame to (t, z): refuse a transverse dependence here
+        if "eigen" in self.tasks and self.system.n >= 2 and not self.system.is_space_homogeneous():
+            static_frame(self.system, e=self.params.get("e")).reduce_1d()
+            if "frame" in self.params:
+                transform_coefficients(nondimensionalize(self.system),
+                                       frame_from_json(self.params["frame"])).reduce_1d()
         self.out = Path(doc.get("out", base_dir / "out"))
 
     @staticmethod
@@ -375,9 +382,12 @@ def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
     x = np.linspace(-X, X, n_x)
     sysn = nondimensionalize(ctx.sys)
     _, K = logistic_envelope(sysn)
+    sides = ("left", "right")
     if init_par.get("kind", "bump") == "front":
-        init = front_initial(x, sysn.N, float(init_par.get("e", 1.0)),
-                             amp=float(init_par.get("amp", 0.5 * K)),
+        # a front fills x e > 0 and moves only its edge facing -e
+        e = float(init_par.get("e", 1.0))
+        sides = sides[:1] if e > 0 else sides[1:]
+        init = front_initial(x, sysn.N, e, amp=float(init_par.get("amp", 0.5 * K)),
                              width=float(init_par.get("width", 1.0)))
     else:
         init = bump_initial(x, sysn.N, amp=float(init_par.get("amp", 0.5 * K)),
@@ -385,7 +395,7 @@ def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
     run = simulate(sysn, init, t_final, X, n_x=n_x,
                    snapshot_every=float(par.get("snapshot_every", 1.0)))
     theta = theta_frac * K
-    meas = measure_spreading_speed(run, theta)
+    meas = measure_spreading_speed(run, theta, sides=sides)
     left, right = run.front_positions(theta)
     rows = map("{!r},{!r},{!r}\n".format, run.times.tolist(), left.tolist(), right.tolist())
     _atomic_write(outdir / "front_track.csv", "t,x_theta_left,x_theta_right\n" + "".join(rows))
@@ -403,10 +413,9 @@ def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
     )
     return {
         "theta": theta,
-        "speed_left": meas.speed_left,
-        "speed_right": meas.speed_right,
-        "r2_left": meas.r2_left,
-        "r2_right": meas.r2_right,
+        # null, not NaN, for the side a front leaves untracked
+        **{f"{q}_{side}": getattr(meas, f"{q}_{side}") if side in sides else None
+           for q in ("speed", "r2") for side in ("left", "right")},
         "dt": run.dt,
         "K": run.K,
         "artifacts": ["front_track.csv", "front_track.svg"]
@@ -461,8 +470,9 @@ def emit_report(outdir: Path, sections: dict, wall_times: dict | None = None) ->
     report = {"wavekit_version": __version__, "sections": sections}
     disp = sections.get("dispersion", {})
     sim = sections.get("simulate", {})
-    if disp.get("c_star") and sim.get("speed_right") is not None:
-        measured = max(abs(sim["speed_left"]), abs(sim["speed_right"]))
+    speeds = [abs(sim[k]) for k in ("speed_left", "speed_right") if sim.get(k) is not None]
+    if disp.get("c_star") and speeds:
+        measured = max(speeds)
         report["speed_cross_check"] = {
             "c_star": disp["c_star"],
             "measured": measured,

@@ -161,32 +161,24 @@ def speed_roots(curve: DispersionCurve, c: float, tol: float = 1e-8) -> RootPair
     def h(mu):
         return ev(mu) + c * mu
 
-    h_star = h(mu_star)
-    if h_star <= 0:
+    if h(mu_star) <= 0:
         raise NumericalError("h(mu*) <= 0 contradicts c > c*; upstream failure")
 
-    def bisect(lo, hi, f_lo_sign):
-        # plain bisection: h changes sign exactly once on each side of mu*
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if (h(mid) < 0) == f_lo_sign:
-                lo = mid
+    def root(factor):
+        # walk out from mu* by factor until h < 0, then bisect back to mu*:
+        # h changes sign exactly once on each side of mu*
+        inner = outer = mu_star
+        while h(outer) > 0:
+            outer *= factor
+            if not 1e-12 <= outer <= 1e4:
+                raise NumericalError("no decay root found between mu = 1e-12 and mu = 1e4")
+        while abs(outer - inner) > tol:
+            mid = 0.5 * (inner + outer)
+            if h(mid) < 0:
+                outer = mid
             else:
-                hi = mid
-        return 0.5 * (lo + hi)
+                inner = mid
+        return 0.5 * (inner + outer)
 
-    lo = mu_star
-    while h(lo) > 0:
-        lo *= 0.5
-        if lo < 1e-12:
-            raise NumericalError("no lower decay root found above mu = 1e-12")
-    mu_wedge = bisect(lo, mu_star, True)
-
-    hi = mu_star
-    while h(hi) > 0:
-        hi *= 2.0
-        if hi > MU_BRACKET[1] * 10:
-            raise NumericalError("no upper decay root found below mu = 1e4")
-    mu_vee = bisect(mu_star, hi, False)
     # on (mu_wedge, mu_vee) the function is positive; outside negative
-    return RootPair(float(c), float(mu_wedge), float(mu_vee))
+    return RootPair(float(c), float(root(0.5)), float(root(2.0)))

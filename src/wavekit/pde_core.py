@@ -11,10 +11,11 @@ Crank-Nicolson option used by the eigensolver where it matters.
 Boundary treatments of the step solver: periodic on a cell; Dirichlet on an
 interval when boundary data is given (the wave and eigen layers); zero flux on
 an interval without boundary data (the Cauchy layer), with the drift upwinded
-at the two end nodes so the step matrix stays an M-matrix.  A step solver
-assembles its spatial operator S once, for all time slices, on one sparse
-pattern; the step, Crank-Nicolson, steady and Newton matrices are all
-d I + s S on it, and the Dirichlet rows are a boolean mask.  The residual
+at the two end nodes so the step matrix stays an M-matrix.  `stencil` gives
+the spatial operator S as 2N+1 bands, which `apply_S` applies and a step
+solver stores once, for all time slices, in LAPACK's column band storage: the
+step, Crank-Nicolson, steady and Newton matrices are all d I + s S on that
+one pattern, and the Dirichlet rows are a boolean mask.  The residual
 `apply_operator` is that of the backward-Euler scheme on the same S.
 
 Time-periodic boundary-value problems, linear or with a diagonal quadratic
@@ -257,14 +258,16 @@ def build_operator_mu(fsys: FrameSystem, mu: float, grid: Grid) -> OperatorSpec:
 
 # -- the one stencil ------------------------------------------------------------
 
-def stencil(op: OperatorSpec, extra_diag: np.ndarray | None, nd: int):
-    """(lo, dg, up, off) of S, the spatial part of -(op + diag(extra_diag)),
-    on the first nd time slices:
-        (S v)_ij = lo_ij v_i,j-1 + dg_ij v_ij + up_ij v_i,j+1 + sum_l off_il,j v_lj,
-    off being the coupling off its diagonal.  Neighbours wrap on a periodic
-    cell; an interval's end rows are zero flux with the drift upwinded.
+def stencil(op: OperatorSpec, extra_diag: np.ndarray | None, nd: int) -> np.ndarray:
+    """S, the spatial part of -(op + diag(extra_diag)), on the first nd time
+    slices as 2N+1 bands in z-major flat order (m = j N + i):
+        band[N + o][k, m] = S_k[m, m + o],   o = -N, ..., N.
+    The z neighbours sit at o = +-N and wrap modulo N n_z on a periodic cell;
+    the coupling off its diagonal fills 0 < |o| < N.  Entries past an
+    interval's ends, or pairing no two components of one node, are zero; an
+    interval's end rows are zero flux with the drift upwinded.
     """
-    dz = op.grid.dz
+    N, dz = op.N, op.grid.dz
     periodic = op.grid.kind == "periodic"
     a_h, q = op.a_half[:, :nd], op.drift[:, :nd]
     if periodic:
@@ -286,16 +289,23 @@ def stencil(op: OperatorSpec, extra_diag: np.ndarray | None, nd: int):
     L = op.coupling[:, :, :nd]
     extra = 0.0 if extra_diag is None else extra_diag[:, :nd]
     dg = dg - op.pot0[:, :nd] - extra + np.einsum("iikz->ikz", L)
-    off = L * (1.0 - np.eye(op.N))[:, :, None, None]
-    return lo, dg, up, off
+    band = np.zeros((2 * N + 1, nd, op.grid.n_z, N))
+    band[0], band[N], band[2 * N] = (x.transpose(1, 2, 0) for x in (lo, dg, up))
+    for i, l in zip(*np.nonzero(~np.eye(N, dtype=bool))):
+        band[N + l - i, ..., i] = L[i, l]
+    return band.reshape(2 * N + 1, nd, -1)
 
 
 def apply_S(op: OperatorSpec, v: np.ndarray, extra_diag: np.ndarray | None) -> np.ndarray:
     """S v on every time slice, v of shape (N, n_t, n_z)."""
-    lo, dg, up, off = stencil(op, extra_diag, op.grid.n_t)
-    # on an interval lo[..., 0] = up[..., -1] = 0: the rolls' wrap adds nothing
-    return (lo * np.roll(v, 1, axis=2) + dg * v + up * np.roll(v, -1, axis=2)
-            + np.einsum("ijtz,jtz->itz", off, v))
+    N, (n_t, n_z) = op.N, v.shape[1:]
+    band = stencil(op, extra_diag, n_t)
+    w = v.transpose(1, 2, 0).reshape(n_t, -1)
+    # the z neighbours, then the coupling; on an interval the rolls' wrap meets zero bands
+    Sw = band[0] * np.roll(w, N, axis=1)
+    for o in (0, N, *range(1 - N, 0), *range(1, N)):
+        Sw += band[N + o] * np.roll(w, -o, axis=1)
+    return Sw.reshape(n_t, n_z, N).transpose(2, 0, 1)
 
 
 def apply_operator(op: OperatorSpec, u: GridField, extra_diag: np.ndarray | None = None) -> GridField:
@@ -315,13 +325,13 @@ class Stepper:
     """Cached sparse step solver for the parabolic flow d_t v = S(t) v.
 
     S is the spatial part of -(op + diag(extra_diag)); unknowns are ordered
-    z-major, component-minor (index j * N + i).  One CSC pattern, built once,
-    serves every time slice and every matrix derived from S (d I + s S_k): it
-    holds every diagonal entry, the three-point stencil and the N x N coupling
-    block.  On an interval grid with boundary data bc, the Dirichlet rows (the
-    mask _dirichlet) hold only a zero diagonal, so the implicit step matrix
-    has identity rows there and boundary data is injected through the
-    right-hand side; without bc the two ends carry no flux.
+    z-major, component-minor (index j * N + i).  The bands of `stencil`,
+    stored once per distinct time slice column by column at width 2N+1, are
+    the one sparse pattern of every matrix derived from S (d I + s S_k).  On
+    an interval grid with boundary data bc, the Dirichlet rows (the mask
+    _dirichlet) of S are zero, so the implicit step matrix has identity rows
+    there and boundary data is injected through the right-hand side; without
+    bc the two ends carry no flux.
     """
 
     def __init__(self, op: OperatorSpec, scheme: str = "be",
@@ -371,40 +381,22 @@ class Stepper:
                 )
 
     def _assemble_S(self) -> None:
-        """The CSC pattern of S and its values on all distinct slices at once.
-
-        Sets _indices and _indptr (the pattern), _S_data (n_distinct, nnz)
-        and _diag_pos, the position of each diagonal entry in the data.
-        """
-        N, nd, size = self.N, self.n_distinct, self.size
-        periodic = self.grid.kind == "periodic"
-        lo, dg, up, coupling = stencil(self.op, self.extra_diag, nd)
-
-        def flat(x):  # (N, nd, n_z) -> (nd, size), z-major
-            return x.transpose(1, 2, 0).reshape(nd, size)
-
-        m = np.arange(size)
-        inner = ~self._dirichlet
-        has_up = inner & (periodic | (m < size - N))
-        has_lo = inner & (periodic | (m >= N))
-        e = np.arange(size * N)  # coupling block: row e // N, component e % N
-        r = e // N
-        c = r - r % N + e % N
-        off = inner[r] & (c != r)
-        rows = np.concatenate([m, m[has_up], m[has_lo], r[off]])
-        cols = np.concatenate([m, (m[has_up] + N) % size, (m[has_lo] - N) % size, c[off]])
-        vals = np.concatenate([
-            np.where(self._dirichlet, 0.0, flat(dg)), flat(up)[:, has_up], flat(lo)[:, has_lo],
-            coupling.transpose(2, 3, 0, 1).reshape(nd, size * N)[:, off],
-        ], axis=1)
-        order = np.lexsort((rows, cols))
-        self._indices = rows[order]
-        self._indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=size))])
-        self._S_data = vals[:, order]
-        self._diag_pos = np.argsort(order)[:size]
+        """S on all distinct slices, _S_data (n_distinct, size (2N+1)), on the
+        pattern _indices, _indptr: column c holds rows (c - o) mod size for
+        o = N, ..., -N, the diagonal at _diag_pos.  Entries past an interval's
+        ends are zeros that _matrix drops."""
+        N, size, width = self.N, self.size, 2 * self.N + 1
+        band = stencil(self.op, self.extra_diag, self.n_distinct)
+        band[..., self._dirichlet] = 0.0
+        offsets = np.arange(N, -N - 1, -1)  # ascending rows within a column
+        self._S_data = np.stack([np.roll(b, o, axis=1) for b, o in zip(band[::-1], offsets)],
+                                axis=2).reshape(self.n_distinct, -1)
+        self._indices = ((np.arange(size)[:, None] - offsets) % size).astype(np.int32).ravel()
+        self._indptr = np.arange(0, size * width + 1, width, dtype=np.int32)
+        self._diag_pos = np.arange(N, size * width, width)
 
     def _matrix(self, d, s: float, k: int = 0) -> sp.csc_matrix:
-        """d I + s S_k on the shared pattern; d is a scalar or a flat diagonal.
+        """d I + s S_k on the band pattern; d is a scalar or a flat diagonal.
 
         Entries that vanish on this slice (a coupling coefficient with a zero)
         are dropped, so they cost no fill in a factorization.

@@ -78,6 +78,7 @@ class TestConfigParsing:
         {"wave": [1]},
         {"probe": [1]},
         {"simulate": "x"},
+        {"simulate": {"initial": {"kind": "front", "e": 0}}},
     ])
     def test_malformed_params_exit_two(self, tmp_path, capsys, params):
         cfg = scalar_config(["wave", "simulate", "probe"], extra_params={"c": 2.5, **params})
@@ -117,6 +118,26 @@ class TestConfigParsing:
         assert run_config(write_config(tmp_path, cfg), out=out) == 2
         err = capsys.readouterr().err
         assert "config error:" in err and "wave.a" in err
+        assert not list(tmp_path.glob("out/*.json"))
+
+    def test_transverse_dependence_exit_two(self, tmp_path, capsys):
+        # L = 1 + 0.5 cos(2 pi x_1) varies across e = (0, 1): no 1-D reduction
+        mode = {"kt": 0, "kx": [0, 0], "cos": 1.0, "sin": 0.0}
+        cfg = {
+            "system": {"N": 1, "n": 2, "fields": {
+                "A": [[[[mode], []], [[], [mode]]]],
+                "q": [[[], []]],
+                "L": [[[mode, {"kt": 0, "kx": [1, 0], "cos": 0.5, "sin": 0.0}]]],
+                "B": [[[mode]]],
+            }},
+            "tasks": ["wave"],
+            "params": {"e": [0, 1], "c": 3},
+        }
+        p = write_config(tmp_path, cfg)
+        assert main(["validate", str(p)]) == 2
+        assert run_config(p, out=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 2 and "transverse" in err
         assert not list(tmp_path.glob("out/*.json"))
 
     def test_validate_subcommand_exit_codes(self, tmp_path):
@@ -268,6 +289,24 @@ class TestRunConfig:
         snap = np.loadtxt(out / "snapshot_0.csv", delimiter=",", skiprows=1)
         assert snap.shape[1] == 3
 
+    @pytest.mark.parametrize("e", [1, -1])
+    def test_front_tracks_its_moving_side(self, tmp_path, e):
+        # a front filling x e > 0 invades towards -e at c* = 2; its other edge
+        # stays at the domain end and is not measured
+        cfg = scalar_config(["simulate"], extra_params={"simulate": {
+            "X": 100.0, "n_x": 1024, "t_final": 40.0, "initial": {"kind": "front", "e": e},
+        }})
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+
+        def refuse(name):
+            raise ValueError(name)
+
+        doc = json.loads((out / "simulate.json").read_text(), parse_constant=refuse)
+        moving, still = ("left", "right") if e > 0 else ("right", "left")
+        assert doc[f"speed_{moving}"] == pytest.approx(2.0, rel=0.05)
+        assert doc[f"speed_{still}"] is None and doc[f"r2_{still}"] is None
+
     def test_readme_example_config(self, tmp_path):
         # the JSON block of README.md exactly as written ("c": "5/2" included)
         blocks = re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)
@@ -370,6 +409,14 @@ class TestEmitReport:
                          "speed_left": 1.9, "speed_right": 1.95},
         })
         assert report["speed_cross_check"]["ratio"] == pytest.approx(0.975)
+
+    def test_cross_check_reads_tracked_side_only(self, tmp_path):
+        report = emit_report(tmp_path, {
+            "dispersion": {"task": "dispersion", "status": "ok", "c_star": 2.0},
+            "simulate": {"task": "simulate", "status": "ok",
+                         "speed_left": None, "speed_right": 1.9},
+        })
+        assert report["speed_cross_check"]["ratio"] == pytest.approx(0.95)
 
     def test_no_artifacts_raises(self, tmp_path):
         with pytest.raises(InputError):

@@ -14,6 +14,7 @@ from wavekit.pde_core import (
     build_operator_mu,
     Stepper,
     solve_periodic_bvp,
+    stencil,
 )
 
 
@@ -456,6 +457,44 @@ class TestSharedPattern:
             got = st.step(v, k)
             assert np.array_equal(got, expect)
             v = got
+
+
+class TestStencilBands:
+    # band[N + o][k, m] = S_k[m, m + o] over TestSharedPattern's cases
+    @pytest.mark.parametrize("extra", [None, "static", "time"])
+    @pytest.mark.parametrize("time_dep", [False, True])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("closure", ["periodic", "dirichlet", "zero_flux"])
+    def test_bands_match_per_slice_assembly(self, closure, N, time_dep, extra, rng):
+        fs = frame_of(_pattern_system(N, time_dep))
+        if closure == "periodic":
+            g = Grid.periodic_cell(1.0, 1.0, 8, 32)
+        else:
+            g = Grid.cylinder(1.0, 1.25, 8, 41)
+        op = build_operator_mu(fs, 0.3, g)
+        extra_diag = None
+        if extra is not None:
+            extra_diag = rng.normal(size=(N, 1 if extra == "static" else g.n_t, g.n_z))
+        bc = None
+        if closure == "dirichlet":
+            bc = (rng.uniform(0.5, 1.0, (N, g.n_t)), rng.uniform(0.0, 0.5, (N, g.n_t)))
+        st = Stepper(op, extra_diag=extra_diag, bc=bc)
+        band = stencil(op, extra_diag, st.n_distinct)
+        assert band.shape == (2 * N + 1, st.n_distinct, st.size)
+
+        m = np.arange(st.size)
+        # the reference leaves a Dirichlet row empty; stencil keeps its zero-flux row
+        assembled = (m >= N) & (m < st.size - N) if bc is not None else m >= 0
+        for k in range(st.n_distinct):
+            S_ref = _reference_S(st, k).toarray()
+            for o in range(-N, N + 1):
+                col = m + o
+                inside = (closure == "periodic") | ((col >= 0) & (col < st.size))
+                pair = (abs(o) == N) | ((m % N + o >= 0) & (m % N + o < N))
+                got = band[N + o, k]
+                assert np.all(got[~(inside & pair)] == 0.0)
+                rows = assembled & inside
+                assert np.array_equal(got[rows], S_ref[m[rows], col[rows] % st.size])
 
 
 class TestGridFieldIO:
