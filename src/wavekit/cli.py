@@ -124,7 +124,7 @@ _PARAM_RULES = (
      "wave.n_t wave.n_z wave.points_per_cell simulate.n_x probe.n_x"),
     (lambda v: _integer(v) and v >= 4, "an integer >= 4", "sampling_factor"),
     (lambda v: _number(v) and v != 0, "a nonzero number", "simulate.initial.e"),
-    (_number, "a number", "probe.e"),
+    (lambda v: _number(v) and abs(v) == 1, "1 or -1", "probe.e"),
     (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)", "simulate.theta"),
     (_increasing, "an increasing list of positive numbers", "mu_list"),
     (lambda v: _increasing(v) and len(v) >= 2,
@@ -427,7 +427,7 @@ def run_probe(ctx: TaskContext, outdir: Path) -> dict:
     curve = ctx.get_curve()
     par = ctx.cfg.param("probe", {})
     c = curve.c_star / 2.0 if par.get("c") is None else parse_speed(par["c"])
-    e_scalar = float(par.get("e", ctx.e[-1]))
+    e_scalar = float(par.get("e", math.copysign(1.0, ctx.e[-1])))
     rep = nonexistence_probe(
         ctx.sys, e_scalar, c, curve.c_star,
         t_final=float(par.get("t_final", 30.0)),

@@ -24,7 +24,9 @@ periodic-Dirichlet principal eigenvalue makes the period map a contraction, so
 the flow converges geometrically to the unique time-periodic solution.  When
 nothing depends on time the periodic problem degenerates to a steady one: a
 single sparse solve when linear, pseudo-transient continuation when
-semilinear.
+semilinear.  One Newton solve, `Stepper._newton_be`, takes a backward-Euler
+quadratic step of any dt: every pseudo-time step, and a relaxation step once
+its fixed-point iteration stops contracting.
 """
 
 from __future__ import annotations
@@ -434,17 +436,14 @@ class Stepper:
     def step_implicit_quadratic(self, v: np.ndarray, k: int, b_k: np.ndarray) -> np.ndarray:
         """Backward-Euler step of d_t v = S v - b v^2, quadratic kept implicit.
 
-        Solves (I - dt S) w + dt b w^2 = v exactly (to _QUAD_TOL) by fixed-point
-        iterations reusing the cached factorization; the steady state of this
-        map is therefore the exact discrete steady state, with no splitting
-        bias.  b_k is the (N, n_z) diagonal quadratic coefficient at t_{k+1};
-        it is ignored on Dirichlet rows, which carry pure boundary data.  A
-        Crank-Nicolson Stepper is refused: its cached matrix I - dt/2 S would
-        halve S in the steady state.  The iteration contracts only while dt b w
-        is small; once a change is not finite or not below half the last, Newton
-        restarts from v (Dirichlet data written in) on the Jacobian I - dt S +
-        2 dt diag(b w), an M-matrix for w >= 0.  Running out of iterations, or
-        Newton leaving the finite numbers, raises.
+        Solves (I - dt S) w + dt b w^2 = v by fixed-point iterations on the
+        cached factorization, to _QUAD_TOL, so the map's steady state is the
+        exact discrete one.  b_k is the (N, n_z) diagonal quadratic coefficient
+        at t_{k+1}, ignored on the Dirichlet rows.  A Crank-Nicolson Stepper is
+        refused: its cached I - dt/2 S would halve S in the steady state.  Once
+        a change is not finite or not below half the last (dt b w too large),
+        _newton_be solves the step and its Dirichlet entries are reset to the
+        data; Newton failing raises.
         """
         if self.scheme != "be":
             raise InputError("the implicit quadratic step needs a backward-Euler Stepper")
@@ -454,24 +453,43 @@ class Stepper:
         rhs0 = self._bc_into(self._flat(v), kk)
         lu = self._lhs_lu[kk % self.n_distinct]
         w = lu.solve(rhs0)
-        changes, picard = [], True
+        changes = []
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(_QUAD_MAX_INNER):
-                if picard:
-                    w_new = lu.solve(rhs0 - dt * b * w * w)
-                else:  # w - J^-1 F(w) with F(w) = J w - dt b w^2 - rhs0
-                    jac = self._matrix(1.0 + 2.0 * dt * b * w, -dt, kk % self.n_distinct)
-                    w_new = splu(jac).solve(rhs0 + dt * b * w * w)
+                w_new = lu.solve(rhs0 - dt * b * w * w)
                 changes.append(float(np.abs(w_new - w).max()))
                 w = w_new
                 if changes[-1] <= _QUAD_TOL * (1.0 + np.abs(w).max()):
                     return self._unflat(w)
-                if not changes[-1] < (0.5 * changes[-2] if picard and len(changes) > 1 else np.inf):
-                    if not picard:
-                        break
-                    picard, w = False, rhs0
-        raise NumericalError("implicit quadratic step did not converge (dt b u too large?)",
-                             history=changes)
+                if not changes[-1] < (0.5 * changes[-2] if len(changes) > 1 else np.inf):
+                    break
+        w = self._newton_be(rhs0, b, dt, kk)
+        if w is None:
+            raise NumericalError("implicit quadratic step: Newton did not converge", history=changes)
+        return self._unflat(self._bc_into(w, kk))
+
+    def _newton_be(self, u: np.ndarray, b: np.ndarray, dt: float, kk: int) -> np.ndarray | None:
+        """Newton for the backward-Euler step from flat u (Dirichlet data in,
+        b zero there) to t_kk: G(w) = (w - u)/dt + (K w + b w^2 - data) = 0,
+        K = -S with identity Dirichlet rows, Jacobian K + diag(2 b w + 1/dt).
+        Returns w, whose Dirichlet entries drift by roundoff, once |G| < 1e-11
+        (1 + |u|) / min(dt, 1); None if G is not finite or 12 updates fail.
+        """
+        k = kk % self.n_distinct
+        K = self._matrix(self._dirichlet, -1.0, k)
+        data = self._bc_into(np.zeros(self.size), kk)
+        tol = 1e-11 * (1.0 + float(np.abs(u).max())) / min(dt, 1.0)
+        w = u.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(12):
+                G = (w - u) / dt + (K @ w + b * w * w - data)
+                if not np.all(np.isfinite(G)):
+                    return None
+                if float(np.abs(G).max()) < tol:
+                    return w
+                jac = self._matrix(self._dirichlet + 2.0 * b * w + 1.0 / dt, -1.0, k)
+                w = w - splu(jac).solve(G)
+        return None
 
     def run_period(self, v0: np.ndarray, store_orbit: bool = False,
                    quadratic: np.ndarray | None = None):
@@ -570,53 +588,33 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
 def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, u0: np.ndarray, tol: float):
     """Pseudo-transient continuation for -S u + b u^2 = 0 with Dirichlet rows.
 
-    Backward-Euler pseudo-time steps, each step equation solved by Newton
-    (its Jacobian I/dt + J stays well conditioned for any dt because the
-    operator's Dirichlet eigenvalue is positive along the descent from the
-    supersolution), with dt doubling after every accepted step.  Plain Newton
-    on the steady system jumps branches through the nearly singular
-    downstream zero state; following the stable parabolic flow avoids that
-    while reaching the steady state in ~log(1/lambda_min) steps.  Returns
-    None if continuation stalls; the caller then relaxes (dt = T on one slice).
+    Backward-Euler pseudo-time steps by Stepper._newton_be, dt doubling after
+    a solved step and quartered after a failed one.  Plain Newton on the
+    steady system jumps branches through the nearly singular downstream zero
+    state; the stable parabolic flow avoids that and arrives in
+    ~log(1/lambda_min) steps.  The step Jacobian I/dt + J is not well
+    conditioned at every dt: a long critical cylinder is nearly translation
+    invariant (a = 60, n_z = 6001: singular to working precision from dt =
+    16 on), so roundoff picks the translate reached.  Returns None if
+    continuation stalls; the caller then relaxes (dt = T on one slice).
     """
     K = stepper.steady_matrix()
-    dirichlet = stepper._dirichlet
-    b = np.where(dirichlet, 0.0, stepper._flat(bdiag[:, 0, :]))
+    b = np.where(stepper._dirichlet, 0.0, stepper._flat(bdiag[:, 0, :]))
     data = stepper._bc_into(np.zeros(stepper.size), 0)
     u = stepper._bc_into(stepper._flat(u0), 0)
-
-    def steady_res(v):
-        # K has identity Dirichlet rows and b vanishes there: v - data
-        return K @ v + b * v * v - data
-
     dt = 1.0
-    scale = 1.0 + float(np.abs(u).max())
     for _ in range(_PTC_MAX_STEPS):
-        F = steady_res(u)
-        if float(np.abs(F).max()) < tol:
+        # K has identity Dirichlet rows and b vanishes there: u - data
+        if float(np.abs(K @ u + b * u * u - data).max()) < tol:
             return stepper._unflat(u)
-        # implicit Euler step: G(w) = (w - u)/dt + steady_res(w) = 0
-        w = u.copy()
-        ok = False
-        for _ in range(12):
-            G = (w - u) / dt + steady_res(w)
-            if not np.all(np.isfinite(G)):
-                break
-            gnorm = float(np.abs(G).max())
-            if gnorm < 1e-11 * scale / min(dt, 1.0):
-                ok = True
-                break
-            J = stepper._matrix(dirichlet + 2.0 * b * w + 1.0 / dt, -1.0)
-            w = w - splu(J).solve(G)
-        if ok:
+        if dt < 1e-8:
+            return None
+        w = stepper._newton_be(u, b, dt, 0)
+        if w is None:
+            dt *= 0.25
+        else:
             # project onto the invariant cone: the quadratic sink makes the
             # zero state one-sidedly unstable, and roundoff-scale negative
             # tails downstream would otherwise grow along the pseudo-flow
-            u = np.maximum(w, 0.0)
-            dt = min(dt * 2.0, 1e9)
-            scale = max(scale, 1.0 + float(np.abs(u).max()))
-        else:
-            dt *= 0.25
-            if dt < 1e-8:
-                return None
+            u, dt = np.maximum(w, 0.0), min(dt * 2.0, 1e9)
     return None

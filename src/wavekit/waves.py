@@ -367,7 +367,10 @@ def extend_to_entire(env, a_schedule, window: float, tol: float = 1e-4,
     half-lengths that differ by multiples of dz.  Then runs env's fixed point
     on each and stops when two successive profiles differ by less than tol on
     [-window, window]; the K-envelope bound 0 <= u <= K 1 is checked at
-    every step.
+    every step.  A space-homogeneous frame leaves the translate free, and the
+    truncation's pick moves with a: there the first z where max_i u_i(t_0)
+    reaches K/2, if it does, is recorded as info["front_shift"], and
+    _window_gap compares profiles with it moved to z = 0.
     """
     a_schedule = [float(a) for a in a_schedule]
     if sorted(a_schedule) != a_schedule or len(a_schedule) < 2:
@@ -388,8 +391,13 @@ def extend_to_entire(env, a_schedule, window: float, tol: float = 1e-4,
         profile.info["k_bound_violation"] = max(0.0, over_k)
         if over_k > 1e-6 * (1 + K):
             raise NumericalError(f"profile exceeds the logistic bound K={K} by {over_k:.3e}")
+        front = profile.u.values[:, 0].max(axis=0)
+        if env.fsys.L_z is None and front.max() >= 0.5 * K:
+            j = int(np.argmax(front >= 0.5 * K))
+            at = slice(max(j - 1, 0), j + 1)  # the nodes around the first crossing
+            profile.info["front_shift"] = float(np.interp(0.5 * K, front[at], profile.u.grid.z[at]))
         if prev is not None:
-            gap = _window_gap(prev.u, profile.u, window)
+            gap = _window_gap(prev, profile, window)
             gaps.append(gap)
             if gap < tol:
                 profile.info["stabilization_gap"] = gap
@@ -402,10 +410,16 @@ def extend_to_entire(env, a_schedule, window: float, tol: float = 1e-4,
     )
 
 
-def _window_gap(u1: GridField, u2: GridField, window: float) -> float:
-    """Sup difference of two profiles on [-window, window], whose nodes they share."""
-    v1, v2 = (u.values[:, :, np.abs(u.grid.z) <= window + 1e-9] for u in (u1, u2))
-    return float(np.abs(v1 - v2).max())
+def _window_gap(p1: WaveProfile, p2: WaveProfile, window: float) -> float:
+    """Sup difference of two profiles on [-window, window], whose nodes they
+    share; if both record a front_shift s, of u(z + s) by linear interpolation."""
+    aligned = all("front_shift" in p.info for p in (p1, p2))
+    v = []
+    for p in (p1, p2):
+        z = p.u.grid.z
+        zw = z[np.abs(z) <= window + 1e-9] + (p.info["front_shift"] if aligned else 0.0)
+        v.append([[np.interp(zw, z, row) for row in comp] for comp in p.u.values])
+    return float(np.abs(np.subtract(*v)).max())
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,7 @@ class TestConfigParsing:
         {"probe": [1]},
         {"simulate": "x"},
         {"simulate": {"initial": {"kind": "front", "e": 0}}},
+        {"probe": {"e": 0.5}},
     ])
     def test_malformed_params_exit_two(self, tmp_path, capsys, params):
         cfg = scalar_config(["wave", "simulate", "probe"], extra_params={"c": 2.5, **params})
@@ -236,6 +237,15 @@ class TestRunConfig:
         doc = json.loads((out / "probe.json").read_text())
         assert doc["probe_status"] in ("no_wave_signature", "inconclusive")
         assert doc["c"] == pytest.approx(doc["c_star"] / 2, rel=1e-6)
+
+    def test_probe_direction_defaults_to_sign_of_e(self, tmp_path):
+        # e = [2] is a valid direction; the probe runs along its sign, +1
+        cfg = scalar_config(["probe"], extra_params={
+            "e": [2], "probe": {"t_final": 20.0, "X": 60.0, "n_x": 1024},
+        })
+        out = tmp_path / "out_probe"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+        assert json.loads((out / "probe.json").read_text())["status"] == "ok"
 
     def test_probe_rational_speed(self, tmp_path):
         cfg = scalar_config(["probe"], extra_params={

@@ -16,6 +16,7 @@ from wavekit.pde_core import (
     solve_periodic_bvp,
     stencil,
 )
+from wavekit.waves import _truncated_problem, build_envelopes_critical, cylinder_grid
 
 
 def frame_of(sys, c=0):
@@ -258,6 +259,71 @@ def picard_quadratic_step(st, v, k, b_k):
     raise NumericalError("Picard iteration did not converge")
 
 
+def ptc_reference(stepper, bdiag, u0, tol):
+    """Pseudo-transient continuation with its own Newton loop: the steady
+    semilinear solve before it shared the Stepper's Newton."""
+    K = stepper.steady_matrix()
+    dirichlet = stepper._dirichlet
+    b = np.where(dirichlet, 0.0, stepper._flat(bdiag[:, 0, :]))
+    data = stepper._bc_into(np.zeros(stepper.size), 0)
+    u = stepper._bc_into(stepper._flat(u0), 0)
+
+    def steady_res(v):
+        return K @ v + b * v * v - data
+
+    dt = 1.0
+    scale = 1.0 + float(np.abs(u).max())
+    for _ in range(400):
+        if float(np.abs(steady_res(u)).max()) < tol:
+            return stepper._unflat(u)
+        w = u.copy()
+        ok = False
+        for _ in range(12):
+            G = (w - u) / dt + steady_res(w)
+            if not np.all(np.isfinite(G)):
+                break
+            if float(np.abs(G).max()) < 1e-11 * scale / min(dt, 1.0):
+                ok = True
+                break
+            J = stepper._matrix(dirichlet + 2.0 * b * w + 1.0 / dt, -1.0)
+            w = w - splu(J).solve(G)
+        if ok:
+            u = np.maximum(w, 0.0)
+            dt = min(dt * 2.0, 1e9)
+            scale = max(scale, 1.0 + float(np.abs(u).max()))
+        else:
+            dt *= 0.25
+            if dt < 1e-8:
+                return None
+    return None
+
+
+class TestSteadyContinuation:
+    def assert_matches_reference(self, op, bc, init, tol, quad, extra=None):
+        u, info = solve_periodic_bvp(op, bc, init, tol, extra_diag=extra, quadratic=quad)
+        assert info["mode"] == "steady"
+        ref = ptc_reference(Stepper(op, extra_diag=extra, bc=bc), quad, init.values[:, 0], tol)
+        assert np.array_equal(u.values[:, 0], ref)
+
+    def test_semilinear_cylinder_bit_equal(self):
+        # the problem of TestPeriodicBVP.test_semilinear_relaxation_matches_ptc
+        g = Grid.cylinder(1.0, 2.0, 8, 65)
+        op = build_operator_mu(frame_of(scalar_system(l=1.0)), 0.0, g)
+        half = 0.5 * np.ones((1, g.n_t))
+        self.assert_matches_reference(op, (half, half), GridField(np.ones((1, g.n_t, g.n_z)), g),
+                                      1e-12, np.ones((1, g.n_t, g.n_z)))
+
+    def test_critical_kpp_cylinder_bit_equal(self):
+        # scalar KPP at c* = 2, mu* = 1, from its supersolution: the long
+        # cylinder whose continuation passes nearly singular step Jacobians
+        fs = transform_coefficients(nondimensionalize(scalar_system()),
+                                    make_frame([1.0], 2.0, mode="space-homogeneous"))
+        grid = cylinder_grid(fs, 60.0, n_z=6001)
+        ubar, _, _, op0, bc = _truncated_problem(build_envelopes_critical(fs, 1.0, grid), grid)
+        self.assert_matches_reference(op0, bc, ubar, 1e-9, np.einsum("iitz->itz", op0.b_tab),
+                                      extra=np.zeros_like(ubar.values))
+
+
 class TestImplicitQuadraticStep:
     def test_picard_convergent_steps_unchanged(self, rng):
         # a time-periodic 2 x 2 step solver with Dirichlet data: where the
@@ -287,6 +353,27 @@ class TestImplicitQuadraticStep:
         b = np.where(st._dirichlet, 0.0, st._flat(b_k))
         res = st._matrix(1.0, -g.dt) @ w + g.dt * b * w * w - st._bc_into(st._flat(v), 0)
         assert np.abs(res).max() <= 1e-12 * np.abs(w).max()
+        assert w.min() >= 0.0
+
+    def test_long_step_newton_meets_its_stop_rule(self):
+        # a pseudo-time step dt = 1e3 with Dirichlet data 1 and 1/2: the
+        # fixed-point iteration diverges, the shared Newton meets
+        # |G| < 1e-11 (1 + |v|) / min(dt, 1), and the step returns the data
+        fs = frame_of(scalar_system(l=1.0))
+        g = Grid.cylinder(1e3, 6.0, 1, 121)
+        bc = (np.ones((1, 1)), 0.5 * np.ones((1, 1)))
+        st = Stepper(build_operator_mu(fs, 0.0, g), bc=bc)
+        v, b_k = 4.0 * np.ones((1, g.n_z)), 3.0 * np.ones((1, g.n_z))
+        with pytest.raises(NumericalError):
+            picard_quadratic_step(st, v, 0, b_k)
+        u = st._bc_into(st._flat(v), 0)
+        b = np.where(st._dirichlet, 0.0, st._flat(b_k))
+        data = st._bc_into(np.zeros(st.size), 0)
+        stop = 1e-11 * (1.0 + np.abs(u).max()) / min(g.dt, 1.0)
+        for w in (st._newton_be(u, b, g.dt, 0), st._flat(st.step_implicit_quadratic(v, 0, b_k))):
+            G = (w - u) / g.dt + (st.steady_matrix() @ w + b * w * w - data)
+            assert np.abs(G).max() < stop
+        assert np.array_equal(w[st._dirichlet], data[st._dirichlet])
         assert w.min() >= 0.0
 
 

@@ -174,6 +174,20 @@ class TestExtendToEntire:
                 extend_to_entire(env, a_schedule, window=4.0, **grid_kw)
         assert spy.call_count == 0
 
+    @pytest.mark.parametrize("c", [2.0, 2.5])
+    def test_translates_stabilize_at_first_pair(self, scalar_setup, c):
+        # scalar KPP at dz = 0.05, window 2: unaligned, the critical gaps along
+        # a = 16, 24, 32, 40, 60 are 3.6e-2, 9.6e-3, 1.3e-3, 1.2e-2 and the
+        # supercritical (c = 2.5) ones 1.0e-2, 1.2e-3, 6.0e-5, 2.8e-4
+        fs = wave_frame(scalar_system(), c)
+        grid = cylinder_grid(fs, 16.0, dz=0.05)
+        env = (build_envelopes_critical(fs, 1.0, grid) if c == 2.0 else
+               build_envelopes_supercritical(fs, scalar_setup[2], grid))
+        profile = extend_to_entire(env, [16.0, 24.0, 32.0, 40.0, 60.0], window=2.0,
+                                   tol=1e-5, dz=0.05)
+        assert profile.a == 24.0 and profile.info["stabilization_gap"] < 1e-5
+        assert abs(profile.info["front_shift"]) < 2.0
+
     def test_no_stabilization_raises(self, scalar_setup):
         env = scalar_setup[-1]
         with pytest.raises(NumericalError):
