@@ -233,7 +233,7 @@ class TaskContext:
 
     def get_persistence(self):
         if self.persistence is None:
-            self.persistence = persistence_check(self.sys, tol=self.eigen_tol)
+            self.persistence = persistence_check(self.sys, tol=self.eigen_tol, e=self.e)
         return self.persistence
 
     def get_curve(self):

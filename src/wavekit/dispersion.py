@@ -77,13 +77,13 @@ def static_frame(sys: KPPSystem, e=None) -> FrameSystem:
     return frame_for(sys, (0,) * (sys.n - 1) + (1,) if e is None else e, 0)
 
 
-def persistence_check(sys: KPPSystem, tol: float = 1e-8) -> PersistenceReport:
-    """Sign of the periodic principal eigenvalue at mu = 0 in the static frame.
+def persistence_check(sys: KPPSystem, tol: float = 1e-8, e=None) -> PersistenceReport:
+    """Sign of the periodic principal eigenvalue at mu = 0 in the static frame of e.
 
     A nonnegative value means every solution of the Cauchy problem goes
     extinct uniformly in space, and the wave pipeline refuses to run.
     """
-    fsys = static_frame(sys)
+    fsys = static_frame(sys, e=e)
     ev = EigenEvaluator(fsys, tol=tol)
     pair = ev.pair(0.0)
     cls = "persistent" if pair.lam < 0 else "extinct"

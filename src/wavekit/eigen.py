@@ -14,7 +14,8 @@ lambda = -ln(rho) / T.  Two paths:
     exactly in the semidiscrete sense (no spatial error at all).
   * genuinely z-dependent coefficients: power iteration on the period map of
     the cell discretization, stepped with Crank-Nicolson for second-order
-    accuracy of the reconstructed eigenfunction.
+    accuracy of the reconstructed eigenfunction; with nothing depending on
+    time, rho = R(dt s)^n_t inverts exactly to the eigenvalue s of S.
 
 Eigenfunctions are reconstructed over one period as u(t) = e^{lambda t} v(t),
 which is periodic by construction, then normalized (max-one by default;
@@ -150,7 +151,8 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
     """Principal eigenpair of op via the one-period solution map.
 
     Power iteration starts from the all-ones field; the Rayleigh ratio
-    estimates the spectral radius and lambda = -ln(rho)/T.  z-independent
+    estimates the spectral radius and lambda = -ln(rho)/T, or the exact
+    eigenvalue of S from rho on a time-independent operator.  z-independent
     operators take the exact ODE-monodromy shortcut.  Both paths run on a
     periodic cell; the residual is centred in time, as both are second order.
     """
@@ -181,13 +183,10 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
                else build_operator_mu(op.fsys, op.mu, replace(grid, n_t=n_run)))
         stepper = Stepper(run, scheme="cn")
         v = np.ones((op.N, grid.n_z))
-        rho = 1.0
         history = []
         for it in range(max_iters):
-            w = stepper.run_period(v)
-            num = float(np.vdot(v, w))
-            den = float(np.vdot(v, v))
-            rho = num / den
+            w, orbit = stepper.run_period(v)
+            rho = float(np.vdot(v, w)) / float(np.vdot(v, v))
             mask = np.abs(v) > 1e-14 * np.abs(v).max()
             ratios = w[mask] / v[mask]
             spread = float(ratios.max() - ratios.min()) / max(abs(rho), 1e-300)
@@ -204,7 +203,9 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
         if rho <= 0:
             raise NumericalError(f"nonpositive period-map spectral radius {rho!r}")
         lam = -np.log(rho) / T
-        _, orbit = stepper.run_period(v, store_orbit=True)
+        if not stepper.time_dependent:  # rho = R(dt s)^n_t, R(x) = (1 + x/2)/(1 - x/2)
+            lam = -2.0 / run.grid.dt * np.tanh(np.log(rho) / (2 * run.grid.n_t))
+        # the last iteration's orbit: at convergence it starts on the eigenvector
         vals = orbit * np.exp(lam * run.grid.t)[None, :, None]
         info = {"path": "power-iteration", "rho": rho, "iterations": it + 1}
 
@@ -224,7 +225,7 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
     kappa = float(vals.min() / vals.max())
     u_field = GridField(vals, grid)
     dudt = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * grid.dt)
-    resid = dudt - apply_S(op, vals, None) - lam * vals
+    resid = dudt - apply_S(op, vals) - lam * vals
     residual = float(np.abs(resid).max() / np.abs(vals).max())
     return PrincipalEigenpair(op.mu, float(lam), u_field, normalization, kappa, residual, info)
 

@@ -16,7 +16,8 @@ the spatial operator S as 2N+1 bands, which `apply_S` applies and a step
 solver stores once, for all time slices, in LAPACK's column band storage: the
 step, Crank-Nicolson, steady and Newton matrices are all d I + s S on that
 one pattern, and the Dirichlet rows are a boolean mask.  The residual
-`apply_operator` is that of the backward-Euler scheme on the same S.
+`apply_operator` is that of the backward-Euler scheme on the same S.  A
+diagonal a caller adds is folded into `OperatorSpec.pot0`.
 
 Time-periodic boundary-value problems, linear or with a diagonal quadratic
 term, are solved by one driver: relaxation of the parabolic flow; a positive
@@ -31,7 +32,7 @@ its fixed-point iteration stops contracting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import repeat
 
@@ -260,9 +261,9 @@ def build_operator_mu(fsys: FrameSystem, mu: float, grid: Grid) -> OperatorSpec:
 
 # -- the one stencil ------------------------------------------------------------
 
-def stencil(op: OperatorSpec, extra_diag: np.ndarray | None, nd: int) -> np.ndarray:
-    """S, the spatial part of -(op + diag(extra_diag)), on the first nd time
-    slices as 2N+1 bands in z-major flat order (m = j N + i):
+def stencil(op: OperatorSpec, nd: int) -> np.ndarray:
+    """S, the spatial part of -op, on the first nd time slices as 2N+1 bands
+    in z-major flat order (m = j N + i):
         band[N + o][k, m] = S_k[m, m + o],   o = -N, ..., N.
     The z neighbours sit at o = +-N and wrap modulo N n_z on a periodic cell;
     the coupling off its diagonal fills 0 < |o| < N.  Entries past an
@@ -289,8 +290,7 @@ def stencil(op: OperatorSpec, extra_diag: np.ndarray | None, nd: int) -> np.ndar
             -aN / dz**2 - np.abs(qN) / dz + np.maximum(-qN, 0.0) / dz,
         ], axis=2)
     L = op.coupling[:, :, :nd]
-    extra = 0.0 if extra_diag is None else extra_diag[:, :nd]
-    dg = dg - op.pot0[:, :nd] - extra + np.einsum("iikz->ikz", L)
+    dg = dg - op.pot0[:, :nd] + np.einsum("iikz->ikz", L)
     band = np.zeros((2 * N + 1, nd, op.grid.n_z, N))
     band[0], band[N], band[2 * N] = (x.transpose(1, 2, 0) for x in (lo, dg, up))
     for i, l in zip(*np.nonzero(~np.eye(N, dtype=bool))):
@@ -298,10 +298,10 @@ def stencil(op: OperatorSpec, extra_diag: np.ndarray | None, nd: int) -> np.ndar
     return band.reshape(2 * N + 1, nd, -1)
 
 
-def apply_S(op: OperatorSpec, v: np.ndarray, extra_diag: np.ndarray | None) -> np.ndarray:
+def apply_S(op: OperatorSpec, v: np.ndarray) -> np.ndarray:
     """S v on every time slice, v of shape (N, n_t, n_z)."""
     N, (n_t, n_z) = op.N, v.shape[1:]
-    band = stencil(op, extra_diag, n_t)
+    band = stencil(op, n_t)
     w = v.transpose(1, 2, 0).reshape(n_t, -1)
     # the z neighbours, then the coupling; on an interval the rolls' wrap meets zero bands
     Sw = band[0] * np.roll(w, N, axis=1)
@@ -310,7 +310,7 @@ def apply_S(op: OperatorSpec, v: np.ndarray, extra_diag: np.ndarray | None) -> n
     return Sw.reshape(n_t, n_z, N).transpose(2, 0, 1)
 
 
-def apply_operator(op: OperatorSpec, u: GridField, extra_diag: np.ndarray | None = None) -> GridField:
+def apply_operator(op: OperatorSpec, u: GridField) -> GridField:
     """(u_k - u_{k-1})/dt - S_k u_k over the periodic time axis, S as in `stencil`:
     the residual of the backward-Euler scheme Stepper solves.  An interval's
     end rows are the zero-flux rows; no caller reads them.
@@ -318,7 +318,7 @@ def apply_operator(op: OperatorSpec, u: GridField, extra_diag: np.ndarray | None
     if u.grid != op.grid:
         raise InputError("grid mismatch between operator and field")
     v = u.values
-    return GridField((v - np.roll(v, 1, axis=1)) / op.grid.dt - apply_S(op, v, extra_diag), op.grid)
+    return GridField((v - np.roll(v, 1, axis=1)) / op.grid.dt - apply_S(op, v), op.grid)
 
 
 # -- time stepping ---------------------------------------------------------------
@@ -326,18 +326,17 @@ def apply_operator(op: OperatorSpec, u: GridField, extra_diag: np.ndarray | None
 class Stepper:
     """Cached sparse step solver for the parabolic flow d_t v = S(t) v.
 
-    S is the spatial part of -(op + diag(extra_diag)); unknowns are ordered
-    z-major, component-minor (index j * N + i).  The bands of `stencil`,
-    stored once per distinct time slice column by column at width 2N+1, are
-    the one sparse pattern of every matrix derived from S (d I + s S_k).  On
-    an interval grid with boundary data bc, the Dirichlet rows (the mask
-    _dirichlet) of S are zero, so the implicit step matrix has identity rows
-    there and boundary data is injected through the right-hand side; without
-    bc the two ends carry no flux.
+    S is the spatial part of -op, a diagonal added by a caller folded into
+    op.pot0; unknowns are ordered z-major, component-minor (index j * N + i).
+    The bands of `stencil`, stored once per distinct time slice column by
+    column at width 2N+1, are the one sparse pattern of every matrix derived
+    from S (d I + s S_k).  On an interval grid with boundary data bc, the
+    Dirichlet rows (the mask _dirichlet) of S are zero, so the implicit step
+    matrix has identity rows there and boundary data is injected through the
+    right-hand side; without bc the two ends carry no flux.
     """
 
     def __init__(self, op: OperatorSpec, scheme: str = "be",
-                 extra_diag: np.ndarray | None = None,
                  bc: tuple[np.ndarray, np.ndarray] | None = None):
         if scheme not in ("be", "cn"):
             raise InputError(f"unknown scheme {scheme!r}")
@@ -350,11 +349,9 @@ class Stepper:
         self.bc = bc
         self.N = op.N
         self.size = op.N * g.n_z
-        self.extra_diag = extra_diag
         self._check_peclet()
 
-        self.time_dependent = not op.is_time_independent() or (
-            extra_diag is not None and not _const_along(extra_diag, 1))
+        self.time_dependent = not op.is_time_independent()
         self.n_distinct = g.n_t if self.time_dependent else 1
         self._dirichlet = np.zeros(self.size, dtype=bool)
         if bc is not None:
@@ -388,7 +385,7 @@ class Stepper:
         o = N, ..., -N, the diagonal at _diag_pos.  Entries past an interval's
         ends are zeros that _matrix drops."""
         N, size, width = self.N, self.size, 2 * self.N + 1
-        band = stencil(self.op, self.extra_diag, self.n_distinct)
+        band = stencil(self.op, self.n_distinct)
         band[..., self._dirichlet] = 0.0
         offsets = np.arange(N, -N - 1, -1)  # ascending rows within a column
         self._S_data = np.stack([np.roll(b, o, axis=1) for b, o in zip(band[::-1], offsets)],
@@ -491,10 +488,9 @@ class Stepper:
                 w = w - splu(jac).solve(G)
         return None
 
-    def run_period(self, v0: np.ndarray, store_orbit: bool = False,
-                   quadratic: np.ndarray | None = None):
-        """One period of steps from v0 of shape (N, n_z), optionally with the
-        orbit at t_0..t_{n_t-1}.
+    def run_period(self, v0: np.ndarray, quadratic: np.ndarray | None = None):
+        """One period of steps from v0 of shape (N, n_z): (v at t_{n_t}, the
+        orbit (N, n_t, n_z) at t_0..t_{n_t-1}).
 
         With quadratic (N, n_t, n_z), steps d_t v = S v - quadratic v^2 through
         step_implicit_quadratic.
@@ -503,17 +499,14 @@ class Stepper:
         if v.shape != (self.N, self.grid.n_z):
             raise InputError(f"v0 shape {v.shape} != {(self.N, self.grid.n_z)}")
         n_t = self.grid.n_t
-        orbit = np.empty((n_t, self.N, self.grid.n_z)) if store_orbit else None
+        orbit = np.empty((self.N, n_t, self.grid.n_z))
         for k in range(n_t):
-            if store_orbit:
-                orbit[k] = v
+            orbit[:, k] = v
             if quadratic is None:
                 v = self.step(v, k)
             else:
                 v = self.step_implicit_quadratic(v, k, quadratic[:, (k + 1) % n_t])
-        if store_orbit:
-            return v, np.transpose(orbit, (1, 0, 2))
-        return v
+        return v, orbit
 
     def steady_matrix(self) -> sp.csc_matrix:
         """-S with identity rows at the Dirichlet ends; solves op u = 0."""
@@ -542,7 +535,8 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     left, right = (np.asarray(b, dtype=float) for b in boundary)
     if left.shape != (op.N, g.n_t) or right.shape != (op.N, g.n_t):
         raise InputError("boundary data must have shape (N, n_t)")
-    stepper = Stepper(op, extra_diag=extra_diag, bc=(left, right))
+    op = op if extra_diag is None else replace(op, pot0=op.pot0 + extra_diag)
+    stepper = Stepper(op, bc=(left, right))
 
     steady = (
         not force_relaxation
@@ -564,7 +558,7 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     v = init.values[:, 0, :].copy()
     changes = []
     for _ in range(_MAX_PERIODS):
-        v_new = stepper.run_period(v, quadratic=quadratic)
+        v_new, _ = stepper.run_period(v, quadratic=quadratic)
         change = float(np.abs(v_new - v).max())
         changes.append(change)
         v = v_new
@@ -581,7 +575,8 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
             "may be nonpositive or the grid too coarse",
             history=changes,
         )
-    _, orbit = stepper.run_period(v, store_orbit=True, quadratic=quadratic)
+    # a period from the converged v: the last loop period started at the previous iterate
+    _, orbit = stepper.run_period(v, quadratic=quadratic)
     return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes), "changes": changes}
 
 

@@ -275,7 +275,7 @@ def fixed_point_truncated(env: SupercriticalEnvelopes, grid: Grid, tol: float = 
     rsup = apply_operator(op0, ubar_f).values[:, :, 1:-1]
     super_resid = float(np.abs(rsup).max() / ubar.max())
     Bub = np.einsum("ijtz,jtz->itz", op0.b_tab, ubar)
-    rsub = apply_operator(op0, ulow_f, extra_diag=Bub).values[:, :, 1:-1]
+    rsub = apply_operator(replace(op0, pot0=op0.pot0 + Bub), ulow_f).values[:, :, 1:-1]
     sub_viol = float(np.maximum(rsub, 0.0).max() / ubar.max())
 
     def inner(r, u_prev):
@@ -311,7 +311,7 @@ def _truncated_problem(env, grid: Grid):
 
 def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float,
                         ubar: np.ndarray, usub: np.ndarray, inner, tol: float,
-                        info: dict) -> WaveProfile:
+                        info: dict, reads_r: bool = True) -> WaveProfile:
     """Outer loop r <- theta u_r + (1 - theta) r, and the profile.
 
     r starts at clip(min(ubar, K), usub, ubar), K the logistic bound: ubar is
@@ -319,9 +319,10 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float,
     so any start in [usub, ubar] keeps the trap.  inner(r, u_prev) returns
     (u_r as a GridField, relaxation periods, exact), u_prev being the previous
     sweep's u (None on the first); only an exact sweep (solved to tol/10) may
-    end the loop.  The converged u is checked against the trapping pair
-    (usub, ubar) and the semilinear PDE op0 u + (B' u) o u = 0; every sweep
-    records (min(u - usub), min(ubar - u)) in info["iterate_bounds"].
+    end the loop, the first if inner does not read r.  The converged u is
+    checked against the trapping pair (usub, ubar) and the semilinear PDE
+    op0 u + (B' u) o u = 0; every sweep records (min(u - usub), min(ubar - u))
+    in info["iterate_bounds"].
     """
     _, K = logistic_envelope(fsys)
     r = np.clip(np.minimum(ubar, K), usub, ubar)
@@ -338,7 +339,7 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float,
         delta = float(np.abs(r_new - r).max())
         deltas.append(delta)
         r = r_new
-        if delta < tol and exact:
+        if exact and (delta < tol or not reads_r):
             break
     else:
         raise NumericalError(f"{info['pipeline']} fixed point stalled", history=deltas)
@@ -744,7 +745,8 @@ def critical_fixed_point(env: CriticalEnvelopes, grid: Grid, tol: float = 1e-7,
     preserves the comparison structure; solve_periodic_bvp solves it with the
     quadratic term kept implicit: pseudo-transient Newton continuation on the
     steady system (time-independent frames) or relaxation of the parabolic
-    flow.
+    flow.  Without B' off its diagonal (N = 1, or diagonal competition) the
+    inner problem does not read r, so one sweep is the fixed point.
     """
     ubar_f, _, usub, op0, bc = _truncated_problem(env, grid)
     bdiag = np.einsum("iitz->itz", op0.b_tab)
@@ -760,9 +762,10 @@ def critical_fixed_point(env: CriticalEnvelopes, grid: Grid, tol: float = 1e-7,
             op0, bc, ubar_f if u_prev is None else u_prev, tol * 0.1, extra_diag=lin_extra,
             force_relaxation=force_relaxation, quadratic=bdiag,
         )
+        u.values[..., 0], u.values[..., -1] = bc  # Newton leaves roundoff on the data
         return u, bvp["periods"], True
 
     return _damped_fixed_point(
         env.fsys, op0, env.fsys.c, ubar_f.values, usub, inner, tol,
-        {"mu_star": env.mu_star, "pipeline": "critical"},
+        {"mu_star": env.mu_star, "pipeline": "critical"}, reads_r=bool(b_off.any()),
     )

@@ -284,6 +284,32 @@ class TestRunConfig:
         assert "critical waves are built only for space-homogeneous" in doc["error"]
         assert "traceback" not in doc
 
+    def test_direction_off_the_last_axis(self, tmp_path):
+        # L = 1 + 0.5 cos(2 pi x_1) along e = (1, 0) is the 1-D cell_periodic
+        # system: persistence, like dispersion, reduces along e
+        mode = {"kt": 0, "kx": [0, 0], "cos": 1.0, "sin": 0.0}
+        two_d = {
+            "system": {"N": 1, "n": 2, "fields": {
+                "A": [[[[mode], []], [[], [mode]]]],
+                "q": [[[], []]],
+                "L": [[[mode, {"kt": 0, "kx": [1, 0], "cos": 0.5, "sin": 0.0}]]],
+                "B": [[[mode]]],
+            }},
+            "tasks": ["dispersion"],
+            "params": {"e": [1, 0]},
+        }
+        one_d = scalar_config(["dispersion"])
+        one_d["system"]["fields"]["L"] = [[[
+            {"kt": 0, "kx": [0], "cos": 1.0, "sin": 0.0},
+            {"kt": 0, "kx": [1], "cos": 0.5, "sin": 0.0},
+        ]]]
+        c_star = []
+        for name, cfg in (("two_d", two_d), ("one_d", one_d)):
+            out = tmp_path / name
+            assert run_config(write_config(tmp_path, cfg, f"{name}.json"), out=out) == 0
+            c_star.append(json.loads((out / "dispersion.json").read_text())["c_star"])
+        assert c_star[0] == c_star[1]
+
     def test_dispersion_and_simulate_run(self, tmp_path):
         cfg = scalar_config(["dispersion", "simulate"], extra_params={
             "simulate": {"X": 40.0, "n_x": 512, "t_final": 8.0},

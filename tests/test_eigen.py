@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from wavekit.eigen import (
 )
 from wavekit.errors import InputError, NumericalError
 from wavekit.frame import make_frame, transform_coefficients
-from wavekit.pde_core import Grid, Stepper, build_operator_mu
+from wavekit.pde_core import Grid, Stepper, apply_S, build_operator_mu
 
 
 def frame_of(sys, c=0):
@@ -62,11 +63,13 @@ class TestPrincipalEigenvalue:
             assert ev(mu) == pytest.approx(-(mu**2 + 1), abs=1e-9)
 
     def test_space_periodic_against_dense_oracle(self):
-        # l(x) = 1 + 0.5 cos(2 pi x): power-iteration path vs a dense matrix
-        # eigensolve of the same flux-form spatial operator
+        # l(x) = 1 + 0.5 cos(2 pi x): power-iteration path on the default
+        # 64-slice cell vs a dense matrix eigensolve of the same flux-form
+        # spatial operator; Crank-Nicolson inverts exactly when static
         fs = frame_of(scalar_system(l_field=space_periodic_l(1.0, 0.5)))
         n_z = 64
-        grid = Grid.periodic_cell(1.0, 1.0, 1024, n_z)
+        grid = default_cell_grid(fs)
+        assert (grid.n_t, grid.n_z) == (64, n_z)
         op = build_operator_mu(fs, 0.0, grid)
         pair = principal_eigenvalue(op, tol=1e-10)
         assert pair.info["path"] == "power-iteration"
@@ -79,8 +82,8 @@ class TestPrincipalEigenvalue:
             D[j, (j - 1) % n_z] += 1 / dz**2
             D[j, j] += -2 / dz**2 + 1 + 0.5 * np.cos(2 * np.pi * z[j])
         lam_oracle = -np.max(np.linalg.eigvals(D).real)
-        assert pair.lam == pytest.approx(lam_oracle, abs=1e-5)
-        assert pair.residual < 1e-5
+        assert pair.lam == pytest.approx(lam_oracle, abs=1e-10)
+        assert pair.residual < 1e-10
 
     def test_separable_space_time_oracle(self):
         # l(t,x) = f(t) + g(x) separates: lambda = -mean(f) - eig(d_zz + g)
@@ -106,12 +109,24 @@ class TestPrincipalEigenvalue:
         # Crank-Nicolson step of dt = T per period read lambda(0.5) = -1.4714
         fs = frame_of(scalar_system(l_field=space_periodic_l()))
         cell = default_cell_grid(fs)
-        one, full = (principal_eigenvalue(build_operator_mu(fs, 0.5, replace(cell, n_t=n)))
-                     for n in (1, cell.n_t))
+        ops = [build_operator_mu(fs, 0.5, replace(cell, n_t=n)) for n in (1, cell.n_t)]
+        one, full = (principal_eigenvalue(op) for op in ops)
         assert one.info["path"] == "power-iteration" and cell.n_t == 64
-        assert one.lam == full.lam == pytest.approx(-1.2531305, abs=1e-7)
+        # S column by column: the dense eigensolve of the operator stepped
+        S = np.stack([apply_S(ops[0], e[None, None])[0, 0] for e in np.eye(cell.n_z)], axis=1)
+        lam_dense = -np.max(np.linalg.eigvals(S).real)
+        assert one.lam == full.lam == pytest.approx(lam_dense, abs=1e-10)
         assert one.eigenfunction.grid == replace(cell, n_t=1)
         assert np.array_equal(one.eigenfunction.values[:, 0], full.eigenfunction.values[:, 0])
+
+    def test_power_iteration_steps_its_iterations(self):
+        # the eigenfunction is the last iteration's orbit: no extra period
+        fs = frame_of(scalar_system(l_field=space_periodic_l()))
+        op = build_operator_mu(fs, 0.5, default_cell_grid(fs))
+        with mock.patch.object(Stepper, "step", autospec=True, side_effect=Stepper.step) as spy:
+            pair = principal_eigenvalue(op)
+        assert pair.info["path"] == "power-iteration"
+        assert spy.call_count == pair.info["iterations"] * op.grid.n_t
 
     def test_positivity_required(self):
         ev = EigenEvaluator(frame_of(scalar_system()))
@@ -259,7 +274,7 @@ class TestMonodromyKernel:
             stepper = Stepper(op, scheme="cn")
             v = np.ones((2, 16))
             for _ in range(40):
-                w = stepper.run_period(v)
+                w, _ = stepper.run_period(v)
                 rho = float(np.vdot(v, w) / np.vdot(v, v))
                 v = w / np.abs(w).max()
             lam_pde[n_t] = -np.log(rho)

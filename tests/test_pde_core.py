@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -81,14 +83,14 @@ class TestEvolvePeriod:
         for n_t in (16, 64):
             g = Grid.periodic_cell(1.0, 1.0, n_t, 16)
             op = build_operator_mu(fs, 0.0, g)
-            v = Stepper(op).run_period(np.full((1, 16), 2.0))
+            v, _ = Stepper(op).run_period(np.full((1, 16), 2.0))
             assert v == pytest.approx(2.0 * (1 + 1 / n_t) ** (-n_t), rel=1e-12)
 
     def test_constant_preserved_by_pure_diffusion(self):
         fs = plain_diffusion_frame(l=0.0)
         g = Grid.periodic_cell(1.0, 1.0, 16, 32)
         op = build_operator_mu(fs, 0.0, g)
-        v = Stepper(op).run_period(np.full((1, 32), 0.7))
+        v, _ = Stepper(op).run_period(np.full((1, 32), 0.7))
         assert np.abs(v - 0.7).max() < 1e-12
 
     def test_heat_decay_rate_within_2pct(self):
@@ -101,7 +103,7 @@ class TestEvolvePeriod:
         g = Grid.periodic_cell(1.0, 1.0, 4096, 64)
         op = build_operator_mu(fs, 0.0, g)
         mode = np.sin(2 * np.pi * g.z)
-        v1 = Stepper(op).run_period(mode[None, :])
+        v1, _ = Stepper(op).run_period(mode[None, :])
         factor = float(v1[0] @ mode) / float(mode @ mode)
         rate = -np.log(factor)
         assert abs(rate - 4 * np.pi**2) / (4 * np.pi**2) < 0.02
@@ -113,8 +115,8 @@ class TestEvolvePeriod:
         v1 = rng.normal(size=(2, 32))
         v2 = rng.normal(size=(2, 32))
         a, b = 1.7, -0.4
-        lhs = Stepper(op).run_period(a * v1 + b * v2)
-        rhs = a * Stepper(op).run_period(v1) + b * Stepper(op).run_period(v2)
+        lhs, _ = Stepper(op).run_period(a * v1 + b * v2)
+        rhs = a * Stepper(op).run_period(v1)[0] + b * Stepper(op).run_period(v2)[0]
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_positivity_preservation(self, rng):
@@ -124,7 +126,7 @@ class TestEvolvePeriod:
         op = build_operator_mu(fs, 0.8, g)
         for _ in range(5):
             v0 = np.abs(rng.normal(size=(2, 48)))
-            v = Stepper(op).run_period(v0)
+            v, _ = Stepper(op).run_period(v0)
             assert v.min() >= 0.0
 
     def test_run_period_rejects_misshaped_v0(self):
@@ -222,7 +224,7 @@ class TestPeriodicBVP:
         init = GridField(np.zeros((2, g.n_t, g.n_z)), g)
         u, info = solve_periodic_bvp(op, bc, init, 1e-12, extra_diag=extra)
         assert info["mode"] == "relaxation"
-        res = apply_operator(op, u, extra_diag=extra).values[:, :, 1:-1]
+        res = apply_operator(replace(op, pot0=op.pot0 + extra), u).values[:, :, 1:-1]
         assert np.abs(res).max() <= 1e-7 * np.abs(u.values).max()
 
     def test_monotone_ordering_of_iterates(self):
@@ -233,8 +235,8 @@ class TestPeriodicBVP:
         v1 = np.zeros((1, g.n_z))
         v2 = 0.3 * np.ones((1, g.n_z))
         for _ in range(12):
-            v1 = st.run_period(v1)
-            v2 = st.run_period(v2)
+            v1, _ = st.run_period(v1)
+            v2, _ = st.run_period(v2)
             assert (v2 - v1).min() >= -1e-13
 
 
@@ -302,7 +304,9 @@ class TestSteadyContinuation:
     def assert_matches_reference(self, op, bc, init, tol, quad, extra=None):
         u, info = solve_periodic_bvp(op, bc, init, tol, extra_diag=extra, quadratic=quad)
         assert info["mode"] == "steady"
-        ref = ptc_reference(Stepper(op, extra_diag=extra, bc=bc), quad, init.values[:, 0], tol)
+        if extra is not None:
+            op = replace(op, pot0=op.pot0 + extra)
+        ref = ptc_reference(Stepper(op, bc=bc), quad, init.values[:, 0], tol)
         assert np.array_equal(u.values[:, 0], ref)
 
     def test_semilinear_cylinder_bit_equal(self):
@@ -397,13 +401,13 @@ class TestZeroFluxStepper:
     def test_pure_diffusion_conserves_mass(self, rng):
         st = self.stepper(q_mean=0.0, q_amp=0.0)
         v0 = np.abs(rng.normal(size=(1, st.grid.n_z)))
-        v = st.run_period(v0)
+        v, _ = st.run_period(v0)
         assert abs(v.sum() - v0.sum()) < 1e-12 * v0.sum()
 
     def test_positivity_preservation(self, rng):
         st = self.stepper()
         for _ in range(5):
-            v = st.run_period(np.abs(rng.normal(size=(1, st.grid.n_z))))
+            v, _ = st.run_period(np.abs(rng.normal(size=(1, st.grid.n_z))))
             assert v.min() >= 0.0
 
 
@@ -417,9 +421,6 @@ def _reference_S(st, k):
     jp = (jj + 1) % nz
     jm = (jj - 1) % nz
     jr = np.arange(nz) if zero_flux else jj
-    extra = np.zeros((N, nz))
-    if st.extra_diag is not None:
-        extra = st.extra_diag[:, k if st.extra_diag.shape[1] > 1 else 0, :]
     rows, cols, vals = [], [], []
     for i in range(N):
         ah = op.a_half[i, k]
@@ -431,7 +432,7 @@ def _reference_S(st, k):
         cols += [jp * N + i, jm * N + i, m]
         vals += [aR / dz**2 - dr / (2 * dz),
                  aL / dz**2 + dr / (2 * dz),
-                 -(aR + aL) / dz**2 - op.pot0[i, k, jj] - extra[i, jj]]
+                 -(aR + aL) / dz**2 - op.pot0[i, k, jj]]
         if zero_flux:
             q0, qN = op.drift[i, k, 0], op.drift[i, k, -1]
             m0, mN = i, (nz - 1) * N + i
@@ -439,11 +440,9 @@ def _reference_S(st, k):
             cols.append(np.array([N + i, m0, (nz - 2) * N + i, mN]))
             vals.append(np.array([
                 ah[0] / dz**2 + max(-q0, 0.0) / dz,
-                -ah[0] / dz**2 - abs(q0) / dz + max(q0, 0.0) / dz
-                - op.pot0[i, k, 0] - extra[i, 0],
+                -ah[0] / dz**2 - abs(q0) / dz + max(q0, 0.0) / dz - op.pot0[i, k, 0],
                 ah[-1] / dz**2 + max(qN, 0.0) / dz,
-                -ah[-1] / dz**2 - abs(qN) / dz + max(-qN, 0.0) / dz
-                - op.pot0[i, k, -1] - extra[i, -1],
+                -ah[-1] / dz**2 - abs(qN) / dz + max(-qN, 0.0) / dz - op.pot0[i, k, -1],
             ]))
         for j2 in range(N):
             rows.append(jr * N + i)
@@ -486,7 +485,7 @@ def _pattern_system(N, time_dep):
 
 
 class TestSharedPattern:
-    # every (grid closure, N, time dependence, extra_diag shape, scheme)
+    # every (grid closure, N, time dependence, shape of a diagonal folded into pot0, scheme)
     @pytest.mark.parametrize("scheme", ["be", "cn"])
     @pytest.mark.parametrize("extra", [None, "static", "time"])
     @pytest.mark.parametrize("time_dep", [False, True])
@@ -499,13 +498,13 @@ class TestSharedPattern:
         else:
             g = Grid.cylinder(1.0, 1.25, 8, 41)
         op = build_operator_mu(fs, 0.3, g)
-        extra_diag = None
         if extra is not None:
-            extra_diag = rng.normal(size=(N, 1 if extra == "static" else g.n_t, g.n_z))
+            diag = rng.normal(size=(N, 1 if extra == "static" else g.n_t, g.n_z))
+            op = replace(op, pot0=op.pot0 + diag)  # broadcasts into (N, n_t, n_z)
         bc = None
         if closure == "dirichlet":
             bc = (rng.uniform(0.5, 1.0, (N, g.n_t)), rng.uniform(0.0, 0.5, (N, g.n_t)))
-        st = Stepper(op, scheme=scheme, extra_diag=extra_diag, bc=bc)
+        st = Stepper(op, scheme=scheme, bc=bc)
         assert st.n_distinct == (g.n_t if time_dep or extra == "time" else 1)
 
         w = 1.0 if scheme == "be" else 0.5
@@ -524,7 +523,7 @@ class TestSharedPattern:
         # apply_operator: the backward difference against the same S, on every
         # row the reference assembles
         u = rng.uniform(0.0, 1.0, (N, g.n_t, g.n_z))
-        res = apply_operator(op, GridField(u, g), extra_diag=extra_diag).values
+        res = apply_operator(op, GridField(u, g)).values
         rows = slice(None) if bc is None else slice(1, -1)
         for k in range(g.n_t):
             Su = (_reference_S(st, k % st.n_distinct) @ u[:, k].T.reshape(-1)).reshape(g.n_z, N).T
@@ -559,14 +558,14 @@ class TestStencilBands:
         else:
             g = Grid.cylinder(1.0, 1.25, 8, 41)
         op = build_operator_mu(fs, 0.3, g)
-        extra_diag = None
         if extra is not None:
-            extra_diag = rng.normal(size=(N, 1 if extra == "static" else g.n_t, g.n_z))
+            diag = rng.normal(size=(N, 1 if extra == "static" else g.n_t, g.n_z))
+            op = replace(op, pot0=op.pot0 + diag)  # broadcasts into (N, n_t, n_z)
         bc = None
         if closure == "dirichlet":
             bc = (rng.uniform(0.5, 1.0, (N, g.n_t)), rng.uniform(0.0, 0.5, (N, g.n_t)))
-        st = Stepper(op, extra_diag=extra_diag, bc=bc)
-        band = stencil(op, extra_diag, st.n_distinct)
+        st = Stepper(op, bc=bc)
+        band = stencil(op, st.n_distinct)
         assert band.shape == (2 * N + 1, st.n_distinct, st.size)
 
         m = np.arange(st.size)

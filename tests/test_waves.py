@@ -315,9 +315,28 @@ class TestCriticalPipeline:
         assert profile.trapping_violation <= 1e-8
         assert profile.pde_residual <= 1e-8
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_sweeps_only_when_r_couples(self, coupled):
+        # scalar B' has no entry off its diagonal, so the inner problem does
+        # not read r and its first sweep is the fixed point; a 2 x 2 system
+        # whose competition couples through r keeps iterating
+        sys = system_2x2() if coupled else scalar_system()
+        curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
+        fsc = wave_frame(sys, curve.c_star)
+        grid = cylinder_grid(fsc, 8.0, n_z=161)
+        env = build_envelopes_critical(fsc, curve.mu_star, grid)
+        profile = critical_fixed_point(env, grid, tol=1e-8)
+        assert (profile.iterations > 1) == coupled
+        assert profile.trapping_violation <= 1e-8
+        assert profile.pde_residual <= 1e-8
+        bc = waves._truncated_problem(env, grid)[4]
+        assert np.array_equal(profile.u.values[..., 0], bc[0])
+        assert np.array_equal(profile.u.values[..., -1], bc[1])
+
     def test_critical_wave(self, critical_setup):
         _, _, grid, env = critical_setup
         profile = critical_fixed_point(env, grid, tol=1e-8)
+        assert profile.iterations == 1
         assert profile.trapping_violation < 1e-5
         assert profile.pde_residual < 1e-6
         ver = verify_wave(profile, decay_rtol=0.2)
