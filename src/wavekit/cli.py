@@ -48,6 +48,7 @@ from .waves import (
 )
 
 log = logging.getLogger("wavekit")
+WINDOW = 10.0  # default wave.window
 
 TASKS = ("validate", "eigen", "dispersion", "wave", "simulate", "probe")
 _PREREQS = {
@@ -174,17 +175,27 @@ class JobConfig:
                                  f"depend on x, not {e!r}")
         if "wave" in self.tasks and self.params.get("c") is None:
             raise InputError("config.params.c is required for the wave task")
-        if {"n_z", "a_schedule"} <= set(self.params.get("wave", {})):
+        wave = self.params.get("wave", {})
+        if {"n_z", "a_schedule"} <= set(wave):
             raise InputError("config.params.wave.n_z gives each a_schedule cylinder its own dz: "
                              "use wave.dz (or wave.points_per_cell) instead")
-        if {"a", "a_schedule"} <= set(self.params.get("wave", {})):
+        if {"a", "a_schedule"} <= set(wave):
             raise InputError("config.params.wave.a is ignored next to wave.a_schedule: give one")
+        if "a_schedule" in wave and wave.get("window", WINDOW) > wave["a_schedule"][0]:
+            raise InputError("config.params.wave.window must be <= wave.a_schedule[0]")
+        n, e = self.system.n, self.params.get("e")
+        if e is not None and len(e) != n:
+            raise InputError(f"config.params.e must have n = {n} entries, not {e!r}")
+        self.frame = frame_from_json(self.params["frame"]) if "frame" in self.params else None
+        if self.frame is not None and self.frame.n != n:
+            raise InputError(f"config.params.frame.e must have n = {n} entries")
+        if n >= 2 and {"simulate", "probe"} & set(self.tasks):
+            raise InputError("the simulate and probe tasks need n = 1")
         # the eigen layer reduces every frame to (t, z): refuse a transverse dependence here
-        if "eigen" in self.tasks and self.system.n >= 2 and not self.system.is_space_homogeneous():
-            static_frame(self.system, e=self.params.get("e")).reduce_1d()
-            if "frame" in self.params:
-                transform_coefficients(nondimensionalize(self.system),
-                                       frame_from_json(self.params["frame"])).reduce_1d()
+        if "eigen" in self.tasks and n >= 2 and not self.system.is_space_homogeneous():
+            static_frame(self.system, e=e).reduce_1d()
+            if self.frame is not None:
+                transform_coefficients(nondimensionalize(self.system), self.frame).reduce_1d()
         self.out = Path(doc.get("out", base_dir / "out"))
 
     @staticmethod
@@ -317,8 +328,7 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
             f"subcritical speed c = {c_val} < c* = {curve.c_star}: no wave exists"
         )
     critical = abs(c_val - curve.c_star) <= band
-    frame_req = ctx.cfg.param("frame")
-    if critical and frame_req is None and not ctx.sys.is_space_homogeneous():
+    if critical and ctx.cfg.frame is None and not ctx.sys.is_space_homogeneous():
         raise InputError(
             "critical waves are built only for space-homogeneous coefficients: "
             f"c* = {curve.c_star!r} has no exact rational frame"
@@ -333,8 +343,8 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     a0 = float(a_schedule[0] if a_schedule else wave_par.get("a", 40.0))
     profile_tol = float(wave_par.get("tol", 1e-7))
 
-    if frame_req is not None:
-        fsc = transform_coefficients(nondimensionalize(ctx.sys), frame_from_json(frame_req))
+    if ctx.cfg.frame is not None:
+        fsc = transform_coefficients(nondimensionalize(ctx.sys), ctx.cfg.frame)
     else:
         fsc = frame_for(ctx.sys, ctx.e, curve.c_star if critical else c_req)
     grid0 = cylinder_grid(fsc, a0, **grid_kw)
@@ -344,7 +354,7 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
         roots = speed_roots(curve, c_val, tol=ctx.eigen_tol)
         env = build_envelopes_supercritical(fsc, roots, grid0, tol=ctx.eigen_tol)
     if a_schedule:
-        profile = extend_to_entire(env, a_schedule, float(wave_par.get("window", 10.0)),
+        profile = extend_to_entire(env, a_schedule, float(wave_par.get("window", WINDOW)),
                                    tol=float(wave_par.get("gap_tol", 1e-3)),
                                    profile_tol=profile_tol, **grid_kw)
     else:

@@ -5,8 +5,8 @@ g(mu) = -lambda_{1,mu e} / mu has a unique minimum c* at mu* > 0; above it,
 lambda_{1,mu e} + c mu has exactly two zeros mu_wedge < mu* < mu_vee, which
 are the admissible downstream decay rates at speed c.  Strict concavity of
 mu -> lambda_{1,mu e} makes g unimodal, so a derivative-free golden-section
-search after a geometric bracketing scan is reliable; the roots are found by
-plain bisection.
+search after a geometric bracketing scan is reliable, and it makes secant
+steps from two points beyond a root approach the root monotonically.
 """
 
 from __future__ import annotations
@@ -119,11 +119,9 @@ def minimal_speed(fsys: FrameSystem, tol: float = 1e-6,
             gl, gk = gk, gr
             gr = g(2.0 ** (k + 1))
         if not (lo_lim <= 2.0 ** k <= hi_lim):
-            raise NumericalError(
-                f"failed to bracket the dispersion minimum inside {MU_BRACKET}; "
-                "degenerate inputs (is the system persistent?)",
-                history=ev.samples,
-            )
+            raise NumericalError(f"failed to bracket the dispersion minimum inside {MU_BRACKET}; "
+                                 "degenerate inputs (is the system persistent?)",
+                                 history=ev.samples)
     lo, hi = 2.0 ** (k - 1), 2.0 ** (k + 1)
 
     # golden-section search on the unimodal g
@@ -141,8 +139,7 @@ def minimal_speed(fsys: FrameSystem, tol: float = 1e-6,
             f2 = g(x2)
     mu_star = 0.5 * (lo + hi)
     c_star = g(mu_star)
-    e = fsys.frame.e_floats()
-    return DispersionCurve(tuple(e), ev.samples, float(mu_star), float(c_star),
+    return DispersionCurve(tuple(fsys.frame.e_floats()), ev.samples, float(mu_star), float(c_star),
                            (float(lo), float(hi)), ev)
 
 
@@ -165,20 +162,23 @@ def speed_roots(curve: DispersionCurve, c: float, tol: float = 1e-8) -> RootPair
         raise NumericalError("h(mu*) <= 0 contradicts c > c*; upstream failure")
 
     def root(factor):
-        # walk out from mu* by factor until h < 0, then bisect back to mu*:
-        # h changes sign exactly once on each side of mu*
-        inner = outer = mu_star
-        while h(outer) > 0:
-            outer *= factor
-            if not 1e-12 <= outer <= 1e4:
+        # walk out from mu* by factor until h <= 0, then an eighth of a step on
+        # (a whole one may leave the mesh-Peclet range): h is concave, so each
+        # secant step from two points beyond the root lands beyond it, closer
+        near = mu_star
+        while h(near) > 0:
+            near *= factor
+            if not 1e-12 <= near <= 1e4:
                 raise NumericalError("no decay root found between mu = 1e-12 and mu = 1e4")
-        while abs(outer - inner) > tol:
-            mid = 0.5 * (inner + outer)
-            if h(mid) < 0:
-                outer = mid
-            else:
-                inner = mid
-        return 0.5 * (inner + outer)
+        far = near * factor ** 0.125
+        for _ in range(100):
+            h_near, h_far = h(near), h(far)
+            if h_near >= 0 or h_near == h_far:  # on the root, or within its noise
+                return near
+            near, far = near - h_near * (near - far) / (h_near - h_far), near
+            if abs(near - far) <= tol:
+                return near
+        raise NumericalError("secant steps for a decay root did not converge")
 
     # on (mu_wedge, mu_vee) the function is positive; outside negative
     return RootPair(float(c), float(root(0.5)), float(root(2.0)))

@@ -2,20 +2,21 @@
 
 The eigenvalue is recovered from the spectral radius rho of the one-period
 solution map of d_t v = S(t) v (S = spatial part of the negated operator):
-by Krein-Rutman the map has a positive principal eigenvector and
-lambda = -ln(rho) / T.  Two paths:
+by Krein-Rutman the map has a positive principal eigenvector.  Three paths:
 
-  * z-independent coefficients: the eigenproblem collapses to the N x N ODE
-    monodromy Phi' = (L'(t) + diag(mu^2 a_i - mu q_z,i)) Phi, integrated with
-    fixed-step RK4.  Each RK4 step of a linear system is a matrix P_k, so all
-    step propagators are built in one batched pass and Phi at every step is
-    their prefix product, taken by a log2(n_steps)-pass batched-matmul scan
-    (no Python loop over time steps).  The Perron root of Phi(T) gives rho
-    exactly in the semidiscrete sense (no spatial error at all).
-  * genuinely z-dependent coefficients: power iteration on the period map of
-    the cell discretization, stepped with Crank-Nicolson for second-order
-    accuracy of the reconstructed eigenfunction; with nothing depending on
-    time, rho = R(dt s)^n_t inverts exactly to the eigenvalue s of S.
+  * z-independent coefficients: the N x N ODE monodromy of M(t) - c I, with
+    M(t) = L'(t) + diag(mu^2 a_i - mu q_z,i) and c the largest diagonal entry
+    of M(0), so Phi(T) cannot overflow (a scalar static M gives Phi = I), and
+    lambda = -ln(rho)/T - c.  Each fixed-step RK4 step of a linear system is a
+    matrix P_k: all are built in one batched pass and multiplied by a
+    log2(n_steps)-pass batched-matmul prefix scan.  No spatial error at all.
+  * z-dependent, time-periodic: power iteration on the period map of the cell
+    discretization, stepped with Crank-Nicolson, and lambda = -ln(rho)/T.
+  * z-dependent, time-independent: shift-invert power iteration on S.  S is
+    Metzler, so its Perron root s is below sigma = max(max row sum, 0) + 1,
+    and one backward-Euler step of dt = 1/sigma is the positive map
+    (I - S/sigma)^-1 of spectral radius rho = sigma/(sigma - s): lambda = -s =
+    (1/rho - 1) sigma, exactly.
 
 Eigenfunctions are reconstructed over one period as u(t) = e^{lambda t} v(t),
 which is periodic by construction, then normalized (max-one by default;
@@ -31,6 +32,8 @@ import numpy as np
 from .errors import InputError, NumericalError
 from .frame import FrameSystem
 from .pde_core import Grid, GridField, OperatorSpec, Stepper, apply_S, build_operator_mu
+
+_TABLES = ("a_node", "a_half", "drift", "pot0", "coupling", "b_tab")  # (..., n_t, n_z)
 
 __all__ = [
     "PrincipalEigenpair",
@@ -66,7 +69,7 @@ def default_cell_grid(fsys: FrameSystem) -> Grid:
         fkt, fkx = f.max_frequencies()
         kt = max(kt, fkt)
         kz = max(kz, fkx[-1])
-    n_t = 4096 if kt > 0 else 64
+    n_t = 4096 if kt > 0 else 1
     n_z = max(64, 16 * kz) if kz > 0 else 16
     L_z = fsys.L_z if fsys.L_z is not None else 1.0
     return Grid.periodic_cell(fsys.T_frame, L_z, n_t, n_z)
@@ -86,33 +89,28 @@ def _perron(mat: np.ndarray):
     if v.sum() < 0:
         v = -v
     if v.min() <= 1e-12 * v.max():
-        raise NumericalError(
-            "Perron eigenvector is not uniformly positive; coupling may be reducible"
-        )
+        raise NumericalError("Perron vector not uniformly positive; coupling may be reducible")
     return float(np.real(rho)), v
 
 
 def _ode_matrix_callable(op: OperatorSpec):
     """M(t) = L'(t) + diag(mu^2 a_i(t) - mu q_z,i(t)) from exact field evaluation."""
-    fsys = op.fsys
-    mu = op.mu
-    a_f, _, adv_f, Lm_f, _ = fsys.reduce_1d()
-    N = fsys.N
+    a_f, _, adv_f, Lm_f, _ = op.fsys.reduce_1d()
+    N, mu = op.N, op.mu
 
     def M(ts: np.ndarray) -> np.ndarray:
         out = np.empty((len(ts), N, N))
-        z0 = np.zeros(len(ts))
+        z0 = np.zeros((len(ts), 1))
         for i in range(N):
             for j in range(N):
-                out[:, i, j] = Lm_f[i][j].eval(ts, z0[:, None])
-            out[:, i, i] += mu * mu * a_f[i].eval(ts, z0[:, None]) \
-                - mu * adv_f[i].eval(ts, z0[:, None])
+                out[:, i, j] = Lm_f[i][j].eval(ts, z0)
+            out[:, i, i] += mu * mu * a_f[i].eval(ts, z0) - mu * adv_f[i].eval(ts, z0)
         return out
 
     return M
 
 
-def _monodromy_rk4(Mfun, T: float, n_sub: int, store_every: int | None = None):
+def _monodromy_rk4(Mfun, T: float, n_sub: int, store_every: int):
     """Fundamental matrix Phi(T) of Phi' = M(t) Phi, plus stored snapshots.
 
     Classical fixed-step RK4 on a linear system advances Phi by a matrix
@@ -138,11 +136,7 @@ def _monodromy_rk4(Mfun, T: float, n_sub: int, store_every: int | None = None):
     while d < n_sub:
         P[d:] = P[d:] @ P[:-d]
         d *= 2
-    if store_every is None:
-        snaps = np.empty((0, N, N))
-    else:
-        snaps = np.concatenate([eye[None], P[store_every - 1:n_sub - 1:store_every]])
-    return P[-1], snaps
+    return P[-1], np.concatenate([eye[None], P[store_every - 1:n_sub - 1:store_every]])
 
 
 def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
@@ -151,10 +145,11 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
     """Principal eigenpair of op via the one-period solution map.
 
     Power iteration starts from the all-ones field; the Rayleigh ratio
-    estimates the spectral radius and lambda = -ln(rho)/T, or the exact
-    eigenvalue of S from rho on a time-independent operator.  z-independent
-    operators take the exact ODE-monodromy shortcut.  Both paths run on a
-    periodic cell; the residual is centred in time, as both are second order.
+    estimates the spectral radius and lambda = -ln(rho)/T on the period map,
+    or lambda = (1/rho - 1) sigma on the shift-invert step of a
+    time-independent operator.  z-independent operators take the exact
+    ODE-monodromy shortcut.  All paths run on a periodic cell; the residual
+    is centred in time, as the time-periodic paths are second order.
     """
     if normalization not in ("max-one", "mean-one"):
         raise InputError(f"unknown normalization {normalization!r}")
@@ -165,23 +160,28 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
 
     if op.is_z_independent():
         n_sub = grid.n_t * max(1, int(np.ceil(2048 / grid.n_t)))
-        store = n_sub // grid.n_t
-        Mfun = _ode_matrix_callable(op)
-        PhiT, snaps = _monodromy_rk4(Mfun, T, n_sub, store_every=store)
+        M = _ode_matrix_callable(op)
+        shift = float(M(np.zeros(1))[0].diagonal().max())
+        PhiT, snaps = _monodromy_rk4(lambda ts: M(ts) - shift * np.eye(op.N), T, n_sub,
+                                     store_every=n_sub // grid.n_t)
         rho, phi = _perron(PhiT)
         if rho <= 0:
             raise NumericalError(f"nonpositive period-map spectral radius {rho!r}")
-        lam = -np.log(rho) / T
+        growth = -np.log(rho) / T  # lambda of M - shift I
+        lam = growth - shift
         orbit = (snaps @ phi).T  # (N, n_t)
-        u = orbit * np.exp(lam * grid.t)[None, :]
+        u = orbit * np.exp(growth * grid.t)[None, :]
         vals = np.repeat(u[:, :, None], grid.n_z, axis=2)
-        info = {"path": "ode-monodromy", "rho": rho, "n_sub": n_sub}
+        info = {"path": "ode-monodromy", "rho": rho, "shift": shift, "n_sub": n_sub}
     else:
-        # a time-independent operator steps on at least the default cell's slices
-        n_run = default_cell_grid(op.fsys).n_t
-        run = (op if grid.n_t >= n_run or not op.is_time_independent()
-               else build_operator_mu(op.fsys, op.mu, replace(grid, n_t=n_run)))
-        stepper = Stepper(run, scheme="cn")
+        static = op.is_time_independent()
+        if static:  # shift-invert: one backward-Euler step of dt = 1/sigma on one slice
+            sigma = max(float(apply_S(op, np.ones((op.N, 1, grid.n_z))).max()), 0.0) + 1.0
+            run = replace(op, grid=replace(grid, n_t=1, t_period=1.0 / sigma),
+                          **{f: getattr(op, f)[..., :1, :] for f in _TABLES})
+            stepper = Stepper(run)
+        else:
+            run, stepper = op, Stepper(op, scheme="cn")
         v = np.ones((op.N, grid.n_z))
         history = []
         for it in range(max_iters):
@@ -195,33 +195,24 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
             if spread < max(1e-13, 1e-4 * tol):
                 break
         else:
-            raise NumericalError(
-                "power iteration did not converge; coupling may be reducible "
-                "or the grid pathological",
-                history=history,
-            )
+            raise NumericalError("power iteration did not converge; coupling may be reducible "
+                                 "or the grid pathological", history=history)
         if rho <= 0:
             raise NumericalError(f"nonpositive period-map spectral radius {rho!r}")
-        lam = -np.log(rho) / T
-        if not stepper.time_dependent:  # rho = R(dt s)^n_t, R(x) = (1 + x/2)/(1 - x/2)
-            lam = -2.0 / run.grid.dt * np.tanh(np.log(rho) / (2 * run.grid.n_t))
+        lam = (1.0 / rho - 1.0) * sigma if static else -np.log(rho) / T
         # the last iteration's orbit: at convergence it starts on the eigenvector
         vals = orbit * np.exp(lam * run.grid.t)[None, :, None]
-        info = {"path": "power-iteration", "rho": rho, "iterations": it + 1}
+        info = {"path": "shift-invert" if static else "power-iteration", "rho": rho,
+                "iterations": it + 1}
 
     if vals.min() <= 0:
-        raise NumericalError(
-            f"principal eigenfunction is not positive (min {vals.min():.3e}); "
-            "solver failure or reducible coupling"
-        )
+        raise NumericalError(f"principal eigenfunction is not positive (min {vals.min():.3e}); "
+                             "solver failure or reducible coupling")
     if op.is_time_independent():
         # simple principal eigenvalue => time-constant eigenfunction; snap
         # away integrator roundoff so downstream exact-constancy tests hold
         vals = np.repeat(vals.mean(axis=1, keepdims=True), grid.n_t, axis=1)
-    if normalization == "max-one":
-        vals = vals / vals.max()
-    else:
-        vals = vals / vals.mean()
+    vals = vals / (vals.max() if normalization == "max-one" else vals.mean())
     kappa = float(vals.min() / vals.max())
     u_field = GridField(vals, grid)
     dudt = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * grid.dt)
@@ -245,9 +236,8 @@ class EigenEvaluator:
         mu = float(mu)
         if mu not in self._cache:
             op = build_operator_mu(self.fsys, mu, self.grid)
-            self._cache[mu] = principal_eigenvalue(
-                op, tol=self.tol, normalization=self.normalization
-            )
+            self._cache[mu] = principal_eigenvalue(op, tol=self.tol,
+                                                   normalization=self.normalization)
         return self._cache[mu]
 
     def __call__(self, mu: float) -> float:
@@ -273,10 +263,5 @@ def lambda_mu_curve(fsys: FrameSystem, mu_list, tol: float = 1e-8,
     if any(m <= 0 for m in mus) or sorted(mus) != mus:
         raise InputError("mu_list must be sorted and positive")
     ev = evaluator if evaluator is not None else EigenEvaluator(fsys, tol=tol)
-    out = []
-    for mu in mus:
-        lam = ev(mu)
-        dlam = ev.derivative(mu)
-        out.append((mu, lam, dlam))
-    return out
+    return [(mu, ev(mu), ev.derivative(mu)) for mu in mus]
 

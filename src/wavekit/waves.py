@@ -365,7 +365,8 @@ def extend_to_entire(env, a_schedule, window: float, tol: float = 1e-4,
     Builds every cylinder cylinder_grid(env.fsys, a, **grid_kw) of the
     increasing schedule first, and raises InputError unless their z nodes lie
     on one lattice: the same dz (pass dz or points_per_cell, not n_z), and
-    half-lengths that differ by multiples of dz.  Then runs env's fixed point
+    half-lengths that differ by multiples of dz; the window must fit in the
+    first cylinder, window <= a_schedule[0].  Then runs env's fixed point
     on each and stops when two successive profiles differ by less than tol on
     [-window, window]; the K-envelope bound 0 <= u <= K 1 is checked at
     every step.  A space-homogeneous frame leaves the translate free, and the
@@ -376,6 +377,8 @@ def extend_to_entire(env, a_schedule, window: float, tol: float = 1e-4,
     a_schedule = [float(a) for a in a_schedule]
     if sorted(a_schedule) != a_schedule or len(a_schedule) < 2:
         raise InputError("a_schedule must be increasing with at least two entries")
+    if window > a_schedule[0]:
+        raise InputError(f"window {window} exceeds the first half-length {a_schedule[0]}")
     grids = [cylinder_grid(env.fsys, a, **grid_kw) for a in a_schedule]
     dz = grids[0].dz
     for g in grids:

@@ -80,12 +80,40 @@ class TestConfigParsing:
         {"simulate": "x"},
         {"simulate": {"initial": {"kind": "front", "e": 0}}},
         {"probe": {"e": 0.5}},
+        {"e": [1, 0]},
+        {"frame": {"e": [1]}},
+        {"frame": {"e": [1], "c": 2.5}},
+        {"frame": {"e": [0.5], "c": 3}},
+        {"frame": {"e": [1, 0], "c": 3}},
+        {"wave": {"a_schedule": [20, 30], "dz": 0.05, "window": 50}},
     ])
     def test_malformed_params_exit_two(self, tmp_path, capsys, params):
         cfg = scalar_config(["wave", "simulate", "probe"], extra_params={"c": 2.5, **params})
-        out = tmp_path / "out"
-        assert run_config(write_config(tmp_path, cfg), out=out) == 2
-        assert "config error:" in capsys.readouterr().err
+        p = write_config(tmp_path, cfg)
+        assert main(["validate", str(p)]) == 2
+        assert run_config(p, out=tmp_path / "out") == 2
+        assert capsys.readouterr().err.count("config error:") == 2
+        assert not list(tmp_path.glob("out/*.json"))
+
+    @pytest.mark.parametrize("task", ["simulate", "probe"])
+    def test_simulate_and_probe_need_one_dimension(self, tmp_path, capsys, task):
+        # the Cauchy layer is one-dimensional; probe ran eigen and dispersion first
+        mode = {"kt": 0, "kx": [0, 0], "cos": 1.0, "sin": 0.0}
+        cfg = {
+            "system": {"N": 1, "n": 2, "fields": {
+                "A": [[[[mode], []], [[], [mode]]]],
+                "q": [[[], []]],
+                "L": [[[mode, {"kt": 0, "kx": [1, 0], "cos": 0.5, "sin": 0.0}]]],
+                "B": [[[mode]]],
+            }},
+            "tasks": [task],
+            "params": {"e": [1, 0]},
+        }
+        p = write_config(tmp_path, cfg)
+        assert main(["validate", str(p)]) == 2
+        assert run_config(p, out=tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.count("config error:") == 2 and "n = 1" in err
         assert not list(tmp_path.glob("out/*.json"))
 
     @pytest.mark.parametrize("params", [{"e": [1.5]}, {"frame": {"e": [0.5], "c": 3}}])
@@ -359,6 +387,19 @@ class TestRunConfig:
         disp = json.loads((out / "dispersion.json").read_text())
         assert disp["c_star"] == pytest.approx(2.0, abs=1e-8)
         assert disp["roots"]["mu_wedge"] == pytest.approx(0.5, abs=1e-7)
+
+    @pytest.mark.parametrize("c", [25, 40])
+    def test_readme_system_fast_speed_roots(self, tmp_path, c):
+        # mu_vee = (c + sqrt(c^2 - 4))/2 lies far out on lambda = -(1 + mu^2)
+        cfg = json.loads(re.findall(r"```json\n(.*?)```", README.read_text(), flags=re.S)[0])
+        cfg["tasks"] = ["dispersion"]
+        cfg["params"]["c"] = c
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+        roots = json.loads((out / "dispersion.json").read_text())["roots"]
+        disc = (c * c - 4) ** 0.5
+        assert roots["mu_wedge"] == pytest.approx((c - disc) / 2, abs=1e-9)
+        assert roots["mu_vee"] == pytest.approx((c + disc) / 2, abs=1e-9)
 
     def test_readme_quick_start(self, capsys):
         # the Python block of README.md exactly as written

@@ -1,7 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from conftest import scalar_system, system_2x2, time_periodic_l
+from conftest import scalar_system, space_periodic_l, system_2x2, time_periodic_l
+from wavekit import eigen
 from wavekit.dispersion import (
     minimal_speed,
     persistence_check,
@@ -102,6 +105,30 @@ class TestSpeedRoots:
         roots = speed_roots(curve, 2.5, tol=1e-10)
         for mu in np.linspace(roots.mu_wedge + 1e-3, roots.mu_vee - 1e-3, 7):
             assert curve.evaluator(mu) + 2.5 * mu > 0
+
+    @pytest.mark.parametrize("c", [2.5, 10.0])
+    def test_secant_roots_exact(self, c):
+        # lambda = -(1 + mu^2): roots (c -+ sqrt(c^2 - 4))/2, in few solves
+        curve = minimal_speed(static_frame(scalar_system(), e=[1]), tol=1e-8)
+        with mock.patch.object(eigen, "principal_eigenvalue",
+                               side_effect=eigen.principal_eigenvalue) as spy:
+            roots = speed_roots(curve, c)
+        disc = np.sqrt(c * c - 4.0)
+        assert roots.mu_wedge == pytest.approx((c - disc) / 2, abs=1e-12)
+        assert roots.mu_vee == pytest.approx((c + disc) / 2, abs=1e-12)
+        assert spy.call_count <= 20
+
+    @pytest.mark.parametrize("c", [12.0, 17.0])
+    def test_cell_roots_at_high_speed(self, c):
+        # l(x) = 1 + 0.5 cos(2 pi x) on 64 nodes: mu_vee ~ c is past the old
+        # Crank-Nicolson inversion's reach; at c = 17 the walk stops at mu = 32
+        # and mu = 64 would fail the mesh-Peclet check
+        cell = minimal_speed(static_frame(scalar_system(l_field=space_periodic_l()), e=[1]),
+                             tol=1e-8)
+        roots = speed_roots(cell, c)
+        assert roots.mu_wedge < cell.mu_star < c - 1.0 < roots.mu_vee < c
+        for mu in (roots.mu_wedge, roots.mu_vee):
+            assert abs(cell.evaluator(mu) + c * mu) < 1e-8 * (1.0 + c * mu)
 
     def test_json_round_trip(self, curve):
         doc = curve.to_json()

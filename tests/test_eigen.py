@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import const, scalar_system, space_periodic_l, system_2x2, time_periodic_l
 from wavekit.coeffs import Mode, PeriodicField, nondimensionalize
+from wavekit.dispersion import persistence_check
 from wavekit.eigen import (
     EigenEvaluator,
     default_cell_grid,
@@ -22,6 +23,13 @@ from wavekit.pde_core import Grid, Stepper, apply_S, build_operator_mu
 
 def frame_of(sys, c=0):
     return transform_coefficients(nondimensionalize(sys), make_frame([1], c))
+
+
+def dense_lambda(op):
+    """-s for the Perron root s of a static scalar S, built column by column
+    with apply_S and solved densely."""
+    S = np.stack([apply_S(op, e[None, None])[0, 0] for e in np.eye(op.grid.n_z)], axis=1)
+    return -float(np.max(np.linalg.eigvals(S).real))
 
 
 class TestPrincipalEigenvalue:
@@ -63,16 +71,16 @@ class TestPrincipalEigenvalue:
             assert ev(mu) == pytest.approx(-(mu**2 + 1), abs=1e-9)
 
     def test_space_periodic_against_dense_oracle(self):
-        # l(x) = 1 + 0.5 cos(2 pi x): power-iteration path on the default
-        # 64-slice cell vs a dense matrix eigensolve of the same flux-form
-        # spatial operator; Crank-Nicolson inverts exactly when static
+        # l(x) = 1 + 0.5 cos(2 pi x): shift-invert path on the default
+        # one-slice cell vs a dense matrix eigensolve of the same flux-form
+        # spatial operator
         fs = frame_of(scalar_system(l_field=space_periodic_l(1.0, 0.5)))
         n_z = 64
         grid = default_cell_grid(fs)
-        assert (grid.n_t, grid.n_z) == (64, n_z)
+        assert (grid.n_t, grid.n_z) == (1, n_z)
         op = build_operator_mu(fs, 0.0, grid)
         pair = principal_eigenvalue(op, tol=1e-10)
-        assert pair.info["path"] == "power-iteration"
+        assert pair.info["path"] == "shift-invert"
 
         dz = 1.0 / n_z
         z = np.arange(n_z) * dz
@@ -105,24 +113,67 @@ class TestPrincipalEigenvalue:
         assert pair.lam == pytest.approx(lam_oracle, abs=2e-5)
 
     def test_one_slice_static_cell_matches_default(self):
-        # a time-independent, z-dependent frame takes power iteration; one
-        # Crank-Nicolson step of dt = T per period read lambda(0.5) = -1.4714
+        # a time-independent, z-dependent frame: lambda and the eigenfunction
+        # do not depend on the cell's n_t, which only repeats the one slice
         fs = frame_of(scalar_system(l_field=space_periodic_l()))
         cell = default_cell_grid(fs)
-        ops = [build_operator_mu(fs, 0.5, replace(cell, n_t=n)) for n in (1, cell.n_t)]
+        assert cell.n_t == 1
+        ops = [build_operator_mu(fs, 0.5, replace(cell, n_t=n)) for n in (1, 64)]
         one, full = (principal_eigenvalue(op) for op in ops)
-        assert one.info["path"] == "power-iteration" and cell.n_t == 64
-        # S column by column: the dense eigensolve of the operator stepped
-        S = np.stack([apply_S(ops[0], e[None, None])[0, 0] for e in np.eye(cell.n_z)], axis=1)
-        lam_dense = -np.max(np.linalg.eigvals(S).real)
+        assert one.info["path"] == full.info["path"] == "shift-invert"
+        lam_dense = dense_lambda(ops[0])
         assert one.lam == full.lam == pytest.approx(lam_dense, abs=1e-10)
-        assert one.eigenfunction.grid == replace(cell, n_t=1)
+        assert one.eigenfunction.grid == cell
+        assert full.eigenfunction.grid == replace(cell, n_t=64)
         assert np.array_equal(one.eigenfunction.values[:, 0], full.eigenfunction.values[:, 0])
+        assert np.all(full.eigenfunction.values == full.eigenfunction.values[:, :1])
+
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 12.0])
+    def test_static_cell_matches_dense_eigensolve(self, mu):
+        # the shift-invert step is exact: lambda is -s for the Perron root s of S
+        fs = frame_of(scalar_system(l_field=space_periodic_l()))
+        op = build_operator_mu(fs, mu, default_cell_grid(fs))
+        pair = principal_eigenvalue(op)
+        lam_dense = dense_lambda(op)
+        assert pair.info["path"] == "shift-invert"
+        assert pair.lam == pytest.approx(lam_dense, abs=1e-10)
+        assert pair.residual < 1e-9
+
+    @pytest.mark.parametrize("mu", [30.0, 5000.0])
+    def test_constant_system_at_large_tilt(self, mu):
+        # the ODE path integrates M - max diag M(0): a scalar static M is exact
+        pair = EigenEvaluator(frame_of(scalar_system())).pair(mu)
+        assert pair.info["path"] == "ode-monodromy"
+        assert pair.lam == pytest.approx(-(1.0 + mu * mu), rel=1e-12)
+        assert np.all(pair.eigenfunction.values == 1.0)
+
+    def test_extinct_static_cell(self):
+        # L = -3 + 0.5 cos(2 pi x): every row sum of S is negative, sigma stays 1
+        sys = scalar_system(l_field=space_periodic_l(-3.0, 0.5))
+        fs = frame_of(sys)
+        op = build_operator_mu(fs, 0.0, default_cell_grid(fs))
+        pair = principal_eigenvalue(op)
+        assert pair.info["path"] == "shift-invert"
+        assert pair.lam == pytest.approx(dense_lambda(op), abs=1e-10)
+        report = persistence_check(sys, e=[1])
+        assert report.classification == "extinct" and report.lambda_1p == pair.lam > 0
+
+    def test_shift_invert_steps_its_iterations(self):
+        # one backward-Euler step per iteration, the eigenfunction its last start
+        fs = frame_of(scalar_system(l_field=space_periodic_l()))
+        op = build_operator_mu(fs, 0.5, default_cell_grid(fs))
+        with mock.patch.object(Stepper, "step", autospec=True, side_effect=Stepper.step) as spy:
+            pair = principal_eigenvalue(op)
+        assert pair.info["path"] == "shift-invert"
+        assert spy.call_count == pair.info["iterations"]
 
     def test_power_iteration_steps_its_iterations(self):
         # the eigenfunction is the last iteration's orbit: no extra period
-        fs = frame_of(scalar_system(l_field=space_periodic_l()))
-        op = build_operator_mu(fs, 0.5, default_cell_grid(fs))
+        lf = PeriodicField(1.0, (1.0,), (
+            Mode(0, (0,), 1.0, 0.0), Mode(1, (0,), 0.0, 0.8), Mode(0, (1,), 0.4, 0.0),
+        ))
+        fs = frame_of(scalar_system(l_field=lf))
+        op = build_operator_mu(fs, 0.5, Grid.periodic_cell(1.0, 1.0, 64, 64))
         with mock.patch.object(Stepper, "step", autospec=True, side_effect=Stepper.step) as spy:
             pair = principal_eigenvalue(op)
         assert pair.info["path"] == "power-iteration"

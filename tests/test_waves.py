@@ -174,6 +174,15 @@ class TestExtendToEntire:
                 extend_to_entire(env, a_schedule, window=4.0, **grid_kw)
         assert spy.call_count == 0
 
+    def test_window_wider_than_first_cylinder_raises(self, scalar_setup):
+        # the window is compared on every cylinder, the first included
+        env = scalar_setup[-1]
+        with mock.patch.object(waves, "solve_periodic_bvp",
+                               wraps=solve_periodic_bvp) as spy:
+            with pytest.raises(InputError, match="window"):
+                extend_to_entire(env, [20.0, 30.0], window=50.0, dz=0.05)
+        assert spy.call_count == 0
+
     @pytest.mark.parametrize("c", [2.0, 2.5])
     def test_translates_stabilize_at_first_pair(self, scalar_setup, c):
         # scalar KPP at dz = 0.05, window 2: unaligned, the critical gaps along
