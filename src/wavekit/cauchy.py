@@ -57,43 +57,31 @@ class SimulationRun:
     def N(self) -> int:
         return self.snapshots.shape[1]
 
-    def max_component(self, k: int) -> np.ndarray:
-        return self.snapshots[k].max(axis=0)
-
     def front_positions(self, theta: float):
-        """Rightmost/leftmost crossings of max_i u_i = theta per snapshot.
+        """Leftmost/rightmost crossings of max_i u_i = theta per snapshot.
 
-        Linear interpolation between grid points; NaN when the level set is
-        empty on that side.
+        Linear interpolation towards the outer neighbour of the first and the
+        last node with a level >= theta; x[0] or x[-1] when that node is an
+        end, NaN when the level set is empty.
         """
-        right = np.full(len(self.times), np.nan)
-        left = np.full(len(self.times), np.nan)
-        for k in range(len(self.times)):
-            prof = self.max_component(k)
-            above = prof >= theta
-            if not above.any():
-                continue
-            idx = np.nonzero(above)[0]
-            j = idx[-1]
-            if j == len(prof) - 1:
-                right[k] = self.x[-1]
-            else:
-                w = (theta - prof[j + 1]) / (prof[j] - prof[j + 1])
-                right[k] = self.x[j + 1] + (self.x[j] - self.x[j + 1]) * w
-            j = idx[0]
-            if j == 0:
-                left[k] = self.x[0]
-            else:
-                w = (theta - prof[j - 1]) / (prof[j] - prof[j - 1])
-                left[k] = self.x[j - 1] + (self.x[j] - self.x[j - 1]) * w
-        return left, right
+        prof = self.snapshots.max(axis=1)
+        above = prof >= theta
+        k = np.arange(len(prof))
+        first = above.argmax(axis=1)
+        last = prof.shape[1] - 1 - above[:, ::-1].argmax(axis=1)
+
+        def crossing(j, out):  # out: the neighbour below theta, j itself at an end
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w = (theta - prof[k, out]) / (prof[k, j] - prof[k, out])
+                pos = np.where(j == out, self.x[j], self.x[out] + (self.x[j] - self.x[out]) * w)
+            return np.where(above.any(axis=1), pos, np.nan)
+
+        return (crossing(first, np.maximum(first - 1, 0)),
+                crossing(last, np.minimum(last + 1, prof.shape[1] - 1)))
 
     def value_at(self, k: int, x0: float) -> np.ndarray:
         """Componentwise linear interpolation of snapshot k at position x0."""
-        out = np.empty(self.N)
-        for i in range(self.N):
-            out[i] = np.interp(x0, self.x, self.snapshots[k, i])
-        return out
+        return np.array([np.interp(x0, self.x, u) for u in self.snapshots[k]])
 
 
 @dataclass

@@ -35,10 +35,11 @@ from .cauchy import (
     simulate,
 )
 from .coeffs import nondimensionalize, system_from_json, validate_assumptions
-from .dispersion import minimal_speed, persistence_check, speed_roots, static_frame
+from .dispersion import criticality, minimal_speed, persistence_check, speed_roots, static_frame
 from .eigen import EigenEvaluator, lambda_mu_curve
 from .errors import InputError, NumericalError, WavekitError
 from .frame import frame_for, frame_from_json, parse_speed, transform_coefficients
+from .pde_core import resolved_fields
 from .waves import (
     build_envelopes_critical,
     build_envelopes_supercritical,
@@ -74,15 +75,7 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return str(obj)
+    return obj.tolist() if isinstance(obj, (np.generic, np.ndarray)) else str(obj)
 
 
 def _dump_json(path: Path, payload: dict) -> None:
@@ -152,6 +145,11 @@ def _check_params(params) -> None:
                 raise InputError(f"config.params.{key} must be {what}, not {section[name]!r}")
 
 
+def _grid_kw(wave: dict) -> dict:
+    """The params.wave entries every wave cylinder is built with."""
+    return {k: wave[k] for k in ("n_t", "n_z", "points_per_cell", "dz") if k in wave}
+
+
 class JobConfig:
     """Validated job configuration: system + ordered tasks + parameters."""
 
@@ -186,16 +184,28 @@ class JobConfig:
         n, e = self.system.n, self.params.get("e")
         if e is not None and len(e) != n:
             raise InputError(f"config.params.e must have n = {n} entries, not {e!r}")
+        self.e = [0] * (n - 1) + [1] if e is None else e
         self.frame = frame_from_json(self.params["frame"]) if "frame" in self.params else None
         if self.frame is not None and self.frame.n != n:
             raise InputError(f"config.params.frame.e must have n = {n} entries")
         if n >= 2 and {"simulate", "probe"} & set(self.tasks):
             raise InputError("the simulate and probe tasks need n = 1")
+        # params.frame, else the supercritical wave's frame, and the wave's
+        # first cylinder: run_wave reuses them
+        self.wave_frame = self.wave_grid = None
+        if self.frame is not None:
+            self.wave_frame = transform_coefficients(nondimensionalize(self.system), self.frame)
+        elif "wave" in self.tasks:
+            self.wave_frame = frame_for(self.system, self.e, self.params["c"])
         # the eigen layer reduces every frame to (t, z): refuse a transverse dependence here
         if "eigen" in self.tasks and n >= 2 and not self.system.is_space_homogeneous():
             static_frame(self.system, e=e).reduce_1d()
-            if self.frame is not None:
-                transform_coefficients(nondimensionalize(self.system), self.frame).reduce_1d()
+            if self.wave_frame is not None:
+                self.wave_frame.reduce_1d()
+        if "wave" in self.tasks:
+            a0 = wave["a_schedule"][0] if "a_schedule" in wave else wave.get("a", 40.0)
+            self.wave_grid = cylinder_grid(self.wave_frame, float(a0), **_grid_kw(wave))
+            resolved_fields(self.wave_frame, self.wave_grid)
         self.out = Path(doc.get("out", base_dir / "out"))
 
     @staticmethod
@@ -228,7 +238,7 @@ class TaskContext:
         self.cfg = cfg
         self.sys = cfg.system
         self.eigen_tol = min(float(cfg.param("tol", 1e-6)), 1e-8)
-        self.e = cfg.param("e", [0] * (cfg.system.n - 1) + [1])
+        self.e = cfg.e
         self.curve = None
         self.persistence = None
         self._direction_ev = None
@@ -301,7 +311,7 @@ def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
     c_req = ctx.cfg.param("c")
     if c_req is not None:
         c_val = parse_speed(c_req)
-        if c_val - curve.c_star > 10.0 * ctx.eigen_tol:
+        if criticality(curve, c_val, ctx.eigen_tol) == "supercritical":
             roots = speed_roots(curve, c_val, tol=ctx.eigen_tol)
             summary["roots"] = roots.to_json()
     mus = np.array([m for m, _ in curve.samples])
@@ -320,34 +330,26 @@ def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
 def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     curve = ctx.get_curve()
     wave_par = ctx.cfg.param("wave", {})
-    c_req = ctx.cfg.param("c")
-    c_val = parse_speed(c_req)
-    band = 10.0 * ctx.eigen_tol
-    if c_val < curve.c_star - band:
+    c_val = parse_speed(ctx.cfg.param("c"))
+    kind = criticality(curve, c_val, ctx.eigen_tol)
+    if kind == "subcritical":
         raise NumericalError(
             f"subcritical speed c = {c_val} < c* = {curve.c_star}: no wave exists"
         )
-    critical = abs(c_val - curve.c_star) <= band
+    critical = kind == "critical"
     if critical and ctx.cfg.frame is None and not ctx.sys.is_space_homogeneous():
         raise InputError(
             "critical waves are built only for space-homogeneous coefficients: "
             f"c* = {curve.c_star!r} has no exact rational frame"
         )
 
-    grid_kw = {
-        k: wave_par[k]
-        for k in ("n_t", "n_z", "points_per_cell", "dz")
-        if k in wave_par
-    }
     a_schedule = wave_par.get("a_schedule")
-    a0 = float(a_schedule[0] if a_schedule else wave_par.get("a", 40.0))
     profile_tol = float(wave_par.get("tol", 1e-7))
 
-    if ctx.cfg.frame is not None:
-        fsc = transform_coefficients(nondimensionalize(ctx.sys), ctx.cfg.frame)
-    else:
-        fsc = frame_for(ctx.sys, ctx.e, curve.c_star if critical else c_req)
-    grid0 = cylinder_grid(fsc, a0, **grid_kw)
+    # a space-homogeneous critical frame keeps the supercritical one's cylinder
+    fsc, grid0 = ctx.cfg.wave_frame, ctx.cfg.wave_grid
+    if critical and ctx.cfg.frame is None:
+        fsc = frame_for(ctx.sys, ctx.e, curve.c_star)
     if critical:
         env = build_envelopes_critical(fsc, curve.mu_star, grid0, tol=profile_tol)
     else:
@@ -356,7 +358,7 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     if a_schedule:
         profile = extend_to_entire(env, a_schedule, float(wave_par.get("window", WINDOW)),
                                    tol=float(wave_par.get("gap_tol", 1e-3)),
-                                   profile_tol=profile_tol, **grid_kw)
+                                   profile_tol=profile_tol, **_grid_kw(wave_par))
     else:
         profile = env.fixed_point(grid0, tol=profile_tol)
     ver = verify_wave(profile)

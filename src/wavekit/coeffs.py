@@ -336,24 +336,18 @@ class AssumptionReport:
 def _strongly_connected(adj: np.ndarray) -> tuple[bool, list[int] | None]:
     """Strong connectivity of the digraph j -> i iff adj[i, j].
 
-    Returns (ok, witness_nodes) where witness_nodes spans a stable subspace
-    (reachable closure of some node) when the graph is not strongly connected.
+    Column j of (I + adj)^(N-1) is positive exactly on the nodes reachable
+    from j.  Returns (ok, witness_nodes) where witness_nodes, the reachable
+    closure of the first node that does not reach every node, spans a stable
+    subspace when the graph is not strongly connected.  A 1x1 matrix is
+    irreducible by convention.
     """
     N = adj.shape[0]
-    if N == 1:
-        return True, None  # 1x1 matrices are irreducible by convention
-    for start in range(N):
-        seen = {start}
-        stack = [start]
-        while stack:
-            j = stack.pop()
-            for i in range(N):
-                if adj[i, j] and i not in seen:
-                    seen.add(i)
-                    stack.append(i)
-        if len(seen) != N:
-            return False, sorted(seen)
-    return True, None
+    reach = np.linalg.matrix_power(np.eye(N) + (adj != 0), N - 1) > 0
+    short = np.flatnonzero(~reach.all(axis=0))
+    if short.size == 0:
+        return True, None
+    return False, np.flatnonzero(reach[:, short[0]]).tolist()
 
 
 def validate_assumptions(sys: KPPSystem, sampling_factor: int = 8) -> AssumptionReport:

@@ -27,6 +27,7 @@ __all__ = [
     "persistence_check",
     "minimal_speed",
     "speed_roots",
+    "criticality",
     "static_frame",
 ]
 
@@ -143,15 +144,19 @@ def minimal_speed(fsys: FrameSystem, tol: float = 1e-6,
                            (float(lo), float(hi)), ev)
 
 
+def criticality(curve: DispersionCurve, c: float, tol: float) -> str:
+    """"critical" in the band |c - c*| <= 10 tol, else "sub-" or "supercritical"."""
+    if abs(c - curve.c_star) <= 10.0 * tol:
+        return "critical"
+    return "subcritical" if c < curve.c_star else "supercritical"
+
+
 def speed_roots(curve: DispersionCurve, c: float, tol: float = 1e-8) -> RootPair:
     """The two decay rates solving lambda_{1,mu e} + c mu = 0 for c > c*."""
-    if abs(c - curve.c_star) < 10.0 * tol:
-        raise InputError(
-            f"critical: c = {c} within the criticality band of c* = {curve.c_star}; "
-            "use the critical pipeline"
-        )
-    if c < curve.c_star:
-        raise InputError(f"subcritical speed: c = {c} < c* = {curve.c_star}")
+    kind = criticality(curve, c, tol)
+    if kind != "supercritical":
+        raise InputError(f"{kind} speed: c = {c}, c* = {curve.c_star}; decay roots need c "
+                         "above the criticality band (a critical c takes the critical pipeline)")
     ev = curve.evaluator
     mu_star = curve.mu_star
 
@@ -161,16 +166,25 @@ def speed_roots(curve: DispersionCurve, c: float, tol: float = 1e-8) -> RootPair
     if h(mu_star) <= 0:
         raise NumericalError("h(mu*) <= 0 contradicts c > c*; upstream failure")
 
+    def out(mu, factor):  # mu * factor, the step halved while the cell refuses it
+        nxt = mu * factor
+        while not ev.admits(nxt):
+            if abs(nxt - mu) <= tol:
+                raise NumericalError(f"the decay root lies beyond mu = {mu:.6g}, the eigen "
+                                     "cell's mesh-Peclet limit")
+            nxt = 0.5 * (mu + nxt)
+        return nxt
+
     def root(factor):
         # walk out from mu* by factor until h <= 0, then an eighth of a step on
         # (a whole one may leave the mesh-Peclet range): h is concave, so each
         # secant step from two points beyond the root lands beyond it, closer
         near = mu_star
         while h(near) > 0:
-            near *= factor
+            near = out(near, factor)
             if not 1e-12 <= near <= 1e4:
                 raise NumericalError("no decay root found between mu = 1e-12 and mu = 1e4")
-        far = near * factor ** 0.125
+        far = out(near, factor ** 0.125)
         for _ in range(100):
             h_near, h_far = h(near), h(far)
             if h_near >= 0 or h_near == h_far:  # on the root, or within its noise

@@ -26,6 +26,7 @@ mean-one is the mu-differentiable choice used by the critical-wave pipeline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -242,6 +243,14 @@ class EigenEvaluator:
 
     def __call__(self, mu: float) -> float:
         return self.pair(mu).lam
+
+    @cached_property
+    def _op0(self) -> OperatorSpec:
+        return build_operator_mu(self.fsys, 0.0, self.grid)
+
+    def admits(self, mu: float) -> bool:
+        """Whether pair(mu) runs: any mu on the ODE path, else a mesh Peclet number <= 1."""
+        return self._op0.is_z_independent() or self._op0.peclet(mu) <= 1.0
 
     def derivative(self, mu: float) -> float:
         h = max(1e-4, np.sqrt(self.tol))

@@ -2,8 +2,10 @@
 
 For a rational unit direction e and a rational speed c the drifting
 coefficients f(t, x - c t e) stay periodic with respect to t and to the
-coordinates of any rational orthonormal basis whose last vector is e.  The
-minimal periods are an integer-lattice question, so everything here runs on
+coordinates of any rational orthonormal basis P whose last vector is e.  The
+minimal periods have a closed form: the time period T is the lcm of the
+reduced denominators of c e, and the period L_a along the a-th rotated
+coordinate the lcm of those of the a-th column of P.  Everything here runs on
 exact fractions; floating point enters only when the transformed coefficient
 fields are assembled.
 
@@ -110,33 +112,19 @@ def rational_basis(e: RationalDirection):
         if n >= 2:
             for a in range(n):
                 P[a][0] = -P[a][0]
-    P = tuple(tuple(row) for row in P)
-    for a in range(n):
-        for b in range(n):
-            acc = _frac_dot([P[r][a] for r in range(n)], [P[r][b] for r in range(n)])
-            expect = Fraction(1 if a == b else 0)
-            if acc != expect:
-                raise AssertionError("orthogonality lost in rational basis")
-        if P[a][n - 1] != ef[a]:
-            raise AssertionError("last column of P must equal e")
-    return P
+    return tuple(tuple(row) for row in P)
 
 
 def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    if isinstance(c, float):
-        if c.is_integer():
-            return Fraction(int(c))
+    if isinstance(c, float) and not c.is_integer():
         raise InputError(
             f"speed {c!r} is a non-integer float; rational-frame mode needs an exact "
             'rational (pass a string like "3/2" or a Fraction)'
         )
-    raise InputError(f"cannot interpret speed {c!r} as a rational number")
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"cannot interpret speed {c!r} as a rational number") from exc
 
 
 def parse_speed(c) -> float:
@@ -147,90 +135,23 @@ def parse_speed(c) -> float:
         raise InputError(f"not a speed: {c!r}") from exc
 
 
-def _frac_lcm(values):
-    """lcm of positive fractions: lcm(numerators)/gcd(denominators)."""
-    num = 1
-    den = 0
-    for v in values:
-        v = abs(v)
-        num = num * v.numerator // math.gcd(num, v.numerator)
-        den = math.gcd(den, v.denominator)
-    if den == 0:
-        den = 1
-    return Fraction(num, den)
-
-
-def _minimal_shift(vec):
-    """Smallest s > 0 with s * vec in Z^n, for a rational vector vec."""
-    gens = [Fraction(f.denominator, abs(f.numerator)) for f in vec if f != 0]
-    if not gens:
-        raise InputError("zero vector has no minimal shift")
-    return _frac_lcm(gens)
-
-
-def _check_minimal(period: int, predicate):
-    """Group structure makes divisor checks sufficient for minimality."""
-    if not predicate(period):
-        raise AssertionError("computed period fails its defining condition")
-    p = 2
-    m = period
-    while p * p <= m:
-        if m % p == 0:
-            if predicate(period // p):
-                raise AssertionError("computed period is not minimal")
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1 and m != period and predicate(period // m):
-        raise AssertionError("computed period is not minimal")
-    if m == period and m > 1 and predicate(1) and period != 1:
-        raise AssertionError("computed period is not minimal")
-
-
 def compute_periods(e: RationalDirection, c) -> tuple[int, tuple[int, ...]]:
     """Minimal frame periods (T in t, L_a along each rotated coordinate).
 
     Requires unit coefficient periods.  T is the smallest positive integer
-    with c T e in Z^n; L_a is the smallest positive s with s e'_a in Z^n.
-    Both are integers because an integer vector of norm s forces s^2 in Z.
+    with c T e in Z^n, and L_a the smallest positive s with s e'_a in Z^n,
+    e'_a the a-th column of P.  An integer s clears p/q in lowest terms
+    exactly when q | s, so T and L_a are the lcm of the reduced denominators.
+    No non-integer s does better for L_a: write e'_a = m / D over that lcm D;
+    a prime dividing every m_i would divide D (sum m_i^2 = D^2) and so the
+    numerator of the entry whose denominator holds its full power in D,
+    against that entry being in lowest terms.
     """
     cf = _as_fraction(c)
     P = rational_basis(e)
-    n = e.n
-    ef = e.as_fractions()
-
-    Ls = []
-    for a in range(n):
-        col = [P[r][a] for r in range(n)]
-        La = _minimal_shift(col)
-        if La.denominator != 1:
-            raise AssertionError("transverse period must be an integer")
-        La = La.numerator
-
-        def pred_L(s, col=col):
-            return all((s * v).denominator == 1 for v in col)
-
-        _check_minimal(La, pred_L)
-        Ls.append(La)
-
-    if cf == 0:
-        T = 1
-    else:
-        gens = [Fraction(1)] + [
-            Fraction((cf * comp).denominator, abs((cf * comp).numerator))
-            for comp in ef
-            if cf * comp != 0
-        ]
-        T = _frac_lcm(gens)
-        if T.denominator != 1:
-            raise AssertionError("temporal period must be an integer")
-        T = T.numerator
-
-        def pred_T(s):
-            return all((s * cf * comp).denominator == 1 for comp in ef)
-
-        _check_minimal(T, pred_T)
-    return T, tuple(Ls)
+    T = math.lcm(*((cf * v).denominator for v in e.as_fractions()))
+    Ls = tuple(math.lcm(*(row[a].denominator for row in P)) for a in range(e.n))
+    return T, Ls
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,7 @@ __all__ = [
     "GridField",
     "OperatorSpec",
     "build_operator_mu",
+    "resolved_fields",
     "stencil",
     "apply_S",
     "apply_operator",
@@ -212,6 +213,15 @@ class OperatorSpec:
             and _const_along(self.pot0, 1) and _const_along(self.coupling, 2)
         )
 
+    def peclet(self, mu: float | None = None) -> float:
+        """Largest mesh Peclet number |drift| dz / (2 a) over the nodes with a > 0, here or
+        retilted to mu (drift q_z - 2 mu a).  A Stepper refuses a number above 1."""
+        pos = self.a_node > 0
+        a, q = self.a_node[pos], self.drift[pos]
+        if mu is not None:
+            q = q - 2.0 * (mu - self.mu) * a
+        return float(((np.abs(q) * self.grid.dz) / (2.0 * a)).max(initial=0.0))
+
     def is_z_independent(self) -> bool:
         return (
             _const_along(self.a_node, 2) and _const_along(self.drift, 2)
@@ -224,15 +234,10 @@ def _const_along(arr, axis):
     return bool(np.all(arr == ref))
 
 
-def build_operator_mu(fsys: FrameSystem, mu: float, grid: Grid) -> OperatorSpec:
-    """Sample the frame coefficients and assemble the tilted operator tables."""
-    if mu < 0:
-        raise InputError("tilt mu must be nonnegative")
-    a_f, dza_f, adv_f, Lm_f, Bm_f = fsys.reduce_1d()
-    t = grid.t
-    z = grid.z
-    zh = grid.z_half
-
+def resolved_fields(fsys: FrameSystem, grid: Grid) -> tuple:
+    """fsys.reduce_1d(), after refusing a grid with fewer than 4 nodes per
+    shortest wavelength of those fields, in z on a cell-periodic frame and in t."""
+    reduced = a_f, _, adv_f, Lm_f, Bm_f = fsys.reduce_1d()
     kz_max = 0
     kt_max = 0
     for f in list(a_f) + list(adv_f) + [g for row in Lm_f for g in row] + [g for row in Bm_f for g in row]:
@@ -246,6 +251,17 @@ def build_operator_mu(fsys: FrameSystem, mu: float, grid: Grid) -> OperatorSpec:
         )
     if kt_max > 0 and grid.n_t < 4 * kt_max:
         raise InputError("grid under-resolves coefficients in time: need n_t >= 4 k_t")
+    return reduced
+
+
+def build_operator_mu(fsys: FrameSystem, mu: float, grid: Grid) -> OperatorSpec:
+    """Sample the frame coefficients and assemble the tilted operator tables."""
+    if mu < 0:
+        raise InputError("tilt mu must be nonnegative")
+    a_f, dza_f, adv_f, Lm_f, Bm_f = resolved_fields(fsys, grid)
+    t = grid.t
+    z = grid.z
+    zh = grid.z_half
 
     a_node = np.stack([f.eval_grid(t, z) for f in a_f])
     a_half = np.stack([f.eval_grid(t, zh) for f in a_f])
@@ -349,7 +365,9 @@ class Stepper:
         self.bc = bc
         self.N = op.N
         self.size = op.N * g.n_z
-        self._check_peclet()
+        if op.peclet() > 1.0:
+            raise InputError(f"mesh Peclet number {op.peclet():.3g} > 1: centered advection "
+                             "would break the M-matrix property; refine dz")
 
         self.time_dependent = not op.is_time_independent()
         self.n_distinct = g.n_t if self.time_dependent else 1
@@ -366,18 +384,6 @@ class Stepper:
     @cached_property  # Crank-Nicolson; _bc_into overwrites the Dirichlet rows
     def _rhs_mat(self) -> list:
         return [self._matrix(1.0, 0.5 * self.grid.dt, k).tocsr() for k in range(self.n_distinct)]
-
-    def _check_peclet(self):
-        a = self.op.a_node
-        q = np.abs(self.op.drift)
-        pos = a > 0
-        if np.any(pos):
-            pe = (q[pos] * self.grid.dz) / (2.0 * a[pos])
-            if pe.max() > 1.0:
-                raise InputError(
-                    f"mesh Peclet number {pe.max():.3g} > 1: centered advection would "
-                    "break the M-matrix property; refine dz"
-                )
 
     def _assemble_S(self) -> None:
         """S on all distinct slices, _S_data (n_distinct, size (2N+1)), on the

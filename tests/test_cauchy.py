@@ -3,6 +3,7 @@ import pytest
 
 from conftest import const, scalar_system, system_2x2
 from wavekit.cauchy import (
+    SimulationRun,
     bump_initial,
     front_initial,
     logistic_envelope,
@@ -75,6 +76,54 @@ class TestSimulate:
 def kpp_run():
     x = np.linspace(-120, 120, 3072)
     return simulate(scalar_system(), bump_initial(x, 1), 50.0, 120.0, n_x=3072)
+
+
+class TestFrontPositions:
+    @staticmethod
+    def oracle(run, theta):
+        # one snapshot at a time: interpolate towards the outer neighbour of
+        # the first and last node at or above theta
+        left = np.full(len(run.times), np.nan)
+        right = np.full(len(run.times), np.nan)
+        for k, prof in enumerate(run.snapshots.max(axis=1)):
+            idx = np.nonzero(prof >= theta)[0]
+            if idx.size == 0:
+                continue
+            j = idx[-1]
+            if j == len(prof) - 1:
+                right[k] = run.x[-1]
+            else:
+                w = (theta - prof[j + 1]) / (prof[j] - prof[j + 1])
+                right[k] = run.x[j + 1] + (run.x[j] - run.x[j + 1]) * w
+            j = idx[0]
+            if j == 0:
+                left[k] = run.x[0]
+            else:
+                w = (theta - prof[j - 1]) / (prof[j] - prof[j - 1])
+                left[k] = run.x[j - 1] + (run.x[j] - run.x[j - 1]) * w
+        return left, right
+
+    def test_matches_per_snapshot_oracle(self, rng):
+        x = np.linspace(-5.0, 5.0, 41)
+        snaps = rng.uniform(0.0, 1.0, size=(12, 2, x.size))
+        snaps[1] = 0.2                # empty level set
+        snaps[2, :, :3] = 0.9         # crossing at x[0] (left) ...
+        snaps[3, :, -3:] = 0.9        # ... and at x[-1] (right)
+        snaps[4] = 0.9                # both ends at once
+        snaps[5, 0] = 0.0
+        snaps[5, 0, 20] = 0.9         # a single node above theta
+        run = SimulationRun(x, np.arange(12.0), snaps, 0.1, 1.0, 1.0, 1.0, 4.5)
+        left, right = run.front_positions(0.5)
+        expect = self.oracle(run, 0.5)
+        np.testing.assert_array_equal(left, expect[0])
+        np.testing.assert_array_equal(right, expect[1])
+        assert np.isnan(left[1]) and np.isnan(right[1])
+        assert (left[2], right[3], left[4], right[4]) == (x[0], x[-1], x[0], x[-1])
+
+    def test_simulation_fronts_match_oracle(self, kpp_run):
+        for theta in (0.1, 0.5, 0.9):
+            got = kpp_run.front_positions(theta)
+            np.testing.assert_array_equal(got, self.oracle(kpp_run, theta))
 
 
 class TestSpreadingSpeed:

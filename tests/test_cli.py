@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,24 @@ def write_config(tmp_path, cfg, name="job.json"):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return p
+
+
+def cell_config(tasks, extra_params=None, l_modes=()):
+    """The cell system: L = 1 + 0.5 cos(2 pi x), plus l_modes."""
+    cfg = scalar_config(tasks, extra_params=extra_params)
+    cfg["system"]["fields"]["L"] = [[[MODE, {"kt": 0, "kx": [1], "cos": 0.5, "sin": 0.0},
+                                      *l_modes]]]
+    return cfg
+
+
+def assert_config_error(tmp_path, capsys, cfg, text):
+    """validate and run both exit 2 with text in the error; no task JSON."""
+    p = write_config(tmp_path, cfg)
+    assert main(["validate", str(p)]) == 2
+    assert run_config(p, out=tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("config error:") == 2 and text in err, err
+    assert not list(tmp_path.glob("out/*.json"))
 
 
 class TestConfigParsing:
@@ -168,6 +187,22 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert err.count("config error:") == 2 and "transverse" in err
         assert not list(tmp_path.glob("out/*.json"))
+
+    def test_wave_n_z_on_cell_periodic_system_exit_two(self, tmp_path, capsys):
+        # the cylinder of an x-dependent system takes points_per_cell
+        cfg = cell_config(["wave"], {"c": "3", "wave": {"a": 20.0, "n_z": 401}})
+        assert_config_error(tmp_path, capsys, cfg, "points_per_cell")
+
+    def test_float_speed_on_cell_periodic_system_exit_two(self, tmp_path, capsys):
+        # the rational frame of x-dependent coefficients needs an exact speed
+        cfg = cell_config(["wave"], {"c": 3.5, "wave": {"a": 20.0, "points_per_cell": 32}})
+        assert_config_error(tmp_path, capsys, cfg, "exact rational")
+
+    def test_wave_n_t_below_frame_frequency_exit_two(self, tmp_path, capsys):
+        # at c = 9/2 a cos(4 pi x) mode has time frequency 18 in the frame
+        cfg = cell_config(["wave"], {"c": "9/2", "wave": {"a": 20.0, "n_t": 16}},
+                          l_modes=[{"kt": 0, "kx": [2], "cos": 0.1, "sin": 0.0}])
+        assert_config_error(tmp_path, capsys, cfg, "n_t >= 4 k_t")
 
     def test_validate_subcommand_exit_codes(self, tmp_path):
         p = write_config(tmp_path, scalar_config(["validate"]))
@@ -304,6 +339,14 @@ class TestRunConfig:
         c_star = json.loads((out / "dispersion.json").read_text())["c_star"]
         cfg["tasks"] = ["wave"]
         cfg["params"].update({"c": c_star, "wave": {"a": 20.0, "n_t": 64}})
+        # a float speed has no rational frame: refused at load
+        assert run_config(write_config(tmp_path, cfg, "float.json"), out=tmp_path / "f") == 2
+        assert not list(tmp_path.glob("f/*.json"))
+        # a rational inside the criticality band 1e-7, with an n_t that
+        # resolves its frame frequency (the numerator), reaches the wave task
+        c = Fraction(c_star).limit_denominator(3000)
+        assert abs(c - Fraction(c_star)) < 1e-7
+        cfg["params"].update({"c": str(c), "wave": {"a": 20.0, "n_t": 4 * c.numerator}})
         out = tmp_path / "out_wave"
         assert run_config(write_config(tmp_path, cfg, "wave.json"), out=out) == 3
         doc = json.loads((out / "wave.json").read_text())

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from conftest import const, scalar_system, system_2x2
 from wavekit.coeffs import (
     KPPSystem,
+    _strongly_connected,
     Mode,
     PeriodicField,
     field_eval,
@@ -103,6 +104,27 @@ class TestValidateAssumptions:
         rep = validate_assumptions(sys)
         assert not rep.flags["A3"].passed
         assert "span(e_{1})" in rep.flags["A3"].witness
+
+    def test_a3_witness_matches_reachability_oracle(self, rng):
+        # depth-first search from every node: the first node that does not
+        # reach all of them gives the witness, its sorted reachable set
+        def oracle(adj):
+            N = adj.shape[0]
+            for start in range(N):
+                seen, stack = {start}, [start]
+                while stack:
+                    j = stack.pop()
+                    new = {i for i in range(N) if adj[i, j]} - seen
+                    seen |= new
+                    stack.extend(new)
+                if len(seen) != N:
+                    return False, sorted(seen)
+            return True, None
+
+        for _ in range(400):
+            N = int(rng.integers(1, 7))
+            adj = (rng.uniform(size=(N, N)) < rng.uniform(0.1, 0.6)) & ~np.eye(N, dtype=bool)
+            assert _strongly_connected(adj) == oracle(adj), adj.astype(int)
 
     def test_negative_offdiagonal_fails_a2(self):
         sys = system_2x2(l12=-0.5)

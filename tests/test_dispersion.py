@@ -118,17 +118,28 @@ class TestSpeedRoots:
         assert roots.mu_vee == pytest.approx((c + disc) / 2, abs=1e-12)
         assert spy.call_count <= 20
 
-    @pytest.mark.parametrize("c", [12.0, 17.0])
+    @pytest.mark.parametrize("c", [12.0, 17.0, 40.0, 63.0])
     def test_cell_roots_at_high_speed(self, c):
         # l(x) = 1 + 0.5 cos(2 pi x) on 64 nodes: mu_vee ~ c is past the old
-        # Crank-Nicolson inversion's reach; at c = 17 the walk stops at mu = 32
-        # and mu = 64 would fail the mesh-Peclet check
+        # Crank-Nicolson inversion's reach; the cell takes mu <= 64 (mesh
+        # Peclet), so at c = 40 the walk halves its step from 32 to 48
         cell = minimal_speed(static_frame(scalar_system(l_field=space_periodic_l()), e=[1]),
                              tol=1e-8)
         roots = speed_roots(cell, c)
         assert roots.mu_wedge < cell.mu_star < c - 1.0 < roots.mu_vee < c
         for mu in (roots.mu_wedge, roots.mu_vee):
             assert abs(cell.evaluator(mu) + c * mu) < 1e-8 * (1.0 + c * mu)
+
+    def test_root_past_the_peclet_limit_raises(self):
+        # mu_vee ~ 70 lies past the 64-node cell's limit mu = 64: the walk
+        # halves its steps short of it and never asks the cell for mu > 64
+        cell = minimal_speed(static_frame(scalar_system(l_field=space_periodic_l()), e=[1]),
+                             tol=1e-8)
+        with mock.patch.object(eigen, "principal_eigenvalue",
+                               side_effect=eigen.principal_eigenvalue) as spy:
+            with pytest.raises(NumericalError, match="mesh-Peclet limit"):
+                speed_roots(cell, 70.0)
+        assert max(call.args[0].mu for call in spy.call_args_list) < 64.0
 
     def test_json_round_trip(self, curve):
         doc = curve.to_json()

@@ -98,7 +98,11 @@ class TestRationalBasis:
         dirs = rational_directions(n)
         for e in rng.choice(len(dirs), size=min(25, len(dirs)), replace=False):
             e = dirs[int(e)]
-            P = rational_basis(e)  # raises internally if P^T P != I exactly
+            P = rational_basis(e)
+            assert tuple(row[-1] for row in P) == e.as_fractions()
+            for a in range(n):
+                for b in range(n):
+                    assert sum(row[a] * row[b] for row in P) == int(a == b)  # exact P^T P = I
             arr = np.array([[float(v) for v in row] for row in P])
             assert abs(abs(np.linalg.det(arr)) - 1.0) < 1e-12
 
