@@ -12,22 +12,22 @@ Boundary treatments of the step solver: periodic on a cell; Dirichlet on an
 interval when boundary data is given (the wave and eigen layers); zero flux on
 an interval without boundary data (the Cauchy layer), with the drift upwinded
 at the two end nodes so the step matrix stays an M-matrix.  `stencil` gives
-the spatial operator S as 2N+1 bands, which `apply_S` applies and a step
-solver stores once, for all time slices, in LAPACK's column band storage: the
-step, Crank-Nicolson, steady and Newton matrices are all d I + s S on that
-one pattern, and the Dirichlet rows are a boolean mask.  The residual
-`apply_operator` is that of the backward-Euler scheme on the same S.  A
+the spatial operator S as 2N+1 bands, which `apply_S` applies.  Those bands
+are already LAPACK's band storage of S^T, so a step solver stores them once
+per time slice (a periodic cell in the folded node order 0, n-1, 1, n-2, ...,
+half-bandwidth 2N) and every step, Crank-Nicolson, steady and Newton matrix
+d I + s S is factored as its transpose by one band LU (dgbtrf, two dtbsv
+solves).  `apply_operator` is the backward-Euler residual on the same S; a
 diagonal a caller adds is folded into `OperatorSpec.pot0`.
 
 Time-periodic boundary-value problems, linear or with a diagonal quadratic
-term, are solved by one driver: relaxation of the parabolic flow; a positive
-periodic-Dirichlet principal eigenvalue makes the period map a contraction, so
-the flow converges geometrically to the unique time-periodic solution.  When
-nothing depends on time the periodic problem degenerates to a steady one: a
-single sparse solve when linear, pseudo-transient continuation when
-semilinear.  One Newton solve, `Stepper._newton_be`, takes a backward-Euler
-quadratic step of any dt: every pseudo-time step, and a relaxation step once
-its fixed-point iteration stops contracting.
+term, are solved by relaxation of the parabolic flow: a positive
+periodic-Dirichlet principal eigenvalue makes the period map a contraction.
+A time-independent problem is steady: one band solve when linear,
+pseudo-transient continuation when semilinear.  One Newton solve,
+`Stepper._newton_be`, takes a backward-Euler quadratic step of any dt: every
+pseudo-time step, and a relaxation step once its fixed-point iteration stops
+contracting.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from functools import cached_property
 from itertools import repeat
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.linalg.blas import dgbmv, dtbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import InputError, NumericalError
 from .frame import FrameSystem
@@ -75,11 +75,8 @@ class Grid:
 
     def __post_init__(self):
         # plain Python scalars keep serialized metadata round-trippable
-        object.__setattr__(self, "n_t", int(self.n_t))
-        object.__setattr__(self, "n_z", int(self.n_z))
-        object.__setattr__(self, "t_period", float(self.t_period))
-        object.__setattr__(self, "z0", float(self.z0))
-        object.__setattr__(self, "z1", float(self.z1))
+        for name, cast in (("n_t", int), ("n_z", int), ("t_period", float), ("z0", float), ("z1", float)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
         if self.kind not in ("periodic", "interval"):
             raise InputError(f"unknown grid kind {self.kind!r}")
         if self.n_t < 1 or self.n_z < 16:
@@ -208,10 +205,7 @@ class OperatorSpec:
         return self.a_node.shape[0]
 
     def is_time_independent(self) -> bool:
-        return (
-            _const_along(self.a_node, 1) and _const_along(self.drift, 1)
-            and _const_along(self.pot0, 1) and _const_along(self.coupling, 2)
-        )
+        return all(_const_along(x, x.ndim - 2) for x in (self.a_node, self.drift, self.pot0, self.coupling))
 
     def peclet(self, mu: float | None = None) -> float:
         """Largest mesh Peclet number |drift| dz / (2 a) over the nodes with a > 0, here or
@@ -223,27 +217,20 @@ class OperatorSpec:
         return float(((np.abs(q) * self.grid.dz) / (2.0 * a)).max(initial=0.0))
 
     def is_z_independent(self) -> bool:
-        return (
-            _const_along(self.a_node, 2) and _const_along(self.drift, 2)
-            and _const_along(self.pot0, 2) and _const_along(self.coupling, 3)
-        )
+        return all(_const_along(x, x.ndim - 1) for x in (self.a_node, self.drift, self.pot0, self.coupling))
 
 
 def _const_along(arr, axis):
-    ref = np.take(arr, [0], axis=axis)
-    return bool(np.all(arr == ref))
+    return bool(np.all(arr == np.take(arr, [0], axis=axis)))
 
 
 def resolved_fields(fsys: FrameSystem, grid: Grid) -> tuple:
     """fsys.reduce_1d(), after refusing a grid with fewer than 4 nodes per
     shortest wavelength of those fields, in z on a cell-periodic frame and in t."""
     reduced = a_f, _, adv_f, Lm_f, Bm_f = fsys.reduce_1d()
-    kz_max = 0
-    kt_max = 0
-    for f in list(a_f) + list(adv_f) + [g for row in Lm_f for g in row] + [g for row in Bm_f for g in row]:
-        kt, kx = f.max_frequencies()
-        kt_max = max(kt_max, kt)
-        kz_max = max(kz_max, kx[0])
+    freqs = [f.max_frequencies() for f in (*a_f, *adv_f, *(g for row in (*Lm_f, *Bm_f) for g in row))]
+    kt_max = max(kt for kt, _ in freqs)
+    kz_max = max(kx[0] for _, kx in freqs)
     if kz_max > 0 and fsys.L_z is not None and grid.dz > fsys.L_z / (4.0 * kz_max):
         raise InputError(
             f"grid under-resolves coefficients: need >= 4 points per wavelength "
@@ -339,17 +326,32 @@ def apply_operator(op: OperatorSpec, u: GridField) -> GridField:
 
 # -- time stepping ---------------------------------------------------------------
 
-class Stepper:
-    """Cached sparse step solver for the parabolic flow d_t v = S(t) v.
+def _band_lu(ab: np.ndarray, kb: int):
+    """The solve b -> A^-1 b of a band matrix A, half-bandwidth kb, from LAPACK's
+    band storage ab (3 kb + 1, n) of A^T: A^T[i, j] at ab[2 kb + i - j, j], Fortran
+    order, overwritten.  dgbtrf factors A^T = L U; A x = b is U^T y = b, L^T x = y
+    (dtbsv), or dgbtrs after a row swap.  A zero pivot raises NumericalError."""
+    lu, piv, info = dgbtrf(ab, kb, kb, overwrite_ab=1)
+    if info > 0:
+        raise NumericalError(f"singular band matrix: zero pivot in column {info - 1}")
+    if np.any(piv != np.arange(piv.size)):
+        return lambda b: dgbtrs(lu, kb, kb, b, piv, trans=1)[0]
+    L = np.asfortranarray(lu[2 * kb:])
+    return lambda b: dtbsv(kb, L, dtbsv(2 * kb, lu, b, trans=1), lower=1, trans=1, diag=1)
 
-    S is the spatial part of -op, a diagonal added by a caller folded into
-    op.pot0; unknowns are ordered z-major, component-minor (index j * N + i).
-    The bands of `stencil`, stored once per distinct time slice column by
-    column at width 2N+1, are the one sparse pattern of every matrix derived
-    from S (d I + s S_k).  On an interval grid with boundary data bc, the
-    Dirichlet rows (the mask _dirichlet) of S are zero, so the implicit step
-    matrix has identity rows there and boundary data is injected through the
-    right-hand side; without bc the two ends carry no flux.
+
+class Stepper:
+    """Cached band-LU step solver for the parabolic flow d_t v = S(t) v.
+
+    S is the spatial part of -op.  Unknowns are node-major, component-minor
+    (j N + i, j-th node of the solve order: z order on an interval, folded 0,
+    n-1, 1, n-2, ... on a periodic cell, so S has half-bandwidth kb = N or 2N).
+    `stencil`'s bands, stored once per distinct time slice as LAPACK's band
+    storage of S^T, carry every matrix d I + s S_k: products by dgbmv, LUs of
+    the transpose by _band_lu, counted in `factorizations`.  With boundary
+    data bc the Dirichlet rows (_dirichlet) of S are zero: step matrices have
+    identity rows there and the data enters through the right-hand side;
+    without bc an interval's two ends carry no flux.
     """
 
     def __init__(self, op: OperatorSpec, scheme: str = "be",
@@ -371,53 +373,56 @@ class Stepper:
 
         self.time_dependent = not op.is_time_independent()
         self.n_distinct = g.n_t if self.time_dependent else 1
+        self.factorizations = 0
         self._dirichlet = np.zeros(self.size, dtype=bool)
         if bc is not None:
             self._dirichlet[: self.N] = self._dirichlet[-self.N:] = True
+        nodes = np.stack([np.arange(g.n_z), np.arange(g.n_z)[::-1]], axis=1).ravel()[: g.n_z]
+        periodic = g.kind == "periodic"
+        self._nodes, self._slots = (nodes, np.argsort(nodes)) if periodic else (slice(None),) * 2
+        self.kb = 2 * self.N if periodic else self.N
         self._assemble_S()
 
     @cached_property  # on first use: steady and continuation solves never step
     def _lhs_lu(self) -> list:
         w = 1.0 if self.scheme == "be" else 0.5
-        return [splu(self._matrix(1.0, -w * self.grid.dt, k)) for k in range(self.n_distinct)]
-
-    @cached_property  # Crank-Nicolson; _bc_into overwrites the Dirichlet rows
-    def _rhs_mat(self) -> list:
-        return [self._matrix(1.0, 0.5 * self.grid.dt, k).tocsr() for k in range(self.n_distinct)]
+        return [self._lu(1.0, -w * self.grid.dt, k) for k in range(self.n_distinct)]
 
     def _assemble_S(self) -> None:
-        """S on all distinct slices, _S_data (n_distinct, size (2N+1)), on the
-        pattern _indices, _indptr: column c holds rows (c - o) mod size for
-        o = N, ..., -N, the diagonal at _diag_pos.  Entries past an interval's
-        ends are zeros that _matrix drops."""
-        N, size, width = self.N, self.size, 2 * self.N + 1
+        """_S_ab[k].T (2 kb + 1, size): S_k^T in general band storage, S_k[m, m + o]
+        at [kb + o, m] in the solve order; on an interval, stencil's bands."""
+        N, kb, size = self.N, self.kb, self.size
         band = stencil(self.op, self.n_distinct)
         band[..., self._dirichlet] = 0.0
-        offsets = np.arange(N, -N - 1, -1)  # ascending rows within a column
-        self._S_data = np.stack([np.roll(b, o, axis=1) for b, o in zip(band[::-1], offsets)],
-                                axis=2).reshape(self.n_distinct, -1)
-        self._indices = ((np.arange(size)[:, None] - offsets) % size).astype(np.int32).ravel()
-        self._indptr = np.arange(0, size * width + 1, width, dtype=np.int32)
-        self._diag_pos = np.arange(N, size * width, width)
+        if self.grid.kind == "interval":
+            self._S_ab = np.ascontiguousarray(band.transpose(1, 2, 0))
+            return
+        # nonzero entries only: a zero pairing no two components of a node folds off the band
+        i, m = np.nonzero(np.any(band != 0.0, axis=1))
+        pos = (self._slots[:, None] * N + np.arange(N)).ravel()
+        p, q = pos[m], pos[(m + i - N) % size]
+        self._S_ab = np.zeros((self.n_distinct, size, 2 * kb + 1))
+        self._S_ab[:, p, kb + q - p] = band[i, :, m].T
 
-    def _matrix(self, d, s: float, k: int = 0) -> sp.csc_matrix:
-        """d I + s S_k on the band pattern; d is a scalar or a flat diagonal.
+    def _lu(self, d, s: float, k: int = 0):
+        """The solve of d I + s S_k (_band_lu); d a scalar or a diagonal in the solve order."""
+        kb = self.kb
+        ab = np.zeros((self.size, 3 * kb + 1))
+        np.multiply(self._S_ab[k], s, out=ab[:, kb:])
+        ab[:, 2 * kb] += d
+        self.factorizations += 1
+        return _band_lu(ab.T, kb)
 
-        Entries that vanish on this slice (a coupling coefficient with a zero)
-        are dropped, so they cost no fill in a factorization.
-        """
-        data = s * self._S_data[k]
-        data[self._diag_pos] += d
-        m = sp.csc_matrix((data, self._indices, self._indptr), shape=(self.size, self.size),
-                          copy=True)
-        m.eliminate_zeros()
-        return m
+    def _apply(self, x: np.ndarray, d, s: float, k: int = 0) -> np.ndarray:
+        """(d I + s S_k) x in the solve order."""
+        return dgbmv(self.size, self.size, self.kb, self.kb, s, self._S_ab[k].T, x,
+                     beta=1.0, y=d * x, trans=1)
 
     def _flat(self, v):
-        return v.T.flatten()
+        return v[:, self._nodes].T.flatten()
 
     def _unflat(self, w):
-        return w.reshape(self.grid.n_z, self.N).T
+        return w.reshape(self.grid.n_z, self.N).T[:, self._slots]
 
     def _bc_into(self, w: np.ndarray, kk: int) -> np.ndarray:
         """Write the Dirichlet data of t_kk into the flat vector w; returns w."""
@@ -433,8 +438,8 @@ class Stepper:
         kk = (k + 1) % n_t
         rhs = self._flat(v)
         if self.scheme == "cn":
-            rhs = self._rhs_mat[k % n_t % self.n_distinct] @ rhs
-        return self._unflat(self._lhs_lu[kk % self.n_distinct].solve(self._bc_into(rhs, kk)))
+            rhs = self._apply(rhs, 1.0, 0.5 * self.grid.dt, k % n_t % self.n_distinct)
+        return self._unflat(self._lhs_lu[kk % self.n_distinct](self._bc_into(rhs, kk)))
 
     def step_implicit_quadratic(self, v: np.ndarray, k: int, b_k: np.ndarray) -> np.ndarray:
         """Backward-Euler step of d_t v = S v - b v^2, quadratic kept implicit.
@@ -454,12 +459,12 @@ class Stepper:
         kk = (k + 1) % self.grid.n_t
         b = np.where(self._dirichlet, 0.0, self._flat(b_k))
         rhs0 = self._bc_into(self._flat(v), kk)
-        lu = self._lhs_lu[kk % self.n_distinct]
-        w = lu.solve(rhs0)
+        solve = self._lhs_lu[kk % self.n_distinct]
+        w = solve(rhs0)
         changes = []
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(_QUAD_MAX_INNER):
-                w_new = lu.solve(rhs0 - dt * b * w * w)
+                w_new = solve(rhs0 - dt * b * w * w)
                 changes.append(float(np.abs(w_new - w).max()))
                 w = w_new
                 if changes[-1] <= _QUAD_TOL * (1.0 + np.abs(w).max()):
@@ -479,19 +484,17 @@ class Stepper:
         (1 + |u|) / min(dt, 1); None if G is not finite or 12 updates fail.
         """
         k = kk % self.n_distinct
-        K = self._matrix(self._dirichlet, -1.0, k)
         data = self._bc_into(np.zeros(self.size), kk)
         tol = 1e-11 * (1.0 + float(np.abs(u).max())) / min(dt, 1.0)
         w = u.copy()
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(12):
-                G = (w - u) / dt + (K @ w + b * w * w - data)
+                G = (w - u) / dt + (self._apply(w, self._dirichlet, -1.0, k) + b * w * w - data)
                 if not np.all(np.isfinite(G)):
                     return None
                 if float(np.abs(G).max()) < tol:
                     return w
-                jac = self._matrix(self._dirichlet + 2.0 * b * w + 1.0 / dt, -1.0, k)
-                w = w - splu(jac).solve(G)
+                w = w - self._lu(self._dirichlet + 2.0 * b * w + 1.0 / dt, -1.0, k)(G)
         return None
 
     def run_period(self, v0: np.ndarray, quadratic: np.ndarray | None = None):
@@ -514,26 +517,22 @@ class Stepper:
                 v = self.step_implicit_quadratic(v, k, quadratic[:, (k + 1) % n_t])
         return v, orbit
 
-    def steady_matrix(self) -> sp.csc_matrix:
-        """-S with identity rows at the Dirichlet ends; solves op u = 0."""
-        return self._matrix(self._dirichlet, -1.0)
-
 
 def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
                        extra_diag=None, force_relaxation: bool = False,
                        quadratic: np.ndarray | None = None):
     """Time-periodic solution of (op + diag(extra_diag)) u + quadratic u^2 = 0.
 
-    boundary = (left, right) Dirichlet data, each of shape (N, n_t), sampled
-    at grid times; quadratic, if given, is the (N, n_t, n_z) diagonal
-    coefficient of a semilinear term, kept implicit in every step.
-    Relaxation of the parabolic flow from init converges geometrically when
-    the periodic-Dirichlet principal eigenvalue of the linearization is
-    positive.  A fully time-independent problem is solved directly instead:
-    one sparse solve when linear, pseudo-transient continuation from init
-    when semilinear (falling back to relaxation if continuation stalls); its
-    one slice is repeated over the grid's n_t.  On n_t = 1 relaxation steps
-    with dt = T.  Returns (GridField, info dict).
+    boundary = (left, right) Dirichlet data, each (N, n_t) at grid times;
+    quadratic, if given, is the (N, n_t, n_z) diagonal coefficient of a
+    semilinear term, kept implicit in every step.  Relaxation of the parabolic
+    flow from init converges geometrically when the periodic-Dirichlet
+    principal eigenvalue of the linearization is positive.  A fully
+    time-independent problem is solved directly: one band solve when linear,
+    pseudo-transient continuation from init when semilinear (relaxing if it
+    stalls), its one slice repeated over n_t.  On n_t = 1 relaxation steps
+    with dt = T.  Returns (GridField, info): info has "mode", "periods",
+    "changes" and the Stepper's "factorizations".
     """
     g = op.grid
     if g.kind != "interval":
@@ -554,12 +553,12 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     if steady:
         if quadratic is None:
             rhs = stepper._bc_into(np.zeros(stepper.size), 0)
-            u = stepper._unflat(splu(stepper.steady_matrix()).solve(rhs))
+            u = stepper._unflat(stepper._lu(stepper._dirichlet, -1.0)(rhs))
         else:
             u = _ptc_steady(stepper, quadratic, init.values[:, 0, :], tol)
         if u is not None:
-            vals = np.repeat(u[:, None, :], g.n_t, axis=1)
-            return GridField(vals, g), {"mode": "steady", "periods": 0, "changes": []}
+            return GridField(np.repeat(u[:, None, :], g.n_t, axis=1), g), {
+                "mode": "steady", "periods": 0, "changes": [], "factorizations": stepper.factorizations}
 
     v = init.values[:, 0, :].copy()
     changes = []
@@ -583,7 +582,8 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
         )
     # a period from the converged v: the last loop period started at the previous iterate
     _, orbit = stepper.run_period(v, quadratic=quadratic)
-    return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes), "changes": changes}
+    return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes), "changes": changes,
+                                 "factorizations": stepper.factorizations}
 
 
 def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, u0: np.ndarray, tol: float):
@@ -599,14 +599,14 @@ def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, u0: np.ndarray, tol: float)
     16 on), so roundoff picks the translate reached.  Returns None if
     continuation stalls; the caller then relaxes (dt = T on one slice).
     """
-    K = stepper.steady_matrix()
     b = np.where(stepper._dirichlet, 0.0, stepper._flat(bdiag[:, 0, :]))
     data = stepper._bc_into(np.zeros(stepper.size), 0)
     u = stepper._bc_into(stepper._flat(u0), 0)
     dt = 1.0
     for _ in range(_PTC_MAX_STEPS):
-        # K has identity Dirichlet rows and b vanishes there: u - data
-        if float(np.abs(K @ u + b * u * u - data).max()) < tol:
+        # -S with identity Dirichlet rows, b zero there: u - data on those rows
+        res = stepper._apply(u, stepper._dirichlet, -1.0) + b * u * u - data
+        if float(np.abs(res).max()) < tol:
             return stepper._unflat(u)
         if dt < 1e-8:
             return None

@@ -86,8 +86,8 @@ def cylinder_grid(fsys: FrameSystem, a: float, n_t: int | None = None,
                 f"half-length a={a} must be a positive multiple of the cell L_z={fsys.L_z}"
             )
         n_z_eff = 2 * k * points_per_cell + 1
-        if n_z is not None and n_z != n_z_eff:
-            raise InputError("pass points_per_cell, not n_z, for cell-periodic systems")
+        if (n_z is not None and n_z != n_z_eff) or dz is not None:
+            raise InputError("pass points_per_cell, not n_z or dz, for cell-periodic systems")
     elif n_z is not None:
         n_z_eff = n_z
     else:

@@ -193,6 +193,11 @@ class TestConfigParsing:
         cfg = cell_config(["wave"], {"c": "3", "wave": {"a": 20.0, "n_z": 401}})
         assert_config_error(tmp_path, capsys, cfg, "points_per_cell")
 
+    def test_wave_dz_on_cell_periodic_system_exit_two(self, tmp_path, capsys):
+        # the cell fixes dz = L_z / points_per_cell: a dz would be ignored
+        cfg = cell_config(["wave"], {"c": "3", "wave": {"a": 20.0, "dz": 0.5}})
+        assert_config_error(tmp_path, capsys, cfg, "points_per_cell")
+
     def test_float_speed_on_cell_periodic_system_exit_two(self, tmp_path, capsys):
         # the rational frame of x-dependent coefficients needs an exact speed
         cfg = cell_config(["wave"], {"c": 3.5, "wave": {"a": 20.0, "points_per_cell": 32}})

@@ -3,9 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrs
 from scipy.sparse.linalg import splu
 
 from conftest import const, scalar_system, space_periodic_l, system_2x2, time_periodic_l
+from wavekit import pde_core
 from wavekit.coeffs import KPPSystem, Mode, PeriodicField, nondimensionalize
 from wavekit.errors import InputError, NumericalError
 from wavekit.frame import make_frame, transform_coefficients
@@ -227,6 +229,16 @@ class TestPeriodicBVP:
         res = apply_operator(replace(op, pot0=op.pot0 + extra), u).values[:, :, 1:-1]
         assert np.abs(res).max() <= 1e-7 * np.abs(u.values).max()
 
+    def test_time_periodic_relaxation_factors_each_slice_once(self):
+        # backward Euler on 64 distinct slices: one LU per slice, however many periods
+        fs = frame_of(scalar_system(l_field=time_periodic_l(mean=-1.0)))
+        g = Grid.cylinder(1.0, 2.0, 64, 81)
+        ones = np.ones((1, g.n_t))
+        init = GridField(np.zeros((1, g.n_t, g.n_z)), g)
+        _, info = solve_periodic_bvp(build_operator_mu(fs, 0.0, g), (ones, ones), init, 1e-10)
+        assert info["mode"] == "relaxation" and info["periods"] > 2
+        assert info["factorizations"] == 64
+
     def test_monotone_ordering_of_iterates(self):
         # ordered initial states stay ordered period after period
         op, g = self.cylinder_setup(a=4.0, n_z=129, l=0.5)
@@ -247,11 +259,11 @@ def picard_quadratic_step(st, v, k, b_k):
     kk = (k + 1) % st.grid.n_t
     b = np.where(st._dirichlet, 0.0, st._flat(b_k))
     rhs0 = st._bc_into(st._flat(v), kk)
-    lu = st._lhs_lu[kk % st.n_distinct]
-    w = lu.solve(rhs0)
+    solve = st._lhs_lu[kk % st.n_distinct]
+    w = solve(rhs0)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(60):
-            w_new = lu.solve(rhs0 - dt * b * w * w)
+            w_new = solve(rhs0 - dt * b * w * w)
             change = float(np.abs(w_new - w).max())
             w = w_new
             if not np.isfinite(change):
@@ -263,15 +275,15 @@ def picard_quadratic_step(st, v, k, b_k):
 
 def ptc_reference(stepper, bdiag, u0, tol):
     """Pseudo-transient continuation with its own Newton loop: the steady
-    semilinear solve before it shared the Stepper's Newton."""
-    K = stepper.steady_matrix()
+    semilinear solve before it shared the Stepper's Newton.  Products and
+    factorizations are the Stepper's own."""
     dirichlet = stepper._dirichlet
     b = np.where(dirichlet, 0.0, stepper._flat(bdiag[:, 0, :]))
     data = stepper._bc_into(np.zeros(stepper.size), 0)
     u = stepper._bc_into(stepper._flat(u0), 0)
 
     def steady_res(v):
-        return K @ v + b * v * v - data
+        return stepper._apply(v, dirichlet, -1.0) + b * v * v - data
 
     dt = 1.0
     scale = 1.0 + float(np.abs(u).max())
@@ -287,8 +299,7 @@ def ptc_reference(stepper, bdiag, u0, tol):
             if float(np.abs(G).max()) < 1e-11 * scale / min(dt, 1.0):
                 ok = True
                 break
-            J = stepper._matrix(dirichlet + 2.0 * b * w + 1.0 / dt, -1.0)
-            w = w - splu(J).solve(G)
+            w = w - stepper._lu(dirichlet + 2.0 * b * w + 1.0 / dt, -1.0)(G)
         if ok:
             u = np.maximum(w, 0.0)
             dt = min(dt * 2.0, 1e9)
@@ -355,7 +366,7 @@ class TestImplicitQuadraticStep:
             picard_quadratic_step(st, v, 0, b_k)
         w = st._flat(st.step_implicit_quadratic(v, 0, b_k))
         b = np.where(st._dirichlet, 0.0, st._flat(b_k))
-        res = st._matrix(1.0, -g.dt) @ w + g.dt * b * w * w - st._bc_into(st._flat(v), 0)
+        res = w - g.dt * (_reference_S(st, 0) @ w) + g.dt * b * w * w - st._bc_into(st._flat(v), 0)
         assert np.abs(res).max() <= 1e-12 * np.abs(w).max()
         assert w.min() >= 0.0
 
@@ -375,7 +386,7 @@ class TestImplicitQuadraticStep:
         data = st._bc_into(np.zeros(st.size), 0)
         stop = 1e-11 * (1.0 + np.abs(u).max()) / min(g.dt, 1.0)
         for w in (st._newton_be(u, b, g.dt, 0), st._flat(st.step_implicit_quadratic(v, 0, b_k))):
-            G = (w - u) / g.dt + (st.steady_matrix() @ w + b * w * w - data)
+            G = (w - u) / g.dt + (_reference_steady(st) @ w + b * w * w - data)
             assert np.abs(G).max() < stop
         assert np.array_equal(w[st._dirichlet], data[st._dirichlet])
         assert w.min() >= 0.0
@@ -461,12 +472,29 @@ def _reference_dirichlet_rows(st):
     return list(range(N)) + list(range((nz - 1) * N, nz * N))
 
 
-def _reference_steady(st):
-    m = (-_reference_S(st, 0)).tolil()
+def _reference_steady(st, k=0):
+    m = (-_reference_S(st, k)).tolil()
     for row in _reference_dirichlet_rows(st):
         m.rows[row] = [row]
         m.data[row] = [1.0]
     return m.tocsc()
+
+
+def _dense_S(st, k):
+    """S_k in the natural order, read off the Stepper's band storage of S_k^T
+    in its solve order; entries past the matrix's corners must be zero."""
+    kb, size = st.kb, st.size
+    ab = st._S_ab[k].T
+    S = np.zeros((size, size))
+    for o in range(-kb, kb + 1):
+        m = np.arange(size)
+        inside = (m + o >= 0) & (m + o < size)
+        assert np.all(ab[kb + o, ~inside] == 0.0)
+        S[m[inside], m[inside] + o] = ab[kb + o, inside]
+    order = st._flat(np.arange(size).reshape(-1, st.N).T)
+    out = np.zeros_like(S)
+    out[np.ix_(order, order)] = S
+    return out
 
 
 def _pattern_system(N, time_dep):
@@ -511,14 +539,19 @@ class TestSharedPattern:
         dt = g.dt
         eye = sp.identity(st.size, format="csc")
         lhs_ref, rhs_ref = [], []
+        x = rng.uniform(0.0, 1.0, (N, g.n_z))
+        x_ref = x.T.reshape(-1)
         for k in range(st.n_distinct):
             S_ref = _reference_S(st, k)
             lhs_ref.append(eye - (w * dt) * S_ref)
             rhs_ref.append(eye + (0.5 * dt) * S_ref)
-            assert np.array_equal(st._matrix(0.0, 1.0, k).toarray(), S_ref.toarray())
-            assert np.array_equal(st._matrix(1.0, -w * dt, k).toarray(), lhs_ref[k].toarray())
-            assert np.array_equal(st._matrix(1.0, 0.5 * dt, k).toarray(), rhs_ref[k].toarray())
-        assert np.array_equal(st.steady_matrix().toarray(), _reference_steady(st).toarray())
+            assert np.array_equal(_dense_S(st, k), S_ref.toarray())
+            # the band products: the Crank-Nicolson right-hand side and the steady K
+            products = (((1.0, 0.5 * dt), rhs_ref[k]), ((st._dirichlet, -1.0), _reference_steady(st, k)))
+            for (d, s), ref in products:
+                got = st._unflat(st._apply(st._flat(x), d, s, k)).T.reshape(-1)
+                expect = ref @ x_ref
+                assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
 
         # apply_operator: the backward difference against the same S, on every
         # row the reference assembles
@@ -541,8 +574,62 @@ class TestSharedPattern:
                 rhs[rows] = np.concatenate([bc[0][:, kk], bc[1][:, kk]])
             expect = splu(lhs_ref[kk % st.n_distinct].tocsc()).solve(rhs).reshape(g.n_z, N).T
             got = st.step(v, k)
-            assert np.array_equal(got, expect)
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
             v = got
+
+
+def _solve_order(st, b):
+    """A flat vector in the natural unknown order (m = j N + i), in the Stepper's solve order."""
+    return st._flat(b.reshape(st.grid.n_z, st.N).T)
+
+
+class TestBandLU:
+    # the step solver's LU of d I + s S against a dense solve
+    def stepper(self, closure, N, rng):
+        fs = frame_of(_pattern_system(N, time_dep=False))
+        if closure == "periodic":
+            g = Grid.periodic_cell(1.0, 1.0, 8, 32)
+        else:
+            g = Grid.cylinder(1.0, 1.25, 8, 41)
+        bc = None
+        if closure == "dirichlet":
+            bc = (rng.uniform(0.5, 1.0, (N, g.n_t)), rng.uniform(0.0, 0.5, (N, g.n_t)))
+        return Stepper(build_operator_mu(fs, 0.3, g), bc=bc)
+
+    def assert_solves(self, st, solve, A, rng):
+        b = rng.normal(size=st.size)
+        x = st._unflat(solve(_solve_order(st, b))).T.reshape(-1)
+        ref = np.linalg.solve(A, b)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("s", [-0.125, -1.0])
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("closure", ["periodic", "dirichlet", "zero_flux"])
+    def test_solves_match_dense(self, closure, N, s, rng):
+        st = self.stepper(closure, N, rng)
+        S = _reference_S(st, 0).toarray()
+        d = rng.uniform(0.5, 2.0, st.size)
+        before = st.factorizations
+        solve = st._lu(_solve_order(st, d), s)
+        assert st.factorizations == before + 1
+        self.assert_solves(st, solve, np.diag(d) + s * S, rng)
+
+    def test_row_swap_solves_through_dgbtrs(self, rng, monkeypatch):
+        # a zero first diagonal entry: the first column of A^T must pivot
+        st = self.stepper("zero_flux", 1, rng)
+        S = _reference_S(st, 0).toarray()
+        d = np.ones(st.size)
+        d[0] = S[0, 0]
+        calls = []
+        monkeypatch.setattr(pde_core, "dgbtrs", lambda *a, **kw: calls.append(1) or dgbtrs(*a, **kw))
+        self.assert_solves(st, st._lu(_solve_order(st, d), -1.0), np.diag(d) - S, rng)
+        assert calls == [1]
+
+    def test_singular_matrix_raises(self, rng):
+        # S alone has zero Dirichlet rows
+        st = self.stepper("dirichlet", 2, rng)
+        with pytest.raises(NumericalError, match="singular"):
+            st._lu(0.0, 1.0)
 
 
 class TestStencilBands:
