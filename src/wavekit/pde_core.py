@@ -20,11 +20,11 @@ d I + s S is factored as its transpose by one band LU (dgbtrf, two dtbsv
 solves).  `apply_operator` is the backward-Euler residual on the same S; a
 diagonal a caller adds is folded into `OperatorSpec.pot0`.
 
-Time-periodic boundary-value problems, linear or with a diagonal quadratic
-term, are solved by relaxation of the parabolic flow: a positive
-periodic-Dirichlet principal eigenvalue makes the period map a contraction.
-A time-independent problem is steady: one band solve when linear,
-pseudo-transient continuation when semilinear.  One Newton solve,
+Time-periodic boundary-value problems, linear with a source term or with a
+diagonal quadratic term, are solved by relaxation of the parabolic flow: a
+positive periodic-Dirichlet principal eigenvalue makes the period map a
+contraction.  A time-independent problem is steady: one band solve when
+linear, pseudo-transient continuation when semilinear.  One Newton solve,
 `Stepper._newton_be`, takes a backward-Euler quadratic step of any dt: every
 pseudo-time step, and a relaxation step once its fixed-point iteration stops
 contracting.
@@ -32,7 +32,7 @@ contracting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 
@@ -497,12 +497,14 @@ class Stepper:
                 w = w - self._lu(self._dirichlet + 2.0 * b * w + 1.0 / dt, -1.0, k)(G)
         return None
 
-    def run_period(self, v0: np.ndarray, quadratic: np.ndarray | None = None):
+    def run_period(self, v0: np.ndarray, quadratic: np.ndarray | None = None,
+                   source: np.ndarray | None = None):
         """One period of steps from v0 of shape (N, n_z): (v at t_{n_t}, the
         orbit (N, n_t, n_z) at t_0..t_{n_t-1}).
 
         With quadratic (N, n_t, n_z), steps d_t v = S v - quadratic v^2 through
-        step_implicit_quadratic.
+        step_implicit_quadratic.  A source f (N, n_t, n_z) adds dt f_{k+1} to
+        the step's right-hand side: backward Euler for d_t v = S v + f.
         """
         v = np.array(v0, dtype=float)
         if v.shape != (self.N, self.grid.n_z):
@@ -511,28 +513,33 @@ class Stepper:
         orbit = np.empty((self.N, n_t, self.grid.n_z))
         for k in range(n_t):
             orbit[:, k] = v
+            rhs = v if source is None else v + self.grid.dt * source[:, (k + 1) % n_t]
             if quadratic is None:
-                v = self.step(v, k)
+                v = self.step(rhs, k)
             else:
-                v = self.step_implicit_quadratic(v, k, quadratic[:, (k + 1) % n_t])
+                v = self.step_implicit_quadratic(rhs, k, quadratic[:, (k + 1) % n_t])
         return v, orbit
 
 
 def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
-                       extra_diag=None, force_relaxation: bool = False,
+                       source: np.ndarray | None = None, force_relaxation: bool = False,
                        quadratic: np.ndarray | None = None):
-    """Time-periodic solution of (op + diag(extra_diag)) u + quadratic u^2 = 0.
+    """Time-periodic solution of op u + quadratic u^2 = source.
 
     boundary = (left, right) Dirichlet data, each (N, n_t) at grid times;
+    source, if given, is an (N, n_t, n_z) forcing f, ignored on the Dirichlet
+    rows: backward-Euler steps solve (I - dt S_k) u_k = u_{k-1} + dt f_k.
     quadratic, if given, is the (N, n_t, n_z) diagonal coefficient of a
-    semilinear term, kept implicit in every step.  Relaxation of the parabolic
-    flow from init converges geometrically when the periodic-Dirichlet
-    principal eigenvalue of the linearization is positive.  A fully
-    time-independent problem is solved directly: one band solve when linear,
-    pseudo-transient continuation from init when semilinear (relaxing if it
+    semilinear term, kept implicit in every step.  A diagonal potential is
+    folded into op.pot0 by the caller.  Relaxation of the parabolic flow from
+    init converges geometrically when the periodic-Dirichlet principal
+    eigenvalue of the linearization is positive.  A fully time-independent
+    problem is solved directly: one band solve when linear, pseudo-transient
+    continuation from init when semilinear without a source (relaxing if it
     stalls), its one slice repeated over n_t.  On n_t = 1 relaxation steps
-    with dt = T.  Returns (GridField, info): info has "mode", "periods",
-    "changes" and the Stepper's "factorizations".
+    with dt = T.  Returns (GridField, info): info has "mode", "periods" (every
+    period run, the orbit's included), "changes" and the Stepper's
+    "factorizations".
     """
     g = op.grid
     if g.kind != "interval":
@@ -540,20 +547,20 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     left, right = (np.asarray(b, dtype=float) for b in boundary)
     if left.shape != (op.N, g.n_t) or right.shape != (op.N, g.n_t):
         raise InputError("boundary data must have shape (N, n_t)")
-    op = op if extra_diag is None else replace(op, pot0=op.pot0 + extra_diag)
     stepper = Stepper(op, bc=(left, right))
 
     steady = (
         not force_relaxation
         and not stepper.time_dependent
-        and (quadratic is None or _const_along(quadratic, 1))
+        and (quadratic is None or source is None)  # continuation takes no source
+        and all(x is None or _const_along(x, 1) for x in (quadratic, source))
         and np.all(left == left[:, :1])
         and np.all(right == right[:, :1])
     )
     if steady:
         if quadratic is None:
-            rhs = stepper._bc_into(np.zeros(stepper.size), 0)
-            u = stepper._unflat(stepper._lu(stepper._dirichlet, -1.0)(rhs))
+            rhs = np.zeros(stepper.size) if source is None else stepper._flat(source[:, 0])
+            u = stepper._unflat(stepper._lu(stepper._dirichlet, -1.0)(stepper._bc_into(rhs, 0)))
         else:
             u = _ptc_steady(stepper, quadratic, init.values[:, 0, :], tol)
         if u is not None:
@@ -563,10 +570,12 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     v = init.values[:, 0, :].copy()
     changes = []
     for _ in range(_MAX_PERIODS):
-        v_new, _ = stepper.run_period(v, quadratic=quadratic)
+        v_new, _ = stepper.run_period(v, quadratic=quadratic, source=source)
         change = float(np.abs(v_new - v).max())
         changes.append(change)
         v = v_new
+        if not np.isfinite(change):
+            raise NumericalError("periodic BVP relaxation diverged", history=changes)
         if change == 0.0 or change < tol * 1e-2:
             break
         if len(changes) >= 2 and changes[-2] > 0:
@@ -581,9 +590,9 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
             history=changes,
         )
     # a period from the converged v: the last loop period started at the previous iterate
-    _, orbit = stepper.run_period(v, quadratic=quadratic)
-    return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes), "changes": changes,
-                                 "factorizations": stepper.factorizations}
+    _, orbit = stepper.run_period(v, quadratic=quadratic, source=source)
+    return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes) + 1,
+                                 "changes": changes, "factorizations": stepper.factorizations}
 
 
 def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, u0: np.ndarray, tol: float):

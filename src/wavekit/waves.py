@@ -6,10 +6,12 @@ and subtracting a steeper multiple M e^{(mu_wedge+gamma) z} u'_{mu_wedge+gamma}
 with gamma = min(mu_wedge, mu_vee - mu_wedge)/2 gives a subsolution of the
 linear problem with the competition of ubar frozen in.  Their positive parts
 trap a fixed point of r -> u_r, where u_r solves the linear periodic-Dirichlet
-problem (R + diag(B' r)) u = 0 with boundary data (ulow v 0)(+-a); iterating
-that map with damping converges to a profile of the full semilinear system.
+problem (R + diag(B' r)) u = 0 with boundary data (ulow v 0)(+-a): a profile
+of the full semilinear system.  Inexact Newton steps on that system, each one
+warm-started periodic-Dirichlet solve, reach it from the logistic bound K
+above; damped iteration of r -> u_r is their fallback.
 
-Critical speed c = c*: the same program runs with the envelope pair built
+Critical speed c = c*: the damped iteration runs with the envelope pair built
 from Theta(mu) = e^{mu z} u'_mu and its mu-derivative (eigenfunctions are
 mean-one normalized so the family is differentiable in mu), the supersolution
 clamped at a constant plateau through the one-sided-from-minus-infinity
@@ -56,7 +58,8 @@ __all__ = [
 ]
 
 _EXP_ARG_CAP = 600.0  # exp overflow guard for envelope materialization
-_THETA = 0.5  # outer damping; theta = 1 stalls in a 2-cycle as r -> u_r reverses order
+_THETA = 0.5  # Picard damping; theta = 1 stalls in a 2-cycle as r -> u_r reverses order,
+# and r nears u only at rate 1 - theta, so supercritical sweeps are Newton steps
 _MAX_OUTER = 200
 _A_MARGIN = 1e-8  # floor of the subsolution's boundary values at -a*
 _TUNE_CAP = 1e8  # largest critical envelope constant tried
@@ -256,15 +259,17 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid,
 
 def fixed_point_truncated(env: SupercriticalEnvelopes, grid: Grid, tol: float = 1e-7,
                           force_relaxation: bool = False) -> WaveProfile:
-    """Damped fixed-point iteration for the profile on the cylinder grid.
+    """Inexact Newton for the profile on the cylinder grid.
 
-    The half-length a is grid.z1, at least env.a_star.  Each sweep solves the
-    linear periodic-Dirichlet problem (R + diag(B' r)) u = 0 with boundary
-    data (ulow v 0)(+-a), relaxing from the previous sweep's u
-    (the subsolution on the first) to max(tol/10, |u_prev - r|/100), and to
-    tol/10 on the first and the terminating sweep.  The warm start lies in
-    [usub, ubar] and the backward-Euler flow keeps order, so every iterate
-    stays trapped; the converged u solves the discrete semilinear system.
+    The half-length a is grid.z1, at least env.a_star.  Each sweep is a
+    Newton step for the semilinear system R u + (B' u) o u = 0 from the last
+    iterate u, the K-box start on the first (_damped_fixed_point): it solves
+    J_u w = (B' u) o u, J_u = R + diag(B' u) + diag(u) B', with boundary data
+    (ulow v 0)(+-a), by one band solve on a time-independent frame and by
+    relaxation with a source term from the last w (the subsolution on the
+    first) otherwise.  Should a Newton solve fail, Picard sweeps solve
+    (R + diag(B' r)) u = 0 with the same data.  The converged u solves the
+    discrete semilinear system.
     """
     ubar_f, ulow_f, usub, op0, bc = _truncated_problem(env, grid)
     ubar = ubar_f.values
@@ -278,23 +283,21 @@ def fixed_point_truncated(env: SupercriticalEnvelopes, grid: Grid, tol: float = 
     rsub = apply_operator(replace(op0, pot0=op0.pot0 + Bub), ulow_f).values[:, :, 1:-1]
     sub_viol = float(np.maximum(rsub, 0.0).max() / ubar.max())
 
-    def inner(r, u_prev):
+    def inner(r, u_prev, inner_tol, newton):
         Br = np.einsum("ijtz,jtz->itz", op0.b_tab, r)
-        # the tolerance follows the outer step, like inexact Newton's forcing term
-        inner_tol = tol * 0.1
-        if u_prev is not None:
-            inner_tol = max(inner_tol, 0.01 * float(np.abs(u_prev.values - r).max()))
-        u, bvp = solve_periodic_bvp(
-            op0, bc, GridField(usub, op0.grid) if u_prev is None else u_prev, inner_tol,
-            extra_diag=Br, force_relaxation=force_relaxation,
+        op, source = replace(op0, pot0=op0.pot0 + Br), None
+        if newton:  # J_r w = (B' r) o r
+            op, source = replace(op, coupling=op0.coupling - r[:, None] * op0.b_tab), Br * r
+        return solve_periodic_bvp(
+            op, bc, GridField(usub, op0.grid) if u_prev is None else u_prev, inner_tol,
+            source=source, force_relaxation=force_relaxation,
         )
-        return u, bvp["periods"], inner_tol <= tol * 0.1
 
     return _damped_fixed_point(
         env.fsys, op0, env.c, ubar, usub, inner, tol,
         {"mu_wedge": env.mu_wedge, "pipeline": "supercritical",
          "supersolution_residual": super_resid,
-         "subsolution_violation": sub_viol},
+         "subsolution_violation": sub_viol}, newton=True,
     )
 
 
@@ -311,35 +314,59 @@ def _truncated_problem(env, grid: Grid):
 
 def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float,
                         ubar: np.ndarray, usub: np.ndarray, inner, tol: float,
-                        info: dict, reads_r: bool = True) -> WaveProfile:
-    """Outer loop r <- theta u_r + (1 - theta) r, and the profile.
+                        info: dict, reads_r: bool = True, newton: bool = False) -> WaveProfile:
+    """Outer loop, Newton steps or r <- theta u_r + (1 - theta) r, and the profile.
 
-    r starts at clip(min(ubar, K), usub, ubar), K the logistic bound: ubar is
-    a supersolution for every r >= 0 and usub a subsolution while r <= ubar,
-    so any start in [usub, ubar] keeps the trap.  inner(r, u_prev) returns
-    (u_r as a GridField, relaxation periods, exact), u_prev being the previous
-    sweep's u (None on the first); only an exact sweep (solved to tol/10) may
-    end the loop, the first if inner does not read r.  The converged u is
-    checked against the trapping pair (usub, ubar) and the semilinear PDE
+    r starts at top = clip(min(ubar, K), usub, ubar), K the logistic bound:
+    ubar is a supersolution for every r >= 0 and usub a subsolution while
+    r <= ubar, so any start in [usub, ubar] keeps the trap.
+    inner(r, u_prev, inner_tol, newton) returns (u, solve_periodic_bvp's
+    info), solved to inner_tol from u_prev (None on the first sweep): the
+    Newton iterate from r, or u_r.  Without newton every sweep is a Picard
+    sweep solved to tol/10.  With newton every sweep is a Newton step whose
+    iterate becomes r, solved to the forcing tolerance max(tol/10,
+    |last update|/100) (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), the
+    first to tol/10.  From top, above the profile, a scalar Newton sequence
+    decreases onto it; an iterate above top by more than tol (Newton
+    linearizing below the profile) is cut back to top.  usub is not imposed:
+    the discrete profile may sit below it by the envelopes' truncation error.
+    A NumericalError in a Newton solve turns the loop to Picard sweeps from r.
+    Only a sweep solved to tol/10 ends the loop, once its update is below tol
+    (the first if inner does not read r).  The converged u is checked against
+    the trapping pair (usub, ubar) and the semilinear PDE
     op0 u + (B' u) o u = 0; every sweep records (min(u - usub), min(ubar - u))
     in info["iterate_bounds"].
     """
     _, K = logistic_envelope(fsys)
-    r = np.clip(np.minimum(ubar, K), usub, ubar)
-    iterate_bounds = []
-    deltas = []
-    periods = []
+    r = top = np.clip(np.minimum(ubar, K), usub, ubar)
+    forcing = newton
+    iterate_bounds, deltas, periods = [], [], []
     u_field = None
+    newton_steps = factorizations = 0
     for it in range(_MAX_OUTER):
-        u_field, n_periods, exact = inner(r, u_field)
-        periods.append(n_periods)
+        inner_tol = max(tol * 0.1, 0.01 * deltas[-1]) if forcing and deltas else tol * 0.1
+        try:
+            u_field, bvp = inner(r, u_field, inner_tol, newton)
+        except NumericalError:
+            if not newton:
+                raise
+            newton = False
+            u_field, bvp = inner(r, u_field, inner_tol, False)
+        periods.append(bvp["periods"])
+        factorizations += bvp["factorizations"]
         uv = u_field.values
+        if newton:
+            newton_steps += 1
+            if (uv - top).max() > tol:
+                uv = np.minimum(uv, top)
+                u_field = GridField(uv, op0.grid)
+            r_new = uv
+        else:
+            r_new = _THETA * uv + (1.0 - _THETA) * r
         iterate_bounds.append((float((uv - usub).min()), float((ubar - uv).min())))
-        r_new = _THETA * uv + (1.0 - _THETA) * r
-        delta = float(np.abs(r_new - r).max())
-        deltas.append(delta)
+        deltas.append(float(np.abs(r_new - r).max()))
         r = r_new
-        if exact and (delta < tol or not reads_r):
+        if inner_tol <= tol * 0.1 and (deltas[-1] < tol or not reads_r):
             break
     else:
         raise NumericalError(f"{info['pipeline']} fixed point stalled", history=deltas)
@@ -354,7 +381,8 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float,
         trapping_violation=trapping, pde_residual=pde_residual,
         downstream_decay_rate=decay, upstream_floor=floor, iterations=it + 1,
         info={"deltas": deltas, "iterate_bounds": iterate_bounds,
-              "inner_periods": periods, "relax_periods": sum(periods), **info},
+              "inner_periods": periods, "relax_periods": sum(periods),
+              "newton_steps": newton_steps, "factorizations": factorizations, **info},
     )
 
 
@@ -755,18 +783,18 @@ def critical_fixed_point(env: CriticalEnvelopes, grid: Grid, tol: float = 1e-7,
     bdiag = np.einsum("iitz->itz", op0.b_tab)
     b_off = op0.b_tab * (1.0 - np.eye(op0.N))[:, :, None, None]  # B' off its diagonal
 
-    def inner(r, u_prev):
+    def inner(r, u_prev, inner_tol, newton):
         lin_extra = np.einsum("ijtz,jtz->itz", b_off, r)
         # Newton warm start from the supersolution on the first sweep: for the
         # concave quadratic nonlinearity it descends monotonically onto the
         # maximal trapped solution instead of stalling near the unstable zero
         # every sweep at tol/10: a loose first one nearly doubles the outer sweeps
         u, bvp = solve_periodic_bvp(
-            op0, bc, ubar_f if u_prev is None else u_prev, tol * 0.1, extra_diag=lin_extra,
-            force_relaxation=force_relaxation, quadratic=bdiag,
+            replace(op0, pot0=op0.pot0 + lin_extra), bc, ubar_f if u_prev is None else u_prev,
+            inner_tol, force_relaxation=force_relaxation, quadratic=bdiag,
         )
         u.values[..., 0], u.values[..., -1] = bc  # Newton leaves roundoff on the data
-        return u, bvp["periods"], True
+        return u, bvp
 
     return _damped_fixed_point(
         env.fsys, op0, env.fsys.c, ubar_f.values, usub, inner, tol,

@@ -269,6 +269,10 @@ class TestRunConfig:
         assert doc["pipeline"] == "supercritical"
         assert doc["diagnostics"]["trapping_violation"] < 1e-6
         assert doc["verification"]["decay_pass"]
+        # Newton sweeps on a steady frame: one band LU each
+        diag = doc["diagnostics"]
+        assert 1 <= diag["newton_steps"] <= diag["iterations"] <= 12
+        assert diag["factorizations"] == diag["iterations"]
         assert (out / "wave_profile.csv").exists()
         assert (out / "wave_profile.svg").exists()
 
@@ -283,6 +287,7 @@ class TestRunConfig:
         doc = json.loads((out / "wave.json").read_text())
         assert doc["pipeline"] == "critical"
         assert doc["diagnostics"]["trapping_violation"] < 1e-5
+        assert doc["diagnostics"]["newton_steps"] == 0
 
     @pytest.mark.parametrize("c, pipeline", [(2.5, "supercritical"), (2.0, "critical")])
     def test_wave_a_schedule(self, tmp_path, c, pipeline):

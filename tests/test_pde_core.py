@@ -216,18 +216,58 @@ class TestPeriodicBVP:
         assert mid[1] == pytest.approx(mid[0], abs=1e-8)
 
     def test_orbit_has_zero_backward_euler_residual(self, rng):
-        # a time-periodic operator with extra_diag and Dirichlet data: the
-        # relaxed orbit solves the scheme apply_operator measures
+        # a time-periodic operator with an added potential and Dirichlet data:
+        # the relaxed orbit solves the scheme apply_operator measures
         fs = frame_of(_pattern_system(2, time_dep=True))
         g = Grid.cylinder(1.0, 1.25, 16, 41)
         op = build_operator_mu(fs, 0.3, g)
         extra = rng.uniform(0.5, 1.0, (2, g.n_t, g.n_z))
+        op = replace(op, pot0=op.pot0 + extra)
         bc = (rng.uniform(0.5, 1.0, (2, g.n_t)), rng.uniform(0.0, 0.5, (2, g.n_t)))
         init = GridField(np.zeros((2, g.n_t, g.n_z)), g)
-        u, info = solve_periodic_bvp(op, bc, init, 1e-12, extra_diag=extra)
+        u, info = solve_periodic_bvp(op, bc, init, 1e-12)
         assert info["mode"] == "relaxation"
-        res = apply_operator(replace(op, pot0=op.pot0 + extra), u).values[:, :, 1:-1]
+        res = apply_operator(op, u).values[:, :, 1:-1]
         assert np.abs(res).max() <= 1e-7 * np.abs(u.values).max()
+
+    @pytest.mark.parametrize("time_dep", [False, True])
+    def test_source_matches_dense_space_time_solve(self, time_dep, rng):
+        # backward Euler with a source, (I - dt S_k) u_k = u_{k-1} + dt f_k,
+        # periodic in k with Dirichlet ends: relaxation (time-periodic L) and
+        # the steady band solve against one dense solve of all the unknowns
+        fs = frame_of(_pattern_system(2, time_dep))
+        g = Grid.cylinder(1.0, 1.25, 8, 33)
+        op = build_operator_mu(fs, 0.3, g)
+        op = replace(op, pot0=op.pot0 + 0.5)
+        f = rng.uniform(-1.0, 1.0, (2, g.n_t if time_dep else 1, g.n_z)) * np.ones((1, g.n_t, 1))
+        bc = tuple(rng.uniform(0.0, 1.0, (2, 1)) * np.ones((1, g.n_t)) for _ in range(2))
+        init = GridField(np.zeros((2, g.n_t, g.n_z)), g)
+        u, info = solve_periodic_bvp(op, bc, init, 1e-14, source=f)
+        assert info["mode"] == ("relaxation" if time_dep else "steady")
+
+        size = f.size
+        dense = np.empty((size, size))
+        for m in range(size):
+            e = np.zeros(size)
+            e[m] = 1.0
+            dense[:, m] = apply_operator(op, GridField(e.reshape(f.shape), g)).values.ravel()
+        rhs = f.copy()
+        rhs[..., 0], rhs[..., -1] = bc
+        ends = np.zeros(f.shape, dtype=bool)
+        ends[..., [0, -1]] = True
+        dense[ends.ravel()] = np.eye(size)[ends.ravel()]
+        exact = np.linalg.solve(dense, rhs.ravel()).reshape(f.shape)
+        assert np.abs(u.values - exact).max() <= 1e-12
+
+    def test_diverging_relaxation_raises_once_not_finite(self):
+        # -u'' - 5u on [-2, 2]: a negative Dirichlet eigenvalue makes the
+        # period map expand, and the error comes when the change overflows
+        op, g = self.cylinder_setup(a=2.0, n_z=33, l=5.0)
+        ones = np.ones((1, g.n_t))
+        init = GridField(np.zeros((1, g.n_t, g.n_z)), g)
+        with pytest.raises(NumericalError, match="diverged") as err:
+            solve_periodic_bvp(op, (ones, ones), init, 1e-8, force_relaxation=True)
+        assert len(err.value.history) < 1000
 
     def test_time_periodic_relaxation_factors_each_slice_once(self):
         # backward Euler on 64 distinct slices: one LU per slice, however many periods
@@ -313,10 +353,10 @@ def ptc_reference(stepper, bdiag, u0, tol):
 
 class TestSteadyContinuation:
     def assert_matches_reference(self, op, bc, init, tol, quad, extra=None):
-        u, info = solve_periodic_bvp(op, bc, init, tol, extra_diag=extra, quadratic=quad)
-        assert info["mode"] == "steady"
         if extra is not None:
             op = replace(op, pot0=op.pot0 + extra)
+        u, info = solve_periodic_bvp(op, bc, init, tol, quadratic=quad)
+        assert info["mode"] == "steady"
         ref = ptc_reference(Stepper(op, bc=bc), quad, init.values[:, 0], tol)
         assert np.array_equal(u.values[:, 0], ref)
 

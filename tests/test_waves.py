@@ -1,3 +1,4 @@
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -133,6 +134,53 @@ class TestFixedPointTruncated:
         for lo, hi in scalar_profile.info["iterate_bounds"]:
             assert lo >= -1e-9
             assert hi >= -1e-9
+
+    def test_readme_wave_takes_few_trapped_newton_sweeps(self, scalar_setup):
+        # the README job's cylinder: Newton from the K-box start descends onto
+        # the profile, so no iterate leaves the envelopes
+        env = scalar_setup[-1]
+        profile = fixed_point_truncated(env, cylinder_grid(env.fsys, 40.0, n_z=2048), tol=1e-7)
+        assert profile.info["newton_steps"] == profile.iterations <= 12
+        for lo, hi in profile.info["iterate_bounds"]:
+            assert lo >= -1e-9 and hi >= -1e-9
+
+    def test_failed_newton_solve_falls_back_to_picard(self, scalar_setup):
+        # a Newton solve that raises returns the loop to damped Picard sweeps,
+        # which reach the same profile
+        env = scalar_setup[-1]
+        grid = cylinder_grid(env.fsys, 12.0, n_z=601)
+        newton = fixed_point_truncated(env, grid, tol=1e-8)
+
+        def picard_only(op, bc, init, tol, source=None, **kw):
+            if source is not None:
+                raise NumericalError("Newton solve refused")
+            return solve_periodic_bvp(op, bc, init, tol, **kw)
+
+        with mock.patch.object(waves, "solve_periodic_bvp", side_effect=picard_only):
+            picard = fixed_point_truncated(env, grid, tol=1e-8)
+        assert picard.info["newton_steps"] == 0
+        assert picard.iterations > newton.iterations
+        assert np.abs(picard.u.values - newton.u.values).max() < 1e-7
+
+    def test_newton_iterate_above_the_k_box_is_cut_back(self, scalar_setup):
+        # an iterate that rises above clip(min(ubar, K), usub, ubar) by more
+        # than tol is cut back to it, and the loop still reaches the profile
+        env = scalar_setup[-1]
+        grid = cylinder_grid(env.fsys, 12.0, n_z=601)
+        plain = fixed_point_truncated(env, grid, tol=1e-8)
+        calls = []
+
+        def overshoot_first(*args, **kw):
+            u, info = solve_periodic_bvp(*args, **kw)
+            calls.append(info)
+            if len(calls) == 1:
+                u.values[..., 1:-1] += 10.0
+            return u, info
+
+        with mock.patch.object(waves, "solve_periodic_bvp", side_effect=overshoot_first):
+            cut = fixed_point_truncated(env, grid, tol=1e-8)
+        assert cut.info["iterate_bounds"][0][1] >= 0.0
+        assert np.abs(cut.u.values - plain.u.values).max() < 1e-7
 
     def test_domain_too_short(self, scalar_setup):
         env = scalar_setup[-1]
@@ -589,7 +637,7 @@ def _reference_cold_loop(fsys, env, grid, tol):
     periods = 0
     for _ in range(200):
         Br = np.einsum("ijtz,jtz->itz", op0.b_tab, r)
-        u, info = solve_periodic_bvp(op0, bc, init, 0.1 * tol, extra_diag=Br)
+        u, info = solve_periodic_bvp(replace(op0, pot0=op0.pot0 + Br), bc, init, 0.1 * tol)
         periods += info["periods"]
         r_new = 0.5 * u.values + 0.5 * r
         delta = np.abs(r_new - r).max()
@@ -625,6 +673,25 @@ class TestTimePeriodicWave:
         assert profile.diagnostics()["relax_periods"] == profile.info["relax_periods"]
 
 
+    def test_newton_matches_cold_loop_on_non_cooperative_system(self):
+        # time-periodic coupling and full competition: diag(u) B' puts
+        # negative entries off J_u's diagonal, and Newton still reaches the
+        # cold Picard loop's profile
+        sys = system_2x2(l12_field=time_periodic_l(1.0, 1.0), l21=1.0)
+        curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
+        roots = speed_roots(curve, 3.5, tol=1e-10)
+        fsc = wave_frame(sys, 3.5)
+        grid = cylinder_grid(fsc, 16.0, n_t=32, n_z=321)
+        env = build_envelopes_supercritical(fsc, roots, grid)
+        profile = fixed_point_truncated(env, grid, tol=1e-6)
+        u = profile.u.values
+        op0 = build_operator_mu(fsc, 0.0, grid)
+        assert (op0.coupling[0, 1] - u[0] * op0.b_tab[0, 1]).min() < 0
+        assert profile.info["newton_steps"] == profile.iterations <= 12
+        ref, _ = _reference_cold_loop(fsc, env, grid, 1e-6)
+        assert np.abs(u - ref).max() <= 1e-6
+
+
 class TestTrappedIterates:
     @settings(max_examples=12, deadline=None)
     @given(a=st.floats(0.5, 2.0), l=st.floats(0.5, 2.0), b=st.floats(0.5, 2.0),
@@ -647,7 +714,7 @@ class TestTrappedIterates:
         for lo, hi in profile.info["iterate_bounds"]:
             assert lo >= -1e-9 and hi >= -1e-9
         _, K = logistic_envelope(fsc)
-        b_tab = build_operator_mu(fsc, 0.0, grid).b_tab[0, 0]
-        r0 = spy.call_args_list[0].kwargs["extra_diag"][0] / b_tab
+        op0 = build_operator_mu(fsc, 0.0, grid)
+        r0 = (spy.call_args_list[0].args[0].pot0 - op0.pot0)[0] / op0.b_tab[0, 0]
         assert r0.max() <= K * (1 + 1e-12)
         assert np.all(r0 >= env.materialize(grid)[1].values[0] - 1e-12)
