@@ -389,7 +389,6 @@ def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
     X = float(par.get("X", 150.0))
     n_x = int(par.get("n_x", 4096))
     t_final = float(par.get("t_final", 60.0))
-    theta_frac = float(par.get("theta", 0.5))
     init_par = par.get("initial", {"kind": "bump"})
     x = np.linspace(-X, X, n_x)
     sysn = nondimensionalize(ctx.sys)
@@ -406,7 +405,10 @@ def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
                             width=float(init_par.get("width", 5.0)))
     run = simulate(sysn, init, t_final, X, n_x=n_x,
                    snapshot_every=float(par.get("snapshot_every", 1.0)))
-    theta = theta_frac * K
+    if "theta" in par:
+        theta = float(par["theta"]) * K
+    else:  # half the plateau: the least over the fit window of max_x max_i u_i
+        theta = 0.5 * float(run.snapshots[run.times >= run.times[-1] / 2.0].max(axis=(1, 2)).min())
     meas = measure_spreading_speed(run, theta, sides=sides)
     left, right = run.front_positions(theta)
     rows = map("{!r},{!r},{!r}\n".format, run.times.tolist(), left.tolist(), right.tolist())

@@ -20,13 +20,12 @@ d I + s S is factored as its transpose by one band LU (dgbtrf, two dtbsv
 solves).  `apply_operator` is the backward-Euler residual on the same S; a
 diagonal a caller adds is folded into `OperatorSpec.pot0`.
 
-Time-periodic boundary-value problems, linear with a source term or with a
-diagonal quadratic term, are solved by relaxation of the parabolic flow: a
-positive periodic-Dirichlet principal eigenvalue makes the period map a
-contraction.  A time-independent problem is steady: one band solve when
-linear, pseudo-transient continuation when semilinear.  One Newton solve,
-`Stepper._newton_be`, takes a backward-Euler quadratic step of any dt: every
-pseudo-time step, and a relaxation step once its fixed-point iteration stops
+Time-periodic boundary-value problems, linear with a source term, are solved
+by relaxation of the parabolic flow: a positive periodic-Dirichlet principal
+eigenvalue makes the period map a contraction.  A time-independent problem is
+steady: one band solve.  `Stepper.step_implicit_quadratic` takes a
+backward-Euler step with a diagonal quadratic term kept implicit, finished by
+one Newton solve, `Stepper._newton_be`, once its fixed-point iteration stops
 contracting.
 """
 
@@ -59,7 +58,6 @@ __all__ = [
 _QUAD_TOL = 1e-13  # relative tolerance of the implicit quadratic step
 _QUAD_MAX_INNER = 60
 _MAX_PERIODS = 20000  # relaxation periods before solve_periodic_bvp gives up
-_PTC_MAX_STEPS = 400  # pseudo-time steps before continuation gives up
 
 
 @dataclass(frozen=True)
@@ -383,7 +381,7 @@ class Stepper:
         self.kb = 2 * self.N if periodic else self.N
         self._assemble_S()
 
-    @cached_property  # on first use: steady and continuation solves never step
+    @cached_property  # on first use: steady solves never step
     def _lhs_lu(self) -> list:
         w = 1.0 if self.scheme == "be" else 0.5
         return [self._lu(1.0, -w * self.grid.dt, k) for k in range(self.n_distinct)]
@@ -497,14 +495,11 @@ class Stepper:
                 w = w - self._lu(self._dirichlet + 2.0 * b * w + 1.0 / dt, -1.0, k)(G)
         return None
 
-    def run_period(self, v0: np.ndarray, quadratic: np.ndarray | None = None,
-                   source: np.ndarray | None = None):
+    def run_period(self, v0: np.ndarray, source: np.ndarray | None = None):
         """One period of steps from v0 of shape (N, n_z): (v at t_{n_t}, the
-        orbit (N, n_t, n_z) at t_0..t_{n_t-1}).
-
-        With quadratic (N, n_t, n_z), steps d_t v = S v - quadratic v^2 through
-        step_implicit_quadratic.  A source f (N, n_t, n_z) adds dt f_{k+1} to
-        the step's right-hand side: backward Euler for d_t v = S v + f.
+        orbit (N, n_t, n_z) at t_0..t_{n_t-1}).  A source f (N, n_t, n_z) adds
+        dt f_{k+1} to the step's right-hand side: backward Euler for
+        d_t v = S v + f.
         """
         v = np.array(v0, dtype=float)
         if v.shape != (self.N, self.grid.n_z):
@@ -513,33 +508,24 @@ class Stepper:
         orbit = np.empty((self.N, n_t, self.grid.n_z))
         for k in range(n_t):
             orbit[:, k] = v
-            rhs = v if source is None else v + self.grid.dt * source[:, (k + 1) % n_t]
-            if quadratic is None:
-                v = self.step(rhs, k)
-            else:
-                v = self.step_implicit_quadratic(rhs, k, quadratic[:, (k + 1) % n_t])
+            v = self.step(v if source is None else v + self.grid.dt * source[:, (k + 1) % n_t], k)
         return v, orbit
 
 
 def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
-                       source: np.ndarray | None = None, force_relaxation: bool = False,
-                       quadratic: np.ndarray | None = None):
-    """Time-periodic solution of op u + quadratic u^2 = source.
+                       source: np.ndarray | None = None, force_relaxation: bool = False):
+    """Time-periodic solution of op u = source.
 
     boundary = (left, right) Dirichlet data, each (N, n_t) at grid times;
     source, if given, is an (N, n_t, n_z) forcing f, ignored on the Dirichlet
-    rows: backward-Euler steps solve (I - dt S_k) u_k = u_{k-1} + dt f_k.
-    quadratic, if given, is the (N, n_t, n_z) diagonal coefficient of a
-    semilinear term, kept implicit in every step.  A diagonal potential is
-    folded into op.pot0 by the caller.  Relaxation of the parabolic flow from
-    init converges geometrically when the periodic-Dirichlet principal
-    eigenvalue of the linearization is positive.  A fully time-independent
-    problem is solved directly: one band solve when linear, pseudo-transient
-    continuation from init when semilinear without a source (relaxing if it
-    stalls), its one slice repeated over n_t.  On n_t = 1 relaxation steps
-    with dt = T.  Returns (GridField, info): info has "mode", "periods" (every
-    period run, the orbit's included), "changes" and the Stepper's
-    "factorizations".
+    rows: backward-Euler steps solve (I - dt S_k) u_k = u_{k-1} + dt f_k.  A
+    diagonal potential is folded into op.pot0 by the caller.  Relaxation of
+    the parabolic flow from init converges geometrically when the
+    periodic-Dirichlet principal eigenvalue is positive.  A fully
+    time-independent problem is one band solve, its one slice repeated over
+    n_t.  On n_t = 1 relaxation steps with dt = T.  Returns (GridField, info):
+    info has "mode", "periods" (every period run, the orbit's included),
+    "changes" and the Stepper's "factorizations".
     """
     g = op.grid
     if g.kind != "interval":
@@ -549,28 +535,18 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
         raise InputError("boundary data must have shape (N, n_t)")
     stepper = Stepper(op, bc=(left, right))
 
-    steady = (
-        not force_relaxation
-        and not stepper.time_dependent
-        and (quadratic is None or source is None)  # continuation takes no source
-        and all(x is None or _const_along(x, 1) for x in (quadratic, source))
-        and np.all(left == left[:, :1])
-        and np.all(right == right[:, :1])
-    )
-    if steady:
-        if quadratic is None:
-            rhs = np.zeros(stepper.size) if source is None else stepper._flat(source[:, 0])
-            u = stepper._unflat(stepper._lu(stepper._dirichlet, -1.0)(stepper._bc_into(rhs, 0)))
-        else:
-            u = _ptc_steady(stepper, quadratic, init.values[:, 0, :], tol)
-        if u is not None:
-            return GridField(np.repeat(u[:, None, :], g.n_t, axis=1), g), {
-                "mode": "steady", "periods": 0, "changes": [], "factorizations": stepper.factorizations}
+    if (not force_relaxation and not stepper.time_dependent
+            and (source is None or _const_along(source, 1))
+            and np.all(left == left[:, :1]) and np.all(right == right[:, :1])):
+        rhs = np.zeros(stepper.size) if source is None else stepper._flat(source[:, 0])
+        u = stepper._unflat(stepper._lu(stepper._dirichlet, -1.0)(stepper._bc_into(rhs, 0)))
+        return GridField(np.repeat(u[:, None, :], g.n_t, axis=1), g), {
+            "mode": "steady", "periods": 0, "changes": [], "factorizations": stepper.factorizations}
 
     v = init.values[:, 0, :].copy()
     changes = []
     for _ in range(_MAX_PERIODS):
-        v_new, _ = stepper.run_period(v, quadratic=quadratic, source=source)
+        v_new, _ = stepper.run_period(v, source=source)
         change = float(np.abs(v_new - v).max())
         changes.append(change)
         v = v_new
@@ -590,41 +566,7 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
             history=changes,
         )
     # a period from the converged v: the last loop period started at the previous iterate
-    _, orbit = stepper.run_period(v, quadratic=quadratic, source=source)
+    _, orbit = stepper.run_period(v, source=source)
     return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes) + 1,
                                  "changes": changes, "factorizations": stepper.factorizations}
 
-
-def _ptc_steady(stepper: Stepper, bdiag: np.ndarray, u0: np.ndarray, tol: float):
-    """Pseudo-transient continuation for -S u + b u^2 = 0 with Dirichlet rows.
-
-    Backward-Euler pseudo-time steps by Stepper._newton_be, dt doubling after
-    a solved step and quartered after a failed one.  Plain Newton on the
-    steady system jumps branches through the nearly singular downstream zero
-    state; the stable parabolic flow avoids that and arrives in
-    ~log(1/lambda_min) steps.  The step Jacobian I/dt + J is not well
-    conditioned at every dt: a long critical cylinder is nearly translation
-    invariant (a = 60, n_z = 6001: singular to working precision from dt =
-    16 on), so roundoff picks the translate reached.  Returns None if
-    continuation stalls; the caller then relaxes (dt = T on one slice).
-    """
-    b = np.where(stepper._dirichlet, 0.0, stepper._flat(bdiag[:, 0, :]))
-    data = stepper._bc_into(np.zeros(stepper.size), 0)
-    u = stepper._bc_into(stepper._flat(u0), 0)
-    dt = 1.0
-    for _ in range(_PTC_MAX_STEPS):
-        # -S with identity Dirichlet rows, b zero there: u - data on those rows
-        res = stepper._apply(u, stepper._dirichlet, -1.0) + b * u * u - data
-        if float(np.abs(res).max()) < tol:
-            return stepper._unflat(u)
-        if dt < 1e-8:
-            return None
-        w = stepper._newton_be(u, b, dt, 0)
-        if w is None:
-            dt *= 0.25
-        else:
-            # project onto the invariant cone: the quadratic sink makes the
-            # zero state one-sidedly unstable, and roundoff-scale negative
-            # tails downstream would otherwise grow along the pseudo-flow
-            u, dt = np.maximum(w, 0.0), min(dt * 2.0, 1e9)
-    return None

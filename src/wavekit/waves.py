@@ -7,16 +7,16 @@ with gamma = min(mu_wedge, mu_vee - mu_wedge)/2 gives a subsolution of the
 linear problem with the competition of ubar frozen in.  Their positive parts
 trap a fixed point of r -> u_r, where u_r solves the linear periodic-Dirichlet
 problem (R + diag(B' r)) u = 0 with boundary data (ulow v 0)(+-a): a profile
-of the full semilinear system.  Inexact Newton steps on that system, each one
-warm-started periodic-Dirichlet solve, reach it from the logistic bound K
-above; damped iteration of r -> u_r is their fallback.
+of the full semilinear system.
 
-Critical speed c = c*: the damped iteration runs with the envelope pair built
-from Theta(mu) = e^{mu z} u'_mu and its mu-derivative (eigenfunctions are
-mean-one normalized so the family is differentiable in mu), the supersolution
-clamped at a constant plateau through the one-sided-from-minus-infinity
-min/max construction, and a semilinear but still cooperative inner operator
-carrying the diagonal quadratic term.
+Critical speed c = c*: the envelope pair is built from Theta(mu) = e^{mu z}
+u'_mu and its mu-derivative (eigenfunctions are mean-one normalized so the
+family is differentiable in mu), the supersolution clamped at a constant
+plateau through the one-sided-from-minus-infinity min/max construction.
+
+Both pipelines run one loop: inexact Newton steps on the semilinear system,
+each one warm-started periodic-Dirichlet solve, from the logistic bound K
+above; damped iteration of r -> u_r is their fallback.
 
 Growing the half-length a and comparing profiles on a fixed centered window
 yields the entire-cylinder profile; verification then measures downstream
@@ -37,7 +37,6 @@ from .frame import FrameSystem
 from .pde_core import (
     Grid,
     GridField,
-    OperatorSpec,
     apply_operator,
     build_operator_mu,
     solve_periodic_bvp,
@@ -58,8 +57,8 @@ __all__ = [
 ]
 
 _EXP_ARG_CAP = 600.0  # exp overflow guard for envelope materialization
-_THETA = 0.5  # Picard damping; theta = 1 stalls in a 2-cycle as r -> u_r reverses order,
-# and r nears u only at rate 1 - theta, so supercritical sweeps are Newton steps
+_THETA = 0.5  # Picard damping of the fallback; theta = 1 stalls in a 2-cycle as r -> u_r
+# reverses order, and r nears u only at rate 1 - theta, so sweeps are Newton steps
 _MAX_OUTER = 200
 _A_MARGIN = 1e-8  # floor of the subsolution's boundary values at -a*
 _TUNE_CAP = 1e8  # largest critical envelope constant tried
@@ -254,50 +253,32 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid,
 
 
 # ---------------------------------------------------------------------------
-# the supercritical fixed point
+# the fixed point: one inexact Newton loop for both pipelines
 
 
 def fixed_point_truncated(env: SupercriticalEnvelopes, grid: Grid, tol: float = 1e-7,
                           force_relaxation: bool = False) -> WaveProfile:
-    """Inexact Newton for the profile on the cylinder grid.
+    """Inexact Newton for the profile on the cylinder grid (_newton_fixed_point).
 
-    The half-length a is grid.z1, at least env.a_star.  Each sweep is a
-    Newton step for the semilinear system R u + (B' u) o u = 0 from the last
-    iterate u, the K-box start on the first (_damped_fixed_point): it solves
-    J_u w = (B' u) o u, J_u = R + diag(B' u) + diag(u) B', with boundary data
-    (ulow v 0)(+-a), by one band solve on a time-independent frame and by
-    relaxation with a source term from the last w (the subsolution on the
-    first) otherwise.  Should a Newton solve fail, Picard sweeps solve
-    (R + diag(B' r)) u = 0 with the same data.  The converged u solves the
-    discrete semilinear system.
+    The half-length a is grid.z1, at least env.a_star.  Before the loop the
+    discrete envelopes are measured: R ubar = 0 and (R + diag(B' ubar)) ulow
+    <= 0 on the interior, relative to max ubar.
     """
-    ubar_f, ulow_f, usub, op0, bc = _truncated_problem(env, grid)
+    problem = _truncated_problem(env, grid)
+    ubar_f, ulow_f, usub, op0, _ = problem
     ubar = ubar_f.values
     if usub[:, :, -1].max() > 0:
         raise NumericalError("subsolution must be nonpositive at the upstream end")
 
-    # discrete envelope checks: R ubar = 0 and (R + diag(B' ubar)) ulow <= 0
     rsup = apply_operator(op0, ubar_f).values[:, :, 1:-1]
     super_resid = float(np.abs(rsup).max() / ubar.max())
     Bub = np.einsum("ijtz,jtz->itz", op0.b_tab, ubar)
     rsub = apply_operator(replace(op0, pot0=op0.pot0 + Bub), ulow_f).values[:, :, 1:-1]
     sub_viol = float(np.maximum(rsub, 0.0).max() / ubar.max())
-
-    def inner(r, u_prev, inner_tol, newton):
-        Br = np.einsum("ijtz,jtz->itz", op0.b_tab, r)
-        op, source = replace(op0, pot0=op0.pot0 + Br), None
-        if newton:  # J_r w = (B' r) o r
-            op, source = replace(op, coupling=op0.coupling - r[:, None] * op0.b_tab), Br * r
-        return solve_periodic_bvp(
-            op, bc, GridField(usub, op0.grid) if u_prev is None else u_prev, inner_tol,
-            source=source, force_relaxation=force_relaxation,
-        )
-
-    return _damped_fixed_point(
-        env.fsys, op0, env.c, ubar, usub, inner, tol,
+    return _newton_fixed_point(
+        env.fsys, env.c, problem, tol, force_relaxation,
         {"mu_wedge": env.mu_wedge, "pipeline": "supercritical",
-         "supersolution_residual": super_resid,
-         "subsolution_violation": sub_viol}, newton=True,
+         "supersolution_residual": super_resid, "subsolution_violation": sub_viol},
     )
 
 
@@ -312,46 +293,57 @@ def _truncated_problem(env, grid: Grid):
     return ubar_f, ulow_f, usub, op0, (usub[:, :, 0], usub[:, :, -1])
 
 
-def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float,
-                        ubar: np.ndarray, usub: np.ndarray, inner, tol: float,
-                        info: dict, reads_r: bool = True, newton: bool = False) -> WaveProfile:
-    """Outer loop, Newton steps or r <- theta u_r + (1 - theta) r, and the profile.
+def _newton_fixed_point(fsys: FrameSystem, c: float, problem, tol: float,
+                        force_relaxation: bool, info: dict) -> WaveProfile:
+    """Inexact Newton for R u + (B' u) o u = 0 between the envelopes, and the profile.
 
-    r starts at top = clip(min(ubar, K), usub, ubar), K the logistic bound:
+    problem is _truncated_problem's (ubar, ulow, usub, op0, bc).  The iterate r
+    starts at top = clip(min(ubar, K), usub, ubar), K the logistic bound:
     ubar is a supersolution for every r >= 0 and usub a subsolution while
-    r <= ubar, so any start in [usub, ubar] keeps the trap.
-    inner(r, u_prev, inner_tol, newton) returns (u, solve_periodic_bvp's
-    info), solved to inner_tol from u_prev (None on the first sweep): the
-    Newton iterate from r, or u_r.  Without newton every sweep is a Picard
-    sweep solved to tol/10.  With newton every sweep is a Newton step whose
-    iterate becomes r, solved to the forcing tolerance max(tol/10,
-    |last update|/100) (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), the
-    first to tol/10.  From top, above the profile, a scalar Newton sequence
-    decreases onto it; an iterate above top by more than tol (Newton
-    linearizing below the profile) is cut back to top.  usub is not imposed:
-    the discrete profile may sit below it by the envelopes' truncation error.
-    A NumericalError in a Newton solve turns the loop to Picard sweeps from r.
-    Only a sweep solved to tol/10 ends the loop, once its update is below tol
-    (the first if inner does not read r).  The converged u is checked against
-    the trapping pair (usub, ubar) and the semilinear PDE
-    op0 u + (B' u) o u = 0; every sweep records (min(u - usub), min(ubar - u))
-    in info["iterate_bounds"].
+    r <= ubar, so the start lies above the profile, and from above a concave
+    KPP Newton sequence decreases onto the maximal solution (Pao 1992).  Each
+    sweep solves J_r w = (B' r) o r, J_r = R + diag(B' r) + diag(r) B', with
+    the Dirichlet data bc by one solve_periodic_bvp call warm-started at the
+    last w (usub on the first): one band solve on a time-independent frame, a
+    relaxation with a source term otherwise.  w becomes r.  Each sweep is
+    solved to the forcing tolerance max(tol/10, |last update|/100)
+    (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), the first to tol/10.  An
+    iterate above top by more than tol (Newton linearizing below the profile)
+    is cut back to top.  usub is not imposed: the discrete profile may sit
+    below it by the envelopes' truncation error.  A NumericalError in a
+    Newton solve turns the loop to damped Picard sweeps from r, r <- theta
+    u_r + (1 - theta) r, u_r solving (R + diag(B' r)) u = 0.  Only a sweep
+    solved to tol/10 ends the loop, once its update is below tol.  The
+    converged u is checked against the trapping pair (usub, ubar) and the
+    semilinear PDE; every sweep records (min(u - usub), min(ubar - u)) in
+    info["iterate_bounds"].
     """
+    ubar_f, _, usub, op0, bc = problem
+    ubar = ubar_f.values
     _, K = logistic_envelope(fsys)
     r = top = np.clip(np.minimum(ubar, K), usub, ubar)
-    forcing = newton
+    newton = True
     iterate_bounds, deltas, periods = [], [], []
-    u_field = None
+    u_field = GridField(usub, op0.grid)
     newton_steps = factorizations = 0
+
+    def solve(inner_tol):  # the Newton step from r, or u_r
+        Br = np.einsum("ijtz,jtz->itz", op0.b_tab, r)
+        op, source = replace(op0, pot0=op0.pot0 + Br), None
+        if newton:  # J_r w = (B' r) o r
+            op, source = replace(op, coupling=op0.coupling - r[:, None] * op0.b_tab), Br * r
+        return solve_periodic_bvp(op, bc, u_field, inner_tol, source=source,
+                                  force_relaxation=force_relaxation)
+
     for it in range(_MAX_OUTER):
-        inner_tol = max(tol * 0.1, 0.01 * deltas[-1]) if forcing and deltas else tol * 0.1
+        inner_tol = max(tol * 0.1, 0.01 * deltas[-1]) if deltas else tol * 0.1
         try:
-            u_field, bvp = inner(r, u_field, inner_tol, newton)
+            u_field, bvp = solve(inner_tol)
         except NumericalError:
             if not newton:
                 raise
             newton = False
-            u_field, bvp = inner(r, u_field, inner_tol, False)
+            u_field, bvp = solve(inner_tol)
         periods.append(bvp["periods"])
         factorizations += bvp["factorizations"]
         uv = u_field.values
@@ -366,7 +358,7 @@ def _damped_fixed_point(fsys: FrameSystem, op0: OperatorSpec, c: float,
         iterate_bounds.append((float((uv - usub).min()), float((ubar - uv).min())))
         deltas.append(float(np.abs(r_new - r).max()))
         r = r_new
-        if inner_tol <= tol * 0.1 and (deltas[-1] < tol or not reads_r):
+        if inner_tol <= tol * 0.1 and deltas[-1] < tol:
             break
     else:
         raise NumericalError(f"{info['pipeline']} fixed point stalled", history=deltas)
@@ -763,40 +755,16 @@ def _kink_mask(kinks: np.ndarray, n_z: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the critical fixed point (semilinear monotone inner problem)
+# the critical fixed point
 
 
 def critical_fixed_point(env: CriticalEnvelopes, grid: Grid, tol: float = 1e-7,
                          force_relaxation: bool = False) -> WaveProfile:
-    """Fixed point at c = c* on the cylinder grid, quadratic term kept implicit.
+    """Fixed point at c = c* on the cylinder grid, between the critical envelopes.
 
-    The half-length is grid.z1, at least env.a_star.  The inner problem
-    replaces the linear cooperative operator by the semilinear monotone one
-    u -> R u + diag(b'_ii) u^2 + diag((B' - diag(b'_ii)) r) u, which
-    preserves the comparison structure; solve_periodic_bvp solves it with the
-    quadratic term kept implicit: pseudo-transient Newton continuation on the
-    steady system (time-independent frames) or relaxation of the parabolic
-    flow.  Without B' off its diagonal (N = 1, or diagonal competition) the
-    inner problem does not read r, so one sweep is the fixed point.
+    The half-length is grid.z1, at least env.a_star.  The same inexact Newton
+    loop as at c > c* (_newton_fixed_point), from the K-box start under the
+    clamped supersolution.
     """
-    ubar_f, _, usub, op0, bc = _truncated_problem(env, grid)
-    bdiag = np.einsum("iitz->itz", op0.b_tab)
-    b_off = op0.b_tab * (1.0 - np.eye(op0.N))[:, :, None, None]  # B' off its diagonal
-
-    def inner(r, u_prev, inner_tol, newton):
-        lin_extra = np.einsum("ijtz,jtz->itz", b_off, r)
-        # Newton warm start from the supersolution on the first sweep: for the
-        # concave quadratic nonlinearity it descends monotonically onto the
-        # maximal trapped solution instead of stalling near the unstable zero
-        # every sweep at tol/10: a loose first one nearly doubles the outer sweeps
-        u, bvp = solve_periodic_bvp(
-            replace(op0, pot0=op0.pot0 + lin_extra), bc, ubar_f if u_prev is None else u_prev,
-            inner_tol, force_relaxation=force_relaxation, quadratic=bdiag,
-        )
-        u.values[..., 0], u.values[..., -1] = bc  # Newton leaves roundoff on the data
-        return u, bvp
-
-    return _damped_fixed_point(
-        env.fsys, op0, env.fsys.c, ubar_f.values, usub, inner, tol,
-        {"mu_star": env.mu_star, "pipeline": "critical"}, reads_r=bool(b_off.any()),
-    )
+    return _newton_fixed_point(env.fsys, env.fsys.c, _truncated_problem(env, grid), tol,
+                               force_relaxation, {"mu_star": env.mu_star, "pipeline": "critical"})

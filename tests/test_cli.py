@@ -287,7 +287,8 @@ class TestRunConfig:
         doc = json.loads((out / "wave.json").read_text())
         assert doc["pipeline"] == "critical"
         assert doc["diagnostics"]["trapping_violation"] < 1e-5
-        assert doc["diagnostics"]["newton_steps"] == 0
+        assert doc["diagnostics"]["newton_steps"] == doc["diagnostics"]["iterations"] <= 12
+        assert doc["diagnostics"]["factorizations"] == doc["diagnostics"]["newton_steps"]
 
     @pytest.mark.parametrize("c, pipeline", [(2.5, "supercritical"), (2.0, "critical")])
     def test_wave_a_schedule(self, tmp_path, c, pipeline):
@@ -405,6 +406,25 @@ class TestRunConfig:
         assert track.shape[1] == 3
         snap = np.loadtxt(out / "snapshot_0.csv", delimiter=",", skiprows=1)
         assert snap.shape[1] == 3
+
+    def test_simulate_default_level_from_the_plateau(self, tmp_path):
+        # the 2 x 2 system l12 = l21 = 2, B = 1 settles at u* = (1, 1), far
+        # below its logistic bound K = 2: the default level is half the
+        # run's plateau, not K/2, which no front reaches
+        two = dict(MODE, cos=2.0)
+        cfg = scalar_config(["dispersion", "simulate"], extra_params={
+            "simulate": {"X": 60.0, "n_x": 1024, "t_final": 16.0}})
+        cfg["system"].update(N=2, fields={
+            "A": [[[[MODE]]], [[[MODE]]]], "q": [[[]], [[]]],
+            "L": [[[], [two]], [[two], []]], "B": [[[MODE], [MODE]], [[MODE], [MODE]]]})
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+        c_star = json.loads((out / "dispersion.json").read_text())["c_star"]
+        doc = json.loads((out / "simulate.json").read_text())
+        assert doc["K"] == 2.0 and doc["theta"] == pytest.approx(0.5, abs=1e-3)
+        assert c_star == pytest.approx(2.0 ** 1.5, rel=1e-8)
+        for side in ("left", "right"):
+            assert doc[f"speed_{side}"] == pytest.approx(c_star, rel=0.05)
 
     @pytest.mark.parametrize("e", [1, -1])
     def test_front_tracks_its_moving_side(self, tmp_path, e):

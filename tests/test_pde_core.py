@@ -20,7 +20,6 @@ from wavekit.pde_core import (
     solve_periodic_bvp,
     stencil,
 )
-from wavekit.waves import _truncated_problem, build_envelopes_critical, cylinder_grid
 
 
 def frame_of(sys, c=0):
@@ -178,42 +177,14 @@ class TestPeriodicBVP:
         assert info["mode"] == "relaxation"
         assert np.abs(u_direct.values - u_relax.values).max() < 1e-8
 
-    def test_semilinear_relaxation_matches_ptc(self):
-        # -u'' - u + u^2 = 0 with u(+-a) = 1/2: the pseudo-transient steady
-        # branch and the relaxation branch of one driver agree
-        op, g = self.cylinder_setup(a=2.0, n_z=65, l=1.0)
-        half = 0.5 * np.ones((1, g.n_t))
-        init = GridField(np.ones((1, g.n_t, g.n_z)), g)
-        quad = np.ones((1, g.n_t, g.n_z))
-        u_ptc, info_ptc = solve_periodic_bvp(op, (half, half), init, 1e-12, quadratic=quad)
-        u_relax, info_relax = solve_periodic_bvp(op, (half, half), init, 1e-12,
-                                                 quadratic=quad, force_relaxation=True)
-        assert info_ptc["mode"] == "steady" and info_ptc["periods"] == 0
-        assert info_relax["mode"] == "relaxation" and info_relax["periods"] > 1
-        assert u_ptc.values.min() >= 0.5
-        assert np.abs(u_ptc.values - u_relax.values).max() < 1e-8
-
     def test_quadratic_step_needs_backward_euler(self):
         # on a Crank-Nicolson Stepper the cached matrix is I - dt/2 S, and the
-        # implicit quadratic step would converge to -S/2 u + b u^2 = 0: the
-        # KPP cylinder's mid-domain value would be about 0.5 instead of 0.99
+        # implicit quadratic step would converge to -S/2 u + b u^2 = 0
         op, g = self.cylinder_setup(a=6.0, n_z=121, l=1.0)
         zero = np.zeros((1, g.n_t))
         st = Stepper(op, scheme="cn", bc=(zero, zero))
         with pytest.raises(InputError):
             st.step_implicit_quadratic(np.ones((1, g.n_z)), 0, np.ones((1, g.n_z)))
-        init = GridField(np.ones((1, g.n_t, g.n_z)), g)
-        quad = np.ones((1, g.n_t, g.n_z))
-        with pytest.raises(TypeError):
-            solve_periodic_bvp(op, (zero, zero), init, 1e-10, quadratic=quad, scheme="cn")
-        mid = []
-        for relax in (False, True):
-            u, info = solve_periodic_bvp(op, (zero, zero), init, 1e-10, quadratic=quad,
-                                         force_relaxation=relax)
-            assert info["mode"] == ("relaxation" if relax else "steady")
-            mid.append(u.values[0, 0, g.n_z // 2])
-        assert 0.95 < mid[0] < 1.0
-        assert mid[1] == pytest.approx(mid[0], abs=1e-8)
 
     def test_orbit_has_zero_backward_euler_residual(self, rng):
         # a time-periodic operator with an added potential and Dirichlet data:
@@ -311,72 +282,6 @@ def picard_quadratic_step(st, v, k, b_k):
             if change <= 1e-13 * (1.0 + np.abs(w).max()):
                 return st._unflat(w)
     raise NumericalError("Picard iteration did not converge")
-
-
-def ptc_reference(stepper, bdiag, u0, tol):
-    """Pseudo-transient continuation with its own Newton loop: the steady
-    semilinear solve before it shared the Stepper's Newton.  Products and
-    factorizations are the Stepper's own."""
-    dirichlet = stepper._dirichlet
-    b = np.where(dirichlet, 0.0, stepper._flat(bdiag[:, 0, :]))
-    data = stepper._bc_into(np.zeros(stepper.size), 0)
-    u = stepper._bc_into(stepper._flat(u0), 0)
-
-    def steady_res(v):
-        return stepper._apply(v, dirichlet, -1.0) + b * v * v - data
-
-    dt = 1.0
-    scale = 1.0 + float(np.abs(u).max())
-    for _ in range(400):
-        if float(np.abs(steady_res(u)).max()) < tol:
-            return stepper._unflat(u)
-        w = u.copy()
-        ok = False
-        for _ in range(12):
-            G = (w - u) / dt + steady_res(w)
-            if not np.all(np.isfinite(G)):
-                break
-            if float(np.abs(G).max()) < 1e-11 * scale / min(dt, 1.0):
-                ok = True
-                break
-            w = w - stepper._lu(dirichlet + 2.0 * b * w + 1.0 / dt, -1.0)(G)
-        if ok:
-            u = np.maximum(w, 0.0)
-            dt = min(dt * 2.0, 1e9)
-            scale = max(scale, 1.0 + float(np.abs(u).max()))
-        else:
-            dt *= 0.25
-            if dt < 1e-8:
-                return None
-    return None
-
-
-class TestSteadyContinuation:
-    def assert_matches_reference(self, op, bc, init, tol, quad, extra=None):
-        if extra is not None:
-            op = replace(op, pot0=op.pot0 + extra)
-        u, info = solve_periodic_bvp(op, bc, init, tol, quadratic=quad)
-        assert info["mode"] == "steady"
-        ref = ptc_reference(Stepper(op, bc=bc), quad, init.values[:, 0], tol)
-        assert np.array_equal(u.values[:, 0], ref)
-
-    def test_semilinear_cylinder_bit_equal(self):
-        # the problem of TestPeriodicBVP.test_semilinear_relaxation_matches_ptc
-        g = Grid.cylinder(1.0, 2.0, 8, 65)
-        op = build_operator_mu(frame_of(scalar_system(l=1.0)), 0.0, g)
-        half = 0.5 * np.ones((1, g.n_t))
-        self.assert_matches_reference(op, (half, half), GridField(np.ones((1, g.n_t, g.n_z)), g),
-                                      1e-12, np.ones((1, g.n_t, g.n_z)))
-
-    def test_critical_kpp_cylinder_bit_equal(self):
-        # scalar KPP at c* = 2, mu* = 1, from its supersolution: the long
-        # cylinder whose continuation passes nearly singular step Jacobians
-        fs = transform_coefficients(nondimensionalize(scalar_system()),
-                                    make_frame([1.0], 2.0, mode="space-homogeneous"))
-        grid = cylinder_grid(fs, 60.0, n_z=6001)
-        ubar, _, _, op0, bc = _truncated_problem(build_envelopes_critical(fs, 1.0, grid), grid)
-        self.assert_matches_reference(op0, bc, ubar, 1e-9, np.einsum("iitz->itz", op0.b_tab),
-                                      extra=np.zeros_like(ubar.values))
 
 
 class TestImplicitQuadraticStep:

@@ -335,27 +335,28 @@ class TestCriticalPipeline:
         assert all(vars(env)[k] is v for k, v in before.items())
 
     def test_relaxation_inner_matches_ptc(self, critical_setup):
-        # the parabolic-flow inner solver (quadratic term implicit per point)
-        # and the pseudo-transient steady solver agree on a short cylinder
+        # each Newton step relaxed as a parabolic flow with a source term and
+        # each solved by one band solve agree on a short cylinder
         curve, fsc, _, _ = critical_setup
         grid8 = cylinder_grid(fsc, 8.0, n_z=401)
         env8 = build_envelopes_critical(fsc, curve.mu_star, grid8)
         p_direct = critical_fixed_point(env8, grid8, tol=1e-8)
         p_relax = critical_fixed_point(env8, grid8, tol=1e-8, force_relaxation=True)
+        assert p_relax.info["relax_periods"] > 0
         assert np.abs(p_direct.u.values - p_relax.u.values).max() < 1e-5
         assert p_relax.trapping_violation < 1e-8
 
     def test_one_slice_relaxation_converges(self, critical_setup):
-        # with n_t = 1 the step is dt = T: the implicit quadratic step's
-        # fixed-point iteration diverges there, and Newton finishes it
+        # with n_t = 1 every relaxation step of a Newton solve is dt = T, and
+        # the relaxed profile is the band-solved one
         curve, fsc, _, _ = critical_setup
         grid = cylinder_grid(fsc, 8.0, n_z=401)
         assert grid.n_t == 1
         env = build_envelopes_critical(fsc, curve.mu_star, grid)
-        ptc = critical_fixed_point(env, grid, tol=1e-8)
+        direct = critical_fixed_point(env, grid, tol=1e-8)
         relaxed = critical_fixed_point(env, grid, tol=1e-8, force_relaxation=True)
         assert relaxed.info["relax_periods"] > 0
-        assert np.abs(relaxed.u.values - ptc.u.values).max() <= 1e-8
+        assert np.abs(relaxed.u.values - direct.u.values).max() <= 1e-8
         assert relaxed.trapping_violation <= 1e-8
 
     @pytest.mark.parametrize("a, m3", [(8.0, 7.4906250000000005), (9.0, None), (10.0, None),
@@ -374,28 +375,57 @@ class TestCriticalPipeline:
 
     @pytest.mark.parametrize("coupled", [False, True])
     def test_sweeps_only_when_r_couples(self, coupled):
-        # scalar B' has no entry off its diagonal, so the inner problem does
-        # not read r and its first sweep is the fixed point; a 2 x 2 system
-        # whose competition couples through r keeps iterating
+        # scalar and 2 x 2 competition alike run the Newton loop from the
+        # K-box start, and the profile carries the Dirichlet data exactly
         sys = system_2x2() if coupled else scalar_system()
         curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
         fsc = wave_frame(sys, curve.c_star)
         grid = cylinder_grid(fsc, 8.0, n_z=161)
         env = build_envelopes_critical(fsc, curve.mu_star, grid)
         profile = critical_fixed_point(env, grid, tol=1e-8)
-        assert (profile.iterations > 1) == coupled
+        assert profile.info["newton_steps"] == profile.iterations <= 12
         assert profile.trapping_violation <= 1e-8
         assert profile.pde_residual <= 1e-8
         bc = waves._truncated_problem(env, grid)[4]
         assert np.array_equal(profile.u.values[..., 0], bc[0])
         assert np.array_equal(profile.u.values[..., -1], bc[1])
 
+    @pytest.mark.parametrize("a, n_z", [(8.0, 161), (40.0, 2001)])
+    def test_coupled_critical_wave_matches_cold_loop(self, a, n_z):
+        # full 2 x 2 competition at c*: Newton from the K-box start reaches
+        # the cold Picard loop's profile in a few steps, on the upstream
+        # Dirichlet node as everywhere else
+        sys = system_2x2()
+        curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
+        fsc = wave_frame(sys, curve.c_star)
+        grid = cylinder_grid(fsc, a, n_z=n_z)
+        env = build_envelopes_critical(fsc, curve.mu_star, grid)
+        profile = critical_fixed_point(env, grid, tol=1e-8)
+        assert profile.info["newton_steps"] == profile.iterations <= 12
+        assert profile.pde_residual <= 1e-10
+        ref, _ = _reference_cold_loop(fsc, env, grid, 1e-9)
+        assert np.abs(profile.u.values - ref).max() <= 1e-8
+
+    def test_time_periodic_critical_wave(self):
+        # l(t) = 1 + 0.5 sin(2 pi t), c* = 2: each Newton step relaxes on 64
+        # time slices, and the profile is trapped and solves the scheme
+        sys = scalar_system(l_field=time_periodic_l(1.0, 0.5))
+        curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
+        fsc = wave_frame(sys, curve.c_star)
+        grid = cylinder_grid(fsc, 20.0, n_t=64, n_z=401)
+        env = build_envelopes_critical(fsc, curve.mu_star, grid)
+        profile = critical_fixed_point(env, grid, tol=1e-7)
+        assert curve.c_star == pytest.approx(2.0, abs=1e-6)
+        assert profile.info["newton_steps"] >= 1
+        assert profile.trapping_violation <= 1e-8
+        assert profile.pde_residual <= 1e-7
+
     def test_critical_wave(self, critical_setup):
         _, _, grid, env = critical_setup
         profile = critical_fixed_point(env, grid, tol=1e-8)
-        assert profile.iterations == 1
+        assert profile.info["newton_steps"] == profile.iterations <= 12
         assert profile.trapping_violation < 1e-5
-        assert profile.pde_residual < 1e-6
+        assert profile.pde_residual < 1e-10
         ver = verify_wave(profile, decay_rtol=0.2)
         assert ver.shape_pass and abs(ver.shape_slope - 1.0) <= 0.2
         for lo, hi in profile.info["iterate_bounds"]:
