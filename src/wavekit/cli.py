@@ -386,9 +386,11 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
 
 def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
     par = ctx.cfg.param("simulate", {})
-    X = float(par.get("X", 150.0))
     n_x = int(par.get("n_x", 4096))
     t_final = float(par.get("t_final", 60.0))
+    # a front at a c* the run has computed stays clear of the 0.9 X guard
+    c_star = ctx.curve.c_star if ctx.curve is not None else 0.0
+    X = float(par.get("X", max(150.0, 1.25 * c_star * t_final)))
     init_par = par.get("initial", {"kind": "bump"})
     x = np.linspace(-X, X, n_x)
     sysn = nondimensionalize(ctx.sys)

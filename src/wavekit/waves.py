@@ -61,7 +61,6 @@ _THETA = 0.5  # Picard damping of the fallback; theta = 1 stalls in a 2-cycle as
 # reverses order, and r nears u only at rate 1 - theta, so sweeps are Newton steps
 _MAX_OUTER = 200
 _A_MARGIN = 1e-8  # floor of the subsolution's boundary values at -a*
-_TUNE_CAP = 1e8  # largest critical envelope constant tried
 _H_REL = 1e-3  # step of the centered mu-difference, relative to mu*
 _EPS_DOWN = 1e-3  # downstream smallness required on the left tenth
 _SHAPE_RTOL = 0.20  # tolerance of the critical |z| e^{mu* z} shape slope
@@ -630,7 +629,7 @@ def _positive_part_from_left(core: np.ndarray, z: np.ndarray):
 
 def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
                              tol: float = 1e-7) -> CriticalEnvelopes:
-    """Tune (M1, M2, M3) so the critical envelope pair works on the given grid.
+    """The least (M1, M2, M3) for which the critical envelope pair works on the grid.
 
     The frame must move at c* (fsys.c), so eigensolves return lambda_{1,mu} + c* mu:
     that value vanishes to solver tolerance at mu* and must be strictly
@@ -638,11 +637,11 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
     Mean-one normalization keeps mu -> u'_mu differentiable; the derivative is
     a centered difference with step _H_REL * mu*.
 
-    M3 has an upper end: the core -Theta_dot - M3 Theta + Theta_gamma is
-    positive at the downstream node only for M3 < min (Theta_gamma -
-    Theta_dot) / Theta there.  Its search bisects up to that end instead of
-    doubling past it, keeps its 2% margin at most halfway to the end, and
-    raises "increase a" only if no value below the end passes.
+    Each constant's inequalities are, node by node, linear or quadratic in it,
+    so its least admissible value lo is closed form; the constant is lo with a
+    2% margin kept at most halfway to its upper end (see _least).  Oversized
+    constants are admissible but push the subsolution support far downstream
+    and dilute the profile's |z| e^{mu* z} shape on finite grids.
     """
     gamma = 0.5 * mu_star
     cell = _cell_grid_for(fsys, grid)
@@ -659,94 +658,65 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
     du = (ev.pair(mu_star + h).eigenfunction.values
           - ev.pair(mu_star - h).eigenfunction.values) / (2.0 * h)
 
-    env = CriticalEnvelopes(
-        fsys, mu_star, gamma, 1.0, 1.0, 1.0, g_gamma, np.inf,
-        pair_star, pair_g, du, cell,
-    )
+    env = CriticalEnvelopes(fsys, mu_star, gamma, 1.0, 1.0, 1.0, g_gamma, np.inf,
+                            pair_star, pair_g, du, cell)
     theta, theta_dot, theta_g = env._pieces(grid)
     op0 = build_operator_mu(fsys, 0.0, grid)
-    dz2 = grid.dz ** 2
-    tol_rel = max(10.0 * tol, 50.0 * dz2)
+    tol_rel = max(10.0 * tol, 50.0 * grid.dz ** 2)
 
-    # doubling scan then bisection towards the smallest passing constant;
-    # oversized constants are admissible but push the subsolution support far
-    # downstream and dilute the profile's |z| e^{mu* z} shape on finite grids
+    # M1: -M1 Theta_dot reaches the level 1 before p = -Theta_dot first turns
+    # nonpositive, and stays below it at the downstream node
+    p = -theta_dot
+    peak = np.where(np.logical_and.accumulate(p > 0, axis=2), p, 0.0).max(axis=2).min()
+    p0 = p[..., 0].max()
+    env.M1 = _least(1.0 / peak if peak > 0 else np.inf, 1.0 / p0 if p0 > 0 else np.inf, "M1")
 
-    def tune(start, pred, what, end):
-        lo, hi = start / 2.0, start
-        while not pred(hi):
-            if 2.0 * hi >= end:  # pred fails at end: bisect up to it instead
-                lo, hi = hi, end
-                break
-            lo, hi = hi, 2.0 * hi
-            if hi > _TUNE_CAP:
-                raise NumericalError(f"envelope tuning failed: {what} cap reached")
-        if hi < end and pred(lo):
-            return hi
-        for _ in range(8):
-            mid = 0.5 * (lo + hi)
-            if pred(mid):
-                hi = mid
-            else:
-                lo = mid
-        if hi == end:
-            raise NumericalError(f"no {what} below its upper end {end:.6g} passes: increase a")
-        return min(1.02 * hi, 0.5 * (hi + end))
-
-    def m1_ok(m1):
-        try:
-            _clamp_supersolution(theta_dot, m1, 1.0)
-            return True
-        except NumericalError:
-            return False
-
-    env.M1 = tune(1.0, m1_ok, "M1", np.inf)
-
-    # M2: dominate the uncoupled quadratic on the plateau and on the grid
-    lsum = op0.coupling.sum(axis=1)                      # (N, n_t, n_z)
+    # M2: ubar = M2 w dominates the uncoupled quadratic on the plateau
+    # (-L'1 + M2 b_ii >= 0) and, away from the kink, to tolerance on the grid:
+    # -(M2 R w + b M2^2 w^2) <= tol_rel (1 + M2 w + b M2^2 w^2) holds above the
+    # larger root of M2^2 b w^2 (1 + tol_rel) + M2 (R w + tol_rel w) + tol_rel
     bdiag = np.einsum("iitz->itz", op0.b_tab)
     if bdiag.min() <= 0:
         raise NumericalError("diagonal competition must be positive (A4)")
-    m2_floor = max(1.0, float((lsum / bdiag).max()))
+    m2_floor = max(1.0, float((op0.coupling.sum(axis=1) / bdiag).max()))
+    w, kinks = _clamp_supersolution(theta_dot, env.M1, 1.0)
+    qa = bdiag * w * w * (1.0 + tol_rel)
+    qb = apply_operator(op0, GridField(w, grid)).values + tol_rel * w
+    disc = qb * qb - 4.0 * qa * tol_rel
+    root = np.divide(np.sqrt(np.maximum(disc, 0.0)) - qb, 2.0 * qa, out=np.zeros_like(qa),
+                     where=(disc >= 0) & (qa > 0) & _kink_mask(kinks, grid.n_z))
+    env.M2 = _least(max(m2_floor, float(root[:, :, 2:-2].max())), np.inf, "M2")
 
-    def m2_ok(m2):
-        if m2 < m2_floor - 1e-12:
-            return False  # plateau inequality -L'1 + m2 b_ii 1 >= 0 is exact
-        ubar, kinks = _clamp_supersolution(theta_dot, env.M1, m2)
-        ineq = apply_operator(op0, GridField(ubar, grid)).values + bdiag * ubar * ubar
-        mask = _kink_mask(kinks, grid.n_z)
-        scale = 1.0 + np.abs(ubar) + bdiag * ubar * ubar
-        viol = np.where(mask, -ineq / scale, -np.inf)[:, :, 2:-2].max()
-        return viol <= tol_rel
-
-    env.M2 = tune(m2_floor, m2_ok, "M2", np.inf)
-
-    # M3: order the pair, vanish upstream, and satisfy the reduced
-    # subsolution inequality chi Theta_gamma + (B' ubar) o core <= 0
-    ubar, _ = _clamp_supersolution(theta_dot, env.M1, env.M2)
+    # M3: the core Theta_gamma - Theta_dot - M3 Theta is positive at node j iff
+    # M3 < tau_j, so node j is on the support (-inf, root) iff M3 < cummin tau;
+    # the first sign change lies at z <= 0 iff M3 >= min_{z <= 0} tau.  On the
+    # support, the reduced subsolution inequality g_gamma Theta_gamma +
+    # (B' ubar) core <= tol_rel |g_gamma| Theta_gamma and the order
+    # M1 M2 core <= ubar + tol (1 + max ubar) are linear in M3 (B' ubar > 0 by A4)
+    ubar = w * env.M2
     Bubar = np.einsum("ijtz,jtz->itz", op0.b_tab, ubar)
-    m3_end = float(((theta_g - theta_dot) / theta)[:, :, 0].min())
-
-    def m3_ok(m3):
-        core = -theta_dot - m3 * theta + theta_g
-        try:
-            ulow = env.M1 * env.M2 * _positive_part_from_left(core, grid.z)[0]
-        except NumericalError:
-            return False
-        support = ulow > 0
-        ineq = g_gamma * theta_g + Bubar * core
-        scale = np.abs(g_gamma) * theta_g + 1e-300
-        viol_sub = float(np.where(support, ineq / scale, -np.inf).max())
-        order_viol = float((ulow - ubar).max())
-        return viol_sub <= tol_rel and order_viol <= tol * (1 + np.abs(ubar).max())
-
-    env.M3 = tune(1.0, m3_ok, "M3", m3_end)
+    core0, m12 = theta_g - theta_dot, env.M1 * env.M2
+    tau = core0 / theta
+    need = np.maximum((g_gamma * theta_g + Bubar * core0 - tol_rel
+                       * (abs(g_gamma) * theta_g + 1e-300)) / (Bubar * theta),
+                      (m12 * core0 - ubar - tol * (1 + ubar.max())) / (m12 * theta))
+    lo = max(np.minimum(np.minimum.accumulate(tau, axis=2), need).max(),
+             np.where(grid.z <= 1e-9, tau, np.inf).min(axis=2).max())
+    env.M3 = _least(lo, tau[:, :, 0].min(), "M3")
 
     # smallest admissible half-length: the subsolution support (-inf, z0)
     # must reach past -a, so a* sits one node beyond the deepest root
     roots = _positive_part_from_left(-theta_dot - env.M3 * theta + theta_g, grid.z)[1]
     env.a_star = float(-grid.z[roots.min()] + grid.dz)
     return env
+
+
+def _least(lo: float, end: float, what: str) -> float:
+    """lo, the least admissible envelope constant, with a 2% margin kept at
+    most halfway to the constant's upper end (exclusive)."""
+    if not lo < end:
+        raise NumericalError(f"no {what} below its upper end {end:.6g} passes: increase a")
+    return float(lo + min(0.02 * abs(lo), 0.5 * (end - lo)))
 
 
 def _kink_mask(kinks: np.ndarray, n_z: int) -> np.ndarray:

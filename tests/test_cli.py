@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wavekit import cli, eigen
@@ -401,30 +402,43 @@ class TestRunConfig:
         assert run_config(p, out=out) == 0
         assert json.loads((out / "simulate.json").read_text())["status"] == "ok"
         assert json.loads((out / "dispersion.json").read_text())["status"] == "ok"
-        import numpy as np
         track = np.loadtxt(out / "front_track.csv", delimiter=",", skiprows=1)
         assert track.shape[1] == 3
         snap = np.loadtxt(out / "snapshot_0.csv", delimiter=",", skiprows=1)
         assert snap.shape[1] == 3
 
-    def test_simulate_default_level_from_the_plateau(self, tmp_path):
-        # the 2 x 2 system l12 = l21 = 2, B = 1 settles at u* = (1, 1), far
-        # below its logistic bound K = 2: the default level is half the
-        # run's plateau, not K/2, which no front reaches
+    @staticmethod
+    def run_2x2_simulate(tmp_path, simulate):
+        """dispersion and simulate on the 2 x 2 system l12 = l21 = 2, B = 1
+        (c* = 2^1.5); returns c* and simulate.json."""
         two = dict(MODE, cos=2.0)
-        cfg = scalar_config(["dispersion", "simulate"], extra_params={
-            "simulate": {"X": 60.0, "n_x": 1024, "t_final": 16.0}})
+        cfg = scalar_config(["dispersion", "simulate"], extra_params={"simulate": simulate})
         cfg["system"].update(N=2, fields={
             "A": [[[[MODE]]], [[[MODE]]]], "q": [[[]], [[]]],
             "L": [[[], [two]], [[two], []]], "B": [[[MODE], [MODE]], [[MODE], [MODE]]]})
         out = tmp_path / "out"
         assert run_config(write_config(tmp_path, cfg), out=out) == 0
         c_star = json.loads((out / "dispersion.json").read_text())["c_star"]
-        doc = json.loads((out / "simulate.json").read_text())
-        assert doc["K"] == 2.0 and doc["theta"] == pytest.approx(0.5, abs=1e-3)
         assert c_star == pytest.approx(2.0 ** 1.5, rel=1e-8)
+        return c_star, json.loads((out / "simulate.json").read_text())
+
+    def test_simulate_default_level_from_the_plateau(self, tmp_path):
+        # the system settles at u* = (1, 1), far below its logistic bound
+        # K = 2: the default level is half the run's plateau, not K/2, which
+        # no front reaches
+        c_star, doc = self.run_2x2_simulate(tmp_path, {"X": 60.0, "n_x": 1024, "t_final": 16.0})
+        assert doc["K"] == 2.0 and doc["theta"] == pytest.approx(0.5, abs=1e-3)
         for side in ("left", "right"):
             assert doc[f"speed_{side}"] == pytest.approx(c_star, rel=0.05)
+
+    def test_default_domain_follows_c_star(self, tmp_path):
+        # at c* = 2.83 the front travels about 170 by t_final = 60, past the
+        # guard at 0.9 X of X = 150: without X the domain is 1.25 c* t_final
+        c_star, doc = self.run_2x2_simulate(tmp_path, {"n_x": 1024})
+        for side in ("left", "right"):
+            assert doc[f"speed_{side}"] == pytest.approx(c_star, rel=0.05)
+        snap = np.loadtxt(tmp_path / "out" / "snapshot_0.csv", delimiter=",", skiprows=1)
+        assert snap[:, 1].max() == pytest.approx(1.25 * c_star * 60.0, rel=1e-12)
 
     @pytest.mark.parametrize("e", [1, -1])
     def test_front_tracks_its_moving_side(self, tmp_path, e):

@@ -12,7 +12,7 @@ from wavekit.coeffs import logistic_envelope, nondimensionalize
 from wavekit.dispersion import minimal_speed, speed_roots, static_frame
 from wavekit.errors import InputError, NumericalError, WavekitError
 from wavekit.frame import make_frame, transform_coefficients
-from wavekit.pde_core import GridField, build_operator_mu, solve_periodic_bvp
+from wavekit.pde_core import GridField, apply_operator, build_operator_mu, solve_periodic_bvp
 from wavekit.waves import (
     WaveProfile,
     build_envelopes_critical,
@@ -359,16 +359,13 @@ class TestCriticalPipeline:
         assert np.abs(relaxed.u.values - direct.u.values).max() <= 1e-8
         assert relaxed.trapping_violation <= 1e-8
 
-    @pytest.mark.parametrize("a, m3", [(8.0, 7.4906250000000005), (9.0, None), (10.0, None),
-                                       (12.0, None), (16.0, 8.98875)])
-    def test_every_half_length(self, critical_setup, a, m3):
-        # M3's admissible range ends near a; doubling past that end used to
-        # raise "increase a" at a = 9..12, between half-lengths that built
+    @pytest.mark.parametrize("a", [8.0, 9.0, 10.0, 12.0, 16.0])
+    def test_every_half_length(self, critical_setup, a):
+        # M3's admissible range ends near a; a search doubling past that end
+        # used to raise "increase a" at a = 9..12, between half-lengths that built
         curve, fsc, _, _ = critical_setup
         grid = cylinder_grid(fsc, a, dz=0.05)
-        env = build_envelopes_critical(fsc, curve.mu_star, grid)
-        if m3 is not None:
-            assert env.M3 == m3
+        env = _least_envelopes(fsc, curve.mu_star, grid)
         profile = env.fixed_point(grid, tol=1e-7)
         assert profile.trapping_violation <= 1e-8
         assert profile.pde_residual <= 1e-8
@@ -399,7 +396,7 @@ class TestCriticalPipeline:
         curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
         fsc = wave_frame(sys, curve.c_star)
         grid = cylinder_grid(fsc, a, n_z=n_z)
-        env = build_envelopes_critical(fsc, curve.mu_star, grid)
+        env = _least_envelopes(fsc, curve.mu_star, grid)
         profile = critical_fixed_point(env, grid, tol=1e-8)
         assert profile.info["newton_steps"] == profile.iterations <= 12
         assert profile.pde_residual <= 1e-10
@@ -413,12 +410,36 @@ class TestCriticalPipeline:
         curve = minimal_speed(static_frame(sys, e=[1]), tol=1e-8)
         fsc = wave_frame(sys, curve.c_star)
         grid = cylinder_grid(fsc, 20.0, n_t=64, n_z=401)
-        env = build_envelopes_critical(fsc, curve.mu_star, grid)
+        env = _least_envelopes(fsc, curve.mu_star, grid)
         profile = critical_fixed_point(env, grid, tol=1e-7)
         assert curve.c_star == pytest.approx(2.0, abs=1e-6)
         assert profile.info["newton_steps"] >= 1
         assert profile.trapping_violation <= 1e-8
         assert profile.pde_residual <= 1e-7
+
+    def test_constants_are_least_admissible(self, critical_setup):
+        curve, fsc, grid, env = critical_setup
+        least = _least_envelopes(fsc, curve.mu_star, grid)
+        assert [getattr(least, m) for m in ("M1", "M2", "M3")] == [env.M1, env.M2, env.M3]
+
+    def test_m2_above_the_quadratic_root(self, critical_setup):
+        # the plateau floor l / b = 1 binds M2 on the true scheme; lowering
+        # the scheme's residual by u / 2 makes the quadratic's root bind instead
+        curve, fsc, _, _ = critical_setup
+        grid = cylinder_grid(fsc, 8.0, dz=0.05)
+
+        def lowered(op, u):
+            return GridField(apply_operator(op, u).values - 0.5 * u.values, u.grid)
+
+        env = _least_envelopes(fsc, curve.mu_star, grid, apply_op=lowered)
+        assert env.M2 > 1.02  # the floor with its margin
+
+    def test_m3_at_the_sign_change_bound(self, critical_setup):
+        # a loose tolerance relaxes the subsolution inequality, so M3 is
+        # bound by the core's sign change at z <= 0: tau(0) = 1 for KPP
+        curve, fsc, _, _ = critical_setup
+        env = _least_envelopes(fsc, curve.mu_star, cylinder_grid(fsc, 8.0, dz=0.05), tol=3.0)
+        assert env.M3 == pytest.approx(1.02, rel=1e-9)
 
     def test_critical_wave(self, critical_setup):
         _, _, grid, env = critical_setup
@@ -457,6 +478,61 @@ def _reference_clamp(theta_dot, M1, M2):
             out[i, k, j0:] = M2
             kinks[i, k] = j0
     return out, kinks
+
+
+def _reference_predicates(env, grid, tol=1e-7, apply_op=apply_operator):
+    """The tests a doubling-and-bisection search once tuned M1, M2 and M3 by.
+
+    Each reads env's earlier constants, as the search did in its order.
+    """
+    theta, theta_dot, theta_g = env._pieces(grid)
+    op0 = build_operator_mu(env.fsys, 0.0, grid)
+    tol_rel = max(10.0 * tol, 50.0 * grid.dz ** 2)
+    bdiag = np.einsum("iitz->itz", op0.b_tab)
+    m2_floor = max(1.0, float((op0.coupling.sum(axis=1) / bdiag).max()))
+
+    def m1_ok(m1):
+        return not isinstance(_outcome(_reference_clamp, theta_dot, m1, 1.0), str)
+
+    def m2_ok(m2):
+        if m2 < m2_floor - 1e-12:
+            return False  # plateau inequality -L'1 + m2 b_ii 1 >= 0 is exact
+        ubar, kinks = _reference_clamp(theta_dot, env.M1, m2)
+        ineq = apply_op(op0, GridField(ubar, grid)).values + bdiag * ubar * ubar
+        mask = _reference_kink_mask(kinks, grid.n_z)
+        scale = 1.0 + np.abs(ubar) + bdiag * ubar * ubar
+        return np.where(mask, -ineq / scale, -np.inf)[:, :, 2:-2].max() <= tol_rel
+
+    def m3_ok(m3):
+        core = -theta_dot - m3 * theta + theta_g
+        pos = _outcome(_reference_positive_part, core, grid.z)
+        if isinstance(pos, str):
+            return False
+        ulow = env.M1 * env.M2 * pos[0]
+        ubar, _ = _reference_clamp(theta_dot, env.M1, env.M2)
+        Bubar = np.einsum("ijtz,jtz->itz", op0.b_tab, ubar)
+        ineq = env.g_gamma * theta_g + Bubar * core
+        scale = np.abs(env.g_gamma) * theta_g + 1e-300
+        viol_sub = np.where(ulow > 0, ineq / scale, -np.inf).max()
+        order_viol = (ulow - ubar).max()
+        return viol_sub <= tol_rel and order_viol <= tol * (1 + np.abs(ubar).max())
+
+    return {"M1": m1_ok, "M2": m2_ok, "M3": m3_ok}
+
+
+def _least_envelopes(fsys, mu_star, grid, tol=1e-7, apply_op=apply_operator):
+    """build_envelopes_critical, checked: each constant passes its reference
+    test, and so does its least value lo, while lo (1 - 1e-6) fails."""
+    with mock.patch.object(waves, "_least", wraps=waves._least) as least, \
+            mock.patch.object(waves, "apply_operator", apply_op):
+        env = build_envelopes_critical(fsys, mu_star, grid, tol=tol)
+    ok = _reference_predicates(env, grid, tol=tol, apply_op=apply_op)
+    assert [c.args[2] for c in least.call_args_list] == ["M1", "M2", "M3"]
+    for c in least.call_args_list:
+        lo, what = c.args[0], c.args[2]
+        assert ok[what](getattr(env, what)) and ok[what](lo * (1 + 1e-9)), what
+        assert not ok[what](lo * (1 - 1e-6)), what
+    return env
 
 
 def _reference_positive_part(core, z):
