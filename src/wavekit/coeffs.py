@@ -507,16 +507,15 @@ def system_from_json(doc: dict | str) -> KPPSystem:
     def fld(spec, where):
         return PeriodicField(T, Ls, tuple(_modes_from_json(spec, n, where)))
 
-    def get(name, shape):
-        data = fields.get(name)
-        if data is None:
+    def get(name):
+        if fields.get(name) is None:
             raise InputError(f"fields.{name} missing")
-        return data
+        return fields[name]
 
-    A_raw = get("A", None)
+    A_raw = get("A")
     q_raw = fields.get("q", [[[] for _ in range(n)] for _ in range(N)])
-    L_raw = get("L", None)
-    B_raw = get("B", None)
+    L_raw = get("L")
+    B_raw = get("B")
     try:
         A = tuple(
             tuple(tuple(fld(A_raw[i][a][b], f"A[{i}][{a}][{b}]") for b in range(n)) for a in range(n))

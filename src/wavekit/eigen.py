@@ -9,7 +9,8 @@ by Krein-Rutman the map has a positive principal eigenvector.  Three paths:
     of M(0), so Phi(T) cannot overflow (a scalar static M gives Phi = I), and
     lambda = -ln(rho)/T - c.  Each fixed-step RK4 step of a linear system is a
     matrix P_k: all are built in one batched pass and multiplied by a
-    log2(n_steps)-pass batched-matmul prefix scan.  No spatial error at all.
+    log2(n_steps)-pass batched-matmul prefix scan.  No spatial error at all:
+    the monodromy reads no z, and the default cell has one z node.
   * z-dependent, time-periodic: power iteration on the period map of the cell
     discretization, stepped with Crank-Nicolson, and lambda = -ln(rho)/T.
   * z-dependent, time-independent: shift-invert power iteration on S.  S is
@@ -63,7 +64,7 @@ class PrincipalEigenpair:
 
 
 def default_cell_grid(fsys: FrameSystem) -> Grid:
-    """Periodic cell grid sized for the frame coefficients."""
+    """Periodic cell for the frame: one slice if time-, one node if z-independent."""
     kz = 0
     kt = 0
     for f in fsys.all_fields():
@@ -71,7 +72,7 @@ def default_cell_grid(fsys: FrameSystem) -> Grid:
         kt = max(kt, fkt)
         kz = max(kz, fkx[-1])
     n_t = 4096 if kt > 0 else 1
-    n_z = max(64, 16 * kz) if kz > 0 else 16
+    n_z = max(64, 16 * kz) if kz > 0 else 1
     L_z = fsys.L_z if fsys.L_z is not None else 1.0
     return Grid.periodic_cell(fsys.T_frame, L_z, n_t, n_z)
 
@@ -170,9 +171,8 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
             raise NumericalError(f"nonpositive period-map spectral radius {rho!r}")
         growth = -np.log(rho) / T  # lambda of M - shift I
         lam = growth - shift
-        orbit = (snaps @ phi).T  # (N, n_t)
-        u = orbit * np.exp(growth * grid.t)[None, :]
-        vals = np.repeat(u[:, :, None], grid.n_z, axis=2)
+        orbit = (snaps @ phi).T[:, :, None]  # (N, n_t, 1)
+        vals = np.repeat(orbit * np.exp(growth * grid.t)[None, :, None], grid.n_z, axis=2)
         info = {"path": "ode-monodromy", "rho": rho, "shift": shift, "n_sub": n_sub}
     else:
         static = op.is_time_independent()

@@ -77,8 +77,8 @@ class Grid:
             object.__setattr__(self, name, cast(getattr(self, name)))
         if self.kind not in ("periodic", "interval"):
             raise InputError(f"unknown grid kind {self.kind!r}")
-        if self.n_t < 1 or self.n_z < 16:
-            raise InputError("need n_t >= 1 and n_z >= 16")
+        if self.n_t < 1 or (self.n_z < 16 and (self.n_z, self.kind) != (1, "periodic")):
+            raise InputError("need n_t >= 1 and n_z >= 16 (n_z = 1 only on a periodic cell)")
         if self.t_period <= 0 or self.z1 <= self.z0:
             raise InputError("degenerate grid extents")
 

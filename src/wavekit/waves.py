@@ -106,8 +106,8 @@ def _cell_grid_for(fsys: FrameSystem, grid: Grid) -> Grid:
 
 def _extend_to_cylinder(values: np.ndarray, cell: Grid, grid: Grid) -> np.ndarray:
     """Map samples on the cylinder's eigen cell onto its z nodes, exactly."""
-    if np.all(values == values[..., :1]):
-        return values[:, :, np.zeros(grid.n_z, dtype=int)]
+    if cell.n_z == 1:  # a z-independent frame's cell
+        return np.repeat(values, grid.n_z, axis=2)
     frac = (grid.z - cell.z0) / cell.dz
     jmap = np.round(frac).astype(int)
     if np.abs(frac - jmap).max() > 1e-6:
@@ -297,7 +297,7 @@ def _newton_fixed_point(fsys: FrameSystem, c: float, problem, tol: float,
     """Inexact Newton for R u + (B' u) o u = 0 between the envelopes, and the profile.
 
     problem is _truncated_problem's (ubar, ulow, usub, op0, bc).  The iterate r
-    starts at top = clip(min(ubar, K), usub, ubar), K the logistic bound:
+    starts at clip(min(ubar, K), usub, ubar), K the logistic bound:
     ubar is a supersolution for every r >= 0 and usub a subsolution while
     r <= ubar, so the start lies above the profile, and from above a concave
     KPP Newton sequence decreases onto the maximal solution (Pao 1992).  Each
@@ -307,11 +307,12 @@ def _newton_fixed_point(fsys: FrameSystem, c: float, problem, tol: float,
     relaxation with a source term otherwise.  w becomes r.  Each sweep is
     solved to the forcing tolerance max(tol/10, |last update|/100)
     (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), the first to tol/10.  An
-    iterate above top by more than tol (Newton linearizing below the profile)
-    is cut back to top.  usub is not imposed: the discrete profile may sit
-    below it by the envelopes' truncation error.  A NumericalError in a
-    Newton solve turns the loop to damped Picard sweeps from r, r <- theta
-    u_r + (1 - theta) r, u_r solving (R + diag(B' r)) u = 0.  Only a sweep
+    iterate above K by more than tol (Newton linearizing below the profile)
+    is cut back to K.  Neither envelope is imposed: the discrete profile may
+    cross either by the envelopes' truncation error, and a cut onto ubar
+    would pin it there.  A NumericalError in a Newton solve turns the loop
+    to damped Picard sweeps from r, r <- theta u_r + (1 - theta) r, u_r
+    solving (R + diag(B' r)) u = 0.  Only a sweep
     solved to tol/10 ends the loop, once its update is below tol.  The
     converged u is checked against the trapping pair (usub, ubar) and the
     semilinear PDE; every sweep records (min(u - usub), min(ubar - u)) in
@@ -320,7 +321,7 @@ def _newton_fixed_point(fsys: FrameSystem, c: float, problem, tol: float,
     ubar_f, _, usub, op0, bc = problem
     ubar = ubar_f.values
     _, K = logistic_envelope(fsys)
-    r = top = np.clip(np.minimum(ubar, K), usub, ubar)
+    r = np.clip(np.minimum(ubar, K), usub, ubar)
     newton = True
     iterate_bounds, deltas, periods = [], [], []
     u_field = GridField(usub, op0.grid)
@@ -348,8 +349,8 @@ def _newton_fixed_point(fsys: FrameSystem, c: float, problem, tol: float,
         uv = u_field.values
         if newton:
             newton_steps += 1
-            if (uv - top).max() > tol:
-                uv = np.minimum(uv, top)
+            if uv.max() > K + tol:
+                uv = np.minimum(uv, K)
                 u_field = GridField(uv, op0.grid)
             r_new = uv
         else:

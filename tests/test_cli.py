@@ -49,6 +49,21 @@ def cell_config(tasks, extra_params=None, l_modes=()):
     return cfg
 
 
+def tper_config(tasks, extra_params=None):
+    """The 2x2 system with L12 = 1 + sin(2 pi t), L21 = 1 and B = 1 everywhere."""
+    cfg = scalar_config(tasks, extra_params=extra_params)
+    cfg["system"] = {
+        "N": 2, "n": 1,
+        "fields": {
+            "A": [[[[MODE]]], [[[MODE]]]],
+            "q": [[[]], [[]]],
+            "L": [[[], [MODE, {"kt": 1, "kx": [0], "cos": 0.0, "sin": 1.0}]], [[MODE], []]],
+            "B": [[[MODE], [MODE]], [[MODE], [MODE]]],
+        },
+    }
+    return cfg
+
+
 def assert_config_error(tmp_path, capsys, cfg, text):
     """validate and run both exit 2 with text in the error; no task JSON."""
     p = write_config(tmp_path, cfg)
@@ -290,6 +305,26 @@ class TestRunConfig:
         assert doc["diagnostics"]["trapping_violation"] < 1e-5
         assert doc["diagnostics"]["newton_steps"] == doc["diagnostics"]["iterations"] <= 12
         assert doc["diagnostics"]["factorizations"] == doc["diagnostics"]["newton_steps"]
+
+    def test_refined_time_periodic_wave_is_not_pinned_to_ubar(self, tmp_path):
+        # at dz = 0.1 the discrete profile lies above the discrete ubar by the
+        # envelopes' truncation error; cutting Newton iterates back onto ubar
+        # pinned it there, with a residual of 5.9e-5 against a tol of 1e-7
+        cfg = tper_config(["dispersion", "wave"], extra_params={
+            "c": 3, "wave": {"a": 40.0, "n_t": 64, "n_z": 801, "tol": 1e-7},
+        })
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+        diag = json.loads((out / "wave.json").read_text())["diagnostics"]
+        assert diag["pde_residual"] <= 1e-7
+        assert diag["trapping_violation"] <= 1e-5
+
+    def test_z_independent_eigenfunction_has_one_z_node(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, tper_config(["eigen"])), out=out) == 0
+        lines = (out / "eigenfunction_mu0.csv").read_text().splitlines()
+        assert "n_t=4096 n_z=1 " in lines[0]
+        assert len(lines) == 2 + 2 * 4096
 
     @pytest.mark.parametrize("c, pipeline", [(2.5, "supercritical"), (2.0, "critical")])
     def test_wave_a_schedule(self, tmp_path, c, pipeline):

@@ -128,6 +128,22 @@ class TestPrincipalEigenvalue:
         assert np.array_equal(one.eigenfunction.values[:, 0], full.eigenfunction.values[:, 0])
         assert np.all(full.eigenfunction.values == full.eigenfunction.values[:, :1])
 
+    def test_one_node_z_independent_cell_matches_sixteen(self):
+        # the ODE path never reads z: a z-independent frame's default cell has
+        # one z node, and 16 copied nodes give the same lambda, kappa and, up
+        # to the roundoff of the 1/dz^2 stencil bands, residual
+        fs = frame_of(system_2x2(l12_field=time_periodic_l(1.0, 1.0), l21=1.0))
+        cell = default_cell_grid(fs)
+        assert (cell.n_t, cell.n_z) == (4096, 1)
+        one, full = (principal_eigenvalue(build_operator_mu(fs, 0.7, replace(cell, n_z=n)))
+                     for n in (1, 16))
+        assert one.info["path"] == full.info["path"] == "ode-monodromy"
+        assert (one.lam, one.kappa) == (full.lam, full.kappa)
+        assert one.residual == pytest.approx(full.residual, abs=1e-12)
+        assert one.eigenfunction.values.shape == (2, 4096, 1)
+        assert np.array_equal(np.repeat(one.eigenfunction.values, 16, axis=2),
+                              full.eigenfunction.values)
+
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0, 12.0])
     def test_static_cell_matches_dense_eigensolve(self, mu):
         # the shift-invert step is exact: lambda is -s for the Perron root s of S

@@ -639,6 +639,10 @@ class TestGridFieldIO:
     def test_grid_invariants(self):
         with pytest.raises(InputError):
             Grid.periodic_cell(1.0, 1.0, 8, 8)  # n_z too small
+        with pytest.raises(InputError, match="only on a periodic cell"):
+            Grid.cylinder(1.0, 4.0, 8, 1)
+        one = Grid.periodic_cell(1.0, 2.0, 8, 1)  # a z-independent frame's cell
+        assert one.dz == 2.0 and one.z.tolist() == [0.0]
         g = Grid.cylinder(2.0, 4.0, 8, 33)
         assert g.dt == pytest.approx(0.25)
         assert g.dz == pytest.approx(0.25)

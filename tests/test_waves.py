@@ -12,7 +12,13 @@ from wavekit.coeffs import logistic_envelope, nondimensionalize
 from wavekit.dispersion import minimal_speed, speed_roots, static_frame
 from wavekit.errors import InputError, NumericalError, WavekitError
 from wavekit.frame import make_frame, transform_coefficients
-from wavekit.pde_core import GridField, apply_operator, build_operator_mu, solve_periodic_bvp
+from wavekit.pde_core import (
+    Grid,
+    GridField,
+    apply_operator,
+    build_operator_mu,
+    solve_periodic_bvp,
+)
 from wavekit.waves import (
     WaveProfile,
     build_envelopes_critical,
@@ -23,6 +29,7 @@ from wavekit.waves import (
     fixed_point_truncated,
     verify_wave,
     _clamp_supersolution,
+    _extend_to_cylinder,
     _kink_mask,
     _positive_part_from_left,
 )
@@ -163,8 +170,8 @@ class TestFixedPointTruncated:
         assert np.abs(picard.u.values - newton.u.values).max() < 1e-7
 
     def test_newton_iterate_above_the_k_box_is_cut_back(self, scalar_setup):
-        # an iterate that rises above clip(min(ubar, K), usub, ubar) by more
-        # than tol is cut back to it, and the loop still reaches the profile
+        # an iterate that rises above the logistic bound K by more than tol
+        # is cut back to K, and the loop still reaches the profile
         env = scalar_setup[-1]
         grid = cylinder_grid(env.fsys, 12.0, n_z=601)
         plain = fixed_point_truncated(env, grid, tol=1e-8)
@@ -172,14 +179,15 @@ class TestFixedPointTruncated:
 
         def overshoot_first(*args, **kw):
             u, info = solve_periodic_bvp(*args, **kw)
-            calls.append(info)
+            calls.append(args[2])  # the warm start: the last iterate
             if len(calls) == 1:
                 u.values[..., 1:-1] += 10.0
             return u, info
 
         with mock.patch.object(waves, "solve_periodic_bvp", side_effect=overshoot_first):
             cut = fixed_point_truncated(env, grid, tol=1e-8)
-        assert cut.info["iterate_bounds"][0][1] >= 0.0
+        _, K = logistic_envelope(env.fsys)
+        assert calls[1].values.max() <= K + 1e-8
         assert np.abs(cut.u.values - plain.u.values).max() < 1e-7
 
     def test_domain_too_short(self, scalar_setup):
@@ -629,6 +637,16 @@ class TestEnvelopeHelpers:
     def test_kink_mask_matches_loop(self, rng):
         kinks = rng.integers(0, 41, size=(2, 5))
         assert np.array_equal(_kink_mask(kinks, 41), _reference_kink_mask(kinks, 41))
+
+
+def test_one_node_cell_fills_every_cylinder_node(rng):
+    # a z-independent frame's cell has one z node, whatever the cylinder's dz
+    cell = Grid.periodic_cell(1.0, 1.0, 4, 1)
+    grid = Grid.cylinder(1.0, 3.3, 4, 17)
+    values = rng.uniform(0.5, 1.0, (2, 4, 1))
+    out = _extend_to_cylinder(values, cell, grid)
+    assert out.shape == (2, 4, 17)
+    assert np.all(out == values)
 
 
 class TestGridConvergence:
