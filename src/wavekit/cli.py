@@ -282,7 +282,7 @@ def run_validate(ctx: TaskContext, outdir: Path) -> dict:
 def run_eigen(ctx: TaskContext, outdir: Path) -> dict:
     mu_list = [float(m) for m in ctx.cfg.param("mu_list", [0.5, 1.0, 2.0])]
     ev = ctx.direction_evaluator()
-    rows = lambda_mu_curve(ev.fsys, mu_list, evaluator=ev)
+    rows = lambda_mu_curve(ev, mu_list)
     csv_path = outdir / "eigen_curve.csv"
     lines = ["mu,lambda,dlambda_dmu"]
     lines += [f"{float(m)!r},{float(l)!r},{float(d)!r}" for (m, l, d) in rows]

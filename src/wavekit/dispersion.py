@@ -39,7 +39,6 @@ _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 class PersistenceReport:
     lambda_1p: float
     classification: str  # "persistent" | "extinct"
-    residual: float
 
 
 @dataclass
@@ -88,7 +87,7 @@ def persistence_check(sys: KPPSystem, tol: float = 1e-8, e=None) -> PersistenceR
     ev = EigenEvaluator(fsys, tol=tol)
     pair = ev.pair(0.0)
     cls = "persistent" if pair.lam < 0 else "extinct"
-    return PersistenceReport(pair.lam, cls, pair.residual)
+    return PersistenceReport(pair.lam, cls)
 
 
 def minimal_speed(fsys: FrameSystem, tol: float = 1e-6,

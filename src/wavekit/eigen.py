@@ -20,8 +20,8 @@ by Krein-Rutman the map has a positive principal eigenvector.  Three paths:
     (1/rho - 1) sigma, exactly.
 
 Eigenfunctions are reconstructed over one period as u(t) = e^{lambda t} v(t),
-which is periodic by construction, then normalized (max-one by default;
-mean-one is the mu-differentiable choice used by the critical-wave pipeline).
+which is periodic by construction, scaled to max one, and refused unless
+uniformly positive (min u > 1e-12 max u), as irreducible coupling (A3) makes them.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .frame import FrameSystem
 from .pde_core import Grid, GridField, OperatorSpec, Stepper, apply_S, build_operator_mu
 
 _TABLES = ("a_node", "a_half", "drift", "pot0", "coupling", "b_tab")  # (..., n_t, n_z)
+_MAX_ITERS = 400  # power iterations
 
 __all__ = [
     "PrincipalEigenpair",
@@ -56,10 +57,9 @@ class PrincipalEigenpair:
 
     mu: float
     lam: float
-    eigenfunction: GridField
-    normalization: str
-    kappa: float
-    residual: float
+    eigenfunction: GridField  # max one
+    kappa: float  # Harnack floor min u / max u
+    residual: float  # of the eigen identity, relative to max u
     info: dict = field(default_factory=dict)
 
 
@@ -90,8 +90,6 @@ def _perron(mat: np.ndarray):
     v = np.real(eigvecs[:, k])
     if v.sum() < 0:
         v = -v
-    if v.min() <= 1e-12 * v.max():
-        raise NumericalError("Perron vector not uniformly positive; coupling may be reducible")
     return float(np.real(rho)), v
 
 
@@ -141,20 +139,17 @@ def _monodromy_rk4(Mfun, T: float, n_sub: int, store_every: int):
     return P[-1], np.concatenate([eye[None], P[store_every - 1:n_sub - 1:store_every]])
 
 
-def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
-                         normalization: str = "max-one",
-                         max_iters: int = 400) -> PrincipalEigenpair:
-    """Principal eigenpair of op via the one-period solution map.
+def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8) -> PrincipalEigenpair:
+    """Max-one principal eigenpair of op via the one-period solution map.
 
     Power iteration starts from the all-ones field; the Rayleigh ratio
     estimates the spectral radius and lambda = -ln(rho)/T on the period map,
     or lambda = (1/rho - 1) sigma on the shift-invert step of a
     time-independent operator.  z-independent operators take the exact
     ODE-monodromy shortcut.  All paths run on a periodic cell; the residual
-    is centred in time, as the time-periodic paths are second order.
+    is centred in time, as the time-periodic paths are second order.  A
+    result that is not uniformly positive (reducible coupling) is refused.
     """
-    if normalization not in ("max-one", "mean-one"):
-        raise InputError(f"unknown normalization {normalization!r}")
     grid = op.grid
     if grid.kind != "periodic":
         raise InputError("principal eigenvalue needs a periodic cell grid")
@@ -185,7 +180,7 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
             run, stepper = op, Stepper(op, scheme="cn")
         v = np.ones((op.N, grid.n_z))
         history = []
-        for it in range(max_iters):
+        for it in range(_MAX_ITERS):
             w, orbit = stepper.run_period(v)
             rho = float(np.vdot(v, w)) / float(np.vdot(v, v))
             mask = np.abs(v) > 1e-14 * np.abs(v).max()
@@ -206,39 +201,34 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8,
         info = {"path": "shift-invert" if static else "power-iteration", "rho": rho,
                 "iterations": it + 1}
 
-    if vals.min() <= 0:
-        raise NumericalError(f"principal eigenfunction is not positive (min {vals.min():.3e}); "
-                             "solver failure or reducible coupling")
+    if not vals.min() > 1e-12 * vals.max():
+        raise NumericalError(f"principal eigenfunction is not uniformly positive (min/max "
+                             f"{vals.min() / vals.max():.3e}); coupling may be reducible")
     if op.is_time_independent():
         # simple principal eigenvalue => time-constant eigenfunction; snap
         # away integrator roundoff so downstream exact-constancy tests hold
         vals = np.repeat(vals.mean(axis=1, keepdims=True), grid.n_t, axis=1)
-    vals = vals / (vals.max() if normalization == "max-one" else vals.mean())
-    kappa = float(vals.min() / vals.max())
-    u_field = GridField(vals, grid)
+    vals = vals / vals.max()
     dudt = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * grid.dt)
-    resid = dudt - apply_S(op, vals) - lam * vals
-    residual = float(np.abs(resid).max() / np.abs(vals).max())
-    return PrincipalEigenpair(op.mu, float(lam), u_field, normalization, kappa, residual, info)
+    residual = float(np.abs(dudt - apply_S(op, vals) - lam * vals).max())
+    return PrincipalEigenpair(op.mu, float(lam), GridField(vals, grid), float(vals.min()),
+                              residual, info)
 
 
 class EigenEvaluator:
     """Memoized lambda(mu) for a fixed frame system and grid."""
 
-    def __init__(self, fsys: FrameSystem, grid: Grid | None = None, tol: float = 1e-8,
-                 normalization: str = "max-one"):
+    def __init__(self, fsys: FrameSystem, grid: Grid | None = None, tol: float = 1e-8):
         self.fsys = fsys
         self.grid = grid if grid is not None else default_cell_grid(fsys)
         self.tol = tol
-        self.normalization = normalization
         self._cache: dict[float, PrincipalEigenpair] = {}
 
     def pair(self, mu: float) -> PrincipalEigenpair:
         mu = float(mu)
         if mu not in self._cache:
             op = build_operator_mu(self.fsys, mu, self.grid)
-            self._cache[mu] = principal_eigenvalue(op, tol=self.tol,
-                                                   normalization=self.normalization)
+            self._cache[mu] = principal_eigenvalue(op, tol=self.tol)
         return self._cache[mu]
 
     def __call__(self, mu: float) -> float:
@@ -262,15 +252,10 @@ class EigenEvaluator:
         return sorted((mu, p.lam) for mu, p in self._cache.items())
 
 
-def lambda_mu_curve(fsys: FrameSystem, mu_list, tol: float = 1e-8,
-                    evaluator: EigenEvaluator | None = None):
-    """Sampled dispersion data [(mu, lambda, dlambda/dmu)] for positive mu.
-
-    A given evaluator (for fsys) is used, and filled, instead of a fresh one.
-    """
+def lambda_mu_curve(ev: EigenEvaluator, mu_list):
+    """Sampled dispersion data [(mu, lambda, dlambda/dmu)] for positive mu, from ev."""
     mus = [float(m) for m in mu_list]
     if any(m <= 0 for m in mus) or sorted(mus) != mus:
         raise InputError("mu_list must be sorted and positive")
-    ev = evaluator if evaluator is not None else EigenEvaluator(fsys, tol=tol)
     return [(mu, ev(mu), ev.derivative(mu)) for mu in mus]
 

@@ -10,9 +10,9 @@ problem (R + diag(B' r)) u = 0 with boundary data (ulow v 0)(+-a): a profile
 of the full semilinear system.
 
 Critical speed c = c*: the envelope pair is built from Theta(mu) = e^{mu z}
-u'_mu and its mu-derivative (eigenfunctions are mean-one normalized so the
-family is differentiable in mu), the supersolution clamped at a constant
-plateau through the one-sided-from-minus-infinity min/max construction.
+u'_mu and its mu-derivative (u'_mu rescaled to mean one, differentiable in
+mu), the supersolution clamped at a constant plateau through the
+one-sided-from-minus-infinity min/max construction.
 
 Both pipelines run one loop: inexact Newton steps on the semilinear system,
 each one warm-started periodic-Dirichlet solve, from the logistic bound K
@@ -100,19 +100,22 @@ def cylinder_grid(fsys: FrameSystem, a: float, n_t: int | None = None,
 
 
 def _cell_grid_for(fsys: FrameSystem, grid: Grid) -> Grid:
-    """fsys's eigen cell on the time nodes of the cylinder grid."""
-    return replace(default_cell_grid(fsys), n_t=grid.n_t)
+    """fsys's eigen cell on the cylinder's time nodes; a z-dependent cell takes the
+    least multiple of the cylinder's nodes per cell >= default_cell_grid's n_z."""
+    cell = replace(default_cell_grid(fsys), n_t=grid.n_t)
+    ppc = round(cell.z1 / grid.dz)
+    return cell if cell.n_z == 1 else replace(cell, n_z=-(-cell.n_z // ppc) * ppc)
 
 
 def _extend_to_cylinder(values: np.ndarray, cell: Grid, grid: Grid) -> np.ndarray:
-    """Map samples on the cylinder's eigen cell onto its z nodes, exactly."""
+    """Map samples on the cylinder's eigen cell onto its z nodes, exactly: on
+    cylinder_grid's nodes (-a a cell multiple), node j is cell node j n_z/ppc mod n_z."""
     if cell.n_z == 1:  # a z-independent frame's cell
         return np.repeat(values, grid.n_z, axis=2)
-    frac = (grid.z - cell.z0) / cell.dz
-    jmap = np.round(frac).astype(int)
-    if np.abs(frac - jmap).max() > 1e-6:
+    stride, rem = divmod(cell.n_z, round(cell.z1 / grid.dz))
+    if rem:
         raise InputError("cylinder nodes do not align with the eigenfunction cell")
-    return values[:, :, jmap % cell.n_z]
+    return values[:, :, np.arange(grid.n_z) * stride % cell.n_z]
 
 
 def _exp_profile(rate: float, z: np.ndarray) -> np.ndarray:
@@ -542,16 +545,16 @@ class CriticalEnvelopes:
     M3: float
     g_gamma: float                  # lambda_{1,mu*+gamma} + c*(mu*+gamma) < 0
     a_star: float
-    eig_star: PrincipalEigenpair    # mean-one
-    eig_gamma: PrincipalEigenpair   # mean-one, at mu* + gamma
-    du_dmu: np.ndarray              # cell values of d u'_mu / d mu at mu*
+    eig_star: PrincipalEigenpair
+    eig_gamma: PrincipalEigenpair   # at mu* + gamma
+    du_dmu: np.ndarray              # cell values of d u'_mu / d mu at mu*, u'_mu mean-one
     cell: Grid
 
     # -- materialization -----------------------------------------------------
 
     def _pieces(self, grid: Grid):
-        Us = _extend_to_cylinder(self.eig_star.eigenfunction.values, self.cell, grid)
-        Ug = _extend_to_cylinder(self.eig_gamma.eigenfunction.values, self.cell, grid)
+        Us = _extend_to_cylinder(_mean_one(self.eig_star), self.cell, grid)
+        Ug = _extend_to_cylinder(_mean_one(self.eig_gamma), self.cell, grid)
         dU = _extend_to_cylinder(self.du_dmu, self.cell, grid)
         z = grid.z
         es = _exp_profile(self.mu_star, z)[None, None, :]
@@ -635,8 +638,8 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
     The frame must move at c* (fsys.c), so eigensolves return lambda_{1,mu} + c* mu:
     that value vanishes to solver tolerance at mu* and must be strictly
     negative at mu* + gamma (strict concavity of the dispersion eigenvalue).
-    Mean-one normalization keeps mu -> u'_mu differentiable; the derivative is
-    a centered difference with step _H_REL * mu*.
+    Mean-one eigenfunctions keep mu -> u'_mu differentiable (_mean_one); the
+    derivative is a centered difference with step _H_REL * mu*.
 
     Each constant's inequalities are, node by node, linear or quadratic in it,
     so its least admissible value lo is closed form; the constant is lo with a
@@ -646,7 +649,7 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
     """
     gamma = 0.5 * mu_star
     cell = _cell_grid_for(fsys, grid)
-    ev = EigenEvaluator(fsys, grid=cell, tol=min(tol, 1e-8), normalization="mean-one")
+    ev = EigenEvaluator(fsys, grid=cell, tol=min(tol, 1e-8))
     pair_star = ev.pair(mu_star)
     pair_g = ev.pair(mu_star + gamma)
     g_gamma = pair_g.lam
@@ -656,8 +659,7 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
             "concavity violated upstream"
         )
     h = _H_REL * mu_star
-    du = (ev.pair(mu_star + h).eigenfunction.values
-          - ev.pair(mu_star - h).eigenfunction.values) / (2.0 * h)
+    du = (_mean_one(ev.pair(mu_star + h)) - _mean_one(ev.pair(mu_star - h))) / (2.0 * h)
 
     env = CriticalEnvelopes(fsys, mu_star, gamma, 1.0, 1.0, 1.0, g_gamma, np.inf,
                             pair_star, pair_g, du, cell)
@@ -710,6 +712,11 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
     roots = _positive_part_from_left(-theta_dot - env.M3 * theta + theta_g, grid.z)[1]
     env.a_star = float(-grid.z[roots.min()] + grid.dz)
     return env
+
+
+def _mean_one(pair: PrincipalEigenpair) -> np.ndarray:
+    """The pair's eigenfunction values scaled to mean one, differentiable in mu."""
+    return pair.eigenfunction.values / pair.eigenfunction.values.mean()
 
 
 def _least(lo: float, end: float, what: str) -> float:

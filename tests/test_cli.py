@@ -319,6 +319,36 @@ class TestRunConfig:
         assert diag["pde_residual"] <= 1e-7
         assert diag["trapping_violation"] <= 1e-5
 
+    @pytest.mark.parametrize("ppc", [24, 128])
+    def test_points_per_cell_off_the_eigen_cell(self, tmp_path, ppc):
+        # neither divides the default 64-node eigen cell: the wave's cell
+        # takes 72 and 128 nodes, so every cylinder node is a cell node
+        cfg = cell_config(["wave"], {"c": "3", "wave": {"a": 20.0, "n_t": 64,
+                                                        "points_per_cell": ppc}})
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+        diag = json.loads((out / "wave.json").read_text())["diagnostics"]
+        assert diag["pde_residual"] <= 1e-7 and diag["trapping_violation"] <= 1e-5
+        header = (out / "wave_profile.csv").read_text().splitlines()[0]
+        assert f"n_z={2 * 20 * ppc + 1} " in header
+
+    def test_reducible_coupling_exits_three(self, tmp_path):
+        # l11 = 1 + 0.5 cos 2 pi x, l22 = 0.3, no coupling: the eigensolve
+        # converges onto the first component alone and must be refused
+        cfg = cell_config(["eigen", "dispersion", "wave"],
+                          {"c": "3", "wave": {"a": 20.0, "n_t": 64, "points_per_cell": 32}})
+        l11 = cfg["system"]["fields"]["L"][0][0]
+        cfg["system"].update(N=2, fields={
+            "A": [[[[MODE]]], [[[MODE]]]], "q": [[[]], [[]]],
+            "L": [[l11, []], [[], [dict(MODE, cos=0.3)]]],
+            "B": [[[MODE], [MODE]], [[MODE], [MODE]]]})
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 3
+        doc = json.loads((out / "eigen.json").read_text())
+        assert doc["status"] == "failed" and "reducible" in doc["error"]
+        for task in ("dispersion", "wave"):
+            assert json.loads((out / f"{task}.json").read_text())["status"] == "skipped"
+
     def test_z_independent_eigenfunction_has_one_z_node(self, tmp_path):
         out = tmp_path / "out"
         assert run_config(write_config(tmp_path, tper_config(["eigen"])), out=out) == 0
@@ -557,7 +587,7 @@ class TestRunConfig:
         def counting_solve(op, *args, **kwargs):
             frame = op.fsys.frame
             solved.append((frame.mode, tuple(frame.e_floats()), frame.c_float(),
-                           op.grid, op.mu, kwargs.get("normalization", "max-one")))
+                           op.grid, op.mu))
             return solve(op, *args, **kwargs)
 
         def counting_check(*args, **kwargs):

@@ -204,30 +204,43 @@ class TestPrincipalEigenvalue:
         # diagonal L: the Perron vector of the monodromy has a zero entry
         sys = system_2x2(l11=1.0, l12=0.0, l21=0.0, l22=0.5)
         ev = EigenEvaluator(frame_of(sys))
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match="reducible"):
             ev.pair(0.0)
 
-    def test_reducible_coupling_stalls_power_iteration(self):
-        # z-dependent diagonal system: pointwise growth ratios never level off
+    def test_reducible_coupling_rejected_shift_invert(self):
+        # z-dependent diagonal static system: the iteration converges onto the
+        # first component's eigenvector, zero up to roundoff in the second
         sys = system_2x2(l12=0.0, l21=0.0, l11_field=space_periodic_l(1.0, 0.5),
                          l22=0.3)
-        fs = frame_of(sys)
-        grid = Grid.periodic_cell(1.0, 1.0, 256, 64)
-        op = build_operator_mu(fs, 0.0, grid)
-        with pytest.raises(NumericalError):
-            principal_eigenvalue(op, tol=1e-10, max_iters=10)
+        op = build_operator_mu(frame_of(sys), 0.0, Grid.periodic_cell(1.0, 1.0, 256, 64))
+        assert op.is_time_independent() and not op.is_z_independent()
+        with pytest.raises(NumericalError, match="reducible"):
+            principal_eigenvalue(op, tol=1e-10)
+        with pytest.raises(NumericalError, match="reducible"):
+            persistence_check(sys, e=[1])
+
+    def test_reducible_coupling_rejected_power_iteration(self):
+        # the time-periodic twin: l11 = 1 + 0.8 sin 2 pi t + 0.4 cos 2 pi x
+        lf = PeriodicField(1.0, (1.0,), (
+            Mode(0, (0,), 1.0, 0.0), Mode(1, (0,), 0.0, 0.8), Mode(0, (1,), 0.4, 0.0),
+        ))
+        sys = system_2x2(l12=0.0, l21=0.0, l11_field=lf, l22=0.3)
+        op = build_operator_mu(frame_of(sys), 0.0, Grid.periodic_cell(1.0, 1.0, 64, 64))
+        assert not op.is_time_independent() and not op.is_z_independent()
+        with pytest.raises(NumericalError, match="reducible"):
+            principal_eigenvalue(op)
 
 
 class TestCurveAndDerivative:
     def test_curve_values_and_slope(self):
-        rows = lambda_mu_curve(frame_of(scalar_system()), [0.5, 1.0, 2.0], tol=1e-8)
+        rows = lambda_mu_curve(EigenEvaluator(frame_of(scalar_system())), [0.5, 1.0, 2.0])
         for mu, lam, dlam in rows:
             assert lam == pytest.approx(-(mu**2 + 1), abs=1e-8)
         assert rows[1][2] == pytest.approx(-2.0, abs=1e-4)
 
     def test_unsorted_rejected(self):
         with pytest.raises(InputError):
-            lambda_mu_curve(frame_of(scalar_system()), [1.0, 0.5])
+            lambda_mu_curve(EigenEvaluator(frame_of(scalar_system())), [1.0, 0.5])
 
 
 class TestHarnackFloor:
@@ -261,14 +274,6 @@ class TestInvariants:
             h = rng.uniform(0.05, 0.3)
             d2 = ev(mu - h) - 2 * ev(mu) + ev(mu + h)
             assert d2 <= 1e-8
-
-    def test_normalization_independence(self):
-        fs = frame_of(scalar_system(l_field=time_periodic_l()))
-        p_max = EigenEvaluator(fs, normalization="max-one").pair(0.7)
-        p_mean = EigenEvaluator(fs, normalization="mean-one").pair(0.7)
-        assert p_max.lam == pytest.approx(p_mean.lam, abs=1e-10)
-        ratio = p_mean.eigenfunction.values / p_max.eigenfunction.values
-        assert np.abs(ratio - ratio.mean()).max() < 1e-9
 
     def test_diagonal_shift(self):
         # adding delta to every diagonal entry of L shifts lambda by -delta
