@@ -20,6 +20,7 @@ import sys as _sys
 import tempfile
 import time
 import traceback
+from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 
@@ -237,35 +238,19 @@ class TaskContext:
     def __init__(self, cfg: JobConfig):
         self.cfg = cfg
         self.sys = cfg.system
-        self.eigen_tol = min(float(cfg.param("tol", 1e-6)), 1e-8)
+        # the c* search width, the criticality band and the decay-root stop
+        self.search_tol = min(float(cfg.param("tol", 1e-6)), 1e-8)
         self.e = cfg.e
         self.curve = None
-        self.persistence = None
-        self._direction_ev = None
 
-    # -- shared pipeline pieces ------------------------------------------------
-
-    def direction_evaluator(self) -> EigenEvaluator:
-        """The run's one memoized lambda(mu) in the c = 0 frame of direction e."""
-        if self._direction_ev is None:
-            self._direction_ev = EigenEvaluator(static_frame(self.sys, e=self.e),
-                                                tol=self.eigen_tol)
-        return self._direction_ev
-
-    def get_persistence(self):
-        if self.persistence is None:
-            self.persistence = persistence_check(self.sys, tol=self.eigen_tol, e=self.e)
-        return self.persistence
+    @cached_property
+    def ev(self) -> EigenEvaluator:
+        """The run's one memoized lambda(mu), in the c = 0 frame of direction e."""
+        return EigenEvaluator(static_frame(self.sys, e=self.e))
 
     def get_curve(self):
         if self.curve is None:
-            pers = self.get_persistence()
-            if pers.classification == "extinct":
-                raise NumericalError(
-                    f"extinct: no wave pipeline (lambda_1p = {pers.lambda_1p:.6g} >= 0)"
-                )
-            ev = self.direction_evaluator()
-            self.curve = minimal_speed(ev.fsys, tol=self.eigen_tol, evaluator=ev)
+            self.curve = minimal_speed(self.ev, self.search_tol)
         return self.curve
 
 
@@ -281,14 +266,13 @@ def run_validate(ctx: TaskContext, outdir: Path) -> dict:
 
 def run_eigen(ctx: TaskContext, outdir: Path) -> dict:
     mu_list = [float(m) for m in ctx.cfg.param("mu_list", [0.5, 1.0, 2.0])]
-    ev = ctx.direction_evaluator()
-    rows = lambda_mu_curve(ev, mu_list)
+    rows = lambda_mu_curve(ctx.ev, mu_list)
     csv_path = outdir / "eigen_curve.csv"
     lines = ["mu,lambda,dlambda_dmu"]
     lines += [f"{float(m)!r},{float(l)!r},{float(d)!r}" for (m, l, d) in rows]
     _atomic_write(csv_path, "\n".join(lines) + "\n")
     for idx, mu in enumerate(mu_list):
-        ev.pair(mu).eigenfunction.to_csv(outdir / f"eigenfunction_mu{idx}.csv")
+        ctx.ev.pair(mu).eigenfunction.to_csv(outdir / f"eigenfunction_mu{idx}.csv")
     return {
         "mu_list": mu_list,
         "curve": [{"mu": m, "lambda": l, "dlambda_dmu": d} for (m, l, d) in rows],
@@ -298,7 +282,7 @@ def run_eigen(ctx: TaskContext, outdir: Path) -> dict:
 
 
 def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
-    pers = ctx.get_persistence()
+    pers = persistence_check(ctx.ev)
     summary = {
         "lambda_1p": pers.lambda_1p,
         "classification": pers.classification,
@@ -311,8 +295,8 @@ def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
     c_req = ctx.cfg.param("c")
     if c_req is not None:
         c_val = parse_speed(c_req)
-        if criticality(curve, c_val, ctx.eigen_tol) == "supercritical":
-            roots = speed_roots(curve, c_val, tol=ctx.eigen_tol)
+        if criticality(curve, c_val, ctx.search_tol) == "supercritical":
+            roots = speed_roots(curve, c_val, tol=ctx.search_tol)
             summary["roots"] = roots.to_json()
     mus = np.array([m for m, _ in curve.samples])
     gs = np.array([-l / m for m, l in curve.samples])
@@ -331,7 +315,7 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     curve = ctx.get_curve()
     wave_par = ctx.cfg.param("wave", {})
     c_val = parse_speed(ctx.cfg.param("c"))
-    kind = criticality(curve, c_val, ctx.eigen_tol)
+    kind = criticality(curve, c_val, ctx.search_tol)
     if kind == "subcritical":
         raise NumericalError(
             f"subcritical speed c = {c_val} < c* = {curve.c_star}: no wave exists"
@@ -353,8 +337,8 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     if critical:
         env = build_envelopes_critical(fsc, curve.mu_star, grid0, tol=profile_tol)
     else:
-        roots = speed_roots(curve, c_val, tol=ctx.eigen_tol)
-        env = build_envelopes_supercritical(fsc, roots, grid0, tol=ctx.eigen_tol)
+        roots = speed_roots(curve, c_val, tol=ctx.search_tol)
+        env = build_envelopes_supercritical(fsc, roots, grid0)
     if a_schedule:
         profile = extend_to_entire(env, a_schedule, float(wave_par.get("window", WINDOW)),
                                    tol=float(wave_par.get("gap_tol", 1e-3)),

@@ -205,15 +205,15 @@ def field_eval(f: PeriodicField, t: float, x) -> float:
     return float(f.eval(np.asarray(t, dtype=float), x))
 
 
+def max_frequencies(fields) -> tuple[int, tuple[int, ...]]:
+    """(max |kt|, per-axis max |kx|) over a nonempty list of fields of one dimension."""
+    kts, kxs = zip(*(f.max_frequencies() for f in fields))
+    return max(kts), tuple(map(max, zip(*kxs)))
+
+
 def _sample_axes(fields, sampling_factor):
     """Per-axis sample counts resolving the highest frequency present."""
-    kt = 0
-    n = fields[0].n
-    kx = [0] * n
-    for f in fields:
-        fkt, fkx = f.max_frequencies()
-        kt = max(kt, fkt)
-        kx = [max(a, b) for a, b in zip(kx, fkx)]
+    kt, kx = max_frequencies(fields)
     nt = sampling_factor * (kt + 1)
     nx = [sampling_factor * (k + 1) for k in kx]
     return nt, nx

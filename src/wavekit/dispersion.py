@@ -7,6 +7,9 @@ are the admissible downstream decay rates at speed c.  Strict concavity of
 mu -> lambda_{1,mu e} makes g unimodal, so a derivative-free golden-section
 search after a geometric bracketing scan is reliable, and it makes secant
 steps from two points beyond a root approach the root monotonically.
+
+All of it reads one EigenEvaluator, mu -> lambda_{1,mu e} on the c = 0 frame
+of e: persistence is its sign at 0, and minimal_speed's curve carries it on.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ class DispersionCurve:
     """Sampled mu -> lambda_{1,mu e} with the minimizer of -lambda/mu."""
 
     e: tuple
-    samples: list  # [(mu, lambda)]
+    samples: list  # [(mu, lambda)], mu > 0
     mu_star: float
     c_star: float
     bracket: tuple[float, float]
@@ -77,28 +80,27 @@ def static_frame(sys: KPPSystem, e=None) -> FrameSystem:
     return frame_for(sys, (0,) * (sys.n - 1) + (1,) if e is None else e, 0)
 
 
-def persistence_check(sys: KPPSystem, tol: float = 1e-8, e=None) -> PersistenceReport:
-    """Sign of the periodic principal eigenvalue at mu = 0 in the static frame of e.
+def persistence_check(ev: EigenEvaluator) -> PersistenceReport:
+    """Sign of the periodic principal eigenvalue ev(0) (ev on a c = 0 frame).
 
     A nonnegative value means every solution of the Cauchy problem goes
     extinct uniformly in space, and the wave pipeline refuses to run.
     """
-    fsys = static_frame(sys, e=e)
-    ev = EigenEvaluator(fsys, tol=tol)
-    pair = ev.pair(0.0)
-    cls = "persistent" if pair.lam < 0 else "extinct"
-    return PersistenceReport(pair.lam, cls)
+    lam = ev(0.0)
+    return PersistenceReport(lam, "persistent" if lam < 0 else "extinct")
 
 
-def minimal_speed(fsys: FrameSystem, tol: float = 1e-6,
-                  evaluator: EigenEvaluator | None = None) -> DispersionCurve:
-    """Minimal wave speed c* = min_{mu>0} -lambda_{1,mu e}/mu on a c = 0 frame.
+def minimal_speed(ev: EigenEvaluator, tol: float) -> DispersionCurve:
+    """Minimal wave speed c* = min_{mu>0} -lambda_{1,mu e}/mu of ev on a c = 0 frame.
 
     Brackets the unique minimizer by a geometric mu-scan (powers of two), then
     golden-section search down to tol.  Requires a persistent system, which is
-    exactly what makes g blow up at 0+ and guarantees an interior minimum.
+    exactly what makes g blow up at 0+ and guarantees an interior minimum: an
+    extinct one (ev(0) >= 0) is refused before the scan.
     """
-    ev = evaluator if evaluator is not None else EigenEvaluator(fsys, tol=min(tol, 1e-8))
+    lam0 = ev(0.0)
+    if lam0 >= 0:
+        raise NumericalError(f"extinct: no wave pipeline (lambda_1p = {lam0:.6g} >= 0)")
     lo_lim, hi_lim = MU_BRACKET
 
     def g(mu):
@@ -119,8 +121,7 @@ def minimal_speed(fsys: FrameSystem, tol: float = 1e-6,
             gl, gk = gk, gr
             gr = g(2.0 ** (k + 1))
         if not (lo_lim <= 2.0 ** k <= hi_lim):
-            raise NumericalError(f"failed to bracket the dispersion minimum inside {MU_BRACKET}; "
-                                 "degenerate inputs (is the system persistent?)",
+            raise NumericalError(f"failed to bracket the dispersion minimum inside {MU_BRACKET}",
                                  history=ev.samples)
     lo, hi = 2.0 ** (k - 1), 2.0 ** (k + 1)
 
@@ -139,8 +140,8 @@ def minimal_speed(fsys: FrameSystem, tol: float = 1e-6,
             f2 = g(x2)
     mu_star = 0.5 * (lo + hi)
     c_star = g(mu_star)
-    return DispersionCurve(tuple(fsys.frame.e_floats()), ev.samples, float(mu_star), float(c_star),
-                           (float(lo), float(hi)), ev)
+    return DispersionCurve(tuple(ev.fsys.frame.e_floats()), [s for s in ev.samples if s[0] > 0],
+                           float(mu_star), float(c_star), (float(lo), float(hi)), ev)
 
 
 def criticality(curve: DispersionCurve, c: float, tol: float) -> str:

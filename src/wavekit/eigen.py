@@ -22,6 +22,7 @@ by Krein-Rutman the map has a positive principal eigenvector.  Three paths:
 Eigenfunctions are reconstructed over one period as u(t) = e^{lambda t} v(t),
 which is periodic by construction, scaled to max one, and refused unless
 uniformly positive (min u > 1e-12 max u), as irreducible coupling (A3) makes them.
+Nothing here is settable: power iteration stops at a ratio spread of 1e-12.
 """
 
 from __future__ import annotations
@@ -31,12 +32,14 @@ from functools import cached_property
 
 import numpy as np
 
+from .coeffs import max_frequencies
 from .errors import InputError, NumericalError
 from .frame import FrameSystem
 from .pde_core import Grid, GridField, OperatorSpec, Stepper, apply_S, build_operator_mu
 
 _TABLES = ("a_node", "a_half", "drift", "pot0", "coupling", "b_tab")  # (..., n_t, n_z)
 _MAX_ITERS = 400  # power iterations
+_SPREAD = 1e-12  # power iteration stops when the ratios w/v spread less than this
 
 __all__ = [
     "PrincipalEigenpair",
@@ -65,12 +68,7 @@ class PrincipalEigenpair:
 
 def default_cell_grid(fsys: FrameSystem) -> Grid:
     """Periodic cell for the frame: one slice if time-, one node if z-independent."""
-    kz = 0
-    kt = 0
-    for f in fsys.all_fields():
-        fkt, fkx = f.max_frequencies()
-        kt = max(kt, fkt)
-        kz = max(kz, fkx[-1])
+    kt, (*_, kz) = max_frequencies(fsys.all_fields())
     n_t = 4096 if kt > 0 else 1
     n_z = max(64, 16 * kz) if kz > 0 else 1
     L_z = fsys.L_z if fsys.L_z is not None else 1.0
@@ -139,11 +137,12 @@ def _monodromy_rk4(Mfun, T: float, n_sub: int, store_every: int):
     return P[-1], np.concatenate([eye[None], P[store_every - 1:n_sub - 1:store_every]])
 
 
-def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8) -> PrincipalEigenpair:
+def principal_eigenvalue(op: OperatorSpec) -> PrincipalEigenpair:
     """Max-one principal eigenpair of op via the one-period solution map.
 
-    Power iteration starts from the all-ones field; the Rayleigh ratio
-    estimates the spectral radius and lambda = -ln(rho)/T on the period map,
+    Power iteration starts from the all-ones field and stops once the ratios
+    w/v spread by less than _SPREAD = 1e-12; the Rayleigh ratio estimates the
+    spectral radius and lambda = -ln(rho)/T on the period map,
     or lambda = (1/rho - 1) sigma on the shift-invert step of a
     time-independent operator.  z-independent operators take the exact
     ODE-monodromy shortcut.  All paths run on a periodic cell; the residual
@@ -188,7 +187,7 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8) -> PrincipalEigenp
             spread = float(ratios.max() - ratios.min()) / max(abs(rho), 1e-300)
             history.append((rho, spread))
             v = w / np.abs(w).max()
-            if spread < max(1e-13, 1e-4 * tol):
+            if spread < _SPREAD:
                 break
         else:
             raise NumericalError("power iteration did not converge; coupling may be reducible "
@@ -216,19 +215,22 @@ def principal_eigenvalue(op: OperatorSpec, tol: float = 1e-8) -> PrincipalEigenp
 
 
 class EigenEvaluator:
-    """Memoized lambda(mu) for a fixed frame system and grid."""
+    """Memoized lambda(mu) for a fixed frame system and grid, with no options.
 
-    def __init__(self, fsys: FrameSystem, grid: Grid | None = None, tol: float = 1e-8):
+    The dispersion layer reads nothing else: persistence is the sign of
+    ev(0), and c* and the decay roots are searched on ev at mu > 0.
+    """
+
+    def __init__(self, fsys: FrameSystem, grid: Grid | None = None):
         self.fsys = fsys
         self.grid = grid if grid is not None else default_cell_grid(fsys)
-        self.tol = tol
         self._cache: dict[float, PrincipalEigenpair] = {}
 
     def pair(self, mu: float) -> PrincipalEigenpair:
         mu = float(mu)
         if mu not in self._cache:
             op = build_operator_mu(self.fsys, mu, self.grid)
-            self._cache[mu] = principal_eigenvalue(op, tol=self.tol)
+            self._cache[mu] = principal_eigenvalue(op)
         return self._cache[mu]
 
     def __call__(self, mu: float) -> float:
@@ -243,8 +245,8 @@ class EigenEvaluator:
         return self._op0.is_z_independent() or self._op0.peclet(mu) <= 1.0
 
     def derivative(self, mu: float) -> float:
-        h = max(1e-4, np.sqrt(self.tol))
-        h = min(h, 0.5 * mu) if mu > 0 else h
+        """Centred difference of step 1e-4, at most mu/2."""
+        h = min(1e-4, 0.5 * mu) if mu > 0 else 1e-4
         return (self(mu + h) - self(mu - h)) / (2.0 * h)
 
     @property

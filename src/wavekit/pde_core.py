@@ -39,6 +39,7 @@ import numpy as np
 from scipy.linalg.blas import dgbmv, dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from .coeffs import max_frequencies
 from .errors import InputError, NumericalError
 from .frame import FrameSystem
 
@@ -226,9 +227,7 @@ def resolved_fields(fsys: FrameSystem, grid: Grid) -> tuple:
     """fsys.reduce_1d(), after refusing a grid with fewer than 4 nodes per
     shortest wavelength of those fields, in z on a cell-periodic frame and in t."""
     reduced = a_f, _, adv_f, Lm_f, Bm_f = fsys.reduce_1d()
-    freqs = [f.max_frequencies() for f in (*a_f, *adv_f, *(g for row in (*Lm_f, *Bm_f) for g in row))]
-    kt_max = max(kt for kt, _ in freqs)
-    kz_max = max(kx[0] for _, kx in freqs)
+    kt_max, (kz_max,) = max_frequencies((*a_f, *adv_f, *(g for row in (*Lm_f, *Bm_f) for g in row)))
     if kz_max > 0 and fsys.L_z is not None and grid.dz > fsys.L_z / (4.0 * kz_max):
         raise InputError(
             f"grid under-resolves coefficients: need >= 4 points per wavelength "
@@ -359,6 +358,8 @@ class Stepper:
         g = op.grid
         if bc is not None and g.kind != "interval":
             raise InputError("boundary data needs an interval grid")
+        if g.kind == "periodic" and g.n_z == 1:  # every band would fold onto the one node
+            raise InputError("a one-node periodic cell cannot step: it takes the eigen ODE path")
         self.op = op
         self.grid = g
         self.scheme = scheme

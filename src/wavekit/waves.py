@@ -206,14 +206,13 @@ class SupercriticalEnvelopes:
         return fixed_point_truncated(self, grid, **kw)
 
 
-def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid,
-                                  tol: float = 1e-8) -> SupercriticalEnvelopes:
+def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid) -> SupercriticalEnvelopes:
     """Assemble the supersolution/subsolution pair at speed c > c*.
 
     fsys is the frame moving at c = roots.c and grid the cylinder grid the
     envelopes will be materialized on.  The max-one normalized principal
     eigenpairs at mu_wedge and mu_wedge + gamma, gamma =
-    min(mu_wedge, mu_vee - mu_wedge)/2, are solved to tol on the matching
+    min(mu_wedge, mu_vee - mu_wedge)/2, are solved on the matching
     periodic cell; in that frame the eigenvalues are lambda_{1,mu} + c mu, so
     the first must vanish and chi, the second, must be positive.
 
@@ -227,7 +226,7 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid,
     mu_w, mu_v = roots.mu_wedge, roots.mu_vee
     gamma = 0.5 * min(mu_w, mu_v - mu_w)
     cell = _cell_grid_for(fsys, grid)
-    ev = EigenEvaluator(fsys, grid=cell, tol=tol)
+    ev = EigenEvaluator(fsys, grid=cell)
     eig_wedge, eig_gamma = ev.pair(mu_w), ev.pair(mu_w + gamma)
     chi = eig_gamma.lam
     if chi <= 0:
@@ -649,7 +648,7 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
     """
     gamma = 0.5 * mu_star
     cell = _cell_grid_for(fsys, grid)
-    ev = EigenEvaluator(fsys, grid=cell, tol=min(tol, 1e-8))
+    ev = EigenEvaluator(fsys, grid=cell)
     pair_star = ev.pair(mu_star)
     pair_g = ev.pair(mu_star + gamma)
     g_gamma = pair_g.lam

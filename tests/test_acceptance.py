@@ -21,6 +21,7 @@ from wavekit.cauchy import (
 )
 from wavekit.coeffs import KPPSystem, Mode, PeriodicField, nondimensionalize, validate_assumptions
 from wavekit.dispersion import minimal_speed, persistence_check, speed_roots, static_frame
+from wavekit.eigen import EigenEvaluator
 from wavekit.errors import InputError
 from wavekit.frame import (
     RationalDirection,
@@ -64,7 +65,7 @@ def systems():
 def curves(systems):
     out = {}
     for name, e in (("scalar", [1]), ("scalar_tper", [1]), ("2x2", [1]), ("2x2_tper", [1])):
-        out[name] = minimal_speed(static_frame(systems[name], e=e), tol=1e-8)
+        out[name] = minimal_speed(EigenEvaluator(static_frame(systems[name], e=e)), tol=1e-8)
     return out
 
 
@@ -102,8 +103,9 @@ def system_wave(systems, curves):
 
 def test_criterion_1_scalar_minimal_speed(systems):
     t0 = time.time()
-    pers = persistence_check(systems["scalar"], tol=1e-8)
-    curve = minimal_speed(static_frame(systems["scalar"], e=[1]), tol=1e-8)
+    ev = EigenEvaluator(static_frame(systems["scalar"], e=[1]))
+    pers = persistence_check(ev)
+    curve = minimal_speed(ev, tol=1e-8)
     elapsed = time.time() - t0
     ok = (
         pers.classification == "persistent"
@@ -118,7 +120,7 @@ def test_criterion_2_advection_shift():
     speeds = {}
     for e in (1, -1):
         sys = scalar_system(q=0.7)
-        speeds[e] = minimal_speed(static_frame(sys, e=[e]), tol=1e-8).c_star
+        speeds[e] = minimal_speed(EigenEvaluator(static_frame(sys, e=[e])), tol=1e-8).c_star
     left, right = speeds[1], speeds[-1]
     ok = abs(left - 1.3) < 1e-3 and abs(right - 2.7) < 1e-3
     report(2, ok, f"leftward={left:.6f} rightward={right:.6f} (2 -/+ 0.7)")

@@ -605,6 +605,25 @@ class TestRunConfig:
         assert solved
         assert len(set(solved)) == len(solved)
 
+    def test_one_static_evaluator_per_run(self, tmp_path, monkeypatch):
+        # persistence, c* and the decay roots read the run's one c = 0 evaluator
+        speeds = []
+        init = eigen.EigenEvaluator.__init__
+
+        def counting_init(self, fsys, *args, **kwargs):
+            speeds.append(fsys.frame.c_float())
+            init(self, fsys, *args, **kwargs)
+
+        monkeypatch.setattr(eigen.EigenEvaluator, "__init__", counting_init)
+        cfg = scalar_config(["dispersion", "wave"], extra_params={
+            "c": 2.5, "wave": {"a": 16.0, "n_z": 401, "tol": 1e-7},
+        })
+        p = write_config(tmp_path, cfg)
+        assert run_config(p, out=tmp_path / "out") == 0
+        assert speeds.count(0.0) == 1
+        doc = json.loads((tmp_path / "out" / "dispersion.json").read_text())
+        assert doc["curve"] and all(s["mu"] > 0 for s in doc["curve"])
+
     def test_bit_reproducible_artifacts(self, tmp_path):
         cfg = scalar_config(["simulate"], extra_params={
             "simulate": {"X": 40.0, "n_x": 512, "t_final": 8.0},

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import const, scalar_system, space_periodic_l, system_2x2, time_periodic_l
 from wavekit.coeffs import Mode, PeriodicField, nondimensionalize
-from wavekit.dispersion import persistence_check
+from wavekit.dispersion import persistence_check, static_frame
 from wavekit.eigen import (
     EigenEvaluator,
     default_cell_grid,
@@ -79,7 +79,7 @@ class TestPrincipalEigenvalue:
         grid = default_cell_grid(fs)
         assert (grid.n_t, grid.n_z) == (1, n_z)
         op = build_operator_mu(fs, 0.0, grid)
-        pair = principal_eigenvalue(op, tol=1e-10)
+        pair = principal_eigenvalue(op)
         assert pair.info["path"] == "shift-invert"
 
         dz = 1.0 / n_z
@@ -100,7 +100,7 @@ class TestPrincipalEigenvalue:
         ))
         fs = frame_of(scalar_system(l_field=lf))
         grid = Grid.periodic_cell(1.0, 1.0, 1024, 64)
-        pair = principal_eigenvalue(build_operator_mu(fs, 0.0, grid), tol=1e-10)
+        pair = principal_eigenvalue(build_operator_mu(fs, 0.0, grid))
         n_z = 64
         dz = 1.0 / n_z
         z = np.arange(n_z) * dz
@@ -171,7 +171,7 @@ class TestPrincipalEigenvalue:
         pair = principal_eigenvalue(op)
         assert pair.info["path"] == "shift-invert"
         assert pair.lam == pytest.approx(dense_lambda(op), abs=1e-10)
-        report = persistence_check(sys, e=[1])
+        report = persistence_check(EigenEvaluator(static_frame(sys, e=[1])))
         assert report.classification == "extinct" and report.lambda_1p == pair.lam > 0
 
     def test_shift_invert_steps_its_iterations(self):
@@ -215,9 +215,9 @@ class TestPrincipalEigenvalue:
         op = build_operator_mu(frame_of(sys), 0.0, Grid.periodic_cell(1.0, 1.0, 256, 64))
         assert op.is_time_independent() and not op.is_z_independent()
         with pytest.raises(NumericalError, match="reducible"):
-            principal_eigenvalue(op, tol=1e-10)
+            principal_eigenvalue(op)
         with pytest.raises(NumericalError, match="reducible"):
-            persistence_check(sys, e=[1])
+            persistence_check(EigenEvaluator(static_frame(sys, e=[1])))
 
     def test_reducible_coupling_rejected_power_iteration(self):
         # the time-periodic twin: l11 = 1 + 0.8 sin 2 pi t + 0.4 cos 2 pi x
@@ -260,10 +260,9 @@ class TestHarnackFloor:
 
 class TestInvariants:
     def test_eigen_identity_residual(self):
-        tol = 1e-8
         for sys in (scalar_system(), system_2x2(),
                     scalar_system(l_field=time_periodic_l())):
-            ev = EigenEvaluator(frame_of(sys), tol=tol)
+            ev = EigenEvaluator(frame_of(sys))
             for mu in (0.3, 1.1):
                 assert ev.pair(mu).residual < 1e-5
 
@@ -350,7 +349,7 @@ class TestMonodromyKernel:
                 rho = float(np.vdot(v, w) / np.vdot(v, v))
                 v = w / np.abs(w).max()
             lam_pde[n_t] = -np.log(rho)
-        pair = principal_eigenvalue(op, tol=1e-10)
+        pair = principal_eigenvalue(op)
         assert pair.info["path"] == "ode-monodromy"
         assert pair.lam == pytest.approx(lam_pde[512], abs=1e-5)
         extrapolated = lam_pde[512] + (lam_pde[512] - lam_pde[256]) / 3.0

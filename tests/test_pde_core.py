@@ -14,6 +14,7 @@ from wavekit.frame import make_frame, transform_coefficients
 from wavekit.pde_core import (
     Grid,
     GridField,
+    apply_S,
     apply_operator,
     build_operator_mu,
     Stepper,
@@ -143,6 +144,16 @@ class TestEvolvePeriod:
         op = build_operator_mu(fs, 0.0, g)
         with pytest.raises(InputError):
             Stepper(op).run_period(np.ones((1, 16)))
+
+    @pytest.mark.parametrize("scheme", ["be", "cn"])
+    def test_one_node_cell_refused(self, scheme):
+        # u_t = u_zz + u at mu = 0.5: every band folds onto the one node, where
+        # the scatter kept only the last (S = 1.5, not apply_S's 1.25), and
+        # dgbmv refuses m = 1; a one-node cell takes the eigen ODE path
+        op = build_operator_mu(plain_diffusion_frame(l=1.0), 0.5, Grid.periodic_cell(1, 1, 4, 1))
+        assert apply_S(op, np.ones((1, 4, 1)))[0, 0, 0] == pytest.approx(1.25)
+        with pytest.raises(InputError, match="ODE path"):
+            Stepper(op, scheme=scheme)
 
 
 class TestPeriodicBVP:
