@@ -3,7 +3,10 @@
 `wavekit run config.json [--out DIR]` executes the requested tasks
 (validate, eigen, dispersion, wave, simulate, probe) in dependency order,
 writing one JSON summary per task plus CSV data and SVG quick-look plots;
-`wavekit validate config.json` only checks the config.
+`wavekit validate config.json` only checks the config.  params.e and
+params.c are the run's only direction and speed: every frame, the fronts of
+simulate and probe, and the report's speed cross-check derive from them.  An
+unknown params key, at any depth, is a config error.
 
 Exit codes: 0 ok, 2 config/schema error, 3 failed task (the failing task's
 error is embedded in its summary, with the traceback of an unexpected error).
@@ -39,7 +42,7 @@ from .coeffs import nondimensionalize, system_from_json, validate_assumptions
 from .dispersion import criticality, minimal_speed, persistence_check, speed_roots, static_frame
 from .eigen import EigenEvaluator, lambda_mu_curve
 from .errors import InputError, NumericalError, WavekitError
-from .frame import frame_for, frame_from_json, parse_speed, transform_coefficients
+from .frame import frame_for, parse_speed
 from .pde_core import resolved_fields
 from .waves import (
     build_envelopes_critical,
@@ -109,41 +112,41 @@ def _increasing(v) -> bool:
 
 # every params entry a task reads, as (check, what it must be, dotted keys)
 _PARAM_RULES = (
-    (_speed, 'a number or a rational string such as "5/2"', "c frame.c probe.c"),
+    (_speed, 'a number or a rational string such as "5/2"', "c probe.c"),
     (lambda v: isinstance(v, list) and all(map(_number, v)) and any(v),
-     "a nonzero list of numbers", "e frame.e"),
+     "a nonzero list of numbers", "e"),
     (lambda v: _number(v) and v > 0, "a positive number",
      "tol wave.a wave.window wave.gap_tol wave.tol wave.dz simulate.X simulate.t_final "
      "simulate.snapshot_every simulate.initial.amp simulate.initial.width probe.t_final probe.X"),
     (lambda v: _integer(v) and v > 0, "a positive integer",
      "wave.n_t wave.n_z wave.points_per_cell simulate.n_x probe.n_x"),
     (lambda v: _integer(v) and v >= 4, "an integer >= 4", "sampling_factor"),
-    (lambda v: _number(v) and v != 0, "a nonzero number", "simulate.initial.e"),
-    (lambda v: _number(v) and abs(v) == 1, "1 or -1", "probe.e"),
     (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)", "simulate.theta"),
     (_increasing, "an increasing list of positive numbers", "mu_list"),
     (lambda v: _increasing(v) and len(v) >= 2,
      "an increasing list of at least two positive numbers", "wave.a_schedule"),
-    (lambda v: v in ("rational", "space-homogeneous"), '"rational" or "space-homogeneous"',
-     "frame.mode"),
     (lambda v: v in ("bump", "front"), '"bump" or "front"', "simulate.initial.kind"),
 )
 
 
-def _check_params(params) -> None:
-    if not isinstance(params, dict):
-        raise InputError("config.params must be an object")
-    for check, what, keys in _PARAM_RULES:
-        for key in keys.split():
-            *sections, name = key.split(".")
-            section = params
-            for depth, part in enumerate(sections, 1):
-                section = section.get(part, {})
-                if not isinstance(section, dict):
-                    where = ".".join(sections[:depth])
-                    raise InputError(f"config.params.{where} must be an object")
-            if name in section and not check(section[name]):
-                raise InputError(f"config.params.{key} must be {what}, not {section[name]!r}")
+_RULES = {tuple(key.split(".")): (check, what)
+          for check, what, keys in _PARAM_RULES for key in keys.split()}
+_SECTIONS = {key[:k] for key in _RULES for k in range(1, len(key))}
+
+
+def _check_params(section, where=()) -> None:
+    """Check each entry of a params section; a key _PARAM_RULES does not list exits 2."""
+    if not isinstance(section, dict):
+        raise InputError(f"config.{'.'.join(('params', *where))} must be an object")
+    for name, value in section.items():
+        key = (*where, name)
+        dotted = ".".join(("params", *key))
+        if key in _SECTIONS:
+            _check_params(value, key)
+        elif key not in _RULES:
+            raise InputError(f"config.{dotted} is not a known key")
+        elif not _RULES[key][0](value):
+            raise InputError(f"config.{dotted} must be {_RULES[key][1]}, not {value!r}")
 
 
 def _grid_kw(wave: dict) -> dict:
@@ -167,11 +170,10 @@ class JobConfig:
         self.params = doc.get("params", {})
         _check_params(self.params)
         # x-dependent coefficients take a rational direction (frame.make_frame)
-        frame_e = self.params.get("frame", {}).get("e")
-        for key, e in (("e", self.params.get("e")), ("frame.e", frame_e)):
-            if e and not self.system.is_space_homogeneous() and any(x != int(x) for x in e):
-                raise InputError(f"config.params.{key} must be integers when the coefficients "
-                                 f"depend on x, not {e!r}")
+        n, e = self.system.n, self.params.get("e")
+        if e and not self.system.is_space_homogeneous() and any(x != int(x) for x in e):
+            raise InputError("config.params.e must be integers when the coefficients "
+                             f"depend on x, not {e!r}")
         if "wave" in self.tasks and self.params.get("c") is None:
             raise InputError("config.params.c is required for the wave task")
         wave = self.params.get("wave", {})
@@ -182,28 +184,19 @@ class JobConfig:
             raise InputError("config.params.wave.a is ignored next to wave.a_schedule: give one")
         if "a_schedule" in wave and wave.get("window", WINDOW) > wave["a_schedule"][0]:
             raise InputError("config.params.wave.window must be <= wave.a_schedule[0]")
-        n, e = self.system.n, self.params.get("e")
         if e is not None and len(e) != n:
             raise InputError(f"config.params.e must have n = {n} entries, not {e!r}")
         self.e = [0] * (n - 1) + [1] if e is None else e
-        self.frame = frame_from_json(self.params["frame"]) if "frame" in self.params else None
-        if self.frame is not None and self.frame.n != n:
-            raise InputError(f"config.params.frame.e must have n = {n} entries")
         if n >= 2 and {"simulate", "probe"} & set(self.tasks):
             raise InputError("the simulate and probe tasks need n = 1")
-        # params.frame, else the supercritical wave's frame, and the wave's
-        # first cylinder: run_wave reuses them
-        self.wave_frame = self.wave_grid = None
-        if self.frame is not None:
-            self.wave_frame = transform_coefficients(nondimensionalize(self.system), self.frame)
-        elif "wave" in self.tasks:
-            self.wave_frame = frame_for(self.system, self.e, self.params["c"])
-        # the eigen layer reduces every frame to (t, z): refuse a transverse dependence here
+        # the eigen layer reduces every frame of direction e to (t, z), and
+        # all of them vary across e alike: refuse a transverse dependence here
         if "eigen" in self.tasks and n >= 2 and not self.system.is_space_homogeneous():
-            static_frame(self.system, e=e).reduce_1d()
-            if self.wave_frame is not None:
-                self.wave_frame.reduce_1d()
+            static_frame(self.system, e=self.e).reduce_1d()
+        # the supercritical wave's frame and first cylinder: run_wave reuses them
+        self.wave_frame = self.wave_grid = None
         if "wave" in self.tasks:
+            self.wave_frame = frame_for(self.system, self.e, self.params["c"])
             a0 = wave["a_schedule"][0] if "a_schedule" in wave else wave.get("a", 40.0)
             self.wave_grid = cylinder_grid(self.wave_frame, float(a0), **_grid_kw(wave))
             resolved_fields(self.wave_frame, self.wave_grid)
@@ -241,6 +234,8 @@ class TaskContext:
         # the c* search width, the criticality band and the decay-root stop
         self.search_tol = min(float(cfg.param("tol", 1e-6)), 1e-8)
         self.e = cfg.e
+        # simulate and probe (n = 1) start from fronts that fill x sign(e) > 0
+        self.sign = math.copysign(1.0, self.e[-1])
         self.curve = None
 
     @cached_property
@@ -321,7 +316,7 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
             f"subcritical speed c = {c_val} < c* = {curve.c_star}: no wave exists"
         )
     critical = kind == "critical"
-    if critical and ctx.cfg.frame is None and not ctx.sys.is_space_homogeneous():
+    if critical and not ctx.sys.is_space_homogeneous():
         raise InputError(
             "critical waves are built only for space-homogeneous coefficients: "
             f"c* = {curve.c_star!r} has no exact rational frame"
@@ -331,14 +326,13 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     profile_tol = float(wave_par.get("tol", 1e-7))
 
     # a space-homogeneous critical frame keeps the supercritical one's cylinder
-    fsc, grid0 = ctx.cfg.wave_frame, ctx.cfg.wave_grid
-    if critical and ctx.cfg.frame is None:
-        fsc = frame_for(ctx.sys, ctx.e, curve.c_star)
+    grid0 = ctx.cfg.wave_grid
     if critical:
-        env = build_envelopes_critical(fsc, curve.mu_star, grid0, tol=profile_tol)
+        fcrit = frame_for(ctx.sys, ctx.e, curve.c_star)
+        env = build_envelopes_critical(fcrit, curve.mu_star, grid0, tol=profile_tol)
     else:
         roots = speed_roots(curve, c_val, tol=ctx.search_tol)
-        env = build_envelopes_supercritical(fsc, roots, grid0)
+        env = build_envelopes_supercritical(ctx.cfg.wave_frame, roots, grid0)
     if a_schedule:
         profile = extend_to_entire(env, a_schedule, float(wave_par.get("window", WINDOW)),
                                    tol=float(wave_par.get("gap_tol", 1e-3)),
@@ -381,10 +375,9 @@ def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
     _, K = logistic_envelope(sysn)
     sides = ("left", "right")
     if init_par.get("kind", "bump") == "front":
-        # a front fills x e > 0 and moves only its edge facing -e
-        e = float(init_par.get("e", 1.0))
-        sides = sides[:1] if e > 0 else sides[1:]
-        init = front_initial(x, sysn.N, e, amp=float(init_par.get("amp", 0.5 * K)),
+        # a front fills x sign(e) > 0 and moves only its edge facing -e
+        sides = sides[:1] if ctx.sign > 0 else sides[1:]
+        init = front_initial(x, sysn.N, ctx.sign, amp=float(init_par.get("amp", 0.5 * K)),
                              width=float(init_par.get("width", 1.0)))
     else:
         init = bump_initial(x, sysn.N, amp=float(init_par.get("amp", 0.5 * K)),
@@ -427,9 +420,8 @@ def run_probe(ctx: TaskContext, outdir: Path) -> dict:
     curve = ctx.get_curve()
     par = ctx.cfg.param("probe", {})
     c = curve.c_star / 2.0 if par.get("c") is None else parse_speed(par["c"])
-    e_scalar = float(par.get("e", math.copysign(1.0, ctx.e[-1])))
     rep = nonexistence_probe(
-        ctx.sys, e_scalar, c, curve.c_star,
+        ctx.sys, ctx.sign, c, curve.c_star,
         t_final=float(par.get("t_final", 30.0)),
         X=float(par.get("X", 90.0)),
         n_x=int(par.get("n_x", 2048)),
@@ -470,9 +462,10 @@ def emit_report(outdir: Path, sections: dict, wall_times: dict | None = None) ->
     report = {"wavekit_version": __version__, "sections": sections}
     disp = sections.get("dispersion", {})
     sim = sections.get("simulate", {})
-    speeds = [abs(sim[k]) for k in ("speed_left", "speed_right") if sim.get(k) is not None]
-    if disp.get("c_star") and speeds:
-        measured = max(speeds)
+    # c*(e) is the speed of the front that invades along -e: the left one when e > 0
+    side = "speed_left" if disp.get("e", [1])[-1] > 0 else "speed_right"
+    if disp.get("c_star") and sim.get(side) is not None:
+        measured = abs(sim[side])
         report["speed_cross_check"] = {
             "c_star": disp["c_star"],
             "measured": measured,

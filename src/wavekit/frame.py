@@ -90,25 +90,24 @@ def _frac_dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def rational_basis(e: RationalDirection):
-    """Rational orthogonal matrix P (tuple of row tuples) with last column e.
+def rational_basis(e):
+    """Orthogonal matrix P (tuple of row tuples) with last column e.
 
     Householder reflection through the bisector of e and the last canonical
-    basis vector: rational whenever e is, exactly orthogonal, |det| = 1.  For
-    n >= 2 the first column is negated so that det P = +1.
+    basis vector, |det| = 1: exact Fractions for a RationalDirection, floats
+    orthogonal to roundoff for a real unit vector.  For n >= 2 the first
+    column is negated so that det P = +1.
     """
-    n = e.n
-    ef = e.as_fractions()
-    en = tuple(Fraction(1 if a == n - 1 else 0) for a in range(n))
-    w = tuple(ef[a] - en[a] for a in range(n))
+    exact = isinstance(e, RationalDirection)
+    one = Fraction(1) if exact else 1.0
+    ef = e.as_fractions() if exact else tuple(one * v for v in e)
+    n = len(ef)
+    eye = [[one if a == b else 0 * one for b in range(n)] for a in range(n)]
+    w = [ef[a] - eye[a][n - 1] for a in range(n)]
     ww = _frac_dot(w, w)
-    if ww == 0:
-        P = [[Fraction(1 if a == b else 0) for b in range(n)] for a in range(n)]
-    else:
-        P = [
-            [Fraction(1 if a == b else 0) - 2 * w[a] * w[b] / ww for b in range(n)]
-            for a in range(n)
-        ]
+    P = eye
+    if ww >= 1e-30:  # else e is the last axis (to roundoff, for floats)
+        P = [[eye[a][b] - 2 * w[a] * w[b] / ww for b in range(n)] for a in range(n)]
         if n >= 2:
             for a in range(n):
                 P[a][0] = -P[a][0]
@@ -161,7 +160,7 @@ class MovingFrame:
     mode: str  # "rational" | "space-homogeneous"
     e: RationalDirection | tuple[float, ...]
     c: Fraction | float
-    P: tuple | np.ndarray
+    P: tuple  # rows of Fractions (rational) or floats (space-homogeneous)
     T_frame: int | float
     L_frame: tuple[int, ...] | None  # None <=> z-homogeneous coefficients
 
@@ -170,9 +169,7 @@ class MovingFrame:
         return len(self.P)
 
     def P_floats(self) -> np.ndarray:
-        if isinstance(self.P, np.ndarray):
-            return self.P
-        return np.array([[float(v) for v in row] for row in self.P])
+        return np.array(self.P, dtype=float)
 
     def e_floats(self) -> np.ndarray:
         if isinstance(self.e, RationalDirection):
@@ -195,16 +192,7 @@ def make_frame(e, c, mode: str = "rational") -> MovingFrame:
     if mode == "space-homogeneous":
         ev = np.asarray(e, dtype=float)
         ev = ev / np.linalg.norm(ev)
-        nn = ev.size
-        # float Householder completing e to an orthonormal basis, last column e
-        w = ev - np.eye(nn)[:, -1]
-        if np.dot(w, w) < 1e-30:
-            P = np.eye(nn)
-        else:
-            P = np.eye(nn) - 2.0 * np.outer(w, w) / np.dot(w, w)
-            if nn >= 2:
-                P[:, 0] = -P[:, 0]
-        return MovingFrame("space-homogeneous", tuple(ev), parse_speed(c), P, 1, None)
+        return MovingFrame("space-homogeneous", tuple(ev), parse_speed(c), rational_basis(ev), 1, None)
     raise InputError(f"unknown frame mode {mode!r}")
 
 

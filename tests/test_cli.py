@@ -49,6 +49,13 @@ def cell_config(tasks, extra_params=None, l_modes=()):
     return cfg
 
 
+def advection_config(tasks, e, extra_params=None):
+    """A = q = L = B = 1: c*(e) = 1 along e = [1] and 3 along e = [-1]."""
+    cfg = scalar_config(tasks, extra_params={"e": e, **(extra_params or {})})
+    cfg["system"]["fields"]["q"] = [[[MODE]]]
+    return cfg
+
+
 def tper_config(tasks, extra_params=None):
     """The 2x2 system with L12 = 1 + sin(2 pi t), L21 = 1 and B = 1 everywhere."""
     cfg = scalar_config(tasks, extra_params=extra_params)
@@ -151,7 +158,7 @@ class TestConfigParsing:
         assert err.count("config error:") == 2 and "n = 1" in err
         assert not list(tmp_path.glob("out/*.json"))
 
-    @pytest.mark.parametrize("params", [{"e": [1.5]}, {"frame": {"e": [0.5], "c": 3}}])
+    @pytest.mark.parametrize("params", [{"e": [1.5]}, {"e": [-0.5]}])
     def test_fractional_direction_exit_two(self, tmp_path, capsys, params):
         # x-dependent coefficients need an integer direction; 1.0 is one
         cfg = scalar_config(["validate"], extra_params=params)
@@ -160,7 +167,7 @@ class TestConfigParsing:
         assert run_config(write_config(tmp_path, cfg), out=out) == 2
         assert "must be integers" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*.json"))
-        cfg["params"] = {"e": [1.0], "frame": {"e": [1.0], "c": 3}}
+        cfg["params"] = {"e": [1.0]}
         assert load_config(write_config(tmp_path, cfg)).param("e") == [1.0]
 
     def test_n_z_with_a_schedule_exit_two(self, tmp_path, capsys):
@@ -224,6 +231,17 @@ class TestConfigParsing:
         cfg = cell_config(["wave"], {"c": "9/2", "wave": {"a": 20.0, "n_t": 16}},
                           l_modes=[{"kt": 0, "kx": [2], "cos": 0.1, "sin": 0.0}])
         assert_config_error(tmp_path, capsys, cfg, "n_t >= 4 k_t")
+
+    @pytest.mark.parametrize("params, key", [
+        ({"wave": {"nz": 100}}, "params.wave.nz"),
+        ({"frame": {"e": [1], "c": 3}}, "params.frame"),
+        ({"probe": {"e": -1}}, "params.probe.e"),
+        ({"simulate": {"initial": {"kind": "front", "e": -1}}}, "params.simulate.initial.e"),
+    ])
+    def test_unknown_param_key_exit_two(self, tmp_path, capsys, params, key):
+        # e and c are the run's only direction and speed; a typo is no default
+        cfg = scalar_config(["wave", "simulate", "probe"], extra_params={"c": 2.5, **params})
+        assert_config_error(tmp_path, capsys, cfg, f"config.{key} is not a known key")
 
     def test_validate_subcommand_exit_codes(self, tmp_path):
         p = write_config(tmp_path, scalar_config(["validate"]))
@@ -509,8 +527,8 @@ class TestRunConfig:
     def test_front_tracks_its_moving_side(self, tmp_path, e):
         # a front filling x e > 0 invades towards -e at c* = 2; its other edge
         # stays at the domain end and is not measured
-        cfg = scalar_config(["simulate"], extra_params={"simulate": {
-            "X": 100.0, "n_x": 1024, "t_final": 40.0, "initial": {"kind": "front", "e": e},
+        cfg = scalar_config(["simulate"], extra_params={"e": [e], "simulate": {
+            "X": 100.0, "n_x": 1024, "t_final": 40.0, "initial": {"kind": "front"},
         }})
         out = tmp_path / "out"
         assert run_config(write_config(tmp_path, cfg), out=out) == 0
@@ -522,6 +540,24 @@ class TestRunConfig:
         moving, still = ("left", "right") if e > 0 else ("right", "left")
         assert doc[f"speed_{moving}"] == pytest.approx(2.0, rel=0.05)
         assert doc[f"speed_{still}"] is None and doc[f"r2_{still}"] is None
+
+    @pytest.mark.parametrize("e, c_star", [(1, 1.0), (-1, 3.0)])
+    def test_cross_check_and_probe_read_direction_e(self, tmp_path, e, c_star):
+        # with drift c*(e) != c*(-e): the report compares c*(e) with the front
+        # that invades along -e, from a bump and from a front filling x e > 0;
+        # the probe's front invades along -e too, so it reads the same c*(e)
+        sim = {"X": 150.0, "n_x": 2048, "t_final": 40.0}
+        probe = {"t_final": 20.0, "X": 60.0, "n_x": 1024}
+        for kind in ("bump", "front"):
+            cfg = advection_config(["dispersion", "simulate", "probe"], [e], {
+                "simulate": {**sim, "initial": {"kind": kind}}, "probe": probe})
+            out = tmp_path / kind
+            assert run_config(write_config(tmp_path, cfg, f"{kind}.json"), out=out) == 0
+            check = json.loads((out / "report.json").read_text())["speed_cross_check"]
+            assert check["c_star"] == pytest.approx(c_star, rel=1e-6)
+            assert 0.9 <= check["ratio"] <= 1.05, check
+            doc = json.loads((out / "probe.json").read_text())
+            assert doc["c_star"] == pytest.approx(c_star, rel=1e-6)
 
     def test_readme_example_config(self, tmp_path):
         # the JSON block of README.md exactly as written ("c": "5/2" included)
@@ -656,11 +692,12 @@ class TestEmitReport:
             "simulate": {"task": "simulate", "status": "ok",
                          "speed_left": 1.9, "speed_right": 1.95},
         })
-        assert report["speed_cross_check"]["ratio"] == pytest.approx(0.975)
+        # c*(e) for e > 0 predicts the left front, whatever the right one does
+        assert report["speed_cross_check"]["ratio"] == pytest.approx(0.95)
 
     def test_cross_check_reads_tracked_side_only(self, tmp_path):
         report = emit_report(tmp_path, {
-            "dispersion": {"task": "dispersion", "status": "ok", "c_star": 2.0},
+            "dispersion": {"task": "dispersion", "status": "ok", "c_star": 2.0, "e": [-1.0]},
             "simulate": {"task": "simulate", "status": "ok",
                          "speed_left": None, "speed_right": 1.9},
         })

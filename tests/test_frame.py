@@ -106,6 +106,29 @@ class TestRationalBasis:
             arr = np.array([[float(v) for v in row] for row in P])
             assert abs(abs(np.linalg.det(arr)) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_float_directions(self, n):
+        # a space-homogeneous frame reflects a real unit e by the same formula
+        def householder(e):  # the same reflection in numpy's outer-product form
+            w = e - np.eye(n)[:, -1]
+            if np.dot(w, w) < 1e-30:
+                return np.eye(n)
+            P = np.eye(n) - 2.0 * np.outer(w, w) / np.dot(w, w)
+            P[:, 0] = -P[:, 0] if n >= 2 else P[:, 0]
+            return P
+
+        axes = [np.eye(n)[-1], -np.eye(n)[-1], np.eye(n)[0]]
+        normals = np.random.default_rng(n).normal(size=(200, n))
+        for e in axes + [v / np.linalg.norm(v) for v in normals]:
+            P = np.array(rational_basis(e))
+            assert np.abs(P.T @ P - np.eye(n)).max() <= 1e-15
+            assert np.linalg.det(P) == pytest.approx(1.0 if n >= 2 else e[0], abs=1e-15)
+            # e - 2 w w_n / |w|^2 loses digits to cancellation when e nears the last axis
+            assert np.abs(P[:, -1] - e).max() <= 1e-12
+            assert np.abs(P - householder(e)).max() <= 1e-15
+            frame = make_frame(e, 1.7, mode="space-homogeneous")
+            assert np.abs(frame.P_floats() - householder(frame.e_floats())).max() <= 1e-15
+
     def test_irrational_direction_rejected(self):
         with pytest.raises(InputError):
             RationalDirection.from_ints((1, 1))
