@@ -116,11 +116,10 @@ _PARAM_RULES = (
     (lambda v: isinstance(v, list) and all(map(_number, v)) and any(v),
      "a nonzero list of numbers", "e"),
     (lambda v: _number(v) and v > 0, "a positive number",
-     "tol wave.a wave.window wave.gap_tol wave.tol wave.dz simulate.X simulate.t_final "
+     "wave.a wave.window wave.gap_tol wave.tol wave.dz simulate.X simulate.t_final "
      "simulate.snapshot_every simulate.initial.amp simulate.initial.width probe.t_final probe.X"),
     (lambda v: _integer(v) and v > 0, "a positive integer",
      "wave.n_t wave.n_z wave.points_per_cell simulate.n_x probe.n_x"),
-    (lambda v: _integer(v) and v >= 4, "an integer >= 4", "sampling_factor"),
     (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)", "simulate.theta"),
     (_increasing, "an increasing list of positive numbers", "mu_list"),
     (lambda v: _increasing(v) and len(v) >= 2,
@@ -154,14 +153,22 @@ def _grid_kw(wave: dict) -> dict:
     return {k: wave[k] for k in ("n_t", "n_z", "points_per_cell", "dz") if k in wave}
 
 
+_ROOT_KEYS = ("system", "tasks", "params", "out", "seed")  # seed is accepted and unused
+
+
 class JobConfig:
     """Validated job configuration: system + ordered tasks + parameters."""
 
     def __init__(self, doc: dict, base_dir: Path):
         if not isinstance(doc, dict):
             raise InputError("config root must be a JSON object")
+        unknown = [k for k in doc if k not in _ROOT_KEYS]
+        if unknown:
+            raise InputError(f"config.{unknown[0]} is not a known key: use {', '.join(_ROOT_KEYS)}")
         if "system" not in doc:
             raise InputError("config.system missing")
+        if not isinstance(doc.get("out", ""), str):
+            raise InputError(f"config.out must be a directory path string, not {doc['out']!r}")
         self.system = system_from_json(doc["system"])
         tasks = doc.get("tasks", [])
         if not isinstance(tasks, list) or any(t not in TASKS for t in tasks):
@@ -231,8 +238,6 @@ class TaskContext:
     def __init__(self, cfg: JobConfig):
         self.cfg = cfg
         self.sys = cfg.system
-        # the c* search width, the criticality band and the decay-root stop
-        self.search_tol = min(float(cfg.param("tol", 1e-6)), 1e-8)
         self.e = cfg.e
         # simulate and probe (n = 1) start from fronts that fill x sign(e) > 0
         self.sign = math.copysign(1.0, self.e[-1])
@@ -245,12 +250,12 @@ class TaskContext:
 
     def get_curve(self):
         if self.curve is None:
-            self.curve = minimal_speed(self.ev, self.search_tol)
+            self.curve = minimal_speed(self.ev)
         return self.curve
 
 
 def run_validate(ctx: TaskContext, outdir: Path) -> dict:
-    rep = validate_assumptions(ctx.sys, int(ctx.cfg.param("sampling_factor", 8)))
+    rep = validate_assumptions(ctx.sys)
     summary = rep.summary()
     summary["all_pass"] = rep.all_pass()
     if rep.flags["A4"].passed:
@@ -290,8 +295,8 @@ def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
     c_req = ctx.cfg.param("c")
     if c_req is not None:
         c_val = parse_speed(c_req)
-        if criticality(curve, c_val, ctx.search_tol) == "supercritical":
-            roots = speed_roots(curve, c_val, tol=ctx.search_tol)
+        if criticality(curve, c_val) == "supercritical":
+            roots = speed_roots(curve, c_val)
             summary["roots"] = roots.to_json()
     mus = np.array([m for m, _ in curve.samples])
     gs = np.array([-l / m for m, l in curve.samples])
@@ -310,7 +315,7 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     curve = ctx.get_curve()
     wave_par = ctx.cfg.param("wave", {})
     c_val = parse_speed(ctx.cfg.param("c"))
-    kind = criticality(curve, c_val, ctx.search_tol)
+    kind = criticality(curve, c_val)
     if kind == "subcritical":
         raise NumericalError(
             f"subcritical speed c = {c_val} < c* = {curve.c_star}: no wave exists"
@@ -331,7 +336,7 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
         fcrit = frame_for(ctx.sys, ctx.e, curve.c_star)
         env = build_envelopes_critical(fcrit, curve.mu_star, grid0, tol=profile_tol)
     else:
-        roots = speed_roots(curve, c_val, tol=ctx.search_tol)
+        roots = speed_roots(curve, c_val)
         env = build_envelopes_supercritical(ctx.cfg.wave_frame, roots, grid0)
     if a_schedule:
         profile = extend_to_entire(env, a_schedule, float(wave_par.get("window", WINDOW)),
@@ -488,10 +493,12 @@ def run_config(path, out: str | None = None) -> int:
     except InputError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2
-    if out is not None:
-        cfg.out = Path(out)
-    outdir = cfg.out
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = cfg.out if out is None else Path(out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: cannot create the out dir: {exc}", file=_sys.stderr)
+        return 2
     if not cfg.tasks:
         return 0
 

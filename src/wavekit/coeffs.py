@@ -192,8 +192,8 @@ class PeriodicField:
         )
 
     def bounds(self) -> tuple[float, float]:
-        """Grid (min, max) at 8 x (highest frequency + 1) samples per axis."""
-        vals = _sample_field(self, *_sample_axes([self], 8))
+        """Grid (min, max) at SAMPLES x (highest frequency + 1) samples per axis."""
+        vals = _sample_field(self, *_sample_axes([self]))
         return float(vals.min()), float(vals.max())
 
 
@@ -211,12 +211,14 @@ def max_frequencies(fields) -> tuple[int, tuple[int, ...]]:
     return max(kts), tuple(map(max, zip(*kxs)))
 
 
-def _sample_axes(fields, sampling_factor):
+# samples per axis and per (highest frequency + 1), for bounds and validation alike
+SAMPLES = 8
+
+
+def _sample_axes(fields):
     """Per-axis sample counts resolving the highest frequency present."""
     kt, kx = max_frequencies(fields)
-    nt = sampling_factor * (kt + 1)
-    nx = [sampling_factor * (k + 1) for k in kx]
-    return nt, nx
+    return SAMPLES * (kt + 1), [SAMPLES * (k + 1) for k in kx]
 
 
 def _sample_field(f, nt, nx):
@@ -350,22 +352,18 @@ def _strongly_connected(adj: np.ndarray) -> tuple[bool, list[int] | None]:
     return False, np.flatnonzero(reach[:, short[0]]).tolist()
 
 
-def validate_assumptions(sys: KPPSystem, sampling_factor: int = 8) -> AssumptionReport:
-    """Check (A1)-(A5) on an oversampled grid; violations are reported, not raised."""
-    if sampling_factor < 4:
-        raise InputError("sampling_factor must be at least 4")
-    N, n = sys.N, sys.n
-    nt, nx = _sample_axes(list(sys.all_fields()), sampling_factor)
+def validate_assumptions(sys: KPPSystem) -> AssumptionReport:
+    """Check (A1)-(A5) on a lattice of SAMPLES x (highest frequency + 1) points per
+    axis, one joint lattice for all fields; violations are reported, not raised."""
+    N = sys.N
+    nt, nx = _sample_axes(list(sys.all_fields()))
 
-    def mat_minmax(entries):
-        lo = np.empty((N, N))
-        hi = np.empty((N, N))
-        for i in range(N):
-            for j in range(N):
-                vals = _sample_field(entries[i][j], nt, nx)
-                lo[i, j] = vals.min()
-                hi[i, j] = vals.max()
-        return lo, hi
+    def sample(rows):  # (rows, cols, *lattice)
+        return np.array([[_sample_field(f, nt, nx) for f in row] for row in rows])
+
+    def mat_minmax(rows):
+        vals = sample(rows).reshape(N, N, -1)
+        return vals.min(axis=2), vals.max(axis=2)
 
     uL, oL = mat_minmax(sys.L)
     uB, oB = mat_minmax(sys.B)
@@ -374,20 +372,8 @@ def validate_assumptions(sys: KPPSystem, sampling_factor: int = 8) -> Assumption
     ell = np.inf
     ell_where = None
     for i in range(N):
-        samples = np.stack(
-            [
-                np.stack(
-                    [_sample_field(sys.A[i][a][b], nt, nx) for b in range(n)], axis=-1
-                )
-                for a in range(n)
-            ],
-            axis=-2,
-        )  # (..., n, n)
-        if n == 1:
-            mins = samples[..., 0, 0]
-        else:
-            mins = np.linalg.eigvalsh(samples)[..., 0]
-        m = float(mins.min())
+        samples = np.moveaxis(sample(sys.A[i]), (0, 1), (-2, -1))  # (*lattice, n, n)
+        m = float(np.linalg.eigvalsh(samples)[..., 0].min())
         if m < ell:
             ell = m
             ell_where = f"A_{i}"
@@ -446,23 +432,19 @@ def nondimensionalize(sys: KPPSystem) -> KPPSystem:
     Ls = sys.spatial_periods
     n, N = sys.n, sys.N
 
-    def retime(f: PeriodicField, factor: float) -> PeriodicField:
-        return PeriodicField(
-            1.0,
-            (1.0,) * n,
-            tuple(Mode(m.kt, m.kx, m.cos * factor, m.sin * factor) for m in f.modes),
-        )
+    def unit(f: PeriodicField) -> PeriodicField:
+        return PeriodicField(1.0, (1.0,) * n, f.modes)
 
     A = tuple(
         tuple(
-            tuple(retime(sys.A[i][a][b], T / (Ls[a] * Ls[b])) for b in range(n))
+            tuple(unit(sys.A[i][a][b]).scaled(T / (Ls[a] * Ls[b])) for b in range(n))
             for a in range(n)
         )
         for i in range(N)
     )
-    q = tuple(tuple(retime(sys.q[i][a], T / Ls[a]) for a in range(n)) for i in range(N))
-    L = tuple(tuple(retime(sys.L[i][j], T) for j in range(N)) for i in range(N))
-    B = tuple(tuple(retime(sys.B[i][j], T) for j in range(N)) for i in range(N))
+    q = tuple(tuple(unit(sys.q[i][a]).scaled(T / Ls[a]) for a in range(n)) for i in range(N))
+    L = tuple(tuple(unit(sys.L[i][j]).scaled(T) for j in range(N)) for i in range(N))
+    B = tuple(tuple(unit(sys.B[i][j]).scaled(T) for j in range(N)) for i in range(N))
     return KPPSystem(N, n, A, q, L, B)
 
 

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 MU_BRACKET = (1e-3, 1e3)
+TOL = 1e-8  # the c* search width, a tenth of the criticality band, the root stop
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -90,11 +91,11 @@ def persistence_check(ev: EigenEvaluator) -> PersistenceReport:
     return PersistenceReport(lam, "persistent" if lam < 0 else "extinct")
 
 
-def minimal_speed(ev: EigenEvaluator, tol: float) -> DispersionCurve:
+def minimal_speed(ev: EigenEvaluator) -> DispersionCurve:
     """Minimal wave speed c* = min_{mu>0} -lambda_{1,mu e}/mu of ev on a c = 0 frame.
 
     Brackets the unique minimizer by a geometric mu-scan (powers of two), then
-    golden-section search down to tol.  Requires a persistent system, which is
+    golden-section search down to TOL.  Requires a persistent system, which is
     exactly what makes g blow up at 0+ and guarantees an interior minimum: an
     extinct one (ev(0) >= 0) is refused before the scan.
     """
@@ -129,7 +130,7 @@ def minimal_speed(ev: EigenEvaluator, tol: float) -> DispersionCurve:
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = g(x1), g(x2)
-    while hi - lo > max(tol, 1e-12):
+    while hi - lo > TOL:
         if f1 < f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
@@ -144,16 +145,16 @@ def minimal_speed(ev: EigenEvaluator, tol: float) -> DispersionCurve:
                            float(mu_star), float(c_star), (float(lo), float(hi)), ev)
 
 
-def criticality(curve: DispersionCurve, c: float, tol: float) -> str:
-    """"critical" in the band |c - c*| <= 10 tol, else "sub-" or "supercritical"."""
-    if abs(c - curve.c_star) <= 10.0 * tol:
+def criticality(curve: DispersionCurve, c: float) -> str:
+    """"critical" in the band |c - c*| <= 10 TOL, else "sub-" or "supercritical"."""
+    if abs(c - curve.c_star) <= 10.0 * TOL:
         return "critical"
     return "subcritical" if c < curve.c_star else "supercritical"
 
 
-def speed_roots(curve: DispersionCurve, c: float, tol: float = 1e-8) -> RootPair:
-    """The two decay rates solving lambda_{1,mu e} + c mu = 0 for c > c*."""
-    kind = criticality(curve, c, tol)
+def speed_roots(curve: DispersionCurve, c: float, tol: float = TOL) -> RootPair:
+    """The two decay rates solving lambda_{1,mu e} + c mu = 0 for c > c*, to tol."""
+    kind = criticality(curve, c)
     if kind != "supercritical":
         raise InputError(f"{kind} speed: c = {c}, c* = {curve.c_star}; decay roots need c "
                          "above the criticality band (a critical c takes the critical pipeline)")

@@ -259,6 +259,9 @@ class FrameSystem:
     def reduce_1d(self):
         """(a_i, da_i/dz, drift_i, L', B') as (t, z) fields for the PDE core."""
         nz = self.n - 1
+        for i in range(self.N):  # a planar u reads A'_yz through d_y(A'_yz d_z u)
+            for y in range(nz):
+                self._z_only(self.A[i][y][nz])
         a = tuple(self._z_only(self.A[i][nz][nz]) for i in range(self.N))
         dza = tuple(f.dx(0) for f in a)
         adv = tuple(self._z_only(self.q[i][nz]) for i in range(self.N))
@@ -320,56 +323,39 @@ def transform_coefficients(sys: KPPSystem, frame: MovingFrame) -> FrameSystem:
         raise InputError(f"frame dimension {frame.n} != system dimension {sys.n}")
     N, n = sys.N, sys.n
 
-    if frame.mode == "space-homogeneous":
-        if not sys.is_space_homogeneous():
-            raise InputError(
-                "space-homogeneous frame requested but coefficients depend on x; "
-                "use a rational direction instead"
-            )
+    homogeneous = frame.mode == "space-homogeneous"
+    if homogeneous and not sys.is_space_homogeneous():
+        raise InputError(
+            "space-homogeneous frame requested but coefficients depend on x; "
+            "use a rational direction instead"
+        )
 
-        # x-independent fields do not change under x = P x' - c t e
-        def t_of(f):
-            return f
-    else:
-        tf = {}  # transformed scalar fields, memoized by identity
-
-        def t_of(f):
-            key = id(f)
-            if key not in tf:
-                tf[key] = _transform_field_rational(f, frame)
-            return tf[key]
+    def t_of(f):  # x-independent fields do not change under x = P x' - c t e
+        return f if homogeneous else _transform_field_rational(f, frame)
 
     P = frame.P
-    tpl = t_of(sys.L[0][0])
-
+    L = tuple(tuple(t_of(f) for f in row) for row in sys.L)
+    B = tuple(tuple(t_of(f) for f in row) for row in sys.B)
+    tpl = L[0][0]
+    pairs = [(g, d) for g in range(n) for d in range(n)]  # the row-major order of Ai
     A = tuple(
         tuple(
-            tuple(
-                _lincomb(
-                    [t_of(sys.A[i][g][d]) for g in range(n) for d in range(n)],
-                    [P[g][a] * P[d][b] for g in range(n) for d in range(n)],
-                    tpl,
-                )
-                for b in range(n)
-            )
+            tuple(_lincomb(Ai, [P[g][a] * P[d][b] for g, d in pairs], tpl) for b in range(n))
             for a in range(n)
         )
-        for i in range(N)
+        for Ai in ([t_of(f) for row in rows for f in row] for rows in sys.A)
     )
     # q' = P^T (q + c e); P^T e is the last canonical vector, so the drift
     # contributes +c to the z-component only.
     q = tuple(
         tuple(
-            _lincomb([t_of(sys.q[i][g]) for g in range(n)],
-                     [P[g][a] for g in range(n)], tpl).plus_constant(
+            _lincomb(qi, [P[g][a] for g in range(n)], tpl).plus_constant(
                 float(frame.c) if a == n - 1 else 0.0
             )
             for a in range(n)
         )
-        for i in range(N)
+        for qi in ([t_of(f) for f in row] for row in sys.q)
     )
-    L = tuple(tuple(t_of(sys.L[i][j]) for j in range(N)) for i in range(N))
-    B = tuple(tuple(t_of(sys.B[i][j]) for j in range(N)) for i in range(N))
     return FrameSystem(frame, N, n, A, q, L, B)
 
 

@@ -5,15 +5,17 @@ from __future__ import annotations
 import math
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+WIDTH, HEIGHT = 640, 420  # px; a text panel's height follows its line count
+TICKS = 5  # at most this many ticks per axis
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         return [lo]
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / max(n - 1, 1)))
+    step = 10 ** math.floor(math.log10(span / (TICKS - 1)))
     for mult in (1, 2, 5, 10):
-        if span / (step * mult) <= n:
+        if span / (step * mult) <= TICKS:
             step *= mult
             break
     start = math.ceil(lo / step) * step
@@ -25,14 +27,13 @@ def _ticks(lo, hi, n=5):
     return out or [lo]
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="",
-              width=640, height=420, markers=None):
+def line_plot(path, series, title="", xlabel="", ylabel="", markers=None):
     """Write an SVG with polyline series = [(label, x array, y array), ...].
 
     markers: optional [(x, y, label)] crosses highlighting special points.
     """
     ml, mr, mt, mb = 64, 16, 30, 44
-    pw, ph = width - ml - mr, height - mt - mb
+    pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
     xs = [float(v) for _, x, _ in series for v in x]
     ys = [float(v) for _, _, y in series for v in y]
     if markers:
@@ -57,10 +58,10 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
         return mt + ph - (v - y0) / (y1 - y0) * ph
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="monospace" font-size="11">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>',
         f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" fill="none" stroke="#333"/>',
     ]
     for tx in _ticks(x0, x1):
@@ -72,7 +73,7 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
         parts.append(f'<line x1="{ml - 4}" y1="{py:.1f}" x2="{ml}" y2="{py:.1f}" stroke="#333"/>')
         parts.append(f'<text x="{ml - 6}" y="{py + 3:.1f}" text-anchor="end">{ty:g}</text>')
     parts.append(
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 8}" text-anchor="middle">{xlabel}</text>'
+        f'<text x="{ml + pw / 2:.1f}" y="{HEIGHT - 8}" text-anchor="middle">{xlabel}</text>'
     )
     parts.append(
         f'<text x="14" y="{mt + ph / 2:.1f}" text-anchor="middle" '
@@ -102,13 +103,13 @@ def line_plot(path, series, title="", xlabel="", ylabel="",
     return path
 
 
-def text_panel(path, title, lines, width=640):
+def text_panel(path, title, lines):
     """A plain text panel (used for the report index)."""
     height = 60 + 16 * len(lines)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{height}" '
         f'font-family="monospace" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white" stroke="#333"/>',
+        f'<rect width="{WIDTH}" height="{height}" fill="white" stroke="#333"/>',
         f'<text x="16" y="26" font-size="14">{title}</text>',
     ]
     for i, line in enumerate(lines):

@@ -72,13 +72,14 @@ _BOUNDARY_MARGIN = 5.0  # floor window stops this far short of +a
 
 
 def cylinder_grid(fsys: FrameSystem, a: float, n_t: int | None = None,
-                  n_z: int | None = None, points_per_cell: int = 64,
+                  n_z: int | None = None, points_per_cell: int | None = None,
                   dz: float | None = None) -> Grid:
     """Truncated-cylinder grid [-a, a]; z nodes align with the periodic cell.
 
-    n_t defaults to 1 for a time-independent frame, whose wave is steady, and
-    to 256 otherwise.  Continuation across several half-lengths should fix dz
-    (or points_per_cell), so that profiles share node positions exactly.
+    A frame with a z-cell takes points_per_cell (64), any other n_z or dz
+    (0.04).  n_t defaults to 1 for a time-independent frame, whose wave is
+    steady, and to 256 otherwise.  Continuation across several half-lengths
+    should fix dz (or points_per_cell), so that profiles share z nodes.
     """
     if fsys.L_z is not None:
         k = round(a / fsys.L_z)
@@ -86,9 +87,11 @@ def cylinder_grid(fsys: FrameSystem, a: float, n_t: int | None = None,
             raise InputError(
                 f"half-length a={a} must be a positive multiple of the cell L_z={fsys.L_z}"
             )
-        n_z_eff = 2 * k * points_per_cell + 1
+        n_z_eff = 2 * k * (64 if points_per_cell is None else points_per_cell) + 1
         if (n_z is not None and n_z != n_z_eff) or dz is not None:
             raise InputError("pass points_per_cell, not n_z or dz, for cell-periodic systems")
+    elif points_per_cell is not None:
+        raise InputError("points_per_cell needs a frame with a z-cell; pass n_z or dz")
     elif n_z is not None:
         n_z_eff = n_z
     else:

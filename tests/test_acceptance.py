@@ -65,7 +65,7 @@ def systems():
 def curves(systems):
     out = {}
     for name, e in (("scalar", [1]), ("scalar_tper", [1]), ("2x2", [1]), ("2x2_tper", [1])):
-        out[name] = minimal_speed(EigenEvaluator(static_frame(systems[name], e=e)), tol=1e-8)
+        out[name] = minimal_speed(EigenEvaluator(static_frame(systems[name], e=e)))
     return out
 
 
@@ -105,7 +105,7 @@ def test_criterion_1_scalar_minimal_speed(systems):
     t0 = time.time()
     ev = EigenEvaluator(static_frame(systems["scalar"], e=[1]))
     pers = persistence_check(ev)
-    curve = minimal_speed(ev, tol=1e-8)
+    curve = minimal_speed(ev)
     elapsed = time.time() - t0
     ok = (
         pers.classification == "persistent"
@@ -120,7 +120,7 @@ def test_criterion_2_advection_shift():
     speeds = {}
     for e in (1, -1):
         sys = scalar_system(q=0.7)
-        speeds[e] = minimal_speed(EigenEvaluator(static_frame(sys, e=[e])), tol=1e-8).c_star
+        speeds[e] = minimal_speed(EigenEvaluator(static_frame(sys, e=[e]))).c_star
     left, right = speeds[1], speeds[-1]
     ok = abs(left - 1.3) < 1e-3 and abs(right - 2.7) < 1e-3
     report(2, ok, f"leftward={left:.6f} rightward={right:.6f} (2 -/+ 0.7)")

@@ -110,12 +110,9 @@ class TestConfigParsing:
         assert run_config(p, out=tmp_path / "out") == 2
 
     @pytest.mark.parametrize("params", [
-        {"tol": "abc"},
-        {"tol": -1},
         {"e": [0]},
         {"frame": {"e": [1], "c": "abc"}},
         {"mu_list": "abc"},
-        {"sampling_factor": "x"},
         {"wave": {"a": "x"}},
         {"wave": [1]},
         {"probe": [1]},
@@ -211,6 +208,48 @@ class TestConfigParsing:
         assert err.count("config error:") == 2 and "transverse" in err
         assert not list(tmp_path.glob("out/*.json"))
 
+    def test_y_dependent_mixed_diffusion_exit_two(self, tmp_path, capsys):
+        # A_12 = 0.5 cos(2 pi x_1) is A'_yz along e = (0, 1): a planar profile
+        # reads it through d_y(A'_yz d_z u), so there is no 1-D reduction
+        mode = {"kt": 0, "kx": [0, 0], "cos": 1.0, "sin": 0.0}
+        a12 = [{"kt": 0, "kx": [1, 0], "cos": 0.5, "sin": 0.0}]
+        cfg = {
+            "system": {"N": 1, "n": 2, "fields": {
+                "A": [[[[mode], a12], [a12, [mode]]]],
+                "q": [[[], []]],
+                "L": [[[mode]]],
+                "B": [[[mode]]],
+            }},
+            "tasks": ["dispersion"],
+            "params": {"e": [0, 1]},
+        }
+        assert_config_error(tmp_path, capsys, cfg, "transverse")
+
+    def test_points_per_cell_without_cell_exit_two(self, tmp_path, capsys):
+        # a space-homogeneous frame has no z-cell: its cylinder takes n_z or dz
+        cfg = scalar_config(["wave"], extra_params={
+            "c": 2.5, "wave": {"a": 16.0, "points_per_cell": 8}})
+        assert_config_error(tmp_path, capsys, cfg, "points_per_cell")
+
+    @pytest.mark.parametrize("case", ["root_key", "out_type", "out_is_file"])
+    def test_config_root_and_out_exit_two(self, tmp_path, capsys, case):
+        # the root keys are system, tasks, params, out and seed (accepted, unused),
+        # and out names a directory that run can create
+        cfg = scalar_config(["dispersion"])
+        out = tmp_path / "out"
+        if case == "root_key":
+            cfg["task"] = cfg.pop("tasks")
+        elif case == "out_type":
+            cfg["out"] = 5
+        else:
+            out = tmp_path / "taken"
+            out.write_text("")
+        p = write_config(tmp_path, cfg)
+        assert main(["validate", str(p)]) == (0 if case == "out_is_file" else 2)
+        assert main(["run", str(p), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert list(tmp_path.glob("**/*.json")) == [p]
+
     def test_wave_n_z_on_cell_periodic_system_exit_two(self, tmp_path, capsys):
         # the cylinder of an x-dependent system takes points_per_cell
         cfg = cell_config(["wave"], {"c": "3", "wave": {"a": 20.0, "n_z": 401}})
@@ -237,6 +276,9 @@ class TestConfigParsing:
         ({"frame": {"e": [1], "c": 3}}, "params.frame"),
         ({"probe": {"e": -1}}, "params.probe.e"),
         ({"simulate": {"initial": {"kind": "front", "e": -1}}}, "params.simulate.initial.e"),
+        ({"tol": "abc"}, "params.tol"),
+        ({"tol": -1}, "params.tol"),
+        ({"sampling_factor": "x"}, "params.sampling_factor"),
     ])
     def test_unknown_param_key_exit_two(self, tmp_path, capsys, params, key):
         # e and c are the run's only direction and speed; a typo is no default

@@ -137,20 +137,14 @@ class TestValidateAssumptions:
         assert not rep.flags["A4"].passed
 
     def test_refinement_convergence(self):
-        # pure low modes: the sampling lattice contains the extrema, so the
-        # extremal matrices are exact and refinement changes nothing
+        # pure low modes: the sampling lattice contains the extrema (t = 0, 1/2
+        # and x = 0, 1/4), so the extremal matrices are exact
         lf = PeriodicField(1.0, (1.0,), (Mode(0, (0,), 2.0, 0.0), Mode(1, (0,), 0.5, 0.0),
                                          Mode(0, (2,), 0.25, 0.0)))
-        sys = scalar_system(l_field=lf)
-        r8 = validate_assumptions(sys, 8)
-        r16 = validate_assumptions(sys, 16)
-        assert abs(r8.ellipticity_constant - r16.ellipticity_constant) < 1e-6
-        assert np.abs(r8.underline_L - r16.underline_L).max() < 1e-6
-        assert np.abs(r8.overline_L - r16.overline_L).max() < 1e-6
-
-    def test_sampling_factor_guard(self):
-        with pytest.raises(InputError):
-            validate_assumptions(scalar_system(), 2)
+        rep = validate_assumptions(scalar_system(l_field=lf))
+        assert abs(rep.ellipticity_constant - 1.0) < 1e-6
+        assert np.abs(rep.underline_L - 1.25).max() < 1e-6
+        assert np.abs(rep.overline_L - 2.75).max() < 1e-6
 
 
 class TestNondimensionalize:

@@ -36,7 +36,7 @@ class TestPersistence:
 
 class TestMinimalSpeed:
     def test_scalar_kpp(self):
-        curve = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])), tol=1e-7)
+        curve = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])))
         assert curve.c_star == pytest.approx(2.0, abs=1e-4)
         assert curve.mu_star == pytest.approx(1.0, abs=1e-4)
 
@@ -45,58 +45,57 @@ class TestMinimalSpeed:
         speeds = {}
         for e in (1, -1):
             ev = EigenEvaluator(static_frame(scalar_system(q=0.7), e=[e]))
-            curve = minimal_speed(ev, tol=1e-7)
+            curve = minimal_speed(ev)
             speeds[e] = curve.c_star
         assert speeds[1] == pytest.approx(2.0 - 0.7, abs=1e-4)
         assert speeds[-1] == pytest.approx(2.0 + 0.7, abs=1e-4)
 
     def test_2x2_closed_form(self):
-        curve = minimal_speed(EigenEvaluator(static_frame(system_2x2(), e=[1])), tol=1e-7)
+        curve = minimal_speed(EigenEvaluator(static_frame(system_2x2(), e=[1])))
         assert curve.c_star == pytest.approx(2 * np.sqrt(2), abs=1e-4)
         assert curve.mu_star == pytest.approx(np.sqrt(2), abs=1e-4)
 
     def test_extinct_system_fails_to_bracket(self):
         with pytest.raises(NumericalError):
-            minimal_speed(EigenEvaluator(static_frame(scalar_system(l=-1.0), e=[1])), tol=1e-6)
+            minimal_speed(EigenEvaluator(static_frame(scalar_system(l=-1.0), e=[1])))
 
     def test_extinct_system_refused_before_the_bracket(self):
         ev = EigenEvaluator(static_frame(scalar_system(l=-1.0), e=[1]))
         with mock.patch.object(eigen, "principal_eigenvalue",
                                side_effect=eigen.principal_eigenvalue) as spy:
             with pytest.raises(NumericalError, match="extinct"):
-                minimal_speed(ev, tol=1e-6)
+                minimal_speed(ev)
         assert spy.call_count <= 1
 
     def test_samples_exclude_mu_zero(self):
         # persistence solves ev(0) on the same evaluator; the curve keeps mu > 0
         ev = EigenEvaluator(static_frame(scalar_system(), e=[1]))
         assert persistence_check(ev).classification == "persistent"
-        curve = minimal_speed(ev, tol=1e-7)
+        curve = minimal_speed(ev)
         assert 0.0 in dict(ev.samples)
         assert curve.samples and all(mu > 0 for mu, _ in curve.samples)
 
     def test_global_minimum_property(self):
-        curve = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])), tol=1e-7)
+        curve = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])))
         g_star = curve.c_star
         for mu, lam in curve.samples:
             assert -lam / mu >= g_star - 1e-9
 
     def test_slope_at_minimizer(self):
         # d lambda / d mu at mu* equals -c*
-        curve = minimal_speed(EigenEvaluator(static_frame(system_2x2(), e=[1])), tol=1e-8)
+        curve = minimal_speed(EigenEvaluator(static_frame(system_2x2(), e=[1])))
         dlam = curve.evaluator.derivative(curve.mu_star)
         assert dlam == pytest.approx(-curve.c_star, abs=1e-4)
 
     def test_advection_shift_exact(self):
-        base = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])), tol=1e-7).c_star
-        shifted = minimal_speed(EigenEvaluator(static_frame(scalar_system(q=0.3), e=[1])),
-                                tol=1e-7).c_star
+        base = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1]))).c_star
+        shifted = minimal_speed(EigenEvaluator(static_frame(scalar_system(q=0.3), e=[1]))).c_star
         assert shifted == pytest.approx(base - 0.3, abs=1e-5)
 
 
 @pytest.fixture(scope="module")
 def curve():
-    return minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])), tol=1e-8)
+    return minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])))
 
 
 class TestSpeedRoots:
@@ -115,8 +114,7 @@ class TestSpeedRoots:
 
     def test_time_periodic_time_average(self):
         curve = minimal_speed(
-            EigenEvaluator(static_frame(scalar_system(l_field=time_periodic_l()), e=[1])),
-            tol=1e-8
+            EigenEvaluator(static_frame(scalar_system(l_field=time_periodic_l()), e=[1]))
         )
         roots = speed_roots(curve, 2.5, tol=1e-10)
         assert roots.mu_wedge == pytest.approx(0.5, abs=1e-6)
@@ -130,7 +128,7 @@ class TestSpeedRoots:
     @pytest.mark.parametrize("c", [2.5, 10.0])
     def test_secant_roots_exact(self, c):
         # lambda = -(1 + mu^2): roots (c -+ sqrt(c^2 - 4))/2, in few solves
-        curve = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])), tol=1e-8)
+        curve = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])))
         with mock.patch.object(eigen, "principal_eigenvalue",
                                side_effect=eigen.principal_eigenvalue) as spy:
             roots = speed_roots(curve, c)
@@ -145,8 +143,7 @@ class TestSpeedRoots:
         # Crank-Nicolson inversion's reach; the cell takes mu <= 64 (mesh
         # Peclet), so at c = 40 the walk halves its step from 32 to 48
         cell = minimal_speed(
-            EigenEvaluator(static_frame(scalar_system(l_field=space_periodic_l()), e=[1])),
-            tol=1e-8)
+            EigenEvaluator(static_frame(scalar_system(l_field=space_periodic_l()), e=[1])))
         roots = speed_roots(cell, c)
         assert roots.mu_wedge < cell.mu_star < c - 1.0 < roots.mu_vee < c
         for mu in (roots.mu_wedge, roots.mu_vee):
@@ -156,8 +153,7 @@ class TestSpeedRoots:
         # mu_vee ~ 70 lies past the 64-node cell's limit mu = 64: the walk
         # halves its steps short of it and never asks the cell for mu > 64
         cell = minimal_speed(
-            EigenEvaluator(static_frame(scalar_system(l_field=space_periodic_l()), e=[1])),
-            tol=1e-8)
+            EigenEvaluator(static_frame(scalar_system(l_field=space_periodic_l()), e=[1])))
         with mock.patch.object(eigen, "principal_eigenvalue",
                                side_effect=eigen.principal_eigenvalue) as spy:
             with pytest.raises(NumericalError, match="mesh-Peclet limit"):

@@ -72,7 +72,7 @@ def a_star_reference(env):
 @pytest.fixture(scope="module")
 def scalar_setup():
     sys = scalar_system()
-    curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-8)
+    curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
     roots = speed_roots(curve, 2.5, tol=1e-10)
     fsc = wave_frame(sys, 2.5)
     env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 24.0, n_z=1201))
@@ -123,7 +123,7 @@ class TestSupercriticalEnvelopes:
 
     def test_2x2_envelope_constants(self):
         sys = system_2x2()
-        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-8)
+        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         roots = speed_roots(curve, 3.0, tol=1e-10)
         fsc = wave_frame(sys, 3.0)
         env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 24.0, n_z=1201))
@@ -286,7 +286,7 @@ def critical_setup():
     # support edge (~M3), and the O(dz) splitting of the discrete double
     # characteristic root pollutes the tail beyond |z| ~ 1/dz
     sys = scalar_system()
-    curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-8)
+    curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
     fsc = wave_frame(sys, curve.c_star)
     grid = cylinder_grid(fsc, 60.0, n_z=6001)
     env = build_envelopes_critical(fsc, curve.mu_star, grid)
@@ -384,7 +384,7 @@ class TestCriticalPipeline:
         # scalar and 2 x 2 competition alike run the Newton loop from the
         # K-box start, and the profile carries the Dirichlet data exactly
         sys = system_2x2() if coupled else scalar_system()
-        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-8)
+        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         fsc = wave_frame(sys, curve.c_star)
         grid = cylinder_grid(fsc, 8.0, n_z=161)
         env = build_envelopes_critical(fsc, curve.mu_star, grid)
@@ -402,7 +402,7 @@ class TestCriticalPipeline:
         # the cold Picard loop's profile in a few steps, on the upstream
         # Dirichlet node as everywhere else
         sys = system_2x2()
-        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-8)
+        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         fsc = wave_frame(sys, curve.c_star)
         grid = cylinder_grid(fsc, a, n_z=n_z)
         env = _least_envelopes(fsc, curve.mu_star, grid)
@@ -416,7 +416,7 @@ class TestCriticalPipeline:
         # l(t) = 1 + 0.5 sin(2 pi t), c* = 2: each Newton step relaxes on 64
         # time slices, and the profile is trapped and solves the scheme
         sys = scalar_system(l_field=time_periodic_l(1.0, 0.5))
-        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-8)
+        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         fsc = wave_frame(sys, curve.c_star)
         grid = cylinder_grid(fsc, 20.0, n_t=64, n_z=401)
         env = _least_envelopes(fsc, curve.mu_star, grid)
@@ -664,7 +664,7 @@ class TestGridConvergence:
         from wavekit.frame import make_frame, transform_coefficients
 
         sys = scalar_system(l_field=time_periodic_l(1.0, 0.5))
-        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-8)
+        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         roots = speed_roots(curve, 2.5, tol=1e-10)
         fsc = transform_coefficients(nondimensionalize(sys),
                                      make_frame([1.0], 2.5, mode="space-homogeneous"))
@@ -694,7 +694,7 @@ class TestSpaceHomogeneousHigherDimension:
         )
         e = [0.6, 0.8]
         ae = 2.92
-        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=e)), tol=1e-8)
+        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=e)))
         assert curve.c_star == pytest.approx(2 * np.sqrt(ae), abs=1e-6)
         assert curve.mu_star == pytest.approx(1 / np.sqrt(ae), abs=1e-5)
         roots = speed_roots(curve, 4.0, tol=1e-10)
@@ -721,7 +721,7 @@ class TestSpacePeriodicWave:
         from wavekit.frame import transform_coefficients
 
         sys = scalar_system(l_field=space_periodic_l(1.0, 0.5))
-        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-7)
+        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         assert curve.c_star == pytest.approx(2.003, abs=2e-3)
         roots = speed_roots(curve, 3, tol=1e-8)
         fsc = transform_coefficients(nondimensionalize(sys), make_frame([1], 3))
@@ -739,7 +739,7 @@ class TestSpacePeriodicWave:
 def time_periodic_setup():
     # l(t) = 1 + 0.5 sin(2 pi t): c* = 2 by time averaging; wave at c = 2.5
     sys = scalar_system(l_field=time_periodic_l(1.0, 0.5))
-    curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-8)
+    curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
     roots = speed_roots(curve, 2.5, tol=1e-10)
     fsc = wave_frame(sys, 2.5)
     grid = cylinder_grid(fsc, 16.0, n_t=64, n_z=401)
@@ -803,7 +803,7 @@ class TestTimePeriodicWave:
         # negative entries off J_u's diagonal, and Newton still reaches the
         # cold Picard loop's profile
         sys = system_2x2(l12_field=time_periodic_l(1.0, 1.0), l21=1.0)
-        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-8)
+        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         roots = speed_roots(curve, 3.5, tol=1e-10)
         fsc = wave_frame(sys, 3.5)
         grid = cylinder_grid(fsc, 16.0, n_t=32, n_z=321)
@@ -824,7 +824,7 @@ class TestTrappedIterates:
     def test_random_kpp_iterates_trapped(self, a, l, b, c_ratio):
         # usub <= u <= ubar after every sweep, and the loop starts under K
         sys = scalar_system(a=a, l=l, b=b)
-        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])), tol=1e-8)
+        curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         c = c_ratio * curve.c_star
         roots = speed_roots(curve, c, tol=1e-10)
         fsc = wave_frame(sys, c)
