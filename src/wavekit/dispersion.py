@@ -167,25 +167,16 @@ def speed_roots(curve: DispersionCurve, c: float, tol: float = TOL) -> RootPair:
     if h(mu_star) <= 0:
         raise NumericalError("h(mu*) <= 0 contradicts c > c*; upstream failure")
 
-    def out(mu, factor):  # mu * factor, the step halved while the cell refuses it
-        nxt = mu * factor
-        while not ev.admits(nxt):
-            if abs(nxt - mu) <= tol:
-                raise NumericalError(f"the decay root lies beyond mu = {mu:.6g}, the eigen "
-                                     "cell's mesh-Peclet limit")
-            nxt = 0.5 * (mu + nxt)
-        return nxt
-
     def root(factor):
-        # walk out from mu* by factor until h <= 0, then an eighth of a step on
-        # (a whole one may leave the mesh-Peclet range): h is concave, so each
-        # secant step from two points beyond the root lands beyond it, closer
+        # walk out from mu* by factor until h <= 0, then an eighth of a step on:
+        # h is concave, so each secant step from two points beyond the root
+        # lands beyond it, closer
         near = mu_star
         while h(near) > 0:
-            near = out(near, factor)
+            near *= factor
             if not 1e-12 <= near <= 1e4:
                 raise NumericalError("no decay root found between mu = 1e-12 and mu = 1e4")
-        far = out(near, factor ** 0.125)
+        far = near * factor ** 0.125
         for _ in range(100):
             h_near, h_far = h(near), h(far)
             if h_near >= 0 or h_near == h_far:  # on the root, or within its noise

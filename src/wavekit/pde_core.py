@@ -206,14 +206,11 @@ class OperatorSpec:
     def is_time_independent(self) -> bool:
         return all(_const_along(x, x.ndim - 2) for x in (self.a_node, self.drift, self.pot0, self.coupling))
 
-    def peclet(self, mu: float | None = None) -> float:
-        """Largest mesh Peclet number |drift| dz / (2 a) over the nodes with a > 0, here or
-        retilted to mu (drift q_z - 2 mu a).  A Stepper refuses a number above 1."""
+    def peclet(self) -> float:
+        """Largest mesh Peclet number |drift| dz / (2 a) over the nodes with a > 0.
+        A Stepper refuses a number above 1."""
         pos = self.a_node > 0
-        a, q = self.a_node[pos], self.drift[pos]
-        if mu is not None:
-            q = q - 2.0 * (mu - self.mu) * a
-        return float(((np.abs(q) * self.grid.dz) / (2.0 * a)).max(initial=0.0))
+        return float(((np.abs(self.drift[pos]) * self.grid.dz) / (2.0 * self.a_node[pos])).max(initial=0.0))
 
     def is_z_independent(self) -> bool:
         return all(_const_along(x, x.ndim - 1) for x in (self.a_node, self.drift, self.pot0, self.coupling))

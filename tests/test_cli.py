@@ -413,8 +413,8 @@ class TestRunConfig:
         out = tmp_path / "out"
         assert run_config(write_config(tmp_path, tper_config(["eigen"])), out=out) == 0
         lines = (out / "eigenfunction_mu0.csv").read_text().splitlines()
-        assert "n_t=4096 n_z=1 " in lines[0]
-        assert len(lines) == 2 + 2 * 4096
+        assert "n_t=256 n_z=1 " in lines[0]
+        assert len(lines) == 2 + 2 * 256
 
     @pytest.mark.parametrize("c, pipeline", [(2.5, "supercritical"), (2.0, "critical")])
     def test_wave_a_schedule(self, tmp_path, c, pipeline):

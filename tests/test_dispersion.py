@@ -61,11 +61,10 @@ class TestMinimalSpeed:
 
     def test_extinct_system_refused_before_the_bracket(self):
         ev = EigenEvaluator(static_frame(scalar_system(l=-1.0), e=[1]))
-        with mock.patch.object(eigen, "principal_eigenvalue",
-                               side_effect=eigen.principal_eigenvalue) as spy:
+        with mock.patch.object(eigen, "_hill_pair", side_effect=eigen._hill_pair) as spy:
             with pytest.raises(NumericalError, match="extinct"):
                 minimal_speed(ev)
-        assert spy.call_count <= 1
+        assert spy.call_count == 1
 
     def test_samples_exclude_mu_zero(self):
         # persistence solves ev(0) on the same evaluator; the curve keeps mu > 0
@@ -129,19 +128,17 @@ class TestSpeedRoots:
     def test_secant_roots_exact(self, c):
         # lambda = -(1 + mu^2): roots (c -+ sqrt(c^2 - 4))/2, in few solves
         curve = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])))
-        with mock.patch.object(eigen, "principal_eigenvalue",
-                               side_effect=eigen.principal_eigenvalue) as spy:
+        with mock.patch.object(eigen, "_hill_pair", side_effect=eigen._hill_pair) as spy:
             roots = speed_roots(curve, c)
         disc = np.sqrt(c * c - 4.0)
         assert roots.mu_wedge == pytest.approx((c - disc) / 2, abs=1e-12)
         assert roots.mu_vee == pytest.approx((c + disc) / 2, abs=1e-12)
-        assert spy.call_count <= 20
+        assert 1 <= spy.call_count <= 20
 
     @pytest.mark.parametrize("c", [12.0, 17.0, 40.0, 63.0])
     def test_cell_roots_at_high_speed(self, c):
-        # l(x) = 1 + 0.5 cos(2 pi x) on 64 nodes: mu_vee ~ c is past the old
-        # Crank-Nicolson inversion's reach; the cell takes mu <= 64 (mesh
-        # Peclet), so at c = 40 the walk halves its step from 32 to 48
+        # l(x) = 1 + 0.5 cos(2 pi x): mu_vee ~ c lies far out on the spectral
+        # evaluator, which has no mesh-Peclet limit
         cell = minimal_speed(
             EigenEvaluator(static_frame(scalar_system(l_field=space_periodic_l()), e=[1])))
         roots = speed_roots(cell, c)
@@ -149,16 +146,16 @@ class TestSpeedRoots:
         for mu in (roots.mu_wedge, roots.mu_vee):
             assert abs(cell.evaluator(mu) + c * mu) < 1e-8 * (1.0 + c * mu)
 
-    def test_root_past_the_peclet_limit_raises(self):
-        # mu_vee ~ 70 lies past the 64-node cell's limit mu = 64: the walk
-        # halves its steps short of it and never asks the cell for mu > 64
+    def test_root_past_mu_64_is_found(self):
+        # mu_vee ~ 70 lay past the 64-node cell's mesh-Peclet limit mu = 64,
+        # where the root search used to stop
         cell = minimal_speed(
             EigenEvaluator(static_frame(scalar_system(l_field=space_periodic_l()), e=[1])))
-        with mock.patch.object(eigen, "principal_eigenvalue",
-                               side_effect=eigen.principal_eigenvalue) as spy:
-            with pytest.raises(NumericalError, match="mesh-Peclet limit"):
-                speed_roots(cell, 70.0)
-        assert max(call.args[0].mu for call in spy.call_args_list) < 64.0
+        roots = speed_roots(cell, 70.0)
+        assert 69.9 < roots.mu_vee < 70.0
+        assert roots.mu_vee == pytest.approx(69.98571, abs=1e-5)
+        for mu in (roots.mu_wedge, roots.mu_vee):
+            assert abs(cell.evaluator(mu) + 70.0 * mu) < 1e-8
 
     def test_json_round_trip(self, curve):
         doc = curve.to_json()

@@ -3,16 +3,21 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.linalg import eig as scipy_eig, expm
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import const, scalar_system, space_periodic_l, system_2x2, time_periodic_l
-from wavekit.coeffs import Mode, PeriodicField, nondimensionalize
+from wavekit import eigen
+from wavekit.coeffs import KPPSystem, Mode, PeriodicField, nondimensionalize
 from wavekit.dispersion import persistence_check, static_frame
 from wavekit.eigen import (
     EigenEvaluator,
     default_cell_grid,
-    _monodromy_rk4,
+    _hill,
+    _hill_pair,
+    _magnus,
+    _monodromy,
     lambda_mu_curve,
     principal_eigenvalue,
 )
@@ -130,17 +135,16 @@ class TestPrincipalEigenvalue:
 
     def test_one_node_z_independent_cell_matches_sixteen(self):
         # the ODE path never reads z: a z-independent frame's default cell has
-        # one z node, and 16 copied nodes give the same lambda, kappa and, up
-        # to the roundoff of the 1/dz^2 stencil bands, residual
+        # one z node and one slice per Magnus step, and 16 copied nodes give
+        # the same lambda, kappa and residual
         fs = frame_of(system_2x2(l12_field=time_periodic_l(1.0, 1.0), l21=1.0))
         cell = default_cell_grid(fs)
-        assert (cell.n_t, cell.n_z) == (4096, 1)
+        assert (cell.n_t, cell.n_z) == (256, 1)
         one, full = (principal_eigenvalue(build_operator_mu(fs, 0.7, replace(cell, n_z=n)))
                      for n in (1, 16))
         assert one.info["path"] == full.info["path"] == "ode-monodromy"
-        assert (one.lam, one.kappa) == (full.lam, full.kappa)
-        assert one.residual == pytest.approx(full.residual, abs=1e-12)
-        assert one.eigenfunction.values.shape == (2, 4096, 1)
+        assert (one.lam, one.kappa, one.residual) == (full.lam, full.kappa, full.residual)
+        assert one.eigenfunction.values.shape == (2, 256, 1)
         assert np.array_equal(np.repeat(one.eigenfunction.values, 16, axis=2),
                               full.eigenfunction.values)
 
@@ -171,8 +175,13 @@ class TestPrincipalEigenvalue:
         pair = principal_eigenvalue(op)
         assert pair.info["path"] == "shift-invert"
         assert pair.lam == pytest.approx(dense_lambda(op), abs=1e-10)
-        report = persistence_check(EigenEvaluator(static_frame(sys, e=[1])))
-        assert report.classification == "extinct" and report.lambda_1p == pair.lam > 0
+        # persistence reads the run's evaluator; its spectral lambda is 2.5e-6
+        # from the 64-node cell's
+        ev = EigenEvaluator(static_frame(sys, e=[1]))
+        report = persistence_check(ev)
+        assert report.classification == "extinct" and pair.lam > 0
+        assert report.lambda_1p == ev(0.0)
+        assert report.lambda_1p == pytest.approx(pair.lam, abs=1e-5)
 
     def test_shift_invert_steps_its_iterations(self):
         # one backward-Euler step per iteration, the eigenfunction its last start
@@ -284,35 +293,30 @@ class TestInvariants:
         assert shifted == pytest.approx(base - delta, abs=1e-9)
 
 
-def _sequential_rk4(Mfun, T, n_sub, store_every):
-    """Reference: the textbook one-step-at-a-time RK4 on Phi' = M(t) Phi."""
+def _sequential_magnus(Mfun, T, n_sub):
+    """Reference: one fourth-order Magnus step at a time on Phi' = M(t) Phi."""
     h = T / n_sub
-    Ms = Mfun(np.arange(2 * n_sub + 1) * (0.5 * h))
-    Phi = np.eye(Ms.shape[1])
-    snaps = []
+    g = np.sqrt(3.0) / 6.0
+    Phi = np.eye(Mfun(np.zeros(1)).shape[1])
     for k in range(n_sub):
-        if k % store_every == 0:
-            snaps.append(Phi.copy())
-        M0, Mh, M1 = Ms[2 * k], Ms[2 * k + 1], Ms[2 * k + 2]
-        k1 = M0 @ Phi
-        k2 = Mh @ (Phi + 0.5 * h * k1)
-        k3 = Mh @ (Phi + 0.5 * h * k2)
-        k4 = M1 @ (Phi + h * k3)
-        Phi = Phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return Phi, np.array(snaps)
+        A1, A2 = Mfun(np.array([(k + 0.5 - g) * h, (k + 0.5 + g) * h]))
+        Omega = 0.5 * h * (A1 + A2) + np.sqrt(3.0) / 12.0 * h * h * (A2 @ A1 - A1 @ A2)
+        Phi = expm(Omega) @ Phi
+    return Phi
 
 
 class TestMonodromyKernel:
     @settings(max_examples=12, deadline=None)
     @given(
         N=st.sampled_from([1, 2, 3]),
-        n_sub=st.sampled_from([2048, 4096]),
-        store_every=st.sampled_from([1, 32]),
+        n_sub=st.sampled_from([64, 256]),
+        batch=st.sampled_from([1, 7, 64, 256]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_scan_matches_sequential_loop(self, N, n_sub, store_every, seed):
+    def test_scan_matches_sequential_loop(self, N, n_sub, batch, seed):
         # cooperative time-periodic M(t) = C + S sin(2 pi t) + K cos(2 pi t)
-        # with off-diagonal entries >= 0 at every t
+        # with off-diagonal entries >= 0 at every t; the step maps come in
+        # batches of `batch` steps, odd sizes and a short last batch included
         r = np.random.default_rng(seed)
         C = r.uniform(-2.0, 2.0, (N, N))
         S = r.uniform(-1.0, 1.0, (N, N))
@@ -325,13 +329,14 @@ class TestMonodromyKernel:
             w = 2 * np.pi * ts / T
             return C + np.sin(w)[:, None, None] * S + np.cos(w)[:, None, None] * K
 
-        Phi, snaps = _monodromy_rk4(Mfun, T, n_sub, store_every=store_every)
-        Phi_ref, snaps_ref = _sequential_rk4(Mfun, T, n_sub, store_every)
+        with mock.patch.object(eigen, "_CHUNK", batch * N * N):
+            batches = list(_magnus(Mfun, T, n_sub, N))
+        assert [len(P) for P in batches[:-1]] == [batch] * (len(batches) - 1)
+        assert sum(len(P) for P in batches) == n_sub
+        Phi = _monodromy(batches)
+        Phi_ref = _sequential_magnus(Mfun, T, n_sub)
         assert np.all(Phi >= 0)
         assert np.abs(Phi - Phi_ref).max() <= 1e-12 * np.abs(Phi_ref).max()
-        assert snaps.shape == snaps_ref.shape == (n_sub // store_every, N, N)
-        scale = np.abs(snaps_ref).max(axis=(1, 2))
-        assert np.all(np.abs(snaps - snaps_ref).max(axis=(1, 2)) <= 1e-12 * scale)
 
     def test_ode_path_matches_power_iteration(self):
         # z-independent, time-periodic 2x2 system: Crank-Nicolson power
@@ -354,3 +359,155 @@ class TestMonodromyKernel:
         assert pair.lam == pytest.approx(lam_pde[512], abs=1e-5)
         extrapolated = lam_pde[512] + (lam_pde[512] - lam_pde[256]) / 3.0
         assert pair.lam == pytest.approx(extrapolated, abs=1e-8)
+
+
+def tz_coupled_l():
+    """l(t, x) = 1 + 0.5 sin 2 pi (t + x)."""
+    return PeriodicField(1.0, (1.0,), (Mode(0, (0,), 1.0, 0.0), Mode(1, (1,), 0.0, 0.5)))
+
+
+def cell_system():
+    """a = 1 + 0.3 cos 2 pi x, q = 0.4 sin 2 pi x, l = 1 + 0.5 cos 2 pi x + 0.2 sin 4 pi x."""
+    af = PeriodicField(1.0, (1.0,), (Mode(0, (0,), 1.0, 0.0), Mode(0, (1,), 0.3, 0.0)))
+    qf = PeriodicField(1.0, (1.0,), (Mode(0, (1,), 0.0, 0.4),))
+    lf = PeriodicField(1.0, (1.0,), (
+        Mode(0, (0,), 1.0, 0.0), Mode(0, (1,), 0.5, 0.0), Mode(0, (2,), 0.0, 0.2),
+    ))
+    return scalar_system(a_field=af, q_field=qf, l_field=lf)
+
+
+def dense_hill_lambda(n_modes, mu):
+    """-s, s the eigenvalue of largest real part of cell_system's tilted S on
+    n_modes Fourier modes each side, built in OperatorSpec's form from FFT
+    samples of the coefficients.  s is the Rayleigh quotient of its left and
+    right eigenvectors: eig's own value is only accurate to eps ||S||."""
+    n = 8 * (n_modes + 1)  # differences of modes up to 2 n_modes do not alias
+    z = np.arange(n) / n
+    hat_a = np.fft.fft(1.0 + 0.3 * np.cos(2 * np.pi * z)) / n
+    hat_q = np.fft.fft(0.4 * np.sin(2 * np.pi * z)) / n
+    hat_l = np.fft.fft(1.0 + 0.5 * np.cos(2 * np.pi * z) + 0.2 * np.sin(4 * np.pi * z)) / n
+    hat_da = 2j * np.pi * np.fft.fftfreq(n, 1.0 / n) * hat_a  # a' spectrally
+    k = np.arange(-n_modes, n_modes + 1)
+
+    def T(hat):
+        return hat[(k[:, None] - k[None, :]) % n]
+
+    D = np.diag(2j * np.pi * k)
+    drift = hat_q - 2 * mu * hat_a
+    pot0 = -(mu * mu * hat_a + mu * hat_da - mu * hat_q)
+    S = D @ T(hat_a) @ D - T(drift) @ D - T(pot0) + T(hat_l)
+    w, W, V = scipy_eig(S, left=True)
+    top = np.argmax(w.real)
+    wl, v = W[:, top].conj(), V[:, top]
+    return -float((wl @ S @ v / (wl @ v)).real)
+
+
+class TestFourierHill:
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.0, 2.0, 8.0])
+    def test_static_matches_dense_hill_oracle(self, mu):
+        ev = EigenEvaluator(frame_of(cell_system()))
+        pair = ev.pair(mu)
+        assert pair.info["path"] == "fourier-hill"
+        assert pair.eigenfunction.grid == default_cell_grid(ev.fsys)
+        assert pair.lam == pytest.approx(dense_hill_lambda(pair.info["modes"] - 1, mu), abs=1e-12)
+        assert pair.residual < 1e-10
+
+    @pytest.mark.parametrize("mu", [0.0, 1.0, 8.0])
+    def test_doubling_K_moves_lambda_below_1e_12(self, mu):
+        fs = frame_of(cell_system())
+        ev = EigenEvaluator(fs)
+        pair = ev.pair(mu)
+        K = (pair.info["modes"] - 1) // 2
+        doubled, K2 = _hill_pair(fs.reduce_1d(), mu, ev.grid, 2 * K)
+        assert K2 == 2 * K
+        assert abs(doubled.lam - pair.lam) <= 1e-12
+        assert np.abs(doubled.eigenfunction.values - pair.eigenfunction.values).max() < 1e-12
+
+    def test_fd_cells_converge_at_second_order(self):
+        # the wave envelopes' finite-difference cells approach the spectral
+        # lambda as dz^2: successive errors fall by 4
+        fs = frame_of(scalar_system(l_field=space_periodic_l()))
+        lam = EigenEvaluator(fs)(1.0)
+        err = [principal_eigenvalue(build_operator_mu(fs, 1.0, Grid.periodic_cell(1.0, 1.0, 1, n))).lam
+               - lam for n in (64, 128, 256)]
+        assert err[0] / err[1] == pytest.approx(4.0, abs=0.1)
+        assert err[1] / err[2] == pytest.approx(4.0, abs=0.1)
+
+    def test_time_periodic_system_matches_solve_ivp(self):
+        # L12 = 1 + sin 2 pi t, L21 = 1, a = 1: the monodromy of
+        # Phi' = (L(t) + mu^2 I) Phi by an independent adaptive integrator
+        from scipy.integrate import solve_ivp
+
+        ev = EigenEvaluator(frame_of(system_2x2(l12_field=time_periodic_l(1.0, 1.0), l21=1.0)))
+        for mu in (0.0, 0.5, 1.5, 3.0):
+            def rhs(t, y):
+                M = np.array([[mu * mu, 1.0 + np.sin(2 * np.pi * t)], [1.0, mu * mu]])
+                return (M @ y.reshape(2, 2)).reshape(-1)
+
+            sol = solve_ivp(rhs, (0.0, 1.0), np.eye(2).reshape(-1), rtol=1e-12, atol=1e-14)
+            rho = np.abs(np.linalg.eigvals(sol.y[:, -1].reshape(2, 2))).max()
+            assert ev.pair(mu).info["path"] == "ode-monodromy"
+            assert abs(ev(mu) + np.log(rho)) <= 1e-9
+
+    def test_magnus_steps_converge_at_fourth_order(self):
+        # l = 1 + 0.5 sin 2 pi (t + x) couples t and z: doubling the Magnus
+        # steps divides the error by 16
+        fs = frame_of(scalar_system(l_field=tz_coupled_l()))
+        ev = EigenEvaluator(fs)
+        mu = 0.7
+        assert ev.pair(mu).info["path"] == "fourier-hill"
+        K = (ev.pair(mu).info["modes"] - 1) // 2
+        fields = fs.reduce_1d()
+
+        def lam(n_sub):
+            Phi = _monodromy(_magnus(_hill(fields, mu, K, 1), 1.0, n_sub, 2 * K + 1))
+            return -np.log(np.abs(np.linalg.eigvals(Phi)).max())
+
+        ref = lam(1024)
+        err = [abs(lam(n) - ref) for n in (32, 64, 128)]
+        assert err[0] / err[1] == pytest.approx(16.0, abs=0.5)
+        assert err[1] / err[2] == pytest.approx(16.0, abs=0.5)
+        assert ev(mu) == pytest.approx(ref, abs=1e-9)
+
+    def test_time_periodic_two_component_cell(self):
+        # N = 2 with z-bandwidth 8 and 0.3 sin 2 pi t added to both diagonal
+        # entries of L: the added term has mean zero and commutes with S, so
+        # lambda equals the static twin's; it takes K past 16, and the
+        # time-periodic evaluator's maps fill several batches
+        def system(amp):
+            def l(mean, amp_z):
+                return PeriodicField(1.0, (1.0,), (Mode(0, (0,), mean, 0.0), Mode(0, (8,), amp_z, 0.0),
+                                                   Mode(1, (0,), 0.0, amp)))
+            one = const(1.0)
+            return KPPSystem(2, 1, (((one,),), ((one,),)), ((const(0.0),), (const(0.0),)),
+                             ((l(1.0, 0.5), const(0.5)), (const(0.5), l(0.5, 0.2))),
+                             ((one, one), (one, one)))
+
+        tper, static = (EigenEvaluator(frame_of(system(amp))).pair(1.0) for amp in (0.3, 0.0))
+        assert tper.info == static.info and tper.info["modes"] > 2 * 16 + 1
+        assert 256 * (2 * tper.info["modes"]) ** 2 > eigen._CHUNK
+        assert tper.lam == pytest.approx(static.lam, abs=1e-11)
+        assert tper.residual < 1e-9
+        # u(t) = e^{0.3 (1 - cos 2 pi t) / 2 pi} phi, up to the max-one scale
+        t = tper.eigenfunction.grid.t
+        factor = np.exp(0.3 * (1 - np.cos(2 * np.pi * t)) / (2 * np.pi))
+        expected = factor[None, :, None] * static.eigenfunction.values
+        assert np.abs(tper.eigenfunction.values - expected / expected.max()).max() < 1e-10
+
+    def test_batches_do_not_change_the_pair(self):
+        # one Magnus step per batch steps the eigenvector through freshly
+        # computed maps; one batch for the whole period keeps them
+        fs = frame_of(scalar_system(l_field=tz_coupled_l()))
+        fields, grid = fs.reduce_1d(), default_cell_grid(fs)
+        whole, K = _hill_pair(fields, 0.7, grid, 0)
+        with mock.patch.object(eigen, "_CHUNK", 1):
+            stepped, K1 = _hill_pair(fields, 0.7, grid, 0)
+        assert K1 == K and abs(stepped.lam - whole.lam) <= 1e-12
+        assert np.abs(stepped.eigenfunction.values - whole.eigenfunction.values).max() <= 1e-12
+
+    @pytest.mark.parametrize("l11", [time_periodic_l(), tz_coupled_l(), space_periodic_l()],
+                             ids=["ode-magnus", "hill-magnus", "hill-static"])
+    def test_reducible_coupling_rejected(self, l11):
+        sys = system_2x2(l12=0.0, l21=0.0, l11_field=l11, l22=0.3)
+        with pytest.raises(NumericalError, match="reducible"):
+            EigenEvaluator(frame_of(sys)).pair(0.0)
