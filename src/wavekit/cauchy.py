@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coeffs import KPPSystem, logistic_envelope, nondimensionalize
+from .coeffs import KPPSystem, coupling_extrema, logistic_envelope, nondimensionalize
 from .dispersion import static_frame
 from .errors import InputError, NumericalError
 from .pde_core import Grid, Stepper, build_operator_mu
@@ -140,8 +140,8 @@ def simulate(sys: KPPSystem, initial: np.ndarray, t_final: float, X: float,
         raise InputError("initial data must be nonnegative")
     u_max_bound = max(K, float(initial.max()))
 
-    b_bar = max(f.bounds()[1] for row in sys.B for f in row)
-    l_diag_min = min(sys.L[i][i].bounds()[0] for i in range(N))
+    uL, _, _, oB = coupling_extrema(sys)
+    b_bar, l_diag_min = float(oB.max()), float(uL.diagonal().min())
     # explicit-step positivity: 1 + dt (l_ii - (B u)_i) >= 0 for u in the bound
     pos_bound = 0.5 / max(abs(l_diag_min) + N * b_bar * u_max_bound, 1e-9)
     dt = min(_DT_CAP, 0.1 / (r * N * K), pos_bound)

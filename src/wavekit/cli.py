@@ -334,7 +334,7 @@ def run_wave(ctx: TaskContext, outdir: Path) -> dict:
     grid0 = ctx.cfg.wave_grid
     if critical:
         fcrit = frame_for(ctx.sys, ctx.e, curve.c_star)
-        env = build_envelopes_critical(fcrit, curve.mu_star, grid0, tol=profile_tol)
+        env = build_envelopes_critical(fcrit, curve, grid0, tol=profile_tol)
     else:
         roots = speed_roots(curve, c_val)
         env = build_envelopes_supercritical(ctx.cfg.wave_frame, roots, grid0)

@@ -191,11 +191,6 @@ class PeriodicField:
             value, self.n, self.temporal_period, self.spatial_periods
         )
 
-    def bounds(self) -> tuple[float, float]:
-        """Grid (min, max) at SAMPLES x (highest frequency + 1) samples per axis."""
-        vals = _sample_field(self, *_sample_axes([self]))
-        return float(vals.min()), float(vals.max())
-
 
 def field_eval(f: PeriodicField, t: float, x) -> float:
     """Point evaluation of the trigonometric sum at (t, x)."""
@@ -211,14 +206,8 @@ def max_frequencies(fields) -> tuple[int, tuple[int, ...]]:
     return max(kts), tuple(map(max, zip(*kxs)))
 
 
-# samples per axis and per (highest frequency + 1), for bounds and validation alike
+# samples per axis and per (highest frequency + 1) of a system's fields
 SAMPLES = 8
-
-
-def _sample_axes(fields):
-    """Per-axis sample counts resolving the highest frequency present."""
-    kt, kx = max_frequencies(fields)
-    return SAMPLES * (kt + 1), [SAMPLES * (k + 1) for k in kx]
 
 
 def _sample_field(f, nt, nx):
@@ -352,27 +341,32 @@ def _strongly_connected(adj: np.ndarray) -> tuple[bool, list[int] | None]:
     return False, np.flatnonzero(reach[:, short[0]]).tolist()
 
 
+def _sample_rows(sys, rows):
+    """Matrix-valued fields rows of sys on its joint lattice, SAMPLES x (highest
+    frequency + 1) points per axis over all its fields: (rows, cols, *lattice)."""
+    kt, kx = max_frequencies(sys.all_fields())
+    nt, nx = SAMPLES * (kt + 1), [SAMPLES * (k + 1) for k in kx]
+    return np.array([[_sample_field(f, nt, nx) for f in row] for row in rows])
+
+
+def coupling_extrema(sys):
+    """(underline_L, overline_L, underline_B, overline_B), entrywise on the joint
+    lattice of sys, a KPPSystem or a FrameSystem (whose map keeps every range)."""
+    L, B = (_sample_rows(sys, rows).reshape(sys.N, sys.N, -1) for rows in (sys.L, sys.B))
+    return L.min(axis=2), L.max(axis=2), B.min(axis=2), B.max(axis=2)
+
+
 def validate_assumptions(sys: KPPSystem) -> AssumptionReport:
     """Check (A1)-(A5) on a lattice of SAMPLES x (highest frequency + 1) points per
     axis, one joint lattice for all fields; violations are reported, not raised."""
     N = sys.N
-    nt, nx = _sample_axes(list(sys.all_fields()))
-
-    def sample(rows):  # (rows, cols, *lattice)
-        return np.array([[_sample_field(f, nt, nx) for f in row] for row in rows])
-
-    def mat_minmax(rows):
-        vals = sample(rows).reshape(N, N, -1)
-        return vals.min(axis=2), vals.max(axis=2)
-
-    uL, oL = mat_minmax(sys.L)
-    uB, oB = mat_minmax(sys.B)
+    uL, oL, uB, oB = coupling_extrema(sys)
 
     # (A1): min over the grid of the smallest eigenvalue of each A_i
     ell = np.inf
     ell_where = None
     for i in range(N):
-        samples = np.moveaxis(sample(sys.A[i]), (0, 1), (-2, -1))  # (*lattice, n, n)
+        samples = np.moveaxis(_sample_rows(sys, sys.A[i]), (0, 1), (-2, -1))  # (*lattice, n, n)
         m = float(np.linalg.eigvalsh(samples)[..., 0].min())
         if m < ell:
             ell = m
@@ -408,15 +402,14 @@ def logistic_envelope(sys) -> tuple[float, float]:
     """Constants (r, K) with L u - (B u) o u <= r (1^T u)(K 1 - u) for u >= 0.
 
     r is the smallest competition coefficient anywhere, K the largest positive
-    row sum of the entrywise-max coupling divided by r; both come from the
-    sampled extrema (PeriodicField.bounds) of the fields sys.L and sys.B.  The
-    frame map leaves the range of every field unchanged, so sys may be a
-    KPPSystem or a FrameSystem alike.
+    row sum of the entrywise-max coupling divided by r, both from the extrema
+    validate_assumptions reports (coupling_extrema).
     """
-    r = min(f.bounds()[0] for row in sys.B for f in row)
+    _, oL, uB, _ = coupling_extrema(sys)
+    r = float(uB.min())
     if r <= 0:
         raise InputError("logistic envelope needs (A4): positive competition floor")
-    K = max(sum(max(f.bounds()[1], 0.0) for f in row) for row in sys.L) / r
+    K = float(np.maximum(oL, 0.0).sum(axis=1).max()) / r
     # K <= 0: coupling nowhere positive; any positive constant bounds the dynamics
     return r, (K if K > 0 else 1.0)
 

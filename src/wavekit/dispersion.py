@@ -9,7 +9,7 @@ search after a geometric bracketing scan is reliable, and it makes secant
 steps from two points beyond a root approach the root monotonically.
 
 All of it reads one EigenEvaluator, mu -> lambda_{1,mu e} on the c = 0 frame
-of e: persistence is its sign at 0, and minimal_speed's curve carries it on.
+of e: persistence is its sign at 0; the curve and the RootPair carry it on.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ class RootPair:
     c: float
     mu_wedge: float
     mu_vee: float
+    evaluator: EigenEvaluator = field(repr=False)
 
     def to_json(self) -> dict:
         return {"c": self.c, "mu_wedge": self.mu_wedge, "mu_vee": self.mu_vee}
@@ -152,8 +153,8 @@ def criticality(curve: DispersionCurve, c: float) -> str:
     return "subcritical" if c < curve.c_star else "supercritical"
 
 
-def speed_roots(curve: DispersionCurve, c: float, tol: float = TOL) -> RootPair:
-    """The two decay rates solving lambda_{1,mu e} + c mu = 0 for c > c*, to tol."""
+def speed_roots(curve: DispersionCurve, c: float) -> RootPair:
+    """The two decay rates solving lambda_{1,mu e} + c mu = 0 for c > c*, to TOL."""
     kind = criticality(curve, c)
     if kind != "supercritical":
         raise InputError(f"{kind} speed: c = {c}, c* = {curve.c_star}; decay roots need c "
@@ -182,9 +183,9 @@ def speed_roots(curve: DispersionCurve, c: float, tol: float = TOL) -> RootPair:
             if h_near >= 0 or h_near == h_far:  # on the root, or within its noise
                 return near
             near, far = near - h_near * (near - far) / (h_near - h_far), near
-            if abs(near - far) <= tol:
+            if abs(near - far) <= TOL:
                 return near
         raise NumericalError("secant steps for a decay root did not converge")
 
     # on (mu_wedge, mu_vee) the function is positive; outside negative
-    return RootPair(float(c), float(root(0.5)), float(root(2.0)))
+    return RootPair(float(c), float(root(0.5)), float(root(2.0)), ev)

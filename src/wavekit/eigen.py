@@ -2,20 +2,14 @@
 
 The tilted frame operator op (OperatorSpec) has a principal eigenvalue lambda
 with a positive periodic eigenfunction (Krein-Rutman); S is the spatial part
-of -op.  Two discretizations:
+of -op.  One discretization, Fourier-Hill: S(t) on the z-modes -K..K of each
+component is a small dense matrix (_hill, _hill_modes); lambda = -max Re eig S
+when static, -ln(rho)/T from fourth-order Magnus steps of the period map when
+time-periodic.  A z-independent frame is the case K = 0, on every grid.
 
-  * Fourier-Hill, for the dispersion layer (EigenEvaluator(fsys)): S(t) on
-    the z-modes -K..K of each component is a small dense matrix (_hill,
-    _hill_pair); lambda = -max Re eig S when static, -ln(rho)/T from
-    fourth-order Magnus steps of the period map when time-periodic.  A
-    z-independent frame is the case K = 0, on every grid.
-  * Finite differences on a z-dependent cell, for the wave envelopes
-    (EigenEvaluator(fsys, grid=cell)): power iteration on the Crank-Nicolson
-    period map when time-periodic, lambda = -ln(rho)/T; shift-invert when
-    static: S is Metzler, so its Perron root s is below sigma = max(max row
-    sum, 0) + 1, and one backward-Euler step of dt = 1/sigma is the positive
-    map (I - S/sigma)^-1 of spectral radius rho = sigma/(sigma - s): lambda =
-    -s = (1/rho - 1) sigma, exactly.
+A run's one EigenEvaluator, on the c = 0 frame of its direction, serves the
+dispersion layer and, through the frame shift (EigenEvaluator.frame_pair),
+the wave envelopes of the frame moving at c.
 
 Eigenfunctions are reconstructed over one period as u(t) = e^{lambda t} v(t),
 periodic by construction, scaled to max one, and refused unless uniformly
@@ -33,11 +27,8 @@ from scipy.linalg import eig, expm
 from .coeffs import max_frequencies
 from .errors import InputError, NumericalError
 from .frame import FrameSystem
-from .pde_core import Grid, GridField, OperatorSpec, Stepper, apply_S, build_operator_mu
+from .pde_core import Grid, GridField, OperatorSpec
 
-_TABLES = ("a_node", "a_half", "drift", "pot0", "coupling", "b_tab")  # (..., n_t, n_z)
-_MAX_ITERS = 400  # power iterations
-_SPREAD = 1e-12  # power iteration stops when the ratios w/v spread less than this
 _STEPS = 256  # Magnus steps per period and per time frequency
 _GAUSS = np.sqrt(3.0) / 6.0  # the Gauss points of a step sit at h (1/2 -+ _GAUSS)
 _MODE_TOL = 1e-13  # Hill modes grow until the outermost hold this much of the largest
@@ -135,14 +126,10 @@ def _monodromy(batches) -> np.ndarray:
     return product(np.array([product(P) for P in batches]))
 
 
-def _refuse_unless_positive(vals: np.ndarray) -> None:
-    if not vals.min() > 1e-12 * vals.max():
-        raise NumericalError(f"principal eigenfunction is not uniformly positive (min/max "
-                             f"{vals.min() / vals.max():.3e}); coupling may be reducible")
-
-
-def _hill_pair(fields, mu: float, grid: Grid, K: int):
-    """(max-one principal eigenpair on grid's nodes, K) from the Hill matrices S(t).
+def _hill_modes(fields, mu: float, grid: Grid, K: int):
+    """(lambda, orbit, residual, K) from the Hill matrices S(t): the principal
+    eigenvector's modes on grid's n_t slices over its period, (n_t, N, 2K+1),
+    and those of the residual of d_t u = (S + lambda) u, d_t spectral in time.
 
     K starts at twice the z-bandwidth kz or more and grows by half until the
     eigenvector's outermost kz modes hold at most _MODE_TOL of its largest.
@@ -191,107 +178,101 @@ def _hill_pair(fields, mu: float, grid: Grid, K: int):
                 orbit.append(v * np.exp(growth * i * T / n_sub))
             v = P @ v
         orbit = np.array(orbit)
-    theta = 2 * np.pi / (grid.z1 - grid.z0) * np.outer(np.arange(1, K + 1), grid.z)
-    F = np.ones((2 * K + 1, grid.n_z))  # _hill's real basis on the nodes
-    F[1::2], F[2::2] = np.sqrt(2.0) * np.cos(theta), -np.sqrt(2.0) * np.sin(theta)
-    vals = orbit.reshape(n_t, N, 2 * K + 1) @ F
-    scale = vals.flat[np.argmax(np.abs(vals))]
-    orbit, vals = orbit / scale, (vals / scale).transpose(1, 0, 2)
-    _refuse_unless_positive(vals)
-    # residual of d_t u = (S + lambda) u on the nodes, d_t spectral in time
     ddt = np.fft.ifft(2j * np.pi * np.fft.fftfreq(n_t, T / n_t)[:, None]
                       * np.fft.fft(orbit, axis=0), axis=0).real if kt else 0.0
     size = max(1, _CHUNK // (M * M))
     Su = np.concatenate([S(grid.t[i:i + size]) @ orbit[i:i + size, :, None]
                          for i in range(0, n_t, size)])[..., 0]
-    r = (ddt - Su - lam * orbit).reshape(n_t, N, 2 * K + 1) @ F
-    info = {"path": "ode-monodromy" if K == 0 else "fourier-hill", "modes": 2 * K + 1}
+    return lam, orbit.reshape(n_t, N, -1), (ddt - Su - lam * orbit).reshape(n_t, N, -1), K
+
+
+def _max_one_pair(mu: float, lam: float, orbit, residual, grid: Grid, L: float) -> PrincipalEigenpair:
+    """The pair on grid's nodes from _hill_modes' modes of z-period L, scaled to
+    max one and refused unless uniformly positive, its residual relative to max u."""
+    n = orbit.shape[-1]
+    theta = 2 * np.pi / L * np.outer(np.arange(1, n // 2 + 1), grid.z)
+    F = np.ones((n, grid.n_z))  # _hill's real basis on the nodes
+    F[1::2], F[2::2] = np.sqrt(2.0) * np.cos(theta), -np.sqrt(2.0) * np.sin(theta)
+    vals = orbit @ F
+    scale = vals.flat[np.argmax(np.abs(vals))]
+    vals = (vals / scale).transpose(1, 0, 2)
+    if not vals.min() > 1e-12:
+        raise NumericalError(f"principal eigenfunction is not uniformly positive (min/max "
+                             f"{vals.min():.3e}); coupling may be reducible")
     return PrincipalEigenpair(float(mu), float(lam), GridField(vals, grid), float(vals.min()),
-                              float(np.abs(r).max()), info), K
+                              float(np.abs(residual @ F).max() / abs(scale)),
+                              {"path": "ode-monodromy" if n == 1 else "fourier-hill", "modes": n})
+
+
+def _hill_pair(fields, mu: float, grid: Grid, K: int):
+    """(max-one principal eigenpair on grid's nodes, K), from _hill_modes."""
+    lam, orbit, residual, K = _hill_modes(fields, mu, grid, K)
+    return _max_one_pair(mu, lam, orbit, residual, grid, fields[0][0].spatial_periods[0]), K
 
 
 def principal_eigenvalue(op: OperatorSpec) -> PrincipalEigenpair:
-    """Max-one principal eigenpair of op via the one-period solution map.
-
-    z-independent operators take _hill_pair at K = 0, the ODE monodromy.  Else
-    power iteration starts from the all-ones field and stops once the ratios
-    w/v spread by less than _SPREAD = 1e-12; the Rayleigh ratio estimates the
-    spectral radius: lambda = -ln(rho)/T on the period map, (1/rho - 1) sigma
-    on the shift-invert step of a time-independent operator.  Its residual is
-    centred in time.  A not uniformly positive result is refused.
-    """
-    grid = op.grid
-    if grid.kind != "periodic":
+    """Max-one principal eigenpair of op's frame at op.mu on the nodes of op.grid,
+    a periodic cell: its Hill pair (_hill_pair).  A run reads its pairs from its
+    EigenEvaluator; nothing in the pipeline calls this."""
+    if op.grid.kind != "periodic":
         raise InputError("principal eigenvalue needs a periodic cell grid")
-    T = grid.t_period
-    if op.is_z_independent():
-        return _hill_pair(op.fsys.reduce_1d(), op.mu, grid, 0)[0]
-    static = op.is_time_independent()
-    if static:  # shift-invert: one backward-Euler step of dt = 1/sigma on one slice
-        sigma = max(float(apply_S(op, np.ones((op.N, 1, grid.n_z))).max()), 0.0) + 1.0
-        run = replace(op, grid=replace(grid, n_t=1, t_period=1.0 / sigma),
-                      **{f: getattr(op, f)[..., :1, :] for f in _TABLES})
-        stepper = Stepper(run)
-    else:
-        run, stepper = op, Stepper(op, scheme="cn")
-    v = np.ones((op.N, grid.n_z))
-    history = []
-    for it in range(_MAX_ITERS):
-        w, orbit = stepper.run_period(v)
-        rho = float(np.vdot(v, w)) / float(np.vdot(v, v))
-        mask = np.abs(v) > 1e-14 * np.abs(v).max()
-        ratios = w[mask] / v[mask]
-        spread = float(ratios.max() - ratios.min()) / max(abs(rho), 1e-300)
-        history.append((rho, spread))
-        v = w / np.abs(w).max()
-        if spread < _SPREAD:
-            break
-    else:
-        raise NumericalError("power iteration did not converge; coupling may be reducible "
-                             "or the grid pathological", history=history)
-    if rho <= 0:
-        raise NumericalError(f"nonpositive period-map spectral radius {rho!r}")
-    lam = (1.0 / rho - 1.0) * sigma if static else -np.log(rho) / T
-    # the last iteration's orbit: at convergence it starts on the eigenvector
-    vals = orbit * np.exp(lam * run.grid.t)[None, :, None]
-    info = {"path": "shift-invert" if static else "power-iteration", "rho": rho,
-            "iterations": it + 1}
-    _refuse_unless_positive(vals)
-    if static:
-        # simple principal eigenvalue => time-constant eigenfunction; snap
-        # away integrator roundoff so downstream exact-constancy tests hold
-        vals = np.repeat(vals.mean(axis=1, keepdims=True), grid.n_t, axis=1)
-    vals = vals / vals.max()
-    dudt = (np.roll(vals, -1, axis=1) - np.roll(vals, 1, axis=1)) / (2.0 * grid.dt)
-    residual = float(np.abs(dudt - apply_S(op, vals) - lam * vals).max())
-    return PrincipalEigenpair(op.mu, float(lam), GridField(vals, grid), float(vals.min()),
-                              residual, info)
+    return _hill_pair(op.fsys.reduce_1d(), op.mu, op.grid, 0)[0]
 
 
 class EigenEvaluator:
     """Memoized lambda(mu) for a fixed frame system, with no options.
 
-    Without a grid the pairs come from _hill_pair on default_cell_grid's nodes,
-    each from the last K; with a cell grid, from principal_eigenvalue on it.
-    The dispersion layer reads nothing else: persistence is the sign of ev(0),
-    and c* and the decay roots are searched on ev at mu > 0.
+    Pairs come from _hill_modes on default_cell_grid's nodes, each from the
+    last K.  The dispersion layer reads nothing else: persistence is the sign
+    of ev(0), and c* and the decay roots are searched on ev at mu > 0.  The
+    wave envelopes read frame_pair, the same modes seen from a moving frame.
     """
 
-    def __init__(self, fsys: FrameSystem, grid: Grid | None = None):
+    def __init__(self, fsys: FrameSystem):
         self.fsys = fsys
-        self.grid = grid if grid is not None else default_cell_grid(fsys)
-        self._fields = fsys.reduce_1d() if grid is None else None
+        self.grid = default_cell_grid(fsys)
+        self._fields = fsys.reduce_1d()
         self._K = 0
+        self._modes: dict[tuple[float, int], tuple] = {}  # (mu, n_t) -> (lambda, orbit, residual)
         self._cache: dict[float, PrincipalEigenpair] = {}
+
+    def _modes_at(self, mu: float, n_t: int):
+        """_hill_modes at mu on n_t slices of the period (one if the frame is static)."""
+        key = (mu, n_t if self.grid.n_t > 1 else 1)
+        if key not in self._modes:
+            grid = self.grid if key[1] == self.grid.n_t else replace(self.grid, n_t=n_t)
+            lam, orbit, residual, self._K = _hill_modes(self._fields, mu, grid, self._K)
+            self._modes[key] = lam, orbit, residual
+        return self._modes[key]
 
     def pair(self, mu: float) -> PrincipalEigenpair:
         mu = float(mu)
         if mu not in self._cache:
-            if self._fields is None:
-                self._cache[mu] = principal_eigenvalue(build_operator_mu(self.fsys, mu, self.grid))
-            else:
-                self._cache[mu], self._K = _hill_pair(self._fields, mu, self.grid, self._K)
+            self._cache[mu] = _max_one_pair(mu, *self._modes_at(mu, self.grid.n_t), self.grid,
+                                            self.grid.z1)
         return self._cache[mu]
+
+    def frame_pair(self, fsys: FrameSystem, mu: float, cell: Grid) -> PrincipalEigenpair:
+        """The max-one pair at mu of fsys, this c = 0 frame's direction moving at
+        c = fsys.c, on its periodic cell: exactly lambda_0 + c mu and
+        phi_0(t mod 1, z - c t), as the frame map carries one onto the other.
+        T_frame is an integer, so slice k of the cell reads slice k T_frame mod
+        n_t of phi_0's n_t-slice orbit over [0, 1); the z shift c t turns each
+        mode j's (cos, sin) pair by 2 pi j c t / L_z.
+        """
+        e0, e = self.fsys.frame.e_floats(), fsys.frame.e_floats()
+        if self.fsys.c != 0 or e0.shape != e.shape or np.abs(e0 - e).max() > 1e-12:
+            raise InputError("a moving frame's pairs come from the c = 0 evaluator of its "
+                             f"direction e, not of e = {tuple(e0)} at c = {self.fsys.c}")
+        lam, orbit, residual = self._modes_at(float(mu), cell.n_t)
+        k = np.arange(cell.n_t) * int(fsys.T_frame) % len(orbit)
+        turn = np.outer(2 * np.pi / self.grid.z1 * fsys.c * cell.t,
+                        np.arange(1, orbit.shape[-1] // 2 + 1))
+        cos, sin = np.cos(turn)[:, None], np.sin(turn)[:, None]
+        modes = np.stack([orbit, residual])[:, k]  # (2, n_t, N, 2K+1)
+        a, b = modes[..., 1::2], modes[..., 2::2]
+        modes[..., 1::2], modes[..., 2::2] = a * cos + b * sin, b * cos - a * sin
+        return _max_one_pair(mu, lam + fsys.c * mu, *modes, cell, self.grid.z1)
 
     def __call__(self, mu: float) -> float:
         return self.pair(mu).lam

@@ -1,23 +1,21 @@
 """Shared discretization layer.
 
 Grids live on one period in time and either a periodic cell [0, L_z) or a
-truncated interval [-a, a] in the profile coordinate z.  The linearized
-operators have one discretization, `stencil`: second-order finite differences
-in conservative (flux) form.  Time stepping is implicit Euler by default
+truncated interval [-a, a] in the profile coordinate z.  The operators the
+wave and Cauchy layers solve have one discretization, `stencil`: second-order
+finite differences in conservative (flux) form, stepped by implicit Euler
 (unconditionally stable and positivity preserving for cooperative couplings:
-the step matrix is an M-matrix at moderate mesh Peclet numbers), with a
-Crank-Nicolson option used by the eigensolver where it matters.
+the step matrix is an M-matrix at moderate mesh Peclet numbers).
 
 Boundary treatments of the step solver: periodic on a cell; Dirichlet on an
-interval when boundary data is given (the wave and eigen layers); zero flux on
-an interval without boundary data (the Cauchy layer), with the drift upwinded
-at the two end nodes so the step matrix stays an M-matrix.  `stencil` gives
+interval when boundary data is given (the wave layer); zero flux on an
+interval without boundary data (the Cauchy layer), with the drift upwinded at
+the two end nodes so the step matrix stays an M-matrix.  `stencil` gives
 the spatial operator S as 2N+1 bands, which `apply_S` applies.  Those bands
 are already LAPACK's band storage of S^T, so a step solver stores them once
 per time slice (a periodic cell in the folded node order 0, n-1, 1, n-2, ...,
-half-bandwidth 2N) and every step, Crank-Nicolson, steady and Newton matrix
-d I + s S is factored as its transpose by one band LU (dgbtrf, two dtbsv
-solves).  `apply_operator` is the backward-Euler residual on the same S; a
+half-bandwidth 2N) and every step, steady and Newton matrix d I + s S is
+factored as its transpose by one band LU (dgbtrf, two dtbsv solves).  `apply_operator` is the backward-Euler residual on the same S; a
 diagonal a caller adds is folded into `OperatorSpec.pot0`.
 
 Time-periodic boundary-value problems, linear with a source term, are solved
@@ -212,9 +210,6 @@ class OperatorSpec:
         pos = self.a_node > 0
         return float(((np.abs(self.drift[pos]) * self.grid.dz) / (2.0 * self.a_node[pos])).max(initial=0.0))
 
-    def is_z_independent(self) -> bool:
-        return all(_const_along(x, x.ndim - 1) for x in (self.a_node, self.drift, self.pot0, self.coupling))
-
 
 def _const_along(arr, axis):
     return bool(np.all(arr == np.take(arr, [0], axis=axis)))
@@ -348,10 +343,7 @@ class Stepper:
     without bc an interval's two ends carry no flux.
     """
 
-    def __init__(self, op: OperatorSpec, scheme: str = "be",
-                 bc: tuple[np.ndarray, np.ndarray] | None = None):
-        if scheme not in ("be", "cn"):
-            raise InputError(f"unknown scheme {scheme!r}")
+    def __init__(self, op: OperatorSpec, bc: tuple[np.ndarray, np.ndarray] | None = None):
         g = op.grid
         if bc is not None and g.kind != "interval":
             raise InputError("boundary data needs an interval grid")
@@ -359,7 +351,6 @@ class Stepper:
             raise InputError("a one-node periodic cell cannot step: it takes the eigen ODE path")
         self.op = op
         self.grid = g
-        self.scheme = scheme
         self.bc = bc
         self.N = op.N
         self.size = op.N * g.n_z
@@ -381,8 +372,7 @@ class Stepper:
 
     @cached_property  # on first use: steady solves never step
     def _lhs_lu(self) -> list:
-        w = 1.0 if self.scheme == "be" else 0.5
-        return [self._lu(1.0, -w * self.grid.dt, k) for k in range(self.n_distinct)]
+        return [self._lu(1.0, -self.grid.dt, k) for k in range(self.n_distinct)]
 
     def _assemble_S(self) -> None:
         """_S_ab[k].T (2 kb + 1, size): S_k^T in general band storage, S_k[m, m + o]
@@ -430,12 +420,8 @@ class Stepper:
 
     def step(self, v: np.ndarray, k: int) -> np.ndarray:
         """Advance from t_k to t_{k+1}; v is (N, n_z)."""
-        n_t = self.grid.n_t
-        kk = (k + 1) % n_t
-        rhs = self._flat(v)
-        if self.scheme == "cn":
-            rhs = self._apply(rhs, 1.0, 0.5 * self.grid.dt, k % n_t % self.n_distinct)
-        return self._unflat(self._lhs_lu[kk % self.n_distinct](self._bc_into(rhs, kk)))
+        kk = (k + 1) % self.grid.n_t
+        return self._unflat(self._lhs_lu[kk % self.n_distinct](self._bc_into(self._flat(v), kk)))
 
     def step_implicit_quadratic(self, v: np.ndarray, k: int, b_k: np.ndarray) -> np.ndarray:
         """Backward-Euler step of d_t v = S v - b v^2, quadratic kept implicit.
@@ -443,14 +429,11 @@ class Stepper:
         Solves (I - dt S) w + dt b w^2 = v by fixed-point iterations on the
         cached factorization, to _QUAD_TOL, so the map's steady state is the
         exact discrete one.  b_k is the (N, n_z) diagonal quadratic coefficient
-        at t_{k+1}, ignored on the Dirichlet rows.  A Crank-Nicolson Stepper is
-        refused: its cached I - dt/2 S would halve S in the steady state.  Once
-        a change is not finite or not below half the last (dt b w too large),
-        _newton_be solves the step and its Dirichlet entries are reset to the
-        data; Newton failing raises.
+        at t_{k+1}, ignored on the Dirichlet rows.  Once a change is not finite
+        or not below half the last (dt b w too large), _newton_be solves the
+        step and its Dirichlet entries are reset to the data; Newton failing
+        raises.
         """
-        if self.scheme != "be":
-            raise InputError("the implicit quadratic step needs a backward-Euler Stepper")
         dt = self.grid.dt
         kk = (k + 1) % self.grid.n_t
         b = np.where(self._dirichlet, 0.0, self._flat(b_k))

@@ -14,6 +14,9 @@ u'_mu and its mu-derivative (u'_mu rescaled to mean one, differentiable in
 mu), the supersolution clamped at a constant plateau through the
 one-sided-from-minus-infinity min/max construction.
 
+Every eigenpair u'_mu is the run's c = 0 pair seen from the frame moving at
+c (EigenEvaluator.frame_pair), on the cylinder's own nodes.
+
 Both pipelines run one loop: inexact Newton steps on the semilinear system,
 each one warm-started periodic-Dirichlet solve, from the logistic bound K
 above; damped iteration of r -> u_r is their fallback.
@@ -30,8 +33,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coeffs import logistic_envelope
-from .eigen import EigenEvaluator, PrincipalEigenpair, default_cell_grid
+from .coeffs import coupling_extrema, logistic_envelope
+from .eigen import PrincipalEigenpair, default_cell_grid
 from .errors import InputError, NumericalError, WavekitError
 from .frame import FrameSystem
 from .pde_core import (
@@ -103,22 +106,18 @@ def cylinder_grid(fsys: FrameSystem, a: float, n_t: int | None = None,
 
 
 def _cell_grid_for(fsys: FrameSystem, grid: Grid) -> Grid:
-    """fsys's eigen cell on the cylinder's time nodes; a z-dependent cell takes the
-    least multiple of the cylinder's nodes per cell >= default_cell_grid's n_z."""
+    """fsys's eigen cell on the cylinder's nodes: its n_t slices, and its dz from z = 0
+    over the whole cells a Grid's 16 nodes need (one node if z-independent)."""
     cell = replace(default_cell_grid(fsys), n_t=grid.n_t)
     ppc = round(cell.z1 / grid.dz)
-    return cell if cell.n_z == 1 else replace(cell, n_z=-(-cell.n_z // ppc) * ppc)
+    cells = -(-16 // ppc)
+    return cell if cell.n_z == 1 else replace(cell, n_z=cells * ppc, z1=cells * cell.z1)
 
 
 def _extend_to_cylinder(values: np.ndarray, cell: Grid, grid: Grid) -> np.ndarray:
-    """Map samples on the cylinder's eigen cell onto its z nodes, exactly: on
-    cylinder_grid's nodes (-a a cell multiple), node j is cell node j n_z/ppc mod n_z."""
-    if cell.n_z == 1:  # a z-independent frame's cell
-        return np.repeat(values, grid.n_z, axis=2)
-    stride, rem = divmod(cell.n_z, round(cell.z1 / grid.dz))
-    if rem:
-        raise InputError("cylinder nodes do not align with the eigenfunction cell")
-    return values[:, :, np.arange(grid.n_z) * stride % cell.n_z]
+    """Map samples on the cylinder's eigen cell (_cell_grid_for) onto its z nodes:
+    -a is a cell multiple, so cylinder node j is cell node j mod n_z."""
+    return values[:, :, np.arange(grid.n_z) % cell.n_z]
 
 
 def _exp_profile(rate: float, z: np.ndarray) -> np.ndarray:
@@ -215,9 +214,9 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid) -> Super
     fsys is the frame moving at c = roots.c and grid the cylinder grid the
     envelopes will be materialized on.  The max-one normalized principal
     eigenpairs at mu_wedge and mu_wedge + gamma, gamma =
-    min(mu_wedge, mu_vee - mu_wedge)/2, are solved on the matching
-    periodic cell; in that frame the eigenvalues are lambda_{1,mu} + c mu, so
-    the first must vanish and chi, the second, must be positive.
+    min(mu_wedge, mu_vee - mu_wedge)/2, are roots.evaluator's seen from fsys
+    on the cylinder's cell, with eigenvalues lambda_{1,mu} + c mu: the first
+    must vanish and chi, the second, must be positive.
 
     The smallest admissible half-length a_star is a multiple of step, the cell
     length (1 without a cell), so -a is cell node 0, where e^{mu_wedge a}
@@ -229,8 +228,8 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid) -> Super
     mu_w, mu_v = roots.mu_wedge, roots.mu_vee
     gamma = 0.5 * min(mu_w, mu_v - mu_w)
     cell = _cell_grid_for(fsys, grid)
-    ev = EigenEvaluator(fsys, grid=cell)
-    eig_wedge, eig_gamma = ev.pair(mu_w), ev.pair(mu_w + gamma)
+    eig_wedge, eig_gamma = (roots.evaluator.frame_pair(fsys, mu, cell)
+                            for mu in (mu_w, mu_w + gamma))
     chi = eig_gamma.lam
     if chi <= 0:
         raise NumericalError(
@@ -238,7 +237,7 @@ def build_envelopes_supercritical(fsys: FrameSystem, roots, grid: Grid) -> Super
             "this contradicts mu_wedge < mu_wedge + gamma < mu_vee (upstream failure)"
         )
     kappa = eig_gamma.kappa
-    b_bar = max(f.bounds()[1] for row in fsys.B for f in row)
+    b_bar = float(coupling_extrema(fsys)[3].max())
     N = fsys.N
     M = max(1.0 / kappa, N * b_bar / (chi * kappa))
     _, K = logistic_envelope(fsys)
@@ -633,13 +632,15 @@ def _positive_part_from_left(core: np.ndarray, z: np.ndarray):
     return np.where(np.arange(core.shape[2]) < roots[..., None], core, 0.0), roots
 
 
-def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
+def build_envelopes_critical(fsys: FrameSystem, curve, grid: Grid,
                              tol: float = 1e-7) -> CriticalEnvelopes:
     """The least (M1, M2, M3) for which the critical envelope pair works on the grid.
 
-    The frame must move at c* (fsys.c), so eigensolves return lambda_{1,mu} + c* mu:
-    that value vanishes to solver tolerance at mu* and must be strictly
-    negative at mu* + gamma (strict concavity of the dispersion eigenvalue).
+    The frame must move at c* = curve.c_star (fsys.c), so curve.evaluator's
+    pairs seen from it on the cylinder's cell have eigenvalue lambda_{1,mu} +
+    c* mu: that vanishes to solver tolerance at mu* = curve.mu_star and must be
+    strictly negative at mu* + gamma (strict concavity of the dispersion
+    eigenvalue).
     Mean-one eigenfunctions keep mu -> u'_mu differentiable (_mean_one); the
     derivative is a centered difference with step _H_REL * mu*.
 
@@ -649,11 +650,12 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
     constants are admissible but push the subsolution support far downstream
     and dilute the profile's |z| e^{mu* z} shape on finite grids.
     """
+    mu_star = curve.mu_star
     gamma = 0.5 * mu_star
     cell = _cell_grid_for(fsys, grid)
-    ev = EigenEvaluator(fsys, grid=cell)
-    pair_star = ev.pair(mu_star)
-    pair_g = ev.pair(mu_star + gamma)
+    pair = lambda mu: curve.evaluator.frame_pair(fsys, mu, cell)  # noqa: E731
+    pair_star = pair(mu_star)
+    pair_g = pair(mu_star + gamma)
     g_gamma = pair_g.lam
     if g_gamma >= 0:
         raise NumericalError(
@@ -661,7 +663,7 @@ def build_envelopes_critical(fsys: FrameSystem, mu_star: float, grid: Grid,
             "concavity violated upstream"
         )
     h = _H_REL * mu_star
-    du = (_mean_one(ev.pair(mu_star + h)) - _mean_one(ev.pair(mu_star - h))) / (2.0 * h)
+    du = (_mean_one(pair(mu_star + h)) - _mean_one(pair(mu_star - h))) / (2.0 * h)
 
     env = CriticalEnvelopes(fsys, mu_star, gamma, 1.0, 1.0, 1.0, g_gamma, np.inf,
                             pair_star, pair_g, du, cell)

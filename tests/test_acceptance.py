@@ -72,7 +72,7 @@ def curves(systems):
 @pytest.fixture(scope="module")
 def scalar_wave(systems, curves):
     curve = curves["scalar"]
-    roots = speed_roots(curve, 2.5, tol=1e-10)
+    roots = speed_roots(curve, 2.5)
     fsc = wave_frame(systems["scalar"], 2.5)
     grid = cylinder_grid(fsc, 40.0, n_z=2048)
     env = build_envelopes_supercritical(fsc, roots, grid)
@@ -85,7 +85,7 @@ def critical_wave(systems, curves):
     curve = curves["scalar"]
     fsc = wave_frame(systems["scalar"], curve.c_star)
     grid = cylinder_grid(fsc, 60.0, n_z=6001)
-    env = build_envelopes_critical(fsc, curve.mu_star, grid)
+    env = build_envelopes_critical(fsc, curve, grid)
     profile = critical_fixed_point(env, grid, tol=1e-8)
     return env, profile
 
@@ -93,7 +93,7 @@ def critical_wave(systems, curves):
 @pytest.fixture(scope="module")
 def system_wave(systems, curves):
     curve = curves["2x2"]
-    roots = speed_roots(curve, 3.0, tol=1e-10)
+    roots = speed_roots(curve, 3.0)
     fsc = wave_frame(systems["2x2"], 3.0)
     grid = cylinder_grid(fsc, 40.0, n_z=2048)
     env = build_envelopes_supercritical(fsc, roots, grid)

@@ -379,10 +379,10 @@ class TestRunConfig:
         assert diag["pde_residual"] <= 1e-7
         assert diag["trapping_violation"] <= 1e-5
 
-    @pytest.mark.parametrize("ppc", [24, 128])
+    @pytest.mark.parametrize("ppc", [12, 24, 128])
     def test_points_per_cell_off_the_eigen_cell(self, tmp_path, ppc):
-        # neither divides the default 64-node eigen cell: the wave's cell
-        # takes 72 and 128 nodes, so every cylinder node is a cell node
+        # none divides the default 64-node eigen cell: the wave's cell has the
+        # cylinder's own nodes (two cells of them for 12, a Grid's 16 nodes)
         cfg = cell_config(["wave"], {"c": "3", "wave": {"a": 20.0, "n_t": 64,
                                                         "points_per_cell": ppc}})
         out = tmp_path / "out"
@@ -657,22 +657,21 @@ class TestRunConfig:
         assert (out / "report.json").exists()
 
     def test_each_eigenpair_solved_once(self, tmp_path, monkeypatch):
+        # every pair, the wave's included, comes from the run's one evaluator
         solved = []
         persistence_calls = []
-        solve = eigen.principal_eigenvalue
+        solve = eigen._hill_modes
         check = cli.persistence_check
 
-        def counting_solve(op, *args, **kwargs):
-            frame = op.fsys.frame
-            solved.append((frame.mode, tuple(frame.e_floats()), frame.c_float(),
-                           op.grid, op.mu))
-            return solve(op, *args, **kwargs)
+        def counting_solve(fields, mu, grid, K):
+            solved.append((id(fields), grid, mu))
+            return solve(fields, mu, grid, K)
 
         def counting_check(*args, **kwargs):
             persistence_calls.append(args)
             return check(*args, **kwargs)
 
-        monkeypatch.setattr(eigen, "principal_eigenvalue", counting_solve)
+        monkeypatch.setattr(eigen, "_hill_modes", counting_solve)
         monkeypatch.setattr(cli, "persistence_check", counting_check)
         cfg = scalar_config(["dispersion", "wave"], extra_params={
             "c": 2.5, "wave": {"a": 16.0, "n_z": 401, "tol": 1e-7},
@@ -680,8 +679,28 @@ class TestRunConfig:
         p = write_config(tmp_path, cfg)
         assert run_config(p, out=tmp_path / "out") == 0
         assert len(persistence_calls) == 1
-        assert solved
+        assert solved and len({key[0] for key in solved}) == 1
         assert len(set(solved)) == len(solved)
+
+    def test_validate_k_is_the_row_sum_bound_of_its_extrema(self, tmp_path):
+        # L11 = 1 + 0.5 sin 8 pi x and L22 = 1 + 0.2 cos 18 pi x peak off each
+        # other's own sample points: K = (1.5 + 0.5) / 1 read from overline_L
+        # and underline_B, not from a sampling of its own (1.9755)
+        def mode(c, s, kx):
+            return {"kt": 0, "kx": [kx], "cos": c, "sin": s}
+
+        cfg = scalar_config(["validate"])
+        half = [mode(0.5, 0.0, 0)]
+        cfg["system"] = {"N": 2, "n": 1, "fields": {
+            "A": [[[[MODE]]], [[[MODE]]]], "q": [[[]], [[]]],
+            "L": [[[MODE, mode(0.0, 0.5, 4)], half], [half, [MODE, mode(0.2, 0.0, 9)]]],
+            "B": [[[MODE], [MODE]], [[MODE], [MODE]]]}}
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+        doc = json.loads((out / "validate.json").read_text())
+        bound = (np.maximum(doc["overline_L"], 0.0).sum(axis=1).max()
+                 / np.min(doc["underline_B"]))
+        assert doc["logistic_envelope"]["K"] == bound == 2.0
 
     def test_one_static_evaluator_per_run(self, tmp_path, monkeypatch):
         # persistence, c* and the decay roots read the run's one c = 0 evaluator

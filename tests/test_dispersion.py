@@ -61,7 +61,7 @@ class TestMinimalSpeed:
 
     def test_extinct_system_refused_before_the_bracket(self):
         ev = EigenEvaluator(static_frame(scalar_system(l=-1.0), e=[1]))
-        with mock.patch.object(eigen, "_hill_pair", side_effect=eigen._hill_pair) as spy:
+        with mock.patch.object(eigen, "_hill_modes", side_effect=eigen._hill_modes) as spy:
             with pytest.raises(NumericalError, match="extinct"):
                 minimal_speed(ev)
         assert spy.call_count == 1
@@ -99,28 +99,28 @@ def curve():
 
 class TestSpeedRoots:
     def test_quadratic_formula_roots(self, curve):
-        roots = speed_roots(curve, 2.5, tol=1e-10)
+        roots = speed_roots(curve, 2.5)
         assert roots.mu_wedge == pytest.approx(0.5, abs=1e-7)
         assert roots.mu_vee == pytest.approx(2.0, abs=1e-7)
 
     def test_critical_tangency_error(self, curve):
         with pytest.raises(InputError, match="critical"):
-            speed_roots(curve, curve.c_star, tol=1e-8)
+            speed_roots(curve, curve.c_star)
 
     def test_subcritical_error(self, curve):
         with pytest.raises(InputError, match="subcritical"):
-            speed_roots(curve, 1.0, tol=1e-8)
+            speed_roots(curve, 1.0)
 
     def test_time_periodic_time_average(self):
         curve = minimal_speed(
             EigenEvaluator(static_frame(scalar_system(l_field=time_periodic_l()), e=[1]))
         )
-        roots = speed_roots(curve, 2.5, tol=1e-10)
+        roots = speed_roots(curve, 2.5)
         assert roots.mu_wedge == pytest.approx(0.5, abs=1e-6)
         assert roots.mu_vee == pytest.approx(2.0, abs=1e-6)
 
     def test_positive_between_roots(self, curve):
-        roots = speed_roots(curve, 2.5, tol=1e-10)
+        roots = speed_roots(curve, 2.5)
         for mu in np.linspace(roots.mu_wedge + 1e-3, roots.mu_vee - 1e-3, 7):
             assert curve.evaluator(mu) + 2.5 * mu > 0
 
@@ -128,7 +128,7 @@ class TestSpeedRoots:
     def test_secant_roots_exact(self, c):
         # lambda = -(1 + mu^2): roots (c -+ sqrt(c^2 - 4))/2, in few solves
         curve = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1])))
-        with mock.patch.object(eigen, "_hill_pair", side_effect=eigen._hill_pair) as spy:
+        with mock.patch.object(eigen, "_hill_modes", side_effect=eigen._hill_modes) as spy:
             roots = speed_roots(curve, c)
         disc = np.sqrt(c * c - 4.0)
         assert roots.mu_wedge == pytest.approx((c - disc) / 2, abs=1e-12)

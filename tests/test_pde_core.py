@@ -23,6 +23,11 @@ from wavekit.pde_core import (
 )
 
 
+# the implicit weight theta of the step matrix I - theta dt S: the Stepper steps
+# backward Euler, theta = 1, and the "be" id names that scheme in the case IDs
+BACKWARD_EULER = pytest.mark.parametrize("theta", [1.0], ids=["be"])
+
+
 def frame_of(sys, c=0):
     return transform_coefficients(nondimensionalize(sys), make_frame([1], c))
 
@@ -145,15 +150,15 @@ class TestEvolvePeriod:
         with pytest.raises(InputError):
             Stepper(op).run_period(np.ones((1, 16)))
 
-    @pytest.mark.parametrize("scheme", ["be", "cn"])
-    def test_one_node_cell_refused(self, scheme):
+    @BACKWARD_EULER
+    def test_one_node_cell_refused(self, theta):
         # u_t = u_zz + u at mu = 0.5: every band folds onto the one node, where
         # the scatter kept only the last (S = 1.5, not apply_S's 1.25), and
         # dgbmv refuses m = 1; a one-node cell takes the eigen ODE path
         op = build_operator_mu(plain_diffusion_frame(l=1.0), 0.5, Grid.periodic_cell(1, 1, 4, 1))
         assert apply_S(op, np.ones((1, 4, 1)))[0, 0, 0] == pytest.approx(1.25)
         with pytest.raises(InputError, match="ODE path"):
-            Stepper(op, scheme=scheme)
+            Stepper(op)
 
 
 class TestPeriodicBVP:
@@ -187,15 +192,6 @@ class TestPeriodicBVP:
                                            force_relaxation=True)
         assert info["mode"] == "relaxation"
         assert np.abs(u_direct.values - u_relax.values).max() < 1e-8
-
-    def test_quadratic_step_needs_backward_euler(self):
-        # on a Crank-Nicolson Stepper the cached matrix is I - dt/2 S, and the
-        # implicit quadratic step would converge to -S/2 u + b u^2 = 0
-        op, g = self.cylinder_setup(a=6.0, n_z=121, l=1.0)
-        zero = np.zeros((1, g.n_t))
-        st = Stepper(op, scheme="cn", bc=(zero, zero))
-        with pytest.raises(InputError):
-            st.step_implicit_quadratic(np.ones((1, g.n_z)), 0, np.ones((1, g.n_z)))
 
     def test_orbit_has_zero_backward_euler_residual(self, rng):
         # a time-periodic operator with an added potential and Dirichlet data:
@@ -469,13 +465,13 @@ def _pattern_system(N, time_dep):
 
 
 class TestSharedPattern:
-    # every (grid closure, N, time dependence, shape of a diagonal folded into pot0, scheme)
-    @pytest.mark.parametrize("scheme", ["be", "cn"])
+    # every (grid closure, N, time dependence, shape of a diagonal folded into pot0)
+    @BACKWARD_EULER
     @pytest.mark.parametrize("extra", [None, "static", "time"])
     @pytest.mark.parametrize("time_dep", [False, True])
     @pytest.mark.parametrize("N", [1, 2])
     @pytest.mark.parametrize("closure", ["periodic", "dirichlet", "zero_flux"])
-    def test_matches_per_slice_assembly(self, closure, N, time_dep, extra, scheme, rng):
+    def test_matches_per_slice_assembly(self, closure, N, time_dep, extra, theta, rng):
         fs = frame_of(_pattern_system(N, time_dep))
         if closure == "periodic":
             g = Grid.periodic_cell(1.0, 1.0, 8, 32)
@@ -488,22 +484,21 @@ class TestSharedPattern:
         bc = None
         if closure == "dirichlet":
             bc = (rng.uniform(0.5, 1.0, (N, g.n_t)), rng.uniform(0.0, 0.5, (N, g.n_t)))
-        st = Stepper(op, scheme=scheme, bc=bc)
+        st = Stepper(op, bc=bc)
         assert st.n_distinct == (g.n_t if time_dep or extra == "time" else 1)
 
-        w = 1.0 if scheme == "be" else 0.5
         dt = g.dt
         eye = sp.identity(st.size, format="csc")
-        lhs_ref, rhs_ref = [], []
+        lhs_ref = []
         x = rng.uniform(0.0, 1.0, (N, g.n_z))
         x_ref = x.T.reshape(-1)
         for k in range(st.n_distinct):
             S_ref = _reference_S(st, k)
-            lhs_ref.append(eye - (w * dt) * S_ref)
-            rhs_ref.append(eye + (0.5 * dt) * S_ref)
+            lhs_ref.append(eye - (theta * dt) * S_ref)
             assert np.array_equal(_dense_S(st, k), S_ref.toarray())
-            # the band products: the Crank-Nicolson right-hand side and the steady K
-            products = (((1.0, 0.5 * dt), rhs_ref[k]), ((st._dirichlet, -1.0), _reference_steady(st, k)))
+            # the band products d I + s S, d a scalar or a diagonal (the steady K)
+            products = (((1.0, 0.5 * dt), eye + (0.5 * dt) * S_ref),
+                        ((st._dirichlet, -1.0), _reference_steady(st, k)))
             for (d, s), ref in products:
                 got = st._unflat(st._apply(st._flat(x), d, s, k)).T.reshape(-1)
                 expect = ref @ x_ref
@@ -523,8 +518,6 @@ class TestSharedPattern:
         for k in range(g.n_t):
             kk = (k + 1) % g.n_t
             rhs = np.ascontiguousarray(v.T).reshape(-1).copy()
-            if scheme == "cn":
-                rhs = rhs_ref[k % st.n_distinct] @ rhs
             rows = _reference_dirichlet_rows(st)
             if rows:
                 rhs[rows] = np.concatenate([bc[0][:, kk], bc[1][:, kk]])

@@ -73,7 +73,7 @@ def a_star_reference(env):
 def scalar_setup():
     sys = scalar_system()
     curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
-    roots = speed_roots(curve, 2.5, tol=1e-10)
+    roots = speed_roots(curve, 2.5)
     fsc = wave_frame(sys, 2.5)
     env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 24.0, n_z=1201))
     return sys, curve, roots, fsc, env
@@ -83,6 +83,21 @@ def scalar_setup():
 def scalar_profile(scalar_setup):
     env = scalar_setup[-1]
     return fixed_point_truncated(env, cylinder_grid(env.fsys, 24.0, n_z=1201), tol=1e-8)
+
+
+@pytest.mark.parametrize("pipeline", ["supercritical", "critical"])
+def test_builders_refuse_an_evaluator_of_another_direction(scalar_setup, pipeline):
+    # the envelopes read the c = 0 pairs of their own frame's direction only
+    _, curve, roots, _, _ = scalar_setup
+    c = 2.5 if pipeline == "supercritical" else curve.c_star
+    fs = transform_coefficients(nondimensionalize(scalar_system()),
+                                make_frame([-1.0], c, mode="space-homogeneous"))
+    grid = cylinder_grid(fs, 24.0, n_z=1201)
+    with pytest.raises(InputError, match="c = 0 evaluator"):
+        if pipeline == "supercritical":
+            build_envelopes_supercritical(fs, roots, grid)
+        else:
+            build_envelopes_critical(fs, curve, grid)
 
 
 class TestSupercriticalEnvelopes:
@@ -124,7 +139,7 @@ class TestSupercriticalEnvelopes:
     def test_2x2_envelope_constants(self):
         sys = system_2x2()
         curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
-        roots = speed_roots(curve, 3.0, tol=1e-10)
+        roots = speed_roots(curve, 3.0)
         fsc = wave_frame(sys, 3.0)
         env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 24.0, n_z=1201))
         assert roots.mu_wedge == pytest.approx(1.0, abs=1e-7)
@@ -247,7 +262,7 @@ class TestExtendToEntire:
         # supercritical (c = 2.5) ones 1.0e-2, 1.2e-3, 6.0e-5, 2.8e-4
         fs = wave_frame(scalar_system(), c)
         grid = cylinder_grid(fs, 16.0, dz=0.05)
-        env = (build_envelopes_critical(fs, 1.0, grid) if c == 2.0 else
+        env = (build_envelopes_critical(fs, scalar_setup[1], grid) if c == 2.0 else
                build_envelopes_supercritical(fs, scalar_setup[2], grid))
         profile = extend_to_entire(env, [16.0, 24.0, 32.0, 40.0, 60.0], window=2.0,
                                    tol=1e-5, dz=0.05)
@@ -289,7 +304,7 @@ def critical_setup():
     curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
     fsc = wave_frame(sys, curve.c_star)
     grid = cylinder_grid(fsc, 60.0, n_z=6001)
-    env = build_envelopes_critical(fsc, curve.mu_star, grid)
+    env = build_envelopes_critical(fsc, curve, grid)
     return curve, fsc, grid, env
 
 
@@ -304,7 +319,7 @@ class TestOneSliceCylinder:
         else:
             curve, fsc, _, _ = critical_setup
             a, n_z = 8.0, 401
-            build = lambda grid: build_envelopes_critical(fsc, curve.mu_star, grid)
+            build = lambda grid: build_envelopes_critical(fsc, curve, grid)
         profiles = []
         for n_t in (None, 16):
             grid = cylinder_grid(fsc, a, n_t=n_t, n_z=n_z)
@@ -348,7 +363,7 @@ class TestCriticalPipeline:
         # each solved by one band solve agree on a short cylinder
         curve, fsc, _, _ = critical_setup
         grid8 = cylinder_grid(fsc, 8.0, n_z=401)
-        env8 = build_envelopes_critical(fsc, curve.mu_star, grid8)
+        env8 = build_envelopes_critical(fsc, curve, grid8)
         p_direct = critical_fixed_point(env8, grid8, tol=1e-8)
         p_relax = critical_fixed_point(env8, grid8, tol=1e-8, force_relaxation=True)
         assert p_relax.info["relax_periods"] > 0
@@ -361,7 +376,7 @@ class TestCriticalPipeline:
         curve, fsc, _, _ = critical_setup
         grid = cylinder_grid(fsc, 8.0, n_z=401)
         assert grid.n_t == 1
-        env = build_envelopes_critical(fsc, curve.mu_star, grid)
+        env = build_envelopes_critical(fsc, curve, grid)
         direct = critical_fixed_point(env, grid, tol=1e-8)
         relaxed = critical_fixed_point(env, grid, tol=1e-8, force_relaxation=True)
         assert relaxed.info["relax_periods"] > 0
@@ -374,7 +389,7 @@ class TestCriticalPipeline:
         # used to raise "increase a" at a = 9..12, between half-lengths that built
         curve, fsc, _, _ = critical_setup
         grid = cylinder_grid(fsc, a, dz=0.05)
-        env = _least_envelopes(fsc, curve.mu_star, grid)
+        env = _least_envelopes(fsc, curve, grid)
         profile = env.fixed_point(grid, tol=1e-7)
         assert profile.trapping_violation <= 1e-8
         assert profile.pde_residual <= 1e-8
@@ -387,7 +402,7 @@ class TestCriticalPipeline:
         curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         fsc = wave_frame(sys, curve.c_star)
         grid = cylinder_grid(fsc, 8.0, n_z=161)
-        env = build_envelopes_critical(fsc, curve.mu_star, grid)
+        env = build_envelopes_critical(fsc, curve, grid)
         profile = critical_fixed_point(env, grid, tol=1e-8)
         assert profile.info["newton_steps"] == profile.iterations <= 12
         assert profile.trapping_violation <= 1e-8
@@ -405,7 +420,7 @@ class TestCriticalPipeline:
         curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         fsc = wave_frame(sys, curve.c_star)
         grid = cylinder_grid(fsc, a, n_z=n_z)
-        env = _least_envelopes(fsc, curve.mu_star, grid)
+        env = _least_envelopes(fsc, curve, grid)
         profile = critical_fixed_point(env, grid, tol=1e-8)
         assert profile.info["newton_steps"] == profile.iterations <= 12
         assert profile.pde_residual <= 1e-10
@@ -419,7 +434,7 @@ class TestCriticalPipeline:
         curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         fsc = wave_frame(sys, curve.c_star)
         grid = cylinder_grid(fsc, 20.0, n_t=64, n_z=401)
-        env = _least_envelopes(fsc, curve.mu_star, grid)
+        env = _least_envelopes(fsc, curve, grid)
         profile = critical_fixed_point(env, grid, tol=1e-7)
         assert curve.c_star == pytest.approx(2.0, abs=1e-6)
         assert profile.info["newton_steps"] >= 1
@@ -428,7 +443,7 @@ class TestCriticalPipeline:
 
     def test_constants_are_least_admissible(self, critical_setup):
         curve, fsc, grid, env = critical_setup
-        least = _least_envelopes(fsc, curve.mu_star, grid)
+        least = _least_envelopes(fsc, curve, grid)
         assert [getattr(least, m) for m in ("M1", "M2", "M3")] == [env.M1, env.M2, env.M3]
 
     def test_m2_above_the_quadratic_root(self, critical_setup):
@@ -440,14 +455,14 @@ class TestCriticalPipeline:
         def lowered(op, u):
             return GridField(apply_operator(op, u).values - 0.5 * u.values, u.grid)
 
-        env = _least_envelopes(fsc, curve.mu_star, grid, apply_op=lowered)
+        env = _least_envelopes(fsc, curve, grid, apply_op=lowered)
         assert env.M2 > 1.02  # the floor with its margin
 
     def test_m3_at_the_sign_change_bound(self, critical_setup):
         # a loose tolerance relaxes the subsolution inequality, so M3 is
         # bound by the core's sign change at z <= 0: tau(0) = 1 for KPP
         curve, fsc, _, _ = critical_setup
-        env = _least_envelopes(fsc, curve.mu_star, cylinder_grid(fsc, 8.0, dz=0.05), tol=3.0)
+        env = _least_envelopes(fsc, curve, cylinder_grid(fsc, 8.0, dz=0.05), tol=3.0)
         assert env.M3 == pytest.approx(1.02, rel=1e-9)
 
     def test_critical_wave(self, critical_setup):
@@ -529,12 +544,12 @@ def _reference_predicates(env, grid, tol=1e-7, apply_op=apply_operator):
     return {"M1": m1_ok, "M2": m2_ok, "M3": m3_ok}
 
 
-def _least_envelopes(fsys, mu_star, grid, tol=1e-7, apply_op=apply_operator):
+def _least_envelopes(fsys, curve, grid, tol=1e-7, apply_op=apply_operator):
     """build_envelopes_critical, checked: each constant passes its reference
     test, and so does its least value lo, while lo (1 - 1e-6) fails."""
     with mock.patch.object(waves, "_least", wraps=waves._least) as least, \
             mock.patch.object(waves, "apply_operator", apply_op):
-        env = build_envelopes_critical(fsys, mu_star, grid, tol=tol)
+        env = build_envelopes_critical(fsys, curve, grid, tol=tol)
     ok = _reference_predicates(env, grid, tol=tol, apply_op=apply_op)
     assert [c.args[2] for c in least.call_args_list] == ["M1", "M2", "M3"]
     for c in least.call_args_list:
@@ -665,7 +680,7 @@ class TestGridConvergence:
 
         sys = scalar_system(l_field=time_periodic_l(1.0, 0.5))
         curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
-        roots = speed_roots(curve, 2.5, tol=1e-10)
+        roots = speed_roots(curve, 2.5)
         fsc = transform_coefficients(nondimensionalize(sys),
                                      make_frame([1.0], 2.5, mode="space-homogeneous"))
         profs = {}
@@ -697,7 +712,7 @@ class TestSpaceHomogeneousHigherDimension:
         curve = minimal_speed(EigenEvaluator(static_frame(sys, e=e)))
         assert curve.c_star == pytest.approx(2 * np.sqrt(ae), abs=1e-6)
         assert curve.mu_star == pytest.approx(1 / np.sqrt(ae), abs=1e-5)
-        roots = speed_roots(curve, 4.0, tol=1e-10)
+        roots = speed_roots(curve, 4.0)
         mu_oracle = (4 - np.sqrt(16 - 4 * ae)) / (2 * ae)
         assert roots.mu_wedge == pytest.approx(mu_oracle, abs=1e-8)
         fsc = transform_coefficients(nondimensionalize(sys),
@@ -723,7 +738,7 @@ class TestSpacePeriodicWave:
         sys = scalar_system(l_field=space_periodic_l(1.0, 0.5))
         curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         assert curve.c_star == pytest.approx(2.003, abs=2e-3)
-        roots = speed_roots(curve, 3, tol=1e-8)
+        roots = speed_roots(curve, 3)
         fsc = transform_coefficients(nondimensionalize(sys), make_frame([1], 3))
         assert not fsc.is_time_independent()  # drift mixes x into t
         grid = cylinder_grid(fsc, 8.0, n_t=64, points_per_cell=64)
@@ -740,7 +755,7 @@ def time_periodic_setup():
     # l(t) = 1 + 0.5 sin(2 pi t): c* = 2 by time averaging; wave at c = 2.5
     sys = scalar_system(l_field=time_periodic_l(1.0, 0.5))
     curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
-    roots = speed_roots(curve, 2.5, tol=1e-10)
+    roots = speed_roots(curve, 2.5)
     fsc = wave_frame(sys, 2.5)
     grid = cylinder_grid(fsc, 16.0, n_t=64, n_z=401)
     env = build_envelopes_supercritical(fsc, roots, grid)
@@ -804,7 +819,7 @@ class TestTimePeriodicWave:
         # cold Picard loop's profile
         sys = system_2x2(l12_field=time_periodic_l(1.0, 1.0), l21=1.0)
         curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
-        roots = speed_roots(curve, 3.5, tol=1e-10)
+        roots = speed_roots(curve, 3.5)
         fsc = wave_frame(sys, 3.5)
         grid = cylinder_grid(fsc, 16.0, n_t=32, n_z=321)
         env = build_envelopes_supercritical(fsc, roots, grid)
@@ -826,7 +841,7 @@ class TestTrappedIterates:
         sys = scalar_system(a=a, l=l, b=b)
         curve = minimal_speed(EigenEvaluator(static_frame(sys, e=[1])))
         c = c_ratio * curve.c_star
-        roots = speed_roots(curve, c, tol=1e-10)
+        roots = speed_roots(curve, c)
         fsc = wave_frame(sys, c)
         # a time-independent frame's eigen cell does not depend on the cylinder
         env = build_envelopes_supercritical(fsc, roots, cylinder_grid(fsc, 4.0, n_z=401))
