@@ -292,12 +292,14 @@ def run_dispersion(ctx: TaskContext, outdir: Path) -> dict:
         return summary
     curve = ctx.get_curve()
     summary.update(curve.to_json())
+    summary["solves"] = {"c_star": curve.solves, "roots": None}
     c_req = ctx.cfg.param("c")
     if c_req is not None:
         c_val = parse_speed(c_req)
         if criticality(curve, c_val) == "supercritical":
             roots = speed_roots(curve, c_val)
             summary["roots"] = roots.to_json()
+            summary["solves"]["roots"] = roots.solves
     mus = np.array([m for m, _ in curve.samples])
     gs = np.array([-l / m for m, l in curve.samples])
     svgplot.line_plot(

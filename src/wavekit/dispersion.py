@@ -4,19 +4,18 @@ For a persistent system (negative periodic principal eigenvalue) the function
 g(mu) = -lambda_{1,mu e} / mu has a unique minimum c* at mu* > 0; above it,
 lambda_{1,mu e} + c mu has exactly two zeros mu_wedge < mu* < mu_vee, which
 are the admissible downstream decay rates at speed c.  Strict concavity of
-mu -> lambda_{1,mu e} makes g unimodal, so a derivative-free golden-section
-search after a geometric bracketing scan is reliable, and it makes secant
-steps from two points beyond a root approach the root monotonically.
+mu -> lambda_{1,mu e} makes mu lambda' - lambda strictly decreasing, zero at
+mu*, so Newton steps inside a dyadic sign bracket find mu*; and it makes
+Newton steps from a point beyond a root approach the root monotonically.
 
-All of it reads one EigenEvaluator, mu -> lambda_{1,mu e} on the c = 0 frame
-of e: persistence is its sign at 0; the curve and the RootPair carry it on.
+All of it reads one EigenEvaluator, mu -> lambda_{1,mu e} and its exact lambda'
+on the c = 0 frame of e: persistence is its sign at 0; the curve and the
+RootPair carry it on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .coeffs import KPPSystem
 from .eigen import EigenEvaluator
@@ -35,8 +34,7 @@ __all__ = [
 ]
 
 MU_BRACKET = (1e-3, 1e3)
-TOL = 1e-8  # the c* search width, a tenth of the criticality band, the root stop
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+TOL = 1e-8  # the last Newton step of mu* and of a root, a tenth of the criticality band
 
 
 @dataclass
@@ -53,8 +51,9 @@ class DispersionCurve:
     samples: list  # [(mu, lambda)], mu > 0
     mu_star: float
     c_star: float
-    bracket: tuple[float, float]
+    bracket: tuple[float, float]  # the last bracket of mu*
     evaluator: EigenEvaluator = field(repr=False)
+    solves: int  # ev's solves in the search
 
     def to_json(self) -> dict:
         return {
@@ -72,6 +71,7 @@ class RootPair:
     mu_wedge: float
     mu_vee: float
     evaluator: EigenEvaluator = field(repr=False)
+    solves: int  # ev's solves in the search
 
     def to_json(self) -> dict:
         return {"c": self.c, "mu_wedge": self.mu_wedge, "mu_vee": self.mu_vee}
@@ -95,55 +95,42 @@ def persistence_check(ev: EigenEvaluator) -> PersistenceReport:
 def minimal_speed(ev: EigenEvaluator) -> DispersionCurve:
     """Minimal wave speed c* = min_{mu>0} -lambda_{1,mu e}/mu of ev on a c = 0 frame.
 
-    Brackets the unique minimizer by a geometric mu-scan (powers of two), then
-    golden-section search down to TOL.  Requires a persistent system, which is
-    exactly what makes g blow up at 0+ and guarantees an interior minimum: an
-    extinct one (ev(0) >= 0) is refused before the scan.
+    mu* is the root of F = mu lambda' - lambda, bracketed by sign on the dyadic
+    grid, then closed on to TOL by Newton steps on F (lambda'' the secant of
+    lambda' through the last two points) or a bisection if one leaves the
+    bracket.  Requires a persistent system, which is exactly what makes
+    F(0+) > 0 and guarantees an interior minimum: an extinct one (ev(0) >= 0)
+    is refused before the bracket.
     """
-    lam0 = ev(0.0)
+    solves, lam0 = ev.solves, ev(0.0)
     if lam0 >= 0:
         raise NumericalError(f"extinct: no wave pipeline (lambda_1p = {lam0:.6g} >= 0)")
-    lo_lim, hi_lim = MU_BRACKET
 
-    def g(mu):
-        return -ev(mu) / mu
+    def F(mu):
+        return mu * ev.derivative(mu) - ev(mu)
 
-    # geometric downhill walk on the dyadic grid
-    k = 0
-    gk = g(2.0 ** k)
-    gl = g(2.0 ** (k - 1))
-    gr = g(2.0 ** (k + 1))
-    while not (gl >= gk <= gr):
-        if gl < gk:
-            k -= 1
-            gr, gk = gk, gl
-            gl = g(2.0 ** (k - 1))
-        else:
-            k += 1
-            gl, gk = gk, gr
-            gr = g(2.0 ** (k + 1))
-        if not (lo_lim <= 2.0 ** k <= hi_lim):
+    k, step = 0, 1 if F(1.0) > 0 else -1
+    while (F(2.0 ** (k + step)) > 0) == (step > 0):
+        k += step
+        if not MU_BRACKET[0] <= 2.0 ** k <= MU_BRACKET[1]:
             raise NumericalError(f"failed to bracket the dispersion minimum inside {MU_BRACKET}",
                                  history=ev.samples)
-    lo, hi = 2.0 ** (k - 1), 2.0 ** (k + 1)
-
-    # golden-section search on the unimodal g
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    while hi - lo > TOL:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = g(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = g(x2)
-    mu_star = 0.5 * (lo + hi)
-    c_star = g(mu_star)
+    lo, hi = sorted((2.0 ** k, 2.0 ** (k + step)))
+    a, b = (lo, hi) if abs(F(lo)) > abs(F(hi)) else (hi, lo)
+    for _ in range(100):
+        d2 = (ev.derivative(b) - ev.derivative(a)) / (b - a)  # negative by concavity
+        x = b - F(b) / (b * d2) if d2 < 0 else 0.5 * (lo + hi)
+        if abs(x - b) <= TOL:
+            break
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+        lo, hi = (x, hi) if F(x) > 0 else (lo, x)
+        a, b = b, x
+    else:
+        raise NumericalError("Newton steps for mu* did not converge", history=ev.samples)
     return DispersionCurve(tuple(ev.fsys.frame.e_floats()), [s for s in ev.samples if s[0] > 0],
-                           float(mu_star), float(c_star), (float(lo), float(hi)), ev)
+                           float(x), float(-ev(b) / b), (float(lo), float(hi)), ev,
+                           ev.solves - solves)
 
 
 def criticality(curve: DispersionCurve, c: float) -> str:
@@ -160,7 +147,7 @@ def speed_roots(curve: DispersionCurve, c: float) -> RootPair:
         raise InputError(f"{kind} speed: c = {c}, c* = {curve.c_star}; decay roots need c "
                          "above the criticality band (a critical c takes the critical pipeline)")
     ev = curve.evaluator
-    mu_star = curve.mu_star
+    mu_star, solves = curve.mu_star, ev.solves
 
     def h(mu):
         return ev(mu) + c * mu
@@ -169,23 +156,21 @@ def speed_roots(curve: DispersionCurve, c: float) -> RootPair:
         raise NumericalError("h(mu*) <= 0 contradicts c > c*; upstream failure")
 
     def root(factor):
-        # walk out from mu* by factor until h <= 0, then an eighth of a step on:
-        # h is concave, so each secant step from two points beyond the root
-        # lands beyond it, closer
-        near = mu_star
-        while h(near) > 0:
-            near *= factor
-            if not 1e-12 <= near <= 1e4:
+        # walk out from mu* by factor until h <= 0, then Newton steps on h:
+        # h is concave, so each lands beyond the root, closer
+        x = mu_star
+        while h(x) > 0:
+            x *= factor
+            if not 1e-12 <= x <= 1e4:
                 raise NumericalError("no decay root found between mu = 1e-12 and mu = 1e4")
-        far = near * factor ** 0.125
         for _ in range(100):
-            h_near, h_far = h(near), h(far)
-            if h_near >= 0 or h_near == h_far:  # on the root, or within its noise
-                return near
-            near, far = near - h_near * (near - far) / (h_near - h_far), near
-            if abs(near - far) <= TOL:
-                return near
-        raise NumericalError("secant steps for a decay root did not converge")
+            if h(x) >= 0:  # on the root, or within its noise
+                return x
+            step = h(x) / (ev.derivative(x) + c)
+            x -= step
+            if abs(step) <= TOL:
+                return x
+        raise NumericalError("Newton steps for a decay root did not converge")
 
     # on (mu_wedge, mu_vee) the function is positive; outside negative
-    return RootPair(float(c), float(root(0.5)), float(root(2.0)), ev)
+    return RootPair(float(c), float(root(0.5)), float(root(2.0)), ev, ev.solves - solves)

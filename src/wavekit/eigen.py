@@ -69,17 +69,18 @@ def default_cell_grid(fsys: FrameSystem) -> Grid:
     return Grid.periodic_cell(fsys.T_frame, L_z, n_t, n_z)
 
 
-def _hill(fields, mu: float, K: int, kt: int):
-    """ts -> S(ts), the spatial part of -op (OperatorSpec) on the z-modes -K..K of
-    each component, from its time harmonics -kt..kt: (len(ts), N(2K+1), N(2K+1)).
+def _hill(fields, K: int, kt: int):
+    """(mu, ts) -> (S(ts), dS/dmu(ts)), S the spatial part of -op (OperatorSpec) on
+    the z-modes -K..K of each component, from its time harmonics -kt..kt.
 
     With T(f) the Toeplitz matrix of f's Fourier modes and D = diag(2 pi i k / L_z),
-    S_ii = (D + mu) T(a_i) (D + mu) - T(q_z,i) (D + mu) + T(L'_ii), S_ij = T(L'_ij);
+    S = H0 + mu H1 + mu^2 H2: H0_ii = D T(a_i) D - T(q_z,i) D + T(L'_ii), H0_ij =
+    T(L'_ij), H1_ii = T(a_i) D + D T(a_i) - T(q_z,i), H2_ii = T(a_i), built once;
     real in the orthonormal basis (U) 1, sqrt2 cos(2 pi k z/L_z), -sqrt2 sin(...).
     """
     a_f, _, adv_f, Lm_f, _ = fields
     N, n, k = len(a_f), 2 * K + 1, np.arange(-K, K + 1)
-    Dmu = 2j * np.pi * k / a_f[0].spatial_periods[0] + mu
+    D = 2j * np.pi * k / a_f[0].spatial_periods[0]
     gap = k[:, None] - k[None, :] + 2 * K  # the mode j - k of entry (j, k)
 
     def toeplitz(f):
@@ -89,18 +90,35 @@ def _hill(fields, mu: float, K: int, kt: int):
             hat[kt - m.kt, 2 * K - m.kx[0]] += 0.5 * (m.cos + 1j * m.sin)
         return hat[:, gap]
 
-    S = np.zeros((2 * kt + 1, N, n, N, n), dtype=complex)
+    H = np.zeros((3, 2 * kt + 1, N, n, N, n), dtype=complex)
     for i in range(N):
         for j in range(N):
-            S[:, i, :, j] = toeplitz(Lm_f[i][j])
-        S[:, i, :, i] += Dmu[:, None] * toeplitz(a_f[i]) * Dmu - toeplitz(adv_f[i]) * Dmu
+            H[0, :, i, :, j] = toeplitz(Lm_f[i][j])
+        a, q = toeplitz(a_f[i]), toeplitz(adv_f[i])
+        H[:, :, i, :, i] += D[:, None] * a * D - q * D, a * D + D[:, None] * a - q, a
     U, j, r = np.zeros((n, n), dtype=complex), np.arange(1, K + 1), np.sqrt(0.5)
     U[K, 0], U[K + j, 2 * j - 1], U[K - j, 2 * j - 1] = 1.0, r, r
     U[K + j, 2 * j], U[K - j, 2 * j] = 1j * r, -1j * r
     U = np.kron(np.eye(N), U)
-    H = (U.conj().T @ S.reshape(2 * kt + 1, N * n, N * n) @ U).reshape(2 * kt + 1, -1)
+    H = (U.conj().T @ H.reshape(3, 2 * kt + 1, N * n, N * n) @ U).reshape(3, 2 * kt + 1, -1)
     w = 2j * np.pi / a_f[0].temporal_period * np.arange(-kt, kt + 1)
-    return lambda ts: (np.exp(np.outer(ts, w)) @ H).real.reshape(len(ts), N * n, N * n)
+
+    def at(mu, ts):
+        H0, H1, H2 = (np.exp(np.outer(ts, w)) @ H).real.reshape(3, len(ts), N * n, N * n)
+        return H0 + mu * (H1 + mu * H2), H1 + 2 * mu * H2
+    return at
+
+
+class _Hill(dict):
+    """K -> _hill of fields, each built once, with their time and z bandwidths."""
+
+    def __init__(self, fields):
+        a_f, _, adv_f, Lm_f, _ = self.fields = fields
+        self.kt, (self.kz,) = max_frequencies((*a_f, *adv_f, *(g for row in Lm_f for g in row)))
+
+    def __missing__(self, K: int):
+        self[K] = _hill(self.fields, K, self.kt)
+        return self[K]
 
 
 def _magnus(S, T: float, n_sub: int, M: int):
@@ -126,54 +144,58 @@ def _monodromy(batches) -> np.ndarray:
     return product(np.array([product(P) for P in batches]))
 
 
-def _hill_modes(fields, mu: float, grid: Grid, K: int):
-    """(lambda, orbit, residual, K) from the Hill matrices S(t): the principal
+def _hill_modes(hill: _Hill, mu: float, grid: Grid, K: int):
+    """(lambda, lambda', orbit, residual, K) from hill's S(t): the principal
     eigenvector's modes on grid's n_t slices over its period, (n_t, N, 2K+1),
     and those of the residual of d_t u = (S + lambda) u, d_t spectral in time.
 
     K starts at twice the z-bandwidth kz or more and grows by half until the
     eigenvector's outermost kz modes hold at most _MODE_TOL of its largest.
-    Static: lambda = -s, s the eigenvalue of S of largest real part as the
-    Rayleigh quotient of its left and right eigenvectors.  Time-periodic:
-    Magnus steps of S - shift, shift = max diag S(0) so Phi(T) cannot
-    overflow, lambda = -ln(rho)/T - shift; the eigenvector is then stepped
-    through the maps again, kept from the first pass if one batch holds them.
+    Static: lambda = -s, lambda' = -w S' v / w v, s the eigenvalue of S of
+    largest real part as the Rayleigh quotient of its left and right vectors
+    w, v.  Time-periodic: the Magnus maps of [[S - shift, S'], [0, S - shift]],
+    shift = max diag S(0) so Phi(T) cannot overflow, multiply to [[Phi, Phi'],
+    [0, Phi]], Phi' = dPhi/dmu: lambda = -ln(rho)/T - shift, lambda' =
+    -w Phi' v / (rho T w v).  The eigenvector is then stepped through the maps
+    again, kept from the first pass if one batch holds them.
     """
-    a_f, _, adv_f, Lm_f, _ = fields
-    kt, (kz,) = max_frequencies((*a_f, *adv_f, *(g for row in Lm_f for g in row)))
-    N, T, n_t = len(a_f), grid.t_period, grid.n_t
+    N, T, n_t, kt = len(hill.fields[0]), grid.t_period, grid.n_t, hill.kt
     n_sub = n_t * -(-_STEPS * kt // n_t)
-    K = max(K, 2 * kz)
+    K = max(K, 2 * hill.kz)
     while True:
-        M, S = N * (2 * K + 1), _hill(fields, mu, K, kt)
-        S0 = S(np.zeros(1))[0]
-        if kt == 0:
-            w, W, V = eig(S0, left=True)
-            top = int(np.argmax(w.real))
-            v, wl = V[:, top], W[:, top].conj()
-            s = wl @ S0 @ v / (wl @ v)  # accurate in |S| |v|, where eig's w is in ||S||
-            if abs(s.imag) > 1e-9 * (1.0 + abs(s.real)):
-                raise NumericalError(f"principal eigenvalue is not real: {-s!r}")
-            lam, v = -s.real, v.real
+        M, S = N * (2 * K + 1), hill[K]
+        A, dA = (x[0] for x in S(mu, np.zeros(1)))
+        if kt:
+            shift = float(A.diagonal().max())
+            def block(ts):
+                St, dSt = S(mu, ts)
+                St -= shift * np.eye(M)
+                return np.block([[St, dSt], [0 * St, St]])
+            batches = list(_magnus(block, T, n_sub, 2 * M)) if n_sub * 4 * M * M <= _CHUNK else None
+            Phi = _monodromy(batches or _magnus(block, T, n_sub, 2 * M))
+            A, dA = Phi[:M, :M], Phi[:M, M:]
+        w, W, V = eig(A, left=True)
+        top = int(np.argmax(np.abs(w) if kt else w.real))
+        v, wl = V[:, top], W[:, top].conj()
+        s, ds = (wl @ X @ v / (wl @ v) for X in (A, dA))  # accurate in |A| |v|, eig's w in ||A||
+        if abs(s.imag) > 1e-9 * (abs(s) + (kt == 0)) or kt and s.real <= 0:
+            raise NumericalError(f"principal eigenvalue is not {'positive' if kt else 'real'}: {s!r}")
+        if kt:
+            growth = -np.log(s.real) / T  # lambda of S - shift I
+            lam, dlam = growth - shift, -ds.real / (s.real * T)
         else:
-            shift = float(S0.diagonal().max())
-            steps = lambda: _magnus(lambda ts: S(ts) - shift * np.eye(M), T, n_sub, M)  # noqa: E731
-            batches = list(steps()) if n_sub * M * M <= _CHUNK else None
-            w, V = np.linalg.eig(_monodromy(batches or steps()))
-            top = int(np.argmax(np.abs(w)))
-            if abs(w[top].imag) > 1e-9 * abs(w[top]) or w[top].real <= 0:
-                raise NumericalError(f"period-map spectral radius is not positive: {w[top]!r}")
-            growth = -np.log(w[top].real) / T  # lambda of S - shift I
-            lam, v = growth - shift, V[:, top].real
+            lam, dlam = -s.real, -ds.real
+        v = v.real
         tail = np.abs(v.reshape(N, 2 * K + 1))
-        if kz == 0 or tail[:, 2 * (K - kz) + 1:].max() <= _MODE_TOL * tail.max():
+        if hill.kz == 0 or tail[:, 2 * (K - hill.kz) + 1:].max() <= _MODE_TOL * tail.max():
             break
         K += K // 2
     if kt == 0:
         orbit = np.repeat(v[None], n_t, axis=0)
     else:
+        maps = batches or _magnus(lambda ts: S(mu, ts)[0] - shift * np.eye(M), T, n_sub, M)
         orbit = []
-        for i, P in enumerate(P for b in (batches or steps()) for P in b):
+        for i, P in enumerate(P[:M, :M] for b in maps for P in b):
             if i % (n_sub // n_t) == 0:
                 orbit.append(v * np.exp(growth * i * T / n_sub))
             v = P @ v
@@ -181,9 +203,10 @@ def _hill_modes(fields, mu: float, grid: Grid, K: int):
     ddt = np.fft.ifft(2j * np.pi * np.fft.fftfreq(n_t, T / n_t)[:, None]
                       * np.fft.fft(orbit, axis=0), axis=0).real if kt else 0.0
     size = max(1, _CHUNK // (M * M))
-    Su = np.concatenate([S(grid.t[i:i + size]) @ orbit[i:i + size, :, None]
+    Su = np.concatenate([S(mu, grid.t[i:i + size])[0] @ orbit[i:i + size, :, None]
                          for i in range(0, n_t, size)])[..., 0]
-    return lam, orbit.reshape(n_t, N, -1), (ddt - Su - lam * orbit).reshape(n_t, N, -1), K
+    residual = (ddt - Su - lam * orbit).reshape(n_t, N, -1)
+    return lam, dlam, orbit.reshape(n_t, N, -1), residual, K
 
 
 def _max_one_pair(mu: float, lam: float, orbit, residual, grid: Grid, L: float) -> PrincipalEigenpair:
@@ -206,7 +229,7 @@ def _max_one_pair(mu: float, lam: float, orbit, residual, grid: Grid, L: float) 
 
 def _hill_pair(fields, mu: float, grid: Grid, K: int):
     """(max-one principal eigenpair on grid's nodes, K), from _hill_modes."""
-    lam, orbit, residual, K = _hill_modes(fields, mu, grid, K)
+    lam, _, orbit, residual, K = _hill_modes(_Hill(fields), mu, grid, K)
     return _max_one_pair(mu, lam, orbit, residual, grid, fields[0][0].spatial_periods[0]), K
 
 
@@ -220,30 +243,45 @@ def principal_eigenvalue(op: OperatorSpec) -> PrincipalEigenpair:
 
 
 class EigenEvaluator:
-    """Memoized lambda(mu) for a fixed frame system, with no options.
+    """Memoized lambda(mu) and lambda'(mu) for a fixed frame system, with no options.
 
     Pairs come from _hill_modes on default_cell_grid's nodes, each from the
     last K.  The dispersion layer reads nothing else: persistence is the sign
-    of ev(0), and c* and the decay roots are searched on ev at mu > 0.  The
-    wave envelopes read frame_pair, the same modes seen from a moving frame.
+    of ev(0), and c* and the decay roots are searched on ev and ev.derivative
+    at mu > 0.  The wave envelopes read frame_pair, the same modes seen from a
+    moving frame.  A time-periodic frame keeps only the modes that a pair or
+    frame_pair asks for; solves counts the _hill_modes calls.
     """
 
     def __init__(self, fsys: FrameSystem):
         self.fsys = fsys
         self.grid = default_cell_grid(fsys)
-        self._fields = fsys.reduce_1d()
-        self._K = 0
+        self._hill = _Hill(fsys.reduce_1d())
+        self._K = self.solves = 0
+        self._slopes: dict[float, tuple[float, float]] = {}  # mu -> (lambda, lambda')
         self._modes: dict[tuple[float, int], tuple] = {}  # (mu, n_t) -> (lambda, orbit, residual)
         self._cache: dict[float, PrincipalEigenpair] = {}
 
-    def _modes_at(self, mu: float, n_t: int):
-        """_hill_modes at mu on n_t slices of the period (one if the frame is static)."""
+    def _modes_at(self, mu: float, n_t: int, keep=True):
+        """_hill_modes at mu on n_t slices (one if static), kept if keep or if static."""
         key = (mu, n_t if self.grid.n_t > 1 else 1)
-        if key not in self._modes:
-            grid = self.grid if key[1] == self.grid.n_t else replace(self.grid, n_t=n_t)
-            lam, orbit, residual, self._K = _hill_modes(self._fields, mu, grid, self._K)
-            self._modes[key] = lam, orbit, residual
-        return self._modes[key]
+        if key in self._modes:
+            return self._modes[key]
+        grid = self.grid if key[1] == self.grid.n_t else replace(self.grid, n_t=n_t)
+        lam, dlam, *modes, self._K = _hill_modes(self._hill, mu, grid, self._K)
+        self.solves += 1
+        if grid is self.grid:
+            self._slopes[mu] = lam, dlam
+        if keep or key[1] == 1:
+            self._modes[key] = lam, *modes
+        return (lam, *modes)
+
+    def _slope(self, mu: float) -> tuple[float, float]:
+        """(lambda, dlambda/dmu) at mu, from one solve whose pair must be uniformly positive."""
+        mu = float(mu)
+        if mu not in self._slopes:
+            _max_one_pair(mu, *self._modes_at(mu, self.grid.n_t, False), self.grid, self.grid.z1)
+        return self._slopes[mu]
 
     def pair(self, mu: float) -> PrincipalEigenpair:
         mu = float(mu)
@@ -275,16 +313,14 @@ class EigenEvaluator:
         return _max_one_pair(mu, lam + fsys.c * mu, *modes, cell, self.grid.z1)
 
     def __call__(self, mu: float) -> float:
-        return self.pair(mu).lam
+        return self._slope(mu)[0]
 
     def derivative(self, mu: float) -> float:
-        """Centred difference of step 1e-4, at most mu/2."""
-        h = min(1e-4, 0.5 * mu) if mu > 0 else 1e-4
-        return (self(mu + h) - self(mu - h)) / (2.0 * h)
+        return self._slope(mu)[1]
 
     @property
     def samples(self):
-        return sorted((mu, p.lam) for mu, p in self._cache.items())
+        return sorted((mu, lam) for mu, (lam, _) in self._slopes.items())
 
 
 def lambda_mu_curve(ev: EigenEvaluator, mu_list):
@@ -292,5 +328,5 @@ def lambda_mu_curve(ev: EigenEvaluator, mu_list):
     mus = [float(m) for m in mu_list]
     if any(m <= 0 for m in mus) or sorted(mus) != mus:
         raise InputError("mu_list must be sorted and positive")
-    return [(mu, ev(mu), ev.derivative(mu)) for mu in mus]
+    return [(mu, ev.pair(mu).lam, ev.derivative(mu)) for mu in mus]
 

@@ -151,7 +151,8 @@ def test_criterion_4_concavity(curves):
 def test_criterion_5_eigen_residuals(curves, scalar_wave, critical_wave, system_wave):
     pairs = []
     for curve in curves.values():
-        pairs.extend(curve.evaluator._cache.values())
+        # the pair of every mu the searches solved: a search keeps only (lambda, lambda')
+        pairs.extend(curve.evaluator.pair(mu) for mu, _ in curve.evaluator.samples)
     for fix in (scalar_wave, system_wave):
         pairs.extend([fix[1].eig_wedge, fix[1].eig_gamma])
     pairs.extend([critical_wave[0].eig_star, critical_wave[0].eig_gamma])

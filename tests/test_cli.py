@@ -304,6 +304,21 @@ class TestRunConfig:
         assert (out / "dispersion_curve.svg").exists()
         assert (out / "report.json").exists()
 
+    def test_dispersion_summary_counts_its_solves(self, tmp_path):
+        # the evaluator's own count of the eigen solves each search made: mu = 0
+        # is persistence's, and the eigen task's mu_list points are reused
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cell_config(["dispersion"])), out=out) == 0
+        doc = json.loads((out / "dispersion.json").read_text())
+        assert 1 <= doc["solves"]["c_star"] <= 12 and doc["solves"]["roots"] is None
+        assert doc["solves"]["c_star"] < len(doc["curve"])
+        assert doc["c_star"] == pytest.approx(2.002871947265092, abs=1e-10)
+        out = tmp_path / "roots"
+        p = write_config(tmp_path, cell_config(["dispersion"], extra_params={"c": 3}), "roots.json")
+        assert run_config(p, out=out) == 0
+        doc = json.loads((out / "dispersion.json").read_text())
+        assert doc["solves"]["c_star"] <= 12 and 1 <= doc["solves"]["roots"] <= 20
+
     def test_empty_tasks_exit_zero_no_artifacts(self, tmp_path):
         p = write_config(tmp_path, scalar_config([]))
         out = tmp_path / "out_empty"

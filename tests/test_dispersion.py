@@ -7,6 +7,7 @@ from conftest import scalar_system, space_periodic_l, system_2x2, time_periodic_
 from wavekit import eigen
 from wavekit.eigen import EigenEvaluator
 from wavekit.dispersion import (
+    TOL,
     minimal_speed,
     persistence_check,
     speed_roots,
@@ -90,6 +91,46 @@ class TestMinimalSpeed:
         base = minimal_speed(EigenEvaluator(static_frame(scalar_system(), e=[1]))).c_star
         shifted = minimal_speed(EigenEvaluator(static_frame(scalar_system(q=0.3), e=[1]))).c_star
         assert shifted == pytest.approx(base - 0.3, abs=1e-5)
+
+
+# (c*, mu*) of the golden-section search (47 solves) that the Newton search replaced
+GOLDEN = {"cell": (2.002871947265104, 1.0017006982529537),
+          "2x2": (2.8284271247461903, 1.4142135651481982)}
+SEARCHED = {"cell": lambda: scalar_system(l_field=space_periodic_l()), "2x2": system_2x2,
+            "scalar": scalar_system, "scalar_tper": lambda: scalar_system(l_field=time_periodic_l())}
+
+
+class TestNewtonSearch:
+    @pytest.mark.parametrize("name", ["cell", "2x2"])
+    def test_matches_the_golden_section_in_few_solves(self, name):
+        ev = EigenEvaluator(static_frame(SEARCHED[name](), e=[1]))
+        with mock.patch.object(eigen, "_hill_modes", side_effect=eigen._hill_modes) as spy:
+            curve = minimal_speed(ev)
+        assert spy.call_count == curve.solves <= 12
+        c_gold, mu_gold = GOLDEN[name]
+        assert abs(curve.c_star - c_gold) <= 1e-10
+        # g = -lambda/mu is flat to rounding within ~1e-8 of its minimum, so the
+        # golden section's mu* was only as good as its width TOL (2.8e-9 from
+        # sqrt 2 on 2x2); Newton's is the root of mu lambda' - lambda
+        assert abs(curve.mu_star - mu_gold) <= TOL
+        assert abs(curve.mu_star * ev.derivative(curve.mu_star) - ev(curve.mu_star)) <= 1e-12
+        if name == "2x2":
+            assert curve.mu_star == pytest.approx(np.sqrt(2.0), abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["scalar", "scalar_tper", "2x2"])
+    def test_exact_slope_identity(self, name):
+        # acceptance criterion 3 with the exact lambda': lambda'(mu*) = -c*
+        curve = minimal_speed(EigenEvaluator(static_frame(SEARCHED[name](), e=[1])))
+        assert abs(curve.evaluator.derivative(curve.mu_star) + curve.c_star) <= 1e-8
+
+    def test_solves_counted_per_search(self):
+        ev = EigenEvaluator(static_frame(SEARCHED["cell"](), e=[1]))
+        persistence_check(ev)
+        curve = minimal_speed(ev)
+        roots = speed_roots(curve, 3.0)
+        assert ev.solves == 1 + curve.solves + roots.solves
+        assert 1 <= curve.solves <= 12 and 1 <= roots.solves
+        assert speed_roots(curve, 3.0).solves == 0
 
 
 @pytest.fixture(scope="module")

@@ -426,7 +426,8 @@ class TestFourierHill:
         fields = fs.reduce_1d()
 
         def lam(n_sub):
-            Phi = _monodromy(_magnus(_hill(fields, mu, K, 1), 1.0, n_sub, 2 * K + 1))
+            S = _hill(fields, K, 1)
+            Phi = _monodromy(_magnus(lambda ts: S(mu, ts)[0], 1.0, n_sub, 2 * K + 1))
             return -np.log(np.abs(np.linalg.eigvals(Phi)).max())
 
         ref = lam(1024)
@@ -518,3 +519,43 @@ class TestFrameShift:
             ev = EigenEvaluator(transform_coefficients(nondimensionalize(sys), make_frame(e, c)))
             with pytest.raises(InputError, match="c = 0 evaluator"):
                 ev.frame_pair(fs, 0.5, cell)
+
+
+def five_point_slope(ev, mu, h=1e-3):
+    f = [ev(mu + k * h) for k in (-2, -1, 1, 2)]
+    return (f[0] - 8 * f[1] + 8 * f[2] - f[3]) / (12 * h)
+
+
+class TestExactSlope:
+    @pytest.mark.parametrize("sys", [scalar_system(), scalar_system(l_field=space_periodic_l()),
+                                     system_2x2(), scalar_system(l_field=time_periodic_l())],
+                             ids=["scalar", "cell", "2x2", "scalar_tper"])
+    @pytest.mark.parametrize("mu", [0.3, 1.0, 3.0])
+    def test_matches_five_point_difference(self, sys, mu):
+        ev = EigenEvaluator(frame_of(sys))
+        assert abs(ev.derivative(mu) - five_point_slope(ev, mu)) <= 1e-7
+
+    @pytest.mark.parametrize("sys", [scalar_system(l_field=tz_coupled_l()), drifting_cell_system()],
+                             ids=["tz-coupled", "drifting-cell"])
+    def test_frechet_derivative_of_the_period_map(self, sys):
+        # z- and time-dependent: lambda' from Phi' of the Magnus maps
+        ev = EigenEvaluator(frame_of(sys))
+        assert ev.pair(0.7).info["path"] == "fourier-hill" and ev.grid.n_t > 1
+        assert abs(ev.derivative(0.7) - five_point_slope(ev, 0.7)) <= 1e-8
+
+    def test_search_points_keep_no_time_periodic_modes(self):
+        # a time-periodic frame keeps (lambda, lambda') of the searched points,
+        # and its modes only for the mu a pair asks for
+        ev = EigenEvaluator(frame_of(drifting_cell_system()))
+        for mu in (0.5, 1.0):
+            ev.derivative(mu)
+        assert not ev._modes and not ev._cache and len(ev.samples) == 2
+        pair = ev.pair(1.0)
+        assert list(ev._modes) == [(1.0, ev.grid.n_t)] and ev.solves == 3
+        assert pair.lam == ev(1.0)
+
+    def test_search_refuses_reducible_coupling(self):
+        # every searched point passes the uniform-positivity refusal
+        sys = system_2x2(l12=0.0, l21=0.0, l11_field=tz_coupled_l(), l22=0.3)
+        with pytest.raises(NumericalError, match="reducible"):
+            EigenEvaluator(frame_of(sys))(0.5)
