@@ -24,7 +24,6 @@ import tempfile
 import time
 import traceback
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +42,7 @@ from .dispersion import criticality, minimal_speed, persistence_check, speed_roo
 from .eigen import EigenEvaluator, lambda_mu_curve
 from .errors import InputError, NumericalError, WavekitError
 from .frame import frame_for, parse_speed
-from .pde_core import resolved_fields
+from .pde_core import csv_lines, resolved_fields
 from .waves import (
     build_envelopes_critical,
     build_envelopes_supercritical,
@@ -403,8 +402,8 @@ def run_simulate(ctx: TaskContext, outdir: Path) -> dict:
     x_cells = [f"{x!r}," for x in run.x.tolist()]
     for j, k in enumerate(keep):
         lines = ["component,x,value\n"]
-        for i, snap in enumerate(run.snapshots[k].tolist()):
-            lines += map("{}{}{!r}\n".format, repeat(f"{i},"), x_cells, snap)
+        for i, snap in enumerate(run.snapshots[k]):
+            lines += csv_lines(f"{i},", x_cells, snap)
         _atomic_write(outdir / f"snapshot_{j}.csv", "".join(lines))
     svgplot.line_plot(
         outdir / "front_track.svg",

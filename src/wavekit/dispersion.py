@@ -156,13 +156,18 @@ def speed_roots(curve: DispersionCurve, c: float) -> RootPair:
         raise NumericalError("h(mu*) <= 0 contradicts c > c*; upstream failure")
 
     def root(factor):
-        # walk out from mu* by factor until h <= 0, then Newton steps on h:
-        # h is concave, so each lands beyond the root, closer
-        x = mu_star
+        # walk out from mu* by factor until h <= 0, then Newton steps on h: h is
+        # concave, so each lands beyond the root, closer.  The first is taken
+        # from the walk's last point inside if h slopes down toward the root
+        # there, and kept if it lands nearer than the walk's point beyond
+        inside, x = None, mu_star
         while h(x) > 0:
-            x *= factor
+            inside, x = x, x * factor
             if not 1e-12 <= x <= 1e4:
                 raise NumericalError("no decay root found between mu = 1e-12 and mu = 1e4")
+        slope = ev.derivative(inside) + c
+        if h(x) < 0 and slope * (factor - 1.0) < 0:
+            x = (max if factor < 1.0 else min)(x, inside - h(inside) / slope)
         for _ in range(100):
             if h(x) >= 0:  # on the root, or within its noise
                 return x

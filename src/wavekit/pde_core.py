@@ -21,17 +21,18 @@ diagonal a caller adds is folded into `OperatorSpec.pot0`.
 Time-periodic boundary-value problems, linear with a source term, are solved
 by relaxation of the parabolic flow: a positive periodic-Dirichlet principal
 eigenvalue makes the period map a contraction.  A time-independent problem is
-steady: one band solve.  `Stepper.step_implicit_quadratic` takes a
-backward-Euler step with a diagonal quadratic term kept implicit, finished by
-one Newton solve, `Stepper._newton_be`, once its fixed-point iteration stops
-contracting.
+steady: one band solve.  A Stepper carried from one solve to the next keeps
+its slice LUs while the new operator stays within LU_REUSE of the factored
+one; the difference is then an explicit source of each step.
+`Stepper.step_implicit_quadratic` takes a backward-Euler step with a diagonal
+quadratic term kept implicit, finished by one Newton solve,
+`Stepper._newton_be`, once its fixed-point iteration stops contracting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 from scipy.linalg.blas import dgbmv, dtbsv
@@ -57,6 +58,10 @@ __all__ = [
 _QUAD_TOL = 1e-13  # relative tolerance of the implicit quadratic step
 _QUAD_MAX_INNER = 60
 _MAX_PERIODS = 20000  # relaxation periods before solve_periodic_bvp gives up
+# T max over nodes of the row sums of |S_op - S_LU| up to which a Stepper's slice LUs
+# step a new operator (Stepper.retarget); 1.0 costs periods and the wrap residual
+LU_REUSE = 0.1
+_CSV_CHUNK = 512  # CSV lines formatted at once
 
 
 @dataclass(frozen=True)
@@ -115,6 +120,16 @@ class Grid:
         return self.z[:-1] + 0.5 * self.dz
 
 
+def csv_lines(head: str, cells: list, row: np.ndarray):
+    """The lines head + cells[j] + repr(row[j]), each ended by a newline, as
+    strings of _CSV_CHUNK lines: the float reprs of a chunk come from one repr
+    of its list, and only one chunk of the row is a Python list at a time."""
+    sep = "\n" + head
+    for i in range(0, len(row), _CSV_CHUNK):
+        vals = repr(row[i:i + _CSV_CHUNK].tolist())[1:-1].split(", ")
+        yield head + sep.join(map(str.__add__, cells[i:i + _CSV_CHUNK], vals)) + "\n"
+
+
 @dataclass
 class GridField:
     """Component-valued samples over one period: values[i, k, j] at (t_k, z_j)."""
@@ -149,9 +164,8 @@ class GridField:
             )
             fh.write("component,t_index,z,value\n")
             # one row of n_z lines per (component, time index)
-            for r, row in enumerate(self.values.reshape(-1, g.n_z).tolist()):
-                head = "{},{},".format(*divmod(r, g.n_t))
-                fh.writelines(map("{}{}{!r}\n".format, repeat(head), z_cells, row))
+            for r, row in enumerate(self.values.reshape(-1, g.n_z)):
+                fh.writelines(csv_lines("{},{},".format(*divmod(r, g.n_t)), z_cells, row))
 
     @classmethod
     def from_csv(cls, path) -> "GridField":
@@ -340,7 +354,8 @@ class Stepper:
     the transpose by _band_lu, counted in `factorizations`.  With boundary
     data bc the Dirichlet rows (_dirichlet) of S are zero: step matrices have
     identity rows there and the data enters through the right-hand side;
-    without bc an interval's two ends carry no flux.
+    without bc an interval's two ends carry no flux.  `retarget` moves the
+    stepper to another operator on the same grid, reusing its LUs if it can.
     """
 
     def __init__(self, op: OperatorSpec, bc: tuple[np.ndarray, np.ndarray] | None = None):
@@ -349,17 +364,10 @@ class Stepper:
             raise InputError("boundary data needs an interval grid")
         if g.kind == "periodic" and g.n_z == 1:  # every band would fold onto the one node
             raise InputError("a one-node periodic cell cannot step: it takes the eigen ODE path")
-        self.op = op
         self.grid = g
         self.bc = bc
         self.N = op.N
         self.size = op.N * g.n_z
-        if op.peclet() > 1.0:
-            raise InputError(f"mesh Peclet number {op.peclet():.3g} > 1: centered advection "
-                             "would break the M-matrix property; refine dz")
-
-        self.time_dependent = not op.is_time_independent()
-        self.n_distinct = g.n_t if self.time_dependent else 1
         self.factorizations = 0
         self._dirichlet = np.zeros(self.size, dtype=bool)
         if bc is not None:
@@ -368,7 +376,46 @@ class Stepper:
         periodic = g.kind == "periodic"
         self._nodes, self._slots = (nodes, np.argsort(nodes)) if periodic else (slice(None),) * 2
         self.kb = 2 * self.N if periodic else self.N
+        self._build(op)
+
+    def _build(self, op: OperatorSpec) -> None:
+        """Store op's bands; its slice LUs follow on the first step."""
+        if op.peclet() > 1.0:
+            raise InputError(f"mesh Peclet number {op.peclet():.3g} > 1: centered advection "
+                             "would break the M-matrix property; refine dz")
+        self.op = op
+        self._lag = None  # node blocks of S_target - S_op (retarget), or None
+        self.time_dependent = not op.is_time_independent()
+        self.n_distinct = self.grid.n_t if self.time_dependent else 1
         self._assemble_S()
+
+    def retarget(self, op: OperatorSpec) -> None:
+        """Step op from now on; op is on this grid and differs from self.op at most
+        in pot0 and coupling, or the bands and LUs are rebuilt for it.
+
+        The slice LUs of self.op stay while T max_nodes row sums |S_op - S| <=
+        LU_REUSE, S_op - S being one N x N block per node: run_period then adds
+        dt (S_op - S)_k u_k to each step's right-hand side, u_k the previous
+        period's orbit, so its fixed point is backward Euler for op itself.
+        """
+        if op.grid != self.grid:
+            raise InputError("retarget needs an operator on the stepper's grid")
+        self._lag = None
+        if all(np.array_equal(getattr(op, k), getattr(self.op, k)) for k in ("a_node", "a_half", "drift")):
+            d = np.subtract(op.coupling, self.op.coupling)
+            for i in range(self.N):  # in place: no table-sized temporaries
+                d[i, i] -= op.pot0[i]
+                d[i, i] += self.op.pot0[i]
+            rows = np.abs(d[:, 0])
+            for j in range(1, self.N):
+                rows += np.abs(d[:, j])
+            if self.grid.t_period * rows.max() <= LU_REUSE:
+                self._lag = d
+                return
+            del d, rows
+        self.__dict__.pop("_lhs_lu", None)  # free the old LUs and bands before the new ones
+        self._S_ab = None
+        self._build(op)
 
     @cached_property  # on first use: steady solves never step
     def _lhs_lu(self) -> list:
@@ -476,37 +523,57 @@ class Stepper:
                 w = w - self._lu(self._dirichlet + 2.0 * b * w + 1.0 / dt, -1.0, k)(G)
         return None
 
-    def run_period(self, v0: np.ndarray, source: np.ndarray | None = None):
+    def run_period(self, v0: np.ndarray, source: np.ndarray | None = None,
+                   orbit: np.ndarray | None = None):
         """One period of steps from v0 of shape (N, n_z): (v at t_{n_t}, the
         orbit (N, n_t, n_z) at t_0..t_{n_t-1}).  A source f (N, n_t, n_z) adds
         dt f_{k+1} to the step's right-hand side: backward Euler for
-        d_t v = S v + f.
+        d_t v = S v + f.  The orbit is written into the array orbit if given.
+        After a retarget that kept the LUs, orbit must hold the previous
+        period's: step k reads its slice k + 1 for the lag source before
+        overwriting it (slice 0, read last, is already this period's).
         """
         v = np.array(v0, dtype=float)
-        if v.shape != (self.N, self.grid.n_z):
-            raise InputError(f"v0 shape {v.shape} != {(self.N, self.grid.n_z)}")
-        n_t = self.grid.n_t
-        orbit = np.empty((self.N, n_t, self.grid.n_z))
+        n_t, n_z, dt = self.grid.n_t, self.grid.n_z, self.grid.dt
+        if v.shape != (self.N, n_z):
+            raise InputError(f"v0 shape {v.shape} != {(self.N, n_z)}")
+        if orbit is None:
+            if self._lag is not None:
+                raise InputError("a retargeted Stepper needs the previous period's orbit")
+            orbit = np.empty((self.N, n_t, n_z))
         for k in range(n_t):
             orbit[:, k] = v
-            v = self.step(v if source is None else v + self.grid.dt * source[:, (k + 1) % n_t], k)
+            kk = (k + 1) % n_t
+            if source is not None:
+                v = v + dt * source[:, kk]
+            if self._lag is not None:
+                v = v + dt * np.einsum("ijz,jz->iz", self._lag[:, :, kk], orbit[:, kk])
+            v = self.step(v, k)
         return v, orbit
 
 
 def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
-                       source: np.ndarray | None = None, force_relaxation: bool = False):
+                       source: np.ndarray | None = None, force_relaxation: bool = False,
+                       stepper: Stepper | None = None, wrap_tol: float | None = None):
     """Time-periodic solution of op u = source.
 
     boundary = (left, right) Dirichlet data, each (N, n_t) at grid times;
     source, if given, is an (N, n_t, n_z) forcing f, ignored on the Dirichlet
     rows: backward-Euler steps solve (I - dt S_k) u_k = u_{k-1} + dt f_k.  A
-    diagonal potential is folded into op.pot0 by the caller.  Relaxation of
-    the parabolic flow from init converges geometrically when the
-    periodic-Dirichlet principal eigenvalue is positive.  A fully
+    diagonal potential is folded into op.pot0 by the caller.  A fully
     time-independent problem is one band solve, its one slice repeated over
-    n_t.  On n_t = 1 relaxation steps with dt = T.  Returns (GridField, info):
-    info has "mode", "periods" (every period run, the orbit's included),
-    "changes" and the Stepper's "factorizations".
+    n_t.  Otherwise relaxation of the parabolic flow from init converges
+    geometrically when the periodic-Dirichlet principal eigenvalue is
+    positive; it stops once the last change of v(0) over a period, over one
+    minus the observed contraction rate, is below tol (or the change below
+    tol/100), and, if wrap_tol is given, once that change, the returned
+    orbit's wrap mismatch |v(T) - v(0)|, is also at most wrap_tol dt max|u|.  The orbit returned is the last period's.  On n_t = 1
+    relaxation steps with dt = T.  stepper, a relaxation's Stepper on this grid
+    and boundary data, is retargeted to op (its LUs kept within LU_REUSE, the
+    previous period's orbit, init's at first, feeding the lag source) instead of
+    building a new one.  Returns (GridField, info): info has "mode", "periods"
+    (every period run), "changes", "factorizations" (the LUs this call
+    computed) and the "stepper" it relaxed with (None if steady).
     """
     g = op.grid
     if g.kind != "interval":
@@ -514,31 +581,37 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     left, right = (np.asarray(b, dtype=float) for b in boundary)
     if left.shape != (op.N, g.n_t) or right.shape != (op.N, g.n_t):
         raise InputError("boundary data must have shape (N, n_t)")
-    stepper = Stepper(op, bc=(left, right))
 
-    if (not force_relaxation and not stepper.time_dependent
+    if (not force_relaxation and op.is_time_independent()
             and (source is None or _const_along(source, 1))
             and np.all(left == left[:, :1]) and np.all(right == right[:, :1])):
-        rhs = np.zeros(stepper.size) if source is None else stepper._flat(source[:, 0])
-        u = stepper._unflat(stepper._lu(stepper._dirichlet, -1.0)(stepper._bc_into(rhs, 0)))
+        steady = Stepper(op, bc=(left, right))
+        rhs = np.zeros(steady.size) if source is None else steady._flat(source[:, 0])
+        u = steady._unflat(steady._lu(steady._dirichlet, -1.0)(steady._bc_into(rhs, 0)))
         return GridField(np.repeat(u[:, None, :], g.n_t, axis=1), g), {
-            "mode": "steady", "periods": 0, "changes": [], "factorizations": stepper.factorizations}
+            "mode": "steady", "periods": 0, "changes": [], "factorizations": steady.factorizations,
+            "stepper": None}
 
-    v = init.values[:, 0, :].copy()
+    if (stepper is not None and stepper.bc is not None
+            and all(np.array_equal(x, y) for x, y in zip(stepper.bc, (left, right)))):
+        stepper.retarget(op)
+    else:
+        stepper = Stepper(op, bc=(left, right))
+    before = stepper.factorizations
+    orbit = init.values.copy()
+    v = orbit[:, 0].copy()
     changes = []
     for _ in range(_MAX_PERIODS):
-        v_new, _ = stepper.run_period(v, source=source)
+        v_new, orbit = stepper.run_period(v, source, orbit)
         change = float(np.abs(v_new - v).max())
         changes.append(change)
         v = v_new
         if not np.isfinite(change):
             raise NumericalError("periodic BVP relaxation diverged", history=changes)
-        if change == 0.0 or change < tol * 1e-2:
+        q = changes[-1] / changes[-2] if len(changes) >= 2 and changes[-2] > 0 else 1.0
+        if ((change < tol * 1e-2 or (q < 1.0 and change / (1.0 - q) < tol))
+                and (wrap_tol is None or change <= wrap_tol * g.dt * np.abs(orbit).max())):
             break
-        if len(changes) >= 2 and changes[-2] > 0:
-            q = changes[-1] / changes[-2]
-            if q < 1.0 and change * q / (1.0 - q) < tol:
-                break
     else:
         raise NumericalError(
             "periodic BVP relaxation did not converge "
@@ -546,8 +619,6 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
             "may be nonpositive or the grid too coarse",
             history=changes,
         )
-    # a period from the converged v: the last loop period started at the previous iterate
-    _, orbit = stepper.run_period(v, source=source)
-    return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes) + 1,
-                                 "changes": changes, "factorizations": stepper.factorizations}
-
+    return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes), "changes": changes,
+                                 "factorizations": stepper.factorizations - before,
+                                 "stepper": stepper}

@@ -19,7 +19,8 @@ c (EigenEvaluator.frame_pair), on the cylinder's own nodes.
 
 Both pipelines run one loop: inexact Newton steps on the semilinear system,
 each one warm-started periodic-Dirichlet solve, from the logistic bound K
-above; damped iteration of r -> u_r is their fallback.
+above; damped iteration of r -> u_r is their fallback.  On a time-dependent
+frame the steps share their slice LUs while the Jacobian moves little.
 
 Growing the half-length a and comparing profiles on a fixed centered window
 yields the entire-cylinder profile; verification then measures downstream
@@ -267,22 +268,25 @@ def fixed_point_truncated(env: SupercriticalEnvelopes, grid: Grid, tol: float = 
     discrete envelopes are measured: R ubar = 0 and (R + diag(B' ubar)) ulow
     <= 0 on the interior, relative to max ubar.
     """
-    problem = _truncated_problem(env, grid)
-    ubar_f, ulow_f, usub, op0, _ = problem
-    ubar = ubar_f.values
+    ubar_f, ulow_f, usub, op0, bc = _truncated_problem(env, grid)
     if usub[:, :, -1].max() > 0:
         raise NumericalError("subsolution must be nonpositive at the upstream end")
+    info = {"mu_wedge": env.mu_wedge, "pipeline": "supercritical",
+            **_envelope_defects(op0, ubar_f, ulow_f)}
+    del ulow_f  # the loop keeps only what it reads
+    return _newton_fixed_point(env.fsys, env.c, (ubar_f, usub, op0, bc), tol,
+                               force_relaxation, info)
 
+
+def _envelope_defects(op0, ubar_f: GridField, ulow_f: GridField) -> dict:
+    """R ubar and the positive part of (R + diag(B' ubar)) ulow on the interior,
+    relative to max ubar."""
+    ubar = ubar_f.values
     rsup = apply_operator(op0, ubar_f).values[:, :, 1:-1]
-    super_resid = float(np.abs(rsup).max() / ubar.max())
     Bub = np.einsum("ijtz,jtz->itz", op0.b_tab, ubar)
     rsub = apply_operator(replace(op0, pot0=op0.pot0 + Bub), ulow_f).values[:, :, 1:-1]
-    sub_viol = float(np.maximum(rsub, 0.0).max() / ubar.max())
-    return _newton_fixed_point(
-        env.fsys, env.c, problem, tol, force_relaxation,
-        {"mu_wedge": env.mu_wedge, "pipeline": "supercritical",
-         "supersolution_residual": super_resid, "subsolution_violation": sub_viol},
-    )
+    return {"supersolution_residual": float(np.abs(rsup).max() / ubar.max()),
+            "subsolution_violation": float(np.maximum(rsub, 0.0).max() / ubar.max())}
 
 
 def _truncated_problem(env, grid: Grid):
@@ -300,8 +304,8 @@ def _newton_fixed_point(fsys: FrameSystem, c: float, problem, tol: float,
                         force_relaxation: bool, info: dict) -> WaveProfile:
     """Inexact Newton for R u + (B' u) o u = 0 between the envelopes, and the profile.
 
-    problem is _truncated_problem's (ubar, ulow, usub, op0, bc).  The iterate r
-    starts at clip(min(ubar, K), usub, ubar), K the logistic bound:
+    problem is _truncated_problem's (ubar, usub, op0, bc), ulow left out.  The
+    iterate r starts at clip(min(ubar, K), usub, ubar), K the logistic bound:
     ubar is a supersolution for every r >= 0 and usub a subsolution while
     r <= ubar, so the start lies above the profile, and from above a concave
     KPP Newton sequence decreases onto the maximal solution (Pao 1992).  Each
@@ -310,19 +314,22 @@ def _newton_fixed_point(fsys: FrameSystem, c: float, problem, tol: float,
     last w (usub on the first): one band solve on a time-independent frame, a
     relaxation with a source term otherwise.  w becomes r.  Each sweep is
     solved to the forcing tolerance max(tol/10, |last update|/100)
-    (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), the first to tol/10.  An
-    iterate above K by more than tol (Newton linearizing below the profile)
-    is cut back to K.  Neither envelope is imposed: the discrete profile may
-    cross either by the envelopes' truncation error, and a cut onto ubar
-    would pin it there.  A NumericalError in a Newton solve turns the loop
-    to damped Picard sweeps from r, r <- theta u_r + (1 - theta) r, u_r
-    solving (R + diag(B' r)) u = 0.  Only a sweep
-    solved to tol/10 ends the loop, once its update is below tol.  The
-    converged u is checked against the trapping pair (usub, ubar) and the
-    semilinear PDE; every sweep records (min(u - usub), min(ubar - u)) in
-    info["iterate_bounds"].
+    (Eisenstat & Walker, SIAM J. Sci. Comput. 1996), the first's update taken
+    as sup|r - usub|.  The relaxations share one Stepper, whose slice LUs are
+    kept while T max row sum |J_r - J_LU| <= pde_core.LU_REUSE: a chord step
+    (Kelley, SIAM 2003) made exact by its lag source.  An iterate above K by
+    more than tol (Newton linearizing below the profile) is cut back to K.
+    Neither envelope is imposed: the discrete profile may cross either by the
+    envelopes' truncation error, and a cut onto ubar would pin it there.  A
+    NumericalError in a Newton solve turns the loop to damped Picard sweeps
+    from r, r <- theta u_r + (1 - theta) r, u_r solving (R + diag(B' r)) u =
+    0.  Only a sweep solved to tol/10 ends the loop, once its update is below
+    tol; such a sweep also holds its orbit's wrap mismatch |v(T) - v(0)|/dt to
+    tol/10 max|u|.  The converged u is checked against the trapping pair
+    (usub, ubar) and the semilinear PDE; every sweep records (min(u - usub),
+    min(ubar - u)) in info["iterate_bounds"].
     """
-    ubar_f, _, usub, op0, bc = problem
+    ubar_f, usub, op0, bc = problem
     ubar = ubar_f.values
     _, K = logistic_envelope(fsys)
     r = np.clip(np.minimum(ubar, K), usub, ubar)
@@ -330,17 +337,21 @@ def _newton_fixed_point(fsys: FrameSystem, c: float, problem, tol: float,
     iterate_bounds, deltas, periods = [], [], []
     u_field = GridField(usub, op0.grid)
     newton_steps = factorizations = 0
+    stepper = None  # the relaxation's Stepper, retargeted sweep to sweep
 
     def solve(inner_tol):  # the Newton step from r, or u_r
         Br = np.einsum("ijtz,jtz->itz", op0.b_tab, r)
-        op, source = replace(op0, pot0=op0.pot0 + Br), None
-        if newton:  # J_r w = (B' r) o r
-            op, source = replace(op, coupling=op0.coupling - r[:, None] * op0.b_tab), Br * r
+        source = Br * r if newton else None  # J_r w = (B' r) o r
+        op = replace(op0, pot0=np.add(op0.pot0, Br, out=Br))
+        if newton:
+            op = replace(op, coupling=op0.coupling - r[:, None] * op0.b_tab)
         return solve_periodic_bvp(op, bc, u_field, inner_tol, source=source,
-                                  force_relaxation=force_relaxation)
+                                  force_relaxation=force_relaxation, stepper=stepper,
+                                  wrap_tol=inner_tol if inner_tol <= tol * 0.1 else None)
 
     for it in range(_MAX_OUTER):
-        inner_tol = max(tol * 0.1, 0.01 * deltas[-1]) if deltas else tol * 0.1
+        # the forcing rule of every sweep; the first's update is taken as sup|r - usub|
+        inner_tol = max(tol * 0.1, 0.01 * (deltas[-1] if deltas else float(np.abs(r - usub).max())))
         try:
             u_field, bvp = solve(inner_tol)
         except NumericalError:
@@ -348,6 +359,7 @@ def _newton_fixed_point(fsys: FrameSystem, c: float, problem, tol: float,
                 raise
             newton = False
             u_field, bvp = solve(inner_tol)
+        stepper = bvp["stepper"]
         periods.append(bvp["periods"])
         factorizations += bvp["factorizations"]
         uv = u_field.values
@@ -366,6 +378,7 @@ def _newton_fixed_point(fsys: FrameSystem, c: float, problem, tol: float,
             break
     else:
         raise NumericalError(f"{info['pipeline']} fixed point stalled", history=deltas)
+    del stepper, bvp  # the LUs, before the residual's bands
 
     trapping = max(0.0, float((usub - uv).max()), float((uv - ubar).max()))
     Bu = np.einsum("ijtz,jtz->itz", op0.b_tab, uv)
@@ -748,5 +761,6 @@ def critical_fixed_point(env: CriticalEnvelopes, grid: Grid, tol: float = 1e-7,
     loop as at c > c* (_newton_fixed_point), from the K-box start under the
     clamped supersolution.
     """
-    return _newton_fixed_point(env.fsys, env.fsys.c, _truncated_problem(env, grid), tol,
+    ubar_f, _, usub, op0, bc = _truncated_problem(env, grid)
+    return _newton_fixed_point(env.fsys, env.fsys.c, (ubar_f, usub, op0, bc), tol,
                                force_relaxation, {"mu_star": env.mu_star, "pipeline": "critical"})

@@ -2,13 +2,15 @@ import json
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from wavekit import cli, eigen
+from wavekit import cli, eigen, pde_core
 from wavekit.cli import emit_report, load_config, main, run_config
 from wavekit.errors import InputError
+from wavekit.pde_core import GridField
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -393,6 +395,38 @@ class TestRunConfig:
         diag = json.loads((out / "wave.json").read_text())["diagnostics"]
         assert diag["pde_residual"] <= 1e-7
         assert diag["trapping_violation"] <= 1e-5
+
+    @pytest.mark.parametrize("n_t", [64, 128, 256])
+    def test_time_periodic_wave_residual_does_not_grow_with_n_t(self, tmp_path, n_t):
+        # a relaxed period's whole residual sits on slice 0, its wrap mismatch
+        # over dt, which grows with n_t unless the final sweeps hold it to tol/10
+        cfg = tper_config(["dispersion", "wave"], extra_params={
+            "c": 3, "wave": {"a": 40.0, "n_t": n_t, "n_z": 401, "tol": 1e-7},
+        })
+        out = tmp_path / "out"
+        assert run_config(write_config(tmp_path, cfg), out=out) == 0
+        diag = json.loads((out / "wave.json").read_text())["diagnostics"]
+        assert diag["pde_residual"] <= 2e-8
+
+    def test_cell_wave_reuses_slice_lus(self, tmp_path):
+        # the Newton loop keeps its slice LUs within LU_REUSE: the profile lies
+        # within tol of one factored afresh at every sweep, and factorizations
+        # counts the LUs computed
+        cfg = cell_config(["wave"], {"c": "3", "wave": {"a": 20.0, "n_t": 64,
+                                                        "points_per_cell": 32}})
+        p = write_config(tmp_path, cfg)
+        runs = {}
+        for name, bound in (("reuse", pde_core.LU_REUSE), ("fresh", -1.0)):
+            with mock.patch.object(pde_core, "LU_REUSE", bound), \
+                 mock.patch.object(pde_core, "_band_lu", wraps=pde_core._band_lu) as lu:
+                assert run_config(p, out=tmp_path / name) == 0
+            diag = json.loads((tmp_path / name / "wave.json").read_text())["diagnostics"]
+            assert diag["factorizations"] == lu.call_count
+            runs[name] = diag, GridField.from_csv(tmp_path / name / "wave_profile.csv").values
+        (reuse, u), (fresh, u_fresh) = runs["reuse"], runs["fresh"]
+        assert fresh["factorizations"] == 64 * fresh["newton_steps"]
+        assert reuse["factorizations"] < 64 * reuse["newton_steps"]
+        assert np.abs(u - u_fresh).max() <= 1e-7
 
     @pytest.mark.parametrize("ppc", [12, 24, 128])
     def test_points_per_cell_off_the_eigen_cell(self, tmp_path, ppc):

@@ -208,6 +208,55 @@ class TestPeriodicBVP:
         res = apply_operator(op, u).values[:, :, 1:-1]
         assert np.abs(res).max() <= 1e-7 * np.abs(u.values).max()
 
+    def _retarget_setup(self, rng):
+        fs = frame_of(_pattern_system(2, time_dep=True))
+        g = Grid.cylinder(1.0, 1.25, 16, 41)
+        op = build_operator_mu(fs, 0.3, g)
+        op = replace(op, pot0=op.pot0 + rng.uniform(0.5, 1.0, (2, g.n_t, g.n_z)))
+        bc = (rng.uniform(0.5, 1.0, (2, g.n_t)), rng.uniform(0.0, 0.5, (2, g.n_t)))
+        return op, bc, GridField(np.zeros((2, g.n_t, g.n_z)), g)
+
+    def test_reused_lus_relax_to_the_new_operator(self, rng):
+        # within LU_REUSE the slice LUs of op step op2; the lag source makes the
+        # fixed point backward Euler for op2 itself, as a fresh factorization's
+        op, bc, init = self._retarget_setup(rng)
+        g = op.grid
+        u, info = solve_periodic_bvp(op, bc, init, 1e-12)
+        assert info["factorizations"] == g.n_t
+        dpot = rng.uniform(-1.0, 1.0, op.pot0.shape)
+        dcpl = rng.uniform(-1.0, 1.0, op.coupling.shape)
+        # T max row sum |S2 - S| <= |dpot| + 2 |dcpl| in a 2 x 2 block
+        scale = 0.9 * pde_core.LU_REUSE / (3.0 * g.t_period)
+        op2 = replace(op, pot0=op.pot0 + scale * dpot, coupling=op.coupling + scale * dcpl)
+        u2, info2 = solve_periodic_bvp(op2, bc, u, 1e-12, stepper=info["stepper"])
+        assert info2["stepper"] is info["stepper"] and info2["factorizations"] == 0
+        fresh, _ = solve_periodic_bvp(op2, bc, u, 1e-12)
+        assert np.abs(u2.values - fresh.values).max() <= 1e-10
+        res = apply_operator(op2, u2).values[:, :, 1:-1]
+        assert np.abs(res).max() <= 1e-7 * np.abs(u2.values).max()
+
+    def test_retarget_past_the_bound_refactors(self, rng):
+        op, bc, init = self._retarget_setup(rng)
+        _, info = solve_periodic_bvp(op, bc, init, 1e-10)
+        far = 2.0 * pde_core.LU_REUSE / op.grid.t_period
+        op2 = replace(op, pot0=op.pot0 + far)
+        u2, info2 = solve_periodic_bvp(op2, bc, init, 1e-10, stepper=info["stepper"])
+        assert info2["factorizations"] == op.grid.n_t
+        fresh, _ = solve_periodic_bvp(op2, bc, init, 1e-10)
+        assert np.array_equal(u2.values, fresh.values)
+
+    def test_wrap_tol_bounds_the_returned_orbit_wrap(self, rng):
+        # the returned orbit is the last period's: its wrap |v(T) - v(0)| is the
+        # last change, held to wrap_tol dt max|u|, and it is slice 0's residual
+        op, bc, init = self._retarget_setup(rng)
+        g = op.grid
+        loose, info = solve_periodic_bvp(op, bc, init, 1e-3)
+        u, info_w = solve_periodic_bvp(op, bc, init, 1e-3, wrap_tol=1e-9)
+        assert info_w["periods"] > info["periods"]
+        assert info_w["changes"][-1] <= 1e-9 * g.dt * np.abs(u.values).max()
+        res = apply_operator(op, u).values[:, :, 1:-1]
+        assert np.abs(res).max() <= 1e-8 * np.abs(u.values).max()
+
     @pytest.mark.parametrize("time_dep", [False, True])
     def test_source_matches_dense_space_time_solve(self, time_dep, rng):
         # backward Euler with a source, (I - dt S_k) u_k = u_{k-1} + dt f_k,
@@ -639,6 +688,27 @@ class TestGridFieldIO:
             for i in range(2) for k in range(3) for j in range(17)
         )
         assert p.read_text().split("\n", 2)[2] == body
+
+    def test_csv_bytes_of_awkward_floats(self, tmp_path):
+        # the reprs a per-line "{!r}" gave: exponents, a signed zero, the least
+        # subnormal and a sum off its decimal literal, also across the chunks
+        # of _CSV_CHUNK lines the writer formats at once
+        g = Grid.cylinder(1.0, 8.0, 2, 2 * pde_core._CSV_CHUNK + 1)
+        vals = np.full((1, 2, g.n_z), 0.5)
+        awkward = [1e-05, 1e16, -0.0, 5e-324, 0.1 + 0.2]
+        for j in (0, pde_core._CSV_CHUNK - 2, g.n_z - 5):
+            vals[0, 1, j:j + 5] = awkward
+        p = tmp_path / "field.csv"
+        GridField(vals, g).to_csv(p)
+        lines = p.read_bytes().split(b"\n")
+        assert lines[0] == (f"# grid kind=interval n_t=2 n_z={g.n_z} t_period=1.0 "
+                            "z0=-8.0 z1=8.0").encode()
+        row = lines[2 + g.n_z:2 + 2 * g.n_z]
+        assert [ln.split(b",")[3] for ln in row[:5]] == [b"1e-05", b"1e+16", b"-0.0", b"5e-324",
+                                                        b"0.30000000000000004"]
+        body = "".join(f"{i},{k},{float(g.z[j])!r},{float(vals[i, k, j])!r}\n"
+                       for i in range(1) for k in range(2) for j in range(g.n_z))
+        assert p.read_bytes().split(b"\n", 2)[2] == body.encode()
 
     def test_grid_invariants(self):
         with pytest.raises(InputError):
