@@ -156,14 +156,14 @@ def simulate(sys: KPPSystem, initial: np.ndarray, t_final: float, X: float,
 
     n_steps = int(round(t_final / dt))
     snap_stride = max(1, int(round(snapshot_every / dt)))
-    u = initial.copy()
-    times = [0.0]
-    snaps = [u.copy()]
+    u = stepper._flat(initial)
+    times, snaps = [0.0], [initial.copy()]
     for step in range(n_steps):
         k = step % spp
-        reaction = (np.einsum("ijx,jx->ix", L[:, :, k], u)
-                    - np.einsum("ijx,jx->ix", B[:, :, k], u) * u)
-        u = stepper.step(u + dt * reaction, k)
+        uc = np.ascontiguousarray(stepper._unflat(u))  # component rows; N = 1: a view
+        reaction = (np.einsum("ijx,jx->ix", L[:, :, k], uc)
+                    - np.einsum("ijx,jx->ix", B[:, :, k], uc) * uc)
+        u = stepper.step(stepper._flat(uc + dt * reaction), k)
         if (step + 1) % snap_stride == 0 or step == n_steps - 1:
             if u.min() < -1e-8 or u.max() > u_max_bound + 1e-6 * (1 + u_max_bound):
                 raise NumericalError(
@@ -172,7 +172,7 @@ def simulate(sys: KPPSystem, initial: np.ndarray, t_final: float, X: float,
                     "reduce dt"
                 )
             times.append((step + 1) * dt)
-            snaps.append(u.copy())
+            snaps.append(stepper._unflat(u).copy())
     return SimulationRun(
         x, np.array(times), np.array(snaps), dt, r, K, u_max_bound, 0.9 * X
     )

@@ -15,8 +15,9 @@ the spatial operator S as 2N+1 bands, which `apply_S` applies.  Those bands
 are already LAPACK's band storage of S^T, so a step solver stores them once
 per time slice (a periodic cell in the folded node order 0, n-1, 1, n-2, ...,
 half-bandwidth 2N) and every step, steady and Newton matrix d I + s S is
-factored as its transpose by one band LU (dgbtrf, two dtbsv solves).  `apply_operator` is the backward-Euler residual on the same S; a
-diagonal a caller adds is folded into `OperatorSpec.pot0`.
+factored as its transpose by one band LU (dgbtrf), solved by a unit-diagonal
+dtbsv pair and one product by 1/D.  `apply_operator` is the backward-Euler
+residual on the same S; a diagonal a caller adds is folded into `OperatorSpec.pot0`.
 
 Time-periodic boundary-value problems, linear with a source term, are solved
 by relaxation of the parabolic flow: a positive periodic-Dirichlet principal
@@ -332,15 +333,24 @@ def apply_operator(op: OperatorSpec, u: GridField) -> GridField:
 def _band_lu(ab: np.ndarray, kb: int):
     """The solve b -> A^-1 b of a band matrix A, half-bandwidth kb, from LAPACK's
     band storage ab (3 kb + 1, n) of A^T: A^T[i, j] at ab[2 kb + i - j, j], Fortran
-    order, overwritten.  dgbtrf factors A^T = L U; A x = b is U^T y = b, L^T x = y
-    (dtbsv), or dgbtrs after a row swap.  A zero pivot raises NumericalError."""
+    order, overwritten.  dgbtrf factors A^T = L U; with no row swapped U = D U1 has kb
+    superdiagonals, and A x = b is U1^T y = b, L^T x = y / D: two unit-diagonal dtbsv
+    solves and a product by 1/D, no division in their loops; else dgbtrs.  The solve
+    may overwrite b.  A zero pivot raises NumericalError."""
     lu, piv, info = dgbtrf(ab, kb, kb, overwrite_ab=1)
     if info > 0:
         raise NumericalError(f"singular band matrix: zero pivot in column {info - 1}")
     if np.any(piv != np.arange(piv.size)):
         return lambda b: dgbtrs(lu, kb, kb, b, piv, trans=1)[0]
-    L = np.asfortranarray(lu[2 * kb:])
-    return lambda b: dtbsv(kb, L, dtbsv(2 * kb, lu, b, trans=1), lower=1, trans=1, diag=1)
+    inv_d = 1.0 / lu[2 * kb]
+    u1t, lt = np.zeros((2, piv.size, kb + 1)).transpose(0, 2, 1)  # dtbsv's band storage, Fortran
+    for r in range(1, kb + 1):
+        u1t[r, :-r] = lu[2 * kb - r, r:] * inv_d[:-r]
+        lt[kb - r, r:] = lu[2 * kb + r, :-r]
+    def solve(b):
+        y = dtbsv(kb, u1t, b, lower=1, diag=1, overwrite_x=1)
+        return dtbsv(kb, lt, np.multiply(y, inv_d, out=y), diag=1, overwrite_x=1)
+    return solve
 
 
 class Stepper:
@@ -354,8 +364,9 @@ class Stepper:
     the transpose by _band_lu, counted in `factorizations`.  With boundary
     data bc the Dirichlet rows (_dirichlet) of S are zero: step matrices have
     identity rows there and the data enters through the right-hand side;
-    without bc an interval's two ends carry no flux.  `retarget` moves the
-    stepper to another operator on the same grid, reusing its LUs if it can.
+    without bc an interval's two ends carry no flux.  `step` and `run_period`
+    work on flat vectors in the solve order (_flat and _unflat convert);
+    `retarget` moves the stepper to another operator, reusing its LUs if it can.
     """
 
     def __init__(self, op: OperatorSpec, bc: tuple[np.ndarray, np.ndarray] | None = None):
@@ -384,7 +395,7 @@ class Stepper:
             raise InputError(f"mesh Peclet number {op.peclet():.3g} > 1: centered advection "
                              "would break the M-matrix property; refine dz")
         self.op = op
-        self._lag = None  # node blocks of S_target - S_op (retarget), or None
+        self._lag = None  # (n_t, n_z, N, N): node blocks of S_target - S_op (retarget), or None
         self.time_dependent = not op.is_time_independent()
         self.n_distinct = self.grid.n_t if self.time_dependent else 1
         self._assemble_S()
@@ -402,15 +413,15 @@ class Stepper:
             raise InputError("retarget needs an operator on the stepper's grid")
         self._lag = None
         if all(np.array_equal(getattr(op, k), getattr(self.op, k)) for k in ("a_node", "a_half", "drift")):
-            d = np.subtract(op.coupling, self.op.coupling)
+            d = np.moveaxis(np.subtract(op.coupling, self.op.coupling), (0, 1), (2, 3))
             for i in range(self.N):  # in place: no table-sized temporaries
-                d[i, i] -= op.pot0[i]
-                d[i, i] += self.op.pot0[i]
-            rows = np.abs(d[:, 0])
+                d[..., i, i] -= op.pot0[i]
+                d[..., i, i] += self.op.pot0[i]
+            rows = np.abs(d[..., 0])
             for j in range(1, self.N):
-                rows += np.abs(d[:, j])
+                rows += np.abs(d[..., j])
             if self.grid.t_period * rows.max() <= LU_REUSE:
-                self._lag = d
+                self._lag = d[:, self._nodes]
                 return
             del d, rows
         self.__dict__.pop("_lhs_lu", None)  # free the old LUs and bands before the new ones
@@ -452,10 +463,14 @@ class Stepper:
                      beta=1.0, y=d * x, trans=1)
 
     def _flat(self, v):
-        return v[:, self._nodes].T.flatten()
+        """v (N, ..., n_z) as a new array (..., size) in the solve order."""
+        w = v[..., self._nodes].transpose(*range(1, v.ndim), 0)
+        return w.copy().reshape(*v.shape[1:-1], self.size)
 
     def _unflat(self, w):
-        return w.reshape(self.grid.n_z, self.N).T[:, self._slots]
+        """w (..., size) in the solve order as (N, ..., n_z): a view on an interval."""
+        w = w.reshape(*w.shape[:-1], self.grid.n_z, self.N)
+        return w.transpose(w.ndim - 1, *range(w.ndim - 1))[..., self._slots]
 
     def _bc_into(self, w: np.ndarray, kk: int) -> np.ndarray:
         """Write the Dirichlet data of t_kk into the flat vector w; returns w."""
@@ -465,10 +480,11 @@ class Stepper:
             w[-self.N:] = right[:, kk]
         return w
 
-    def step(self, v: np.ndarray, k: int) -> np.ndarray:
-        """Advance from t_k to t_{k+1}; v is (N, n_z)."""
+    def step(self, w: np.ndarray, k: int) -> np.ndarray:
+        """w (size,), flat in the solve order, advanced from t_k to t_{k+1} in place:
+        the Dirichlet data of t_{k+1} go into w, and the solve overwrites it."""
         kk = (k + 1) % self.grid.n_t
-        return self._unflat(self._lhs_lu[kk % self.n_distinct](self._bc_into(self._flat(v), kk)))
+        return self._lhs_lu[kk % self.n_distinct](self._bc_into(w, kk))
 
     def step_implicit_quadratic(self, v: np.ndarray, k: int, b_k: np.ndarray) -> np.ndarray:
         """Backward-Euler step of d_t v = S v - b v^2, quadratic kept implicit.
@@ -486,7 +502,7 @@ class Stepper:
         b = np.where(self._dirichlet, 0.0, self._flat(b_k))
         rhs0 = self._bc_into(self._flat(v), kk)
         solve = self._lhs_lu[kk % self.n_distinct]
-        w = solve(rhs0)
+        w = solve(rhs0.copy())
         changes = []
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(_QUAD_MAX_INNER):
@@ -523,31 +539,30 @@ class Stepper:
                 w = w - self._lu(self._dirichlet + 2.0 * b * w + 1.0 / dt, -1.0, k)(G)
         return None
 
-    def run_period(self, v0: np.ndarray, source: np.ndarray | None = None,
+    def run_period(self, v0: np.ndarray, dt_f: np.ndarray | None = None,
                    orbit: np.ndarray | None = None):
-        """One period of steps from v0 of shape (N, n_z): (v at t_{n_t}, the
-        orbit (N, n_t, n_z) at t_0..t_{n_t-1}).  A source f (N, n_t, n_z) adds
-        dt f_{k+1} to the step's right-hand side: backward Euler for
-        d_t v = S v + f.  The orbit is written into the array orbit if given.
-        After a retarget that kept the LUs, orbit must hold the previous
-        period's: step k reads its slice k + 1 for the lag source before
-        overwriting it (slice 0, read last, is already this period's).
+        """One period of steps from the flat v0 (size,), all in the solve order: (v at
+        t_{n_t}, the orbit (n_t, size) at t_0..t_{n_t-1}, written into orbit if given).
+        dt_f (n_t, size), dt times a source f, adds dt f_{k+1} to step k's right-hand
+        side: backward Euler for d_t v = S v + f.  After a retarget that kept the LUs,
+        orbit must hold the previous period's: step k reads its slice k + 1 for the lag
+        source on node blocks before overwriting it (slice 0, read last, is this period's).
         """
         v = np.array(v0, dtype=float)
-        n_t, n_z, dt = self.grid.n_t, self.grid.n_z, self.grid.dt
-        if v.shape != (self.N, n_z):
-            raise InputError(f"v0 shape {v.shape} != {(self.N, n_z)}")
+        n_t, dt, lag = self.grid.n_t, self.grid.dt, self._lag
+        if v.shape != (self.size,):
+            raise InputError(f"v0 shape {v.shape} != {(self.size,)}")
         if orbit is None:
-            if self._lag is not None:
+            if lag is not None:
                 raise InputError("a retargeted Stepper needs the previous period's orbit")
-            orbit = np.empty((self.N, n_t, n_z))
+            orbit = np.empty((n_t, self.size))
         for k in range(n_t):
-            orbit[:, k] = v
+            orbit[k] = v
             kk = (k + 1) % n_t
-            if source is not None:
-                v = v + dt * source[:, kk]
-            if self._lag is not None:
-                v = v + dt * np.einsum("ijz,jz->iz", self._lag[:, :, kk], orbit[:, kk])
+            if dt_f is not None:
+                v += dt_f[kk]
+            if lag is not None:
+                v += dt * np.einsum("zij,zj->zi", lag[kk], orbit[kk].reshape(-1, self.N)).reshape(-1)
             v = self.step(v, k)
         return v, orbit
 
@@ -598,14 +613,13 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
     else:
         stepper = Stepper(op, bc=(left, right))
     before = stepper.factorizations
-    orbit = init.values.copy()
-    v = orbit[:, 0].copy()
-    changes = []
+    orbit = stepper._flat(init.values)  # (n_t, size) in the solve order for the whole call
+    dt_f = None if source is None else g.dt * stepper._flat(source)
+    v, changes = orbit[0], []
     for _ in range(_MAX_PERIODS):
-        v_new, orbit = stepper.run_period(v, source, orbit)
-        change = float(np.abs(v_new - v).max())
+        v, orbit = stepper.run_period(v, dt_f, orbit)
+        change = float(np.abs(v - orbit[0]).max())  # orbit[0]: the period's start
         changes.append(change)
-        v = v_new
         if not np.isfinite(change):
             raise NumericalError("periodic BVP relaxation diverged", history=changes)
         q = changes[-1] / changes[-2] if len(changes) >= 2 and changes[-2] > 0 else 1.0
@@ -619,6 +633,6 @@ def solve_periodic_bvp(op: OperatorSpec, boundary, init: GridField, tol: float,
             "may be nonpositive or the grid too coarse",
             history=changes,
         )
-    return GridField(orbit, g), {"mode": "relaxation", "periods": len(changes), "changes": changes,
-                                 "factorizations": stepper.factorizations - before,
-                                 "stepper": stepper}
+    return GridField(np.ascontiguousarray(stepper._unflat(orbit)), g), {
+        "mode": "relaxation", "periods": len(changes), "changes": changes,
+        "factorizations": stepper.factorizations - before, "stepper": stepper}

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import const, scalar_system, system_2x2
+from conftest import const, scalar_system, system_2x2, time_periodic_l
+from wavekit import cauchy
 from wavekit.cauchy import (
     SimulationRun,
     bump_initial,
@@ -12,7 +13,9 @@ from wavekit.cauchy import (
     simulate,
 )
 from wavekit.coeffs import KPPSystem, nondimensionalize
+from wavekit.dispersion import static_frame
 from wavekit.errors import InputError, NumericalError
+from wavekit.pde_core import Stepper, build_operator_mu
 
 
 class TestLogisticEnvelope:
@@ -70,6 +73,54 @@ class TestSimulate:
     def test_negative_initial_rejected(self):
         with pytest.raises(InputError):
             simulate(scalar_system(), np.full((1, 2048), -0.1), 1.0, 50.0, n_x=2048)
+
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_matches_per_step_loop(self, N, monkeypatch):
+        # time-periodic coupling: the reaction reads a new slice every step
+        sys = (scalar_system(l_field=time_periodic_l()) if N == 1
+               else system_2x2(l11_field=time_periodic_l(0.5, 0.5)))
+        x = np.linspace(-20.0, 20.0, 256)
+        init = bump_initial(x, N)
+        made = []
+        monkeypatch.setattr(cauchy, "Stepper", lambda *a, **kw: made.append(Stepper(*a, **kw)) or made[-1])
+        run = simulate(sys, init, 3.0, 20.0, n_x=256)
+        ref = reference_snapshots(made[0], sys, init, 3.0)
+        assert run.snapshots.shape == ref.shape
+        if N == 1:
+            assert np.array_equal(run.snapshots, ref)
+        else:
+            assert np.abs(run.snapshots - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_invariant_region_violation_raises(self, monkeypatch):
+        # logistic growth from 0.1 passes 0.3 before t = 2: with K patched to
+        # 0.3 the bound max(K, max u0) = 0.3 is left at a snapshot
+        init = np.full((1, 256), 0.1)
+        assert simulate(scalar_system(), init, 3.0, 20.0, n_x=256).snapshots.max() > 0.3
+        monkeypatch.setattr(cauchy, "logistic_envelope", lambda sys: (1.0, 0.3))
+        with pytest.raises(NumericalError, match="invariant region violated at t=2.000"):
+            simulate(scalar_system(), init, 3.0, 20.0, n_x=256)
+
+
+def reference_snapshots(st, sys, initial, t_final, snapshot_every=1.0):
+    """simulate's loop in the (N, n_x) form, one solve of its Stepper st per
+    step: the loop before the solve order.  Returns the snapshots."""
+    op = build_operator_mu(static_frame(nondimensionalize(sys)), 0.0, st.grid)
+    L, B = op.coupling, op.b_tab
+    dt, spp = st.grid.dt, st.grid.n_t
+    n_steps = int(round(t_final / dt))
+    stride = max(1, int(round(snapshot_every / dt)))
+    u = initial.copy()
+    snaps = [u.copy()]
+    for step in range(n_steps):
+        k = step % spp
+        kk = (k + 1) % spp
+        reaction = (np.einsum("ijx,jx->ix", L[:, :, k], u)
+                    - np.einsum("ijx,jx->ix", B[:, :, k], u) * u)
+        w = st._bc_into(st._flat(u + dt * reaction), kk)
+        u = st._unflat(st._lhs_lu[kk % st.n_distinct](w))
+        if (step + 1) % stride == 0 or step == n_steps - 1:
+            snaps.append(u.copy())
+    return np.array(snaps)
 
 
 @pytest.fixture(scope="module")

@@ -314,7 +314,7 @@ class TestMonodromyKernel:
         for n_t in (256, 512):
             op = build_operator_mu(fs, 0.7, Grid.periodic_cell(1.0, 1.0, n_t, 16))
             stepper = Stepper(op)
-            v = np.ones((2, 16))
+            v = np.ones(32)
             for _ in range(40):
                 w, _ = stepper.run_period(v)
                 rho = float(np.vdot(v, w) / np.vdot(v, v))

@@ -90,14 +90,14 @@ class TestEvolvePeriod:
         for n_t in (16, 64):
             g = Grid.periodic_cell(1.0, 1.0, n_t, 16)
             op = build_operator_mu(fs, 0.0, g)
-            v, _ = Stepper(op).run_period(np.full((1, 16), 2.0))
+            v, _ = Stepper(op).run_period(np.full(16, 2.0))
             assert v == pytest.approx(2.0 * (1 + 1 / n_t) ** (-n_t), rel=1e-12)
 
     def test_constant_preserved_by_pure_diffusion(self):
         fs = plain_diffusion_frame(l=0.0)
         g = Grid.periodic_cell(1.0, 1.0, 16, 32)
         op = build_operator_mu(fs, 0.0, g)
-        v, _ = Stepper(op).run_period(np.full((1, 32), 0.7))
+        v, _ = Stepper(op).run_period(np.full(32, 0.7))
         assert np.abs(v - 0.7).max() < 1e-12
 
     def test_heat_decay_rate_within_2pct(self):
@@ -110,7 +110,8 @@ class TestEvolvePeriod:
         g = Grid.periodic_cell(1.0, 1.0, 4096, 64)
         op = build_operator_mu(fs, 0.0, g)
         mode = np.sin(2 * np.pi * g.z)
-        v1, _ = Stepper(op).run_period(mode[None, :])
+        st = Stepper(op)
+        v1 = st._unflat(st.run_period(st._flat(mode[None, :]))[0])
         factor = float(v1[0] @ mode) / float(mode @ mode)
         rate = -np.log(factor)
         assert abs(rate - 4 * np.pi**2) / (4 * np.pi**2) < 0.02
@@ -122,8 +123,9 @@ class TestEvolvePeriod:
         v1 = rng.normal(size=(2, 32))
         v2 = rng.normal(size=(2, 32))
         a, b = 1.7, -0.4
-        lhs, _ = Stepper(op).run_period(a * v1 + b * v2)
-        rhs = a * Stepper(op).run_period(v1)[0] + b * Stepper(op).run_period(v2)[0]
+        st = Stepper(op)
+        lhs, _ = Stepper(op).run_period(st._flat(a * v1 + b * v2))
+        rhs = a * Stepper(op).run_period(st._flat(v1))[0] + b * Stepper(op).run_period(st._flat(v2))[0]
         assert np.abs(lhs - rhs).max() < 1e-10
 
     def test_positivity_preservation(self, rng):
@@ -132,14 +134,14 @@ class TestEvolvePeriod:
         g = Grid.periodic_cell(1.0, 1.0, 32, 48)
         op = build_operator_mu(fs, 0.8, g)
         for _ in range(5):
-            v0 = np.abs(rng.normal(size=(2, 48)))
+            v0 = np.abs(rng.normal(size=96))
             v, _ = Stepper(op).run_period(v0)
             assert v.min() >= 0.0
 
     def test_run_period_rejects_misshaped_v0(self):
         g = Grid.periodic_cell(1.0, 1.0, 8, 16)
         st = Stepper(build_operator_mu(frame_of(system_2x2()), 0.0, g))
-        for shape in ((1, 16), (2, 15), (16, 2), (2, 1, 16)):
+        for shape in ((2, 16), (31,), (1, 16), (2, 15), (16, 2), (2, 1, 16)):
             with pytest.raises(InputError, match="v0 shape"):
                 st.run_period(np.ones(shape))
 
@@ -148,7 +150,7 @@ class TestEvolvePeriod:
         g = Grid.periodic_cell(1.0, 1.0, 8, 16)
         op = build_operator_mu(fs, 0.0, g)
         with pytest.raises(InputError):
-            Stepper(op).run_period(np.ones((1, 16)))
+            Stepper(op).run_period(np.ones(16))
 
     @BACKWARD_EULER
     def test_one_node_cell_refused(self, theta):
@@ -311,8 +313,8 @@ class TestPeriodicBVP:
         op, g = self.cylinder_setup(a=4.0, n_z=129, l=0.5)
         data = 0.2 * np.ones((1, g.n_t))
         st = Stepper(op, bc=(data, data))
-        v1 = np.zeros((1, g.n_z))
-        v2 = 0.3 * np.ones((1, g.n_z))
+        v1 = np.zeros(g.n_z)
+        v2 = 0.3 * np.ones(g.n_z)
         for _ in range(12):
             v1, _ = st.run_period(v1)
             v2, _ = st.run_period(v2)
@@ -327,7 +329,7 @@ def picard_quadratic_step(st, v, k, b_k):
     b = np.where(st._dirichlet, 0.0, st._flat(b_k))
     rhs0 = st._bc_into(st._flat(v), kk)
     solve = st._lhs_lu[kk % st.n_distinct]
-    w = solve(rhs0)
+    w = solve(rhs0.copy())
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(60):
             w_new = solve(rhs0 - dt * b * w * w)
@@ -406,20 +408,19 @@ class TestZeroFluxStepper:
 
     def test_constant_is_fixed_point(self):
         st = self.stepper()
-        v = np.full((1, st.grid.n_z), 0.7)
         for k in range(st.grid.n_t):
-            assert np.abs(st.step(v, k) - 0.7).max() < 1e-14
+            assert np.abs(st.step(np.full(st.size, 0.7), k) - 0.7).max() < 1e-14
 
     def test_pure_diffusion_conserves_mass(self, rng):
         st = self.stepper(q_mean=0.0, q_amp=0.0)
-        v0 = np.abs(rng.normal(size=(1, st.grid.n_z)))
+        v0 = np.abs(rng.normal(size=st.size))
         v, _ = st.run_period(v0)
         assert abs(v.sum() - v0.sum()) < 1e-12 * v0.sum()
 
     def test_positivity_preservation(self, rng):
         st = self.stepper()
         for _ in range(5):
-            v, _ = st.run_period(np.abs(rng.normal(size=(1, st.grid.n_z))))
+            v, _ = st.run_period(np.abs(rng.normal(size=st.size)))
             assert v.min() >= 0.0
 
 
@@ -505,7 +506,15 @@ def _pattern_system(N, time_dep):
     l = time_periodic_l() if time_dep else space_periodic_l()
     if N == 1:
         return scalar_system(a_field=a, q_field=q, l_field=l)
-    # the zero off-diagonal coupling is an explicit zero of the pattern
+    # the zero off-diagonal couplings are explicit zeros of the pattern
+    if N == 3:  # decaying: d I - S stays well conditioned for d >= 1/2
+        l = time_periodic_l(-1.0) if time_dep else space_periodic_l(-1.0)
+        return KPPSystem(
+            3, 1, (((a,),), ((const(0.8),),), ((const(1.2),),)), ((q,), (const(0.0),), (const(-0.2),)),
+            ((l, const(0.0), const(0.2)), (const(0.5), const(-0.3), const(0.0)),
+             (const(0.1), const(0.4), const(-0.5))),
+            tuple((const(1.0),) * 3 for _ in range(3)),
+        )
     return KPPSystem(
         2, 1, (((a,),), ((const(0.8),),)), ((q,), (const(0.0),)),
         ((l, const(0.0)), (const(0.5), const(-0.3))),
@@ -571,7 +580,7 @@ class TestSharedPattern:
             if rows:
                 rhs[rows] = np.concatenate([bc[0][:, kk], bc[1][:, kk]])
             expect = splu(lhs_ref[kk % st.n_distinct].tocsc()).solve(rhs).reshape(g.n_z, N).T
-            got = st.step(v, k)
+            got = st._unflat(st.step(st._flat(v), k))
             assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
             v = got
 
@@ -583,7 +592,7 @@ def _solve_order(st, b):
 
 class TestBandLU:
     # the step solver's LU of d I + s S against a dense solve
-    def stepper(self, closure, N, rng):
+    def stepper(self, closure, N, rng, decay=0.0):
         fs = frame_of(_pattern_system(N, time_dep=False))
         if closure == "periodic":
             g = Grid.periodic_cell(1.0, 1.0, 8, 32)
@@ -592,7 +601,8 @@ class TestBandLU:
         bc = None
         if closure == "dirichlet":
             bc = (rng.uniform(0.5, 1.0, (N, g.n_t)), rng.uniform(0.0, 0.5, (N, g.n_t)))
-        return Stepper(build_operator_mu(fs, 0.3, g), bc=bc)
+        op = build_operator_mu(fs, 0.3, g)
+        return Stepper(replace(op, pot0=op.pot0 + decay), bc=bc)
 
     def assert_solves(self, st, solve, A, rng):
         b = rng.normal(size=st.size)
@@ -601,16 +611,24 @@ class TestBandLU:
         assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
     @pytest.mark.parametrize("s", [-0.125, -1.0])
-    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("N", [1, 2, 3])
     @pytest.mark.parametrize("closure", ["periodic", "dirichlet", "zero_flux"])
-    def test_solves_match_dense(self, closure, N, s, rng):
-        st = self.stepper(closure, N, rng)
-        S = _reference_S(st, 0).toarray()
-        d = rng.uniform(0.5, 2.0, st.size)
-        before = st.factorizations
-        solve = st._lu(_solve_order(st, d), s)
-        assert st.factorizations == before + 1
-        self.assert_solves(st, solve, np.diag(d) + s * S, rng)
+    def test_solves_match_dense(self, closure, N, s, rng, monkeypatch):
+        # a diagonal d of order one, then one spanning 1e-6 to 1e6 (pivots of
+        # every scale through the product by 1/D) on the operator with a decay
+        # of 5, whose -S rows sum to more than 2: d + s S stays well conditioned
+        # and swaps no row, so its solve is the D U1 split, not dgbtrs
+        calls = []
+        monkeypatch.setattr(pde_core, "dgbtrs", lambda *a, **kw: calls.append(1) or dgbtrs(*a, **kw))
+        for decay, wide in ((0.0, False), (5.0, True)):
+            st = self.stepper(closure, N, rng, decay)
+            S = _reference_S(st, 0).toarray()
+            d = 10.0 ** rng.uniform(-6.0, 6.0, st.size) if wide else rng.uniform(0.5, 2.0, st.size)
+            solve = st._lu(_solve_order(st, d), s)
+            assert st.factorizations == 1
+            calls.clear()
+            self.assert_solves(st, solve, np.diag(d) + s * S, rng)
+            assert not (wide and calls)
 
     def test_row_swap_solves_through_dgbtrs(self, rng, monkeypatch):
         # a zero first diagonal entry: the first column of A^T must pivot
@@ -628,6 +646,66 @@ class TestBandLU:
         st = self.stepper("dirichlet", 2, rng)
         with pytest.raises(NumericalError, match="singular"):
             st._lu(0.0, 1.0)
+
+
+def reference_period(st, v0, source, orbit, lag=None):
+    """One period of steps in the (N, n_z) form, one Stepper solve per step,
+    with the lag source (N, N, n_t, n_z) if given: run_period before the
+    solve order.  Returns (v at t_{n_t}, orbit)."""
+    n_t, dt = st.grid.n_t, st.grid.dt
+    v = np.array(v0, dtype=float)
+    for k in range(n_t):
+        orbit[:, k] = v
+        kk = (k + 1) % n_t
+        if source is not None:
+            v = v + dt * source[:, kk]
+        if lag is not None:
+            v = v + dt * np.einsum("ijz,jz->iz", lag[:, :, kk], orbit[:, kk])
+        v = st._unflat(st._lhs_lu[kk % st.n_distinct](st._bc_into(st._flat(v), kk)))
+    return v, orbit
+
+
+def assert_same(got, ref, N):
+    """Bit-identical for N = 1, within 1e-14 relative for more components."""
+    if N == 1:
+        assert np.array_equal(got, ref)
+    else:
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestSolveOrderLoop:
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_run_period_matches_per_step_loop(self, N, rng):
+        # a time-periodic Stepper with Dirichlet data and a source, then a
+        # retarget that keeps its LUs: the lag source read off the last orbit
+        fs = frame_of(_pattern_system(N, time_dep=True))
+        g = Grid.cylinder(1.0, 1.25, 16, 41)
+        op = build_operator_mu(fs, 0.3, g)
+        bc = (rng.uniform(0.5, 1.0, (N, g.n_t)), rng.uniform(0.0, 0.5, (N, g.n_t)))
+        st = Stepper(op, bc=bc)
+        source = rng.uniform(-1.0, 1.0, (N, g.n_t, g.n_z))
+        dt_f = g.dt * st._flat(source)
+        v0 = rng.uniform(0.0, 1.0, (N, g.n_z))
+        v, orbit = st.run_period(st._flat(v0), dt_f)
+        v_ref, orbit_ref = reference_period(st, v0, source, np.empty((N, g.n_t, g.n_z)))
+        assert_same(st._unflat(v), v_ref, N)
+        assert_same(st._unflat(orbit), orbit_ref, N)
+
+        op2 = replace(op, pot0=op.pot0 + 0.04 * rng.uniform(-1.0, 1.0, op.pot0.shape),
+                      coupling=op.coupling + 0.01 * rng.uniform(0.0, 1.0, op.coupling.shape))
+        lu_before = st.factorizations
+        st.retarget(op2)
+        assert st._lag is not None and st.factorizations == lu_before
+        lag = op2.coupling - op.coupling
+        for i in range(N):
+            lag[i, i] -= op2.pot0[i]
+            lag[i, i] += op.pot0[i]
+        for _ in range(2):
+            v, orbit = st.run_period(v, dt_f, orbit)
+            v_ref, orbit_ref = reference_period(st, v_ref, source, orbit_ref, lag)
+            assert_same(st._unflat(v), v_ref, N)
+            assert_same(st._unflat(orbit), orbit_ref, N)
+        assert st.factorizations == lu_before
 
 
 class TestStencilBands:
