@@ -23,13 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .coeffs import max_frequencies
 from .errors import InputError, NumericalError
 from .frame import FrameSystem
-from .pde_core import Grid, GridField, OperatorSpec
+from .pde_core import Grid, GridField, OperatorSpec, dgeev, dgeev_lwork, zgbtrf, zgbtrs
 
 _STEPS = 256  # eigenfunction slices per period and per time frequency
 _MODE_TOL = 1e-13  # Hill modes grow until the outermost hold this much of the largest
@@ -142,6 +140,29 @@ def _at(modes, T: float, t):
     return vals.real.reshape(len(t), *modes.shape[1:])
 
 
+def _eig(A):
+    """(w, W, V) of a real A by LAPACK's dgeev, as scipy.linalg.eig(A, left=True)
+    returns them: w = wr + i wi, and, when some w is complex, the columns i, i + 1
+    that hold a conjugate pair's real and imaginary parts become X_i +- i X_{i+1}."""
+    if not np.isfinite(A).all():
+        raise NumericalError("non-finite time-averaged Hill matrix")
+    work, info = dgeev_lwork(len(A))
+    if not info:
+        wr, wi, W, V, info = dgeev(A, lwork=int(work))
+    if info:
+        raise NumericalError(f"LAPACK dgeev failed on the time-averaged Hill matrix: info = {info}")
+    w = wr + 1j * wi
+    if not np.all(w.imag == 0.0):
+        pair = w.imag > 0
+        pair[:-1] |= w.imag[1:] < 0
+        W, V = np.array(W, dtype=complex), np.array(V, dtype=complex)
+        for X in (W, V):
+            for i in np.flatnonzero(pair):
+                X.imag[:, i] = X.real[:, i + 1]
+                X[:, i + 1] = X[:, i].conj()
+    return w, W, V
+
+
 def _shift_invert(S, ddt, sigma: float, v, w):
     """(v, w, converged): right and left eigenvectors, time modes -P..P (2P + 1, M),
     of the eigenvalue of G nearest sigma, by inverse iteration from v and w on time
@@ -183,7 +204,7 @@ def _hill_modes(hill: _Hill, mu: float, K: int, P: int):
 
     lambda = -s, lambda' = -w X' v / w v, s = w X v / w v for the left and right
     vectors w, v of X's eigenvalue of largest real part: X = S_0 when static, from
-    eig; X = G when time-periodic, from _shift_invert at that static s and vectors.
+    _eig; X = G when time-periodic, from _shift_invert at that static s and vectors.
     K (at least 2 kz) grows by half and P (at least 2 kt) as far as its modes' decay
     predicts, at most doubling, until the outermost kz z-modes and kt time modes
     hold at most _MODE_TOL of the largest.  Too few time modes can put a conjugate
@@ -195,10 +216,10 @@ def _hill_modes(hill: _Hill, mu: float, K: int, P: int):
         S, dS = hill[K](mu)
         if grow_K:
             A, dA = S[kt].real, dS[kt].real
-            e, W, V = eig(A, left=True)
+            e, W, V = _eig(A)
             top = int(np.argmax(e.real))
             v0, wl = V[:, top], W[:, top].conj()
-            s0, ds0 = (wl @ X @ v0 / (wl @ v0) for X in (A, dA))  # accurate in |A| |v|, eig's w in ||A||
+            s0, ds0 = (wl @ X @ v0 / (wl @ v0) for X in (A, dA))  # accurate in |A| |v|, dgeev's w in ||A||
         v, w, s, ds, converged = (v0 if kt else v0.real)[None], wl.conj()[None], s0, ds0, True
         if kt:
             ddt = 2j * np.pi / T * np.arange(-P, P + 1)[:, None]  # d_t on the time modes

@@ -32,12 +32,14 @@ quadratic term kept implicit, finished by one Newton solve,
 
 from __future__ import annotations
 
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES
 
 import numpy as np
-from scipy.linalg.blas import dgbmv, dtbsv
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+import scipy
 
 from .coeffs import max_frequencies
 from .errors import InputError, NumericalError
@@ -63,6 +65,28 @@ _MAX_PERIODS = 20000  # relaxation periods before solve_periodic_bvp gives up
 # step a new operator (Stepper.retarget); 1.0 costs periods and the wrap residual
 LU_REUSE = 0.1
 _CSV_LINES = 512  # CSV lines formatted at once
+
+
+def _scipy_kernels(name: str):
+    """scipy's extension module linalg/<name>, loaded from its file: importing it
+    through scipy.linalg runs that package's import, about 0.25 s of set-up.  A scipy
+    without the file fails here, at wavekit's import."""
+    folder = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    for path in (os.path.join(folder, name + suffix) for suffix in EXTENSION_SUFFIXES):
+        if os.path.isfile(path):
+            spec = importlib.util.spec_from_file_location(f"scipy.linalg.{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"wavekit needs scipy's extension module {os.path.join(folder, name)}"
+                      f"{EXTENSION_SUFFIXES[0]}, absent from scipy {scipy.__version__}")
+
+
+# the LAPACK and BLAS kernels wavekit calls; eigen imports dgeev and zgbtr* from here
+_flapack, _fblas = _scipy_kernels("_flapack"), _scipy_kernels("_fblas")
+dgbtrf, dgbtrs, dgeev, dgeev_lwork, zgbtrf, zgbtrs = (
+    getattr(_flapack, f) for f in ("dgbtrf", "dgbtrs", "dgeev", "dgeev_lwork", "zgbtrf", "zgbtrs"))
+dgbmv, dtbsv = _fblas.dgbmv, _fblas.dtbsv
 
 
 @dataclass(frozen=True)

@@ -707,6 +707,27 @@ class TestRunConfig:
         assert json.loads((out / "eigen.json").read_text())["status"] == "ok"
         assert (out / "report.json").exists()
 
+    @pytest.mark.parametrize("fault", ["non-finite", "dgeev-info"])
+    def test_dense_eigensolver_failure_is_reported_not_a_traceback(self, tmp_path, monkeypatch, fault):
+        # a non-finite Hill matrix and a dgeev that does not converge both fail
+        # the task with a NumericalError summary, exit 3 and no traceback
+        if fault == "non-finite":
+            hill = eigen._hill
+
+            def nan_hill(*args):
+                f = hill(*args)
+                return lambda mu: tuple(np.full_like(X, np.nan) for X in f(mu))
+
+            monkeypatch.setattr(eigen, "_hill", nan_hill)
+        else:
+            monkeypatch.setattr(eigen, "dgeev", lambda A, lwork: (None, None, None, None, 2))
+        p = write_config(tmp_path, scalar_config(["eigen"]))
+        out = tmp_path / "out"
+        assert run_config(p, out=out) == 3
+        doc = json.loads((out / "eigen.json").read_text())
+        assert doc["status"] == "failed" and doc["error_type"] == "NumericalError", doc
+        assert "traceback" not in doc
+
     def test_each_eigenpair_solved_once(self, tmp_path, monkeypatch):
         # every pair, the wave's included, comes from the run's one evaluator
         solved = []

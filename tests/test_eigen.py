@@ -10,6 +10,7 @@ from wavekit.dispersion import persistence_check, static_frame
 from wavekit.eigen import (
     EigenEvaluator,
     default_cell_grid,
+    _eig,
     _hill_pair,
     lambda_mu_curve,
     principal_eigenvalue,
@@ -431,6 +432,23 @@ class TestFourierHill:
         sys = system_2x2(l12=0.0, l21=0.0, l11_field=l11, l22=0.3)
         with pytest.raises(NumericalError, match="reducible"):
             EigenEvaluator(frame_of(sys)).pair(0.0)
+
+
+class TestDenseEig:
+    """eigen._eig, LAPACK's dgeev as scipy.linalg.eig(A, left=True) returns it."""
+
+    @pytest.mark.parametrize("n", [1, 9, 45, 101])
+    @pytest.mark.parametrize("kind", ["general", "symmetric", "strided"])
+    def test_matches_scipy_eig_bitwise(self, n, kind):
+        rng = np.random.default_rng(n)
+        B = rng.normal(size=(n, n))
+        # symmetric: real spectrum; general, and the real part of a complex
+        # array as _hill_modes passes it: conjugate pairs once n > 1
+        A = {"general": B, "symmetric": B + B.T, "strided": (B + 1j * B.T).real}[kind]
+        got, ref = _eig(A), scipy_eig(A, left=True)
+        assert bool(np.any(ref[0].imag)) == (kind != "symmetric" and n > 1)
+        for x, y in zip(got, ref):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def drifting_cell_system():

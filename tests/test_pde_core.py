@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 from scipy.linalg.lapack import dgbtrs
 from scipy.sparse.linalg import splu
@@ -799,3 +804,47 @@ class TestGridFieldIO:
         assert g.dt == pytest.approx(0.25)
         assert g.dz == pytest.approx(0.25)
         assert len(g.z) == 33 and g.z[0] == -4.0 and g.z[-1] == 4.0
+
+
+SRC = str(Path(pde_core.__file__).resolve().parents[1])
+
+
+def run_python(code):
+    """Run code in a fresh interpreter with wavekit on its path."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+class TestScipyKernels:
+    def test_import_leaves_scipy_linalg_out(self):
+        done = run_python("import sys, wavekit.cli; print('scipy.linalg' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_scipy_linalg_imports_after_the_kernels(self):
+        # the package import finds the extension modules wavekit loaded and
+        # gives band LUs identical to wavekit's, in real and complex arithmetic
+        done = run_python(
+            "import numpy as np\n"
+            "from wavekit import pde_core\n"
+            "from scipy.linalg import lapack\n"
+            "ab = np.random.default_rng(0).normal(size=(7, 12))\n"
+            "for ours, theirs, a in ((pde_core.dgbtrf, lapack.dgbtrf, ab), "
+            "(pde_core.zgbtrf, lapack.zgbtrf, ab + 0.5j * ab[::-1])):\n"
+            "    for p, q in zip(ours(a, 2, 2), theirs(a, 2, 2)):\n"
+            "        p, q = np.asarray(p), np.asarray(q)\n"
+            "        assert p.dtype == q.dtype and p.tobytes() == q.tobytes(), (p, q)\n"
+            "print('ok')")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+    def test_scipy_without_the_kernels_fails_at_import(self, tmp_path):
+        done = run_python(
+            "import scipy\n"
+            f"scipy.__file__ = {str(tmp_path / '__init__.py')!r}\n"
+            "import wavekit")
+        assert done.returncode != 0
+        last = done.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError:"), done.stderr
+        assert str(tmp_path / "linalg" / "_flapack") in last
+        assert f"scipy {scipy.__version__}" in last
